@@ -72,24 +72,25 @@ class TaskDescriptor:
         if unknown:
             raise ScenarioError(f"unknown task fields {sorted(unknown)}", "task")
         fields = {}
-        if "command" in mapping:
-            if mapping["command"] != command and command != mapping["command"]:
-                raise ScenarioError(
-                    f"scenario task is {mapping['command']!r}, invoked as {command!r}", "task.command"
-                )
+        if "command" in mapping and mapping["command"] != command:
+            raise ScenarioError(
+                f"scenario task is {mapping['command']!r}, invoked as {command!r}", "task.command"
+            )
         if "grid" in mapping:
             g = mapping["grid"]
             if not (isinstance(g, dict) and {"start", "stop"} <= set(g) <= {"start", "stop", "step"}):
                 raise ScenarioError("grid must be {start, stop, step?}", "task.grid")
-            fields["grid"] = (float(g["start"]), float(g["stop"]), float(g["step"]) if "step" in g else None)
+            fields["grid"] = tuple(
+                _number(g[key], f"task.grid.{key}") if key in g else None for key in ("start", "stop", "step")
+            )
         if "rect" in mapping:
             r = mapping["rect"]
             if not (isinstance(r, list) and len(r) == 4):
                 raise ScenarioError("rect must be [x0, x1, y0, y1]", "task.rect")
-            fields["rect"] = tuple(float(v) for v in r)
+            fields["rect"] = tuple(_number(v, "task.rect") for v in r)
         for key, conv in (("tau", float), ("n", int), ("alpha", float), ("tol", float), ("terms", int)):
             if key in mapping:
-                fields[key] = conv(mapping[key])
+                fields[key] = _number(mapping[key], f"task.{key}", conv)
         if "output" in mapping:
             if mapping["output"] not in ("csv", "json", "table"):
                 raise ScenarioError("output must be csv, json, or table", "task.output")
@@ -97,6 +98,17 @@ class TaskDescriptor:
         if "target" in mapping:
             fields["target"] = str(mapping["target"])
         return replace(task, **fields)
+
+
+def _number(value, field: str, conv=float):
+    """conv(value) for a task field; malformed and non-finite values are refused."""
+    try:
+        number = conv(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"expected a number, got {value!r}", field) from exc
+    if not math.isfinite(number):
+        raise ScenarioError(f"must be finite, got {value!r}", field)
+    return number
 
 
 def _fmt(value) -> str:
@@ -114,7 +126,7 @@ def _emit_rows(header, rows, output, out):
             out.write(",".join(_fmt(v) for v in row) + "\n")
     elif output == "json":
         payload = [dict(zip(header, row)) for row in rows]
-        out.write(json.dumps(payload, sort_keys=True) + "\n")
+        out.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
     else:
         widths = [max(len(h), 24) for h in header]
         out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)) + "\n")
@@ -124,7 +136,7 @@ def _emit_rows(header, rows, output, out):
 
 def _emit_doc(doc: dict, output: str, out):
     if output == "json":
-        out.write(json.dumps(doc, sort_keys=True, default=_json_default) + "\n")
+        out.write(json.dumps(doc, sort_keys=True, default=_json_default, allow_nan=False) + "\n")
     else:
         for key in sorted(doc):
             out.write(f"{key}: {_fmt(doc[key]) if not isinstance(doc[key], (list, tuple, dict)) else doc[key]}\n")
@@ -142,8 +154,21 @@ def _json_default(obj):
 
 def _violation(out, prop: str, location, observed, bound) -> int:
     record = {"violation": {"property": prop, "location": location, "observed": observed, "bound": bound}}
-    out.write(json.dumps(record, sort_keys=True, default=_json_default) + "\n")
+    out.write(json.dumps(record, sort_keys=True, default=_json_default, allow_nan=False) + "\n")
     return 2
+
+
+def _nonfinite(out, **gate_inputs) -> int | None:
+    """Exit-2 record naming the first gate input that holds a NaN or an infinity.
+
+    A comparison with NaN is False, so such an input would pass any gate.
+    """
+    for name, value in gate_inputs.items():
+        value = np.asarray(value, dtype=float)
+        bad = value[~np.isfinite(value)]
+        if bad.size:
+            return _violation(out, "nonfinite", name, str(bad[0]), None)
+    return None
 
 
 def _make_grid(task: TaskDescriptor, sigma: float) -> np.ndarray:
@@ -191,6 +216,8 @@ def _run_identities(measure, task, out) -> int:
         "linear_scale": res.linear_scale,
         "quadratic_scale": res.quadratic_scale,
     }
+    if (code := _nonfinite(out, **doc)) is not None:
+        return code
     _emit_doc(doc, task.output, out)
     if res.max_linear() > tol * res.linear_scale:
         return _violation(out, "identity_residual_linear", None, res.max_linear(), tol * res.linear_scale)
@@ -204,6 +231,8 @@ def _run_ineq(measure, task, out) -> int:
     grid = _make_grid(task, measure.sigma)
     report = inequality.check_inequality(cfg, grid)
     tol = task.resolved_tol()
+    if (code := _nonfinite(out, E=report.e_values, margin=report.margin, scale=report.scale)) is not None:
+        return code
     if task.output == "csv":
         header = ["x", "margin", "E", "scale"]
         rows = [
@@ -247,6 +276,8 @@ def _run_interp(measure, task, out) -> int:
         rows.append((float(x), lhs, rhs.value, gap, rhs.tail_bound))
         if gap > rhs.tail_bound + task.resolved_tol():
             worst = (float(x), gap, rhs.tail_bound + task.resolved_tol())
+    if (code := _nonfinite(out, gap=[row[3] for row in rows], tail_bound=[row[4] for row in rows])) is not None:
+        return code
     _emit_rows(["x", "lhs", "rhs", "gap", "tail_bound"], rows, task.output if task.output != "table" else "csv", out)
     if worst is not None:
         return _violation(out, "interpolation_identity", worst[0], worst[1], worst[2])
@@ -428,11 +459,6 @@ def main(argv=None, out=None) -> int:
             raise ValueError(f"cannot read scenario: {exc}") from exc
         measure, task_mapping = parse_scenario(text)
         merged = dict(task_mapping or {})
-        if "command" in merged and merged["command"] != args.command:
-            raise ScenarioError(
-                f"scenario task is {merged['command']!r}, invoked as {args.command!r}", "task.command"
-            )
-        merged.pop("command", None)
         merged.update(flag_fields)
         task = TaskDescriptor.from_mapping(args.command, merged)
         return _RUNNERS[args.command](measure, task, out)

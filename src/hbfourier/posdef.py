@@ -66,7 +66,7 @@ class PosDefProfile:
             w = t1 - t0
             if w <= 0.0:
                 continue
-            M = _segment_moments(w, a, 1j * xv * t0, 2)
+            M = _segment_moments([w**k for k in range(1, 4)], a, 1j * xv * t0)
             for j, cj in enumerate(coeffs):
                 if cj != 0.0:
                     total += cj * M[j].real
@@ -229,7 +229,7 @@ def damped_kernel_integral(profile: PosDefProfile, alpha: float, beta: float) ->
         c0, c1, c2 = coeffs
         k0 = 1.0 - beta * t0
         q = (k0 * c0, k0 * c1 - beta * c0, k0 * c2 - beta * c1, -beta * c2)
-        M = _segment_moments(w, a, np.array([-alpha * t0 + 0.0j]), 3)
+        M = _segment_moments([w**k for k in range(1, 5)], a, np.array([-alpha * t0 + 0.0j]))
         total += sum(qj * M[j][0].real for j, qj in enumerate(q) if qj != 0.0)
     return 2.0 * total
 
@@ -276,7 +276,7 @@ def _hhat_from_samples(sample_u: np.ndarray, sample_h: np.ndarray, x: np.ndarray
     for i, xv in enumerate(x):
         a = complex(0.0, xv)
         beta = 1j * xv * sample_u[:-1]
-        M = _segment_moments(w, np.full(len(beta), a), beta, 1)
+        M = _segment_moments([w, w**2], np.full(len(beta), a), beta)
         v0 = sample_h[:-1]
         v1 = sample_h[1:]
         slope = (v1 - v0) / w

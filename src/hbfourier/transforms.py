@@ -11,9 +11,13 @@ fallback on short panels; no quadrature is used anywhere, so values are exact
 for the stored representation up to rounding.  Derivatives are moment
 transforms (e.g. G'(x) = -int t sin(xt) dmu), never finite differences.
 
-Deep complex arguments are handled in scaled form value * e^{E}: every
-exponential evaluated internally has a nonpositive real exponent, so contour
-sweeps far below the real axis cannot overflow.
+One evaluator, `_grid_moments`, serves real grids and complex points alike.
+It takes a real or complex scalar or array z and returns scaled moments: the
+mantissas T_m with int t^m e^{izt} dmu = T_m e^E and the scale
+E = max(0, -Im z * sigma), which is 0 on the real axis.  Every exponential it
+evaluates has a nonpositive real exponent, so contour sweeps far below the
+real axis cannot overflow; the public functions fold the scale back in, or
+hand the pair on, as `eval_F_scaled` does.
 
 All functions are pure; measures are immutable, so grid sweeps may share them
 across workers.
@@ -28,137 +32,132 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import StieltjesMeasure
+from .measure import PiecewiseLinearDensity, StieltjesMeasure
 
 # series fallback below |a| * w; the closed-form recurrence loses ~|result/terms|
 # digits to cancellation as |a| w -> 0 while the series is eps-exact here
 _SERIES_CUT = 1.0
 _SERIES_TERMS = 30
 _FOLD_LIMIT = 700.0  # log threshold beyond which a scaled value cannot be folded
+_MAX_ORDER = 2  # highest moment order any caller needs (second derivatives)
+# points x panels evaluated together: the temporaries of a 4096 block peak near
+# 1 MB, and larger blocks raise the peak memory in proportion without running faster
+_BLOCK = 4096
 
 
-def _segment_moments(w, a, beta, order: int):
-    """Moments N_m = int_0^w u^m exp(a u + beta) du for m = 0..order.
+def _segment_moments(w_powers, a, beta):
+    """Moments N_m = int_0^w u^m exp(a u + beta) du for m = 0..len(w_powers) - 1.
 
-    `a` and `beta` broadcast together (complex arrays or scalars).  The caller
-    must arrange Re(a w + beta) <= 0 and Re(beta) <= 0 so that no exponential
-    overflows.  Returns an array of shape (order + 1,) + broadcast shape.
+    w_powers[k] holds w ** (k + 1) as Python's float pow gives it (numpy's
+    power differs in the last bit); w, `a` and `beta` broadcast together.  The
+    caller must arrange Re(a w + beta) <= 0 and Re(beta) <= 0 so that no
+    exponential overflows.  Returns an array of shape (len(w_powers),) +
+    broadcast shape.
     """
-    a = np.asarray(a, dtype=complex)
-    beta = np.asarray(beta, dtype=complex)
-    shape = np.broadcast_shapes(a.shape, beta.shape)
-    scalar = shape == ()
-    if scalar:
-        shape = (1,)
-    a = np.broadcast_to(a, shape)
-    beta = np.broadcast_to(beta, shape)
-    out = np.empty((order + 1,) + shape, dtype=complex)
+    w_powers = np.asarray(w_powers, dtype=float)
+    order = len(w_powers) - 1
+    a, beta, *w_powers = np.broadcast_arrays(
+        np.asarray(a, dtype=complex), np.asarray(beta, dtype=complex), *w_powers
+    )
+    w = w_powers[0]
+    out = np.empty((order + 1,) + a.shape, dtype=complex)
 
     small = np.abs(a) * w < _SERIES_CUT
     if small.any():
-        aw = a[small] * w
-        eb = np.exp(beta[small])
-        for m in range(order + 1):
-            term = np.ones_like(aw)
-            acc = term / (m + 1)
-            for j in range(1, _SERIES_TERMS):
-                term = term * aw / j
-                acc = acc + term / (m + j + 1)
-            out[m][small] = acc * eb * w ** (m + 1)
+        aw = a[small] * w[small]
+        # the terms (aw)^j / j! are shared by every m; only the divisors differ
+        m1 = np.arange(1.0, order + 2)[:, None]
+        term = np.ones_like(aw)
+        acc = term / m1
+        for j in range(1, _SERIES_TERMS):
+            term = term * aw / j
+            acc += term / (m1 + j)
+        acc *= np.exp(beta[small])
+        acc *= np.array([wp[small] for wp in w_powers])
+        out[:, small] = acc
     big = ~small
     if big.any():
         ab = a[big]
-        e1 = np.exp(ab * w + beta[big])
+        wb = w[big]
+        e1 = np.exp(ab * wb + beta[big])
         e0 = np.exp(beta[big])
         prev = (e1 - e0) / ab
         out[0][big] = prev
         wm = 1.0
         for m in range(1, order + 1):
-            wm *= w
+            wm = wm * wb
             prev = (wm * e1 - m * prev) / ab
             out[m][big] = prev
-    return out[:, 0] if scalar else out
+    return out
 
 
-def _panel_u_coeffs(t0: float, v0: float, slope: float, m: int):
-    """Coefficients q_j of t^m * (v0 + slope u) as a polynomial in u = t - t0."""
-    q = [0.0] * (m + 2)
-    for j in range(m + 1):
-        b = math.comb(m, j) * t0 ** (m - j)
-        q[j] += b * v0
-        q[j + 1] += b * slope
-    return q
+@functools.lru_cache(maxsize=64)  # an entry of a 2049-panel density is about 0.4 MB
+def _panel_arrays(density: PiecewiseLinearDensity):
+    """A density's panels laid out for evaluating all of them at once.
+
+    Returns (t0, w_powers, rows).  t0 and w_powers[k] = w ** (k + 1) are
+    columns of shape (P, 1).  For a panel p, q_j are the coefficients of
+    t^m (v0 + slope u) as a polynomial in u = t - t0, so the panel adds
+    sum_j q_j N_j to T_m.  rows[m] = (index, q) lists the nonzero q_j, panel
+    by panel, with index = j * P + p locating N_j of panel p in the moments
+    flattened to shape ((order + 2) * P, points).
+    """
+    panels = density.panels
+    widths = [t1 - t0 for t0, t1, _, _ in panels]
+    w_powers = np.array([[w**k for w in widths] for k in range(1, _MAX_ORDER + 3)])
+    rows = []
+    for m in range(_MAX_ORDER + 1):
+        q = np.zeros((len(panels), m + 2))
+        for p, ((t0, _, v0, v1), w) in enumerate(zip(panels, widths)):
+            slope = (v1 - v0) / w
+            for j in range(m + 1):
+                b = math.comb(m, j) * t0 ** (m - j)
+                q[p, j] += b * v0
+                q[p, j + 1] += b * slope
+        panel, j = np.nonzero(q)
+        rows.append((j * len(panels) + panel, q[panel, j][:, None]))
+    t0 = np.array([p[0] for p in panels])[:, None]
+    return t0, w_powers[:, :, None], tuple(rows)
 
 
-def _grid_moments(measure: StieltjesMeasure, x, order: int) -> np.ndarray:
-    """T_m(x) = int t^m e^{i x t} dmu(t) for real x (vectorized), m = 0..order."""
-    x = np.asarray(x, dtype=float)
-    T = np.zeros((order + 1,) + x.shape, dtype=complex)
+def _grid_moments(measure: StieltjesMeasure, z, order: int):
+    """Scaled moments (T, E) with int t^m e^{izt} dmu(t) = T[m] e^E, m = 0..order.
+
+    z is a real or complex scalar or array; E = max(0, -Im z * sigma), which
+    is 0 on real input, and every exponential evaluated has a nonpositive
+    real part, so points far below the real axis cannot overflow.  Atoms are
+    added one by one; all density panels of a block of points are evaluated
+    together and summed in panel order, so a point's moments do not depend on
+    the other points of the call.  T has shape (order + 1,) + z.shape.
+    """
+    z = np.asarray(z)
+    E = np.maximum(-measure.sigma * z.imag, 0.0)
+    a = 1j * z
+    T = np.zeros((order + 1,) + z.shape, dtype=complex)
     for t, c in measure.atoms:
-        phase = np.exp(1j * x * t)
+        phase = np.exp(a * t - E)
         tm = 1.0
         for m in range(order + 1):
             T[m] += (c * tm) * phase
             tm *= t
     if measure.density is not None:
-        a = 1j * x
-        for t0, t1, v0, v1 in measure.density.panels:
-            w = t1 - t0
-            slope = (v1 - v0) / w
-            M = _segment_moments(w, a, 1j * x * t0, order + 1)
+        t0, w_powers, rows = _panel_arrays(measure.density)
+        a, E, flat = a.reshape(-1), E.reshape(-1), T.reshape(order + 1, -1)
+        step = max(1, _BLOCK // len(t0))
+        for lo in range(0, a.size, step):
+            blk = slice(lo, lo + step)
+            M = _segment_moments(w_powers[: order + 2], a[blk], a[blk] * t0 - E[blk])
+            M = M.reshape(-1, M.shape[-1])
             for m in range(order + 1):
-                q = _panel_u_coeffs(t0, v0, slope, m)
-                for j, qj in enumerate(q):
-                    if qj != 0.0:
-                        T[m] += qj * M[j]
-    return T
-
-
-def _scalar_segment_moments(w: float, a: complex, beta: complex, order: int):
-    """Scalar counterpart of _segment_moments (plain complex arithmetic)."""
-    if abs(a) * w < _SERIES_CUT:
-        eb = cmath.exp(beta)
-        out = []
-        for m in range(order + 1):
-            term = 1.0 + 0j
-            acc = term / (m + 1)
-            for j in range(1, _SERIES_TERMS):
-                term = term * (a * w) / j
-                acc += term / (m + j + 1)
-            out.append(acc * eb * w ** (m + 1))
-        return out
-    e1 = cmath.exp(a * w + beta)
-    e0 = cmath.exp(beta)
-    out = [(e1 - e0) / a]
-    wm = 1.0
-    for m in range(1, order + 1):
-        wm *= w
-        out.append((wm * e1 - m * out[-1]) / a)
-    return out
-
-
-def _point_moments(measure: StieltjesMeasure, z: complex, order: int):
-    """Scaled moments at one complex point: (values, E) with T_m = values[m] * e^E."""
-    z = complex(z)
-    sigma = measure.sigma
-    scale = max(0.0, -z.imag * sigma)
-    T = [0j] * (order + 1)
-    for t, c in measure.atoms:
-        phase = cmath.exp(1j * z * t - scale)
-        tm = 1.0
-        for m in range(order + 1):
-            T[m] += c * tm * phase
-            tm *= t
-    if measure.density is not None:
-        a = 1j * z
-        for t0, t1, v0, v1 in measure.density.panels:
-            w = t1 - t0
-            slope = (v1 - v0) / w
-            M = _scalar_segment_moments(w, a, 1j * z * t0 - scale, order + 1)
-            for m in range(order + 1):
-                q = _panel_u_coeffs(t0, v0, slope, m)
-                T[m] += sum(qj * Mj for qj, Mj in zip(q, M) if qj != 0.0)
-    return T, scale
+                rows_m, q = rows[m]
+                terms = np.empty((len(q) + 1, M.shape[-1]), dtype=complex)
+                terms[0] = flat[m, blk]
+                np.take(M, rows_m, axis=0, out=terms[1:])
+                terms[1:] *= q
+                # cumulative sum down the rows adds the panel terms in order
+                flat[m, blk] = np.cumsum(terms, axis=0)[-1]
+            del M, terms  # free this block's arrays before the next block's
+    return T, E.reshape(z.shape)[()]  # [()] gives a scalar E for a scalar z
 
 
 @functools.lru_cache(maxsize=512)
@@ -166,21 +165,14 @@ def _reflected(measure: StieltjesMeasure) -> StieltjesMeasure:
     return measure.reflected()
 
 
-def _is_real_arg(z) -> bool:
-    if isinstance(z, complex):
-        return z.imag == 0.0
-    if isinstance(z, np.ndarray):
-        return not np.iscomplexobj(z)
-    return True
-
-
-def _fold(value: complex, scale: float) -> complex:
-    if scale == 0.0:
+def _fold(value, scale):
+    """value * e^scale, refusing results that cannot be represented."""
+    if not np.any(scale):
         return value
-    mag = abs(value)
-    if mag > 0.0 and math.log(mag) + scale > _FOLD_LIMIT:
-        raise OverflowError("transform value is unrepresentable; use the scaled form")
-    return value * math.exp(scale)
+    with np.errstate(divide="ignore"):
+        if np.any(np.log(np.abs(value)) + scale > _FOLD_LIMIT):
+            raise OverflowError("transform value is unrepresentable; use the scaled form")
+    return value * np.exp(scale)
 
 
 # -- real-axis bundle ----------------------------------------------------------
@@ -260,8 +252,8 @@ def real_transforms(measure: StieltjesMeasure, x, order: int = 1) -> RealTransfo
     x = np.asarray(x, dtype=float)
     return RealTransforms(
         x=x,
-        direct=_grid_moments(measure, x, order),
-        mirrored=_grid_moments(_reflected(measure), x, order),
+        direct=_grid_moments(measure, x, order)[0],
+        mirrored=_grid_moments(_reflected(measure), x, order)[0],
     )
 
 
@@ -304,18 +296,14 @@ def transform_sample(measure: StieltjesMeasure, x: float) -> TransformSample:
 # -- point evaluation ----------------------------------------------------------
 
 
-def eval_F_scaled(measure: StieltjesMeasure, z: complex):
+def eval_F_scaled(measure: StieltjesMeasure, z):
     """(mantissa, E) with F(z) = mantissa * e^E; safe arbitrarily deep in Im z."""
-    T, scale = _point_moments(measure, z, 0)
+    T, scale = _grid_moments(measure, z, 0)
     return T[0], scale
 
 
 def eval_F(measure: StieltjesMeasure, z):
-    """F(z); vectorized over real arrays, scalar for complex arguments."""
-    if _is_real_arg(z):
-        xr = np.real(z) if isinstance(z, complex) else z
-        out = _grid_moments(measure, xr, 0)[0]
-        return complex(out) if out.ndim == 0 else out
+    """F(z) at real or complex z, scalar or array."""
     return _fold(*eval_F_scaled(measure, z))
 
 
@@ -323,39 +311,24 @@ def eval_F_derivative(measure: StieltjesMeasure, z, k: int = 1):
     """k-th derivative of F (k <= 2), from analytic moment transforms."""
     if k not in (0, 1, 2):
         raise ValueError("derivative order must be 0, 1, or 2")
-    pref = (1j) ** k
-    if _is_real_arg(z):
-        xr = np.real(z) if isinstance(z, complex) else z
-        out = pref * _grid_moments(measure, xr, k)[k]
-        return complex(out) if out.ndim == 0 else out
-    T, scale = _point_moments(measure, z, k)
-    return _fold(pref * T[k], scale)
-
-
-def eval_F_derivative_scaled(measure: StieltjesMeasure, z: complex, k: int):
-    if k not in (0, 1, 2):
-        raise ValueError("derivative order must be 0, 1, or 2")
-    T, scale = _point_moments(measure, z, k)
-    return (1j) ** k * T[k], scale
+    T, scale = _grid_moments(measure, z, k)
+    return _fold((1j) ** k * T[k], scale)
 
 
 def _combine_scaled(pairs):
     """Sum of terms coef * mant * e^E given (coef, mant, E); returns (mant, E)."""
-    emax = max(E for _, _, E in pairs)
-    total = sum(coef * mant * math.exp(E - emax) for coef, mant, E in pairs)
+    emax = functools.reduce(np.maximum, (E for _, _, E in pairs))
+    total = sum(coef * mant * np.exp(E - emax) for coef, mant, E in pairs)
     return total, emax
 
 
 def eval_GH(measure: StieltjesMeasure, z):
-    """G(z) = int cos(zt) dmu and H(z) = int sin(zt) dmu."""
-    if _is_real_arg(z):
-        xr = np.real(z) if isinstance(z, complex) else z
-        T = _grid_moments(measure, xr, 0)[0]
-        if T.ndim == 0:
-            return float(T.real), float(T.imag)
-        return T.real, T.imag
+    """G(z) = int cos(zt) dmu and H(z) = int sin(zt) dmu, from F(z) and F(-z).
+
+    Complex-valued; at real z their imaginary parts vanish for a real measure.
+    """
     vp, ep = eval_F_scaled(measure, z)
-    vm, em = eval_F_scaled(measure, -z)
+    vm, em = eval_F_scaled(measure, -np.asarray(z))
     g, eg = _combine_scaled([(0.5, vp, ep), (0.5, vm, em)])
     h, eh = _combine_scaled([(-0.5j, vp, ep), (0.5j, vm, em)])
     return _fold(g, eg), _fold(h, eh)
@@ -372,17 +345,17 @@ def eval_CS(measure: StieltjesMeasure, z):
 
 def eval_h_alpha(measure: StieltjesMeasure, alpha: float, x):
     """h_alpha = G cos(alpha) - H sin(alpha) on the real axis."""
-    G, H = eval_GH(measure, x)
-    return G * math.cos(alpha) - H * math.sin(alpha)
+    F = eval_F(measure, x)
+    return F.real * math.cos(alpha) - F.imag * math.sin(alpha)
 
 
-def eval_h_alpha_scaled(measure: StieltjesMeasure, alpha: float, z: complex):
-    """Scaled h_alpha at a complex point (for contour work)."""
+def eval_h_alpha_scaled(measure: StieltjesMeasure, alpha: float, z):
+    """Scaled h_alpha at complex points (for contour work)."""
     vp, ep = eval_F_scaled(measure, z)
-    vm, em = eval_F_scaled(measure, -z)
-    # h_alpha(z) = (e^{-i alpha} F(z) + e^{i alpha} F(-z)) / 2 for real measures
+    vm, em = eval_F_scaled(measure, -np.asarray(z))
+    # h_alpha(z) = (e^{i alpha} F(z) + e^{-i alpha} F(-z)) / 2 for real measures
     return _combine_scaled(
-        [(0.5 * cmath.exp(-1j * alpha), vp, ep), (0.5 * cmath.exp(1j * alpha), vm, em)]
+        [(0.5 * cmath.exp(1j * alpha), vp, ep), (0.5 * cmath.exp(-1j * alpha), vm, em)]
     )
 
 
@@ -407,8 +380,8 @@ def eval_E(measure: StieltjesMeasure, tau: float, n: int, x):
     if n not in (-1, 0, 1):
         raise ValueError("n must be -1, 0, or 1")
     x = np.asarray(x, dtype=float)
-    rt = real_transforms(measure, x, order=1)
-    base = rt.C * math.cos(tau) - rt.S * math.sin(tau)
+    reflected = _grid_moments(_reflected(measure), x, 0)[0][0]  # C + iS
+    base = reflected.real * math.cos(tau) - reflected.imag * math.sin(tau)
     if n == 0:
         out = base
     elif n == 1:
@@ -451,20 +424,15 @@ class IdentityResiduals:
     linear_scale: float
     quadratic_scale: float
 
+    # np.max, unlike the builtin max, passes a NaN residual on to the caller
+
     def max_linear(self) -> float:
-        return float(
-            max(
-                np.max(self.euler_split),
-                np.max(self.modulation),
-                np.max(self.g_recombination),
-                np.max(self.h_recombination),
-                np.max(self.phase_mix),
-                np.max(self.rotation),
-            )
-        )
+        parts = (self.euler_split, self.modulation, self.g_recombination)
+        parts += (self.h_recombination, self.phase_mix, self.rotation)
+        return float(np.max([np.max(part) for part in parts]))
 
     def max_quadratic(self) -> float:
-        return float(max(np.max(self.wronskian_pair), np.max(self.wronskian_reflected)))
+        return float(np.max([np.max(self.wronskian_pair), np.max(self.wronskian_reflected)]))
 
 
 def identity_residuals(

@@ -15,7 +15,6 @@ silently.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -23,8 +22,10 @@ import numpy as np
 from scipy import optimize
 
 from .measure import StieltjesMeasure, mass_summary
+from .inequality import HYPOTHESIS_TOL
 from .transforms import (
-    _point_moments,
+    _grid_moments,
+    _reflected,
     eval_F,
     eval_F_derivative,
     eval_h_alpha_scaled,
@@ -35,8 +36,6 @@ from .transforms import (
 BOUNDARY_MODULUS_FACTOR = 1e-12
 #: default axis-avoiding window for "open lower half-plane" checks
 DEFAULT_LOWER_RECT = (-20.0, 20.0, -6.0, -1e-3)
-#: grid-hypothesis slack, relative to max(total variation, 1)
-HYPOTHESIS_TOL = 1e-9
 
 
 class BoundaryZeroError(RuntimeError):
@@ -105,55 +104,44 @@ class ZeroCountResult:
 def _winding_count(fn, rect: Rectangle, min_log_modulus: float, max_points: int = 400_000) -> ZeroCountResult:
     """Winding number of fn along the rectangle boundary (counterclockwise).
 
-    fn maps z to (mantissa, log-scale); only the mantissa phase and the total
-    log-modulus are used.  Sampling starts proportional to the perimeter and
-    bisects every interval whose phase increment reaches pi/2, so the final
-    polygonal path cannot wrap the origin undetected unless the true phase
-    moves by >= pi between samples.
+    fn maps an array of points to (mantissas, log-scales); only the mantissa
+    phase and the total log-modulus are used.  Sampling starts proportional
+    to the perimeter and bisects every interval whose phase increment reaches
+    pi/2, all midpoints of a round in one call of fn, so the final polygonal
+    path cannot wrap the origin undetected unless the true phase moves by
+    >= pi between samples.
     """
     corners = list(rect.corners)
     n0 = 64  # initial points per edge; adaptive bisection supplies the rest
-    zs: list[complex] = []
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        seg = np.linspace(0.0, 1.0, n0 + 1)[:-1]
-        zs.extend(a + t * (b - a) for t in seg)
+    seg = np.linspace(0.0, 1.0, n0 + 1)[:-1]
+    zs = np.concatenate([a + seg * (b - a) for a, b in zip(corners, corners[1:] + corners[:1])])
 
     def probe(z):
         mant, scale = fn(z)
-        mag = abs(mant)
-        logmod = -math.inf if mag == 0.0 else math.log(mag) + scale
-        if logmod < min_log_modulus:
+        with np.errstate(divide="ignore"):
+            logmod = np.log(np.abs(mant)) + scale
+        low = np.flatnonzero(logmod < min_log_modulus)
+        if low.size:
             raise BoundaryZeroError(
-                f"|target| below the boundary floor at z = {z:.6g}; nudge the rectangle by ~1e-6"
+                f"|target| below the boundary floor at z = {complex(z[low[0]]):.6g}; nudge the rectangle by ~1e-6"
             )
         return mant
 
-    ws = [probe(z) for z in zs]
+    ws = probe(zs)
     for _ in range(64):
-        n = len(zs)
-        new_zs = []
-        new_ws = []
-        refined = False
-        for i in range(n):
-            j = (i + 1) % n
-            new_zs.append(zs[i])
-            new_ws.append(ws[i])
-            dphi = cmath.phase(ws[j] / ws[i])
-            if abs(dphi) >= 0.5 * math.pi:
-                zm = 0.5 * (zs[i] + zs[j])
-                new_zs.append(zm)
-                new_ws.append(probe(zm))
-                refined = True
-        zs, ws = new_zs, new_ws
-        if not refined:
+        # the quotient of neighbouring samples cannot overflow, unlike a product
+        split = np.flatnonzero(np.abs(np.angle(np.roll(ws, -1) / ws)) >= 0.5 * math.pi)
+        if not split.size:
             break
+        zm = 0.5 * (zs[split] + np.roll(zs, -1)[split])
+        zs = np.insert(zs, split + 1, zm)
+        ws = np.insert(ws, split + 1, probe(zm))
         if len(zs) > max_points:
             raise DiagnosticFailure("contour refinement exceeded the sample budget")
     else:
         raise DiagnosticFailure("contour refinement did not converge")
 
-    warr = np.asarray(ws)
-    dphi = np.angle(np.roll(warr, -1) * np.conj(warr))
+    dphi = np.angle(np.roll(ws, -1) * np.conj(ws))
     winding = float(np.sum(dphi) / (2.0 * math.pi))
     count = int(round(winding))
     residual = abs(winding - count)
@@ -165,31 +153,24 @@ def _winding_count(fn, rect: Rectangle, min_log_modulus: float, max_points: int 
 
 
 def _target_fn(measure: StieltjesMeasure, target: str):
-    """Scaled evaluator z -> (mantissa, log-scale) for a named target."""
-    if target == "F":
-        def fn(z):
-            T, s = _point_moments(measure, z, 0)
-            return T[0], s
-    elif target == "zF":
-        def fn(z):
-            T, s = _point_moments(measure, z, 0)
-            return z * T[0], s
-    elif target == "F/z":
-        if abs(measure.total_mass) > 1e-12 * max(1.0, measure.total_variation):
-            raise ValueError("target F/z requires F(0) = 0")
-        def fn(z):
-            T, s = _point_moments(measure, z, 0)
-            return T[0] / z, s
-    elif target == "F'":
-        def fn(z):
-            T, s = _point_moments(measure, z, 1)
-            return 1j * T[1], s
-    elif target == "F''":
-        def fn(z):
-            T, s = _point_moments(measure, z, 2)
-            return -T[2], s
-    else:
+    """Scaled evaluator z -> (mantissa, log-scale) over arrays, for a named target."""
+    if target == "F/z" and abs(measure.total_mass) > 1e-12 * max(1.0, measure.total_variation):
+        raise ValueError("target F/z requires F(0) = 0")
+    forms = {
+        "F": (0, lambda z, T: T[0]),
+        "zF": (0, lambda z, T: z * T[0]),
+        "F/z": (0, lambda z, T: T[0] / z),
+        "F'": (1, lambda z, T: 1j * T[1]),
+        "F''": (2, lambda z, T: -T[2]),
+    }
+    if target not in forms:
         raise ValueError(f"unknown target {target!r}")
+    order, form = forms[target]
+
+    def fn(z):
+        T, s = _grid_moments(measure, z, order)
+        return form(z, T), s
+
     return fn
 
 
@@ -223,7 +204,7 @@ def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -
     def newton_from(z0: complex, box: Rectangle):
         z = z0
         for _ in range(60):
-            T, _ = _point_moments(measure, z, 1)
+            T, _ = _grid_moments(measure, z, 1)
             f = T[0]
             fp = 1j * T[1]
             if target == "zF":
@@ -246,7 +227,7 @@ def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -
         z0 = complex(0.5 * (box.x_min + box.x_max), 0.5 * (box.y_min + box.y_max))
         z_star = newton_from(z0, rect)
         if z_star is not None and rect.contains(z_star, pad=1e-9):
-            mant, _ = _point_moments(measure, z_star, 0)
+            mant, _ = _grid_moments(measure, z_star, 0)
             if abs(mant[0]) <= 1e-9 * max(measure.total_variation, 1.0):
                 return z_star
         sub = list(box.quadrants())
@@ -355,22 +336,24 @@ def _g_at(measure: StieltjesMeasure, x: float) -> float:
     return float(np.real(eval_F(measure, complex(float(x)))))
 
 
-def s_nonneg_on_grid(measure: StieltjesMeasure, x_max: float | None = None) -> bool:
-    sig = measure.sigma
-    if x_max is None:
-        x_max = 20.0 * math.pi * max(1.0, 1.0 / sig)
-    grid = np.arange(0.0, x_max, math.pi / (50.0 * sig))[1:]
-    s_vals = real_transforms(measure, grid, order=0).S
-    return bool(np.min(s_vals) >= -HYPOTHESIS_TOL * max(measure.total_variation, 1.0))
-
-
-def c_nonneg_on_grid(measure: StieltjesMeasure, x_max: float | None = None) -> bool:
+def _reflected_on_grid(measure: StieltjesMeasure, x_max: float | None):
+    """C + iS on the grid [0, x_max) of step pi / (50 sigma), and the sign-check slack."""
     sig = measure.sigma
     if x_max is None:
         x_max = 20.0 * math.pi * max(1.0, 1.0 / sig)
     grid = np.arange(0.0, x_max, math.pi / (50.0 * sig))
-    c_vals = real_transforms(measure, grid, order=0).C
-    return bool(np.min(c_vals) >= -HYPOTHESIS_TOL * max(measure.total_variation, 1.0))
+    values = _grid_moments(_reflected(measure), grid, 0)[0][0]
+    return values, HYPOTHESIS_TOL * max(measure.total_variation, 1.0)
+
+
+def s_nonneg_on_grid(measure: StieltjesMeasure, x_max: float | None = None) -> bool:
+    values, slack = _reflected_on_grid(measure, x_max)
+    return bool(np.min(values[1:].imag) >= -slack)  # x = 0 is left out: S(0) = 0
+
+
+def c_nonneg_on_grid(measure: StieltjesMeasure, x_max: float | None = None) -> bool:
+    values, slack = _reflected_on_grid(measure, x_max)
+    return bool(np.min(values.real) >= -slack)
 
 
 def find_imaginary_zero(measure: StieltjesMeasure):
@@ -390,7 +373,7 @@ def find_imaginary_zero(measure: StieltjesMeasure):
         return None
 
     def g(y: float) -> float:
-        mant, _ = _point_moments(measure, complex(0.0, y), 0)
+        mant, _ = _grid_moments(measure, complex(0.0, y), 0)
         return mant[0].real
 
     y_hi = 0.0

@@ -149,6 +149,60 @@ class TestInputErrors:
         code, _ = run_cli(["ineq"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "task",
+        [
+            {"grid": {"start": [1], "stop": 2}},
+            {"grid": {"start": 0, "stop": "x"}},
+            {"rect": [0, 1, None, 2]},
+            {"tau": "abc"},
+            {"n": None},
+            {"terms": 1e400},
+        ],
+    )
+    def test_malformed_task_field(self, tmp_path, task):
+        doc = {"sigma": 1.0, "atoms": [{"t": 1.0, "c": 2.0}], "task": task}
+        code, text = run_cli(["eval", write_scenario(tmp_path, doc)])
+        assert code == 1
+        assert text == ""
+
+
+def strict_json_lines(text):
+    """Parse every stdout line, refusing the NaN and Infinity tokens."""
+
+    def refuse(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    return [json.loads(line, parse_constant=refuse) for line in text.splitlines()]
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "flags",
+        [["--tau", "nan"], ["--tau=-inf"], ["--alpha", "nan"], ["--tol", "inf"], ["--grid=0:nan:1"], ["--rect=0,1,nan,2"]],
+    )
+    def test_task_field_refused(self, flags):
+        code, text = run_cli(["demo", "atom-sigma", *flags, "--out", "json"])
+        assert code == 1
+        assert text == ""
+
+    def test_nan_in_scenario_task_refused(self, tmp_path):
+        doc = dict(ATOM_SIGMA, task=dict(ATOM_SIGMA["task"], tau=math.nan))
+        code, text = run_cli(["ineq", write_scenario(tmp_path, doc)])
+        assert code == 1
+        assert text == ""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["identities", "ineq"])
+    @pytest.mark.parametrize("output", ["json", "table"])
+    def test_overflowing_gate_input_is_a_violation(self, tmp_path, command, output):
+        doc = {"sigma": 1.0, "atoms": [{"t": 0.0, "c": 1e300}, {"t": 1.0, "c": 1e300}]}
+        code, text = run_cli([command, write_scenario(tmp_path, doc), "--out", output])
+        assert code == 2
+        docs = strict_json_lines(text)
+        assert len(docs) == 1
+        assert docs[0]["violation"]["property"] == "nonfinite"
+
 
 class TestPosdef:
     def test_posdef_verdict_on_triangle(self, tmp_path):

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbfourier.measure import PiecewiseLinearDensity, StieltjesMeasure
+from hbfourier.measure import PiecewiseLinearDensity, StieltjesMeasure, from_monomial_density
 from hbfourier.transforms import (
+    _BLOCK,
+    _grid_moments,
     eval_CS,
     eval_Delta,
     eval_Delta_reflected,
@@ -17,6 +19,7 @@ from hbfourier.transforms import (
     eval_F_scaled,
     eval_GH,
     eval_h_alpha,
+    eval_h_alpha_scaled,
     identity_residuals,
     real_transforms,
     transform_sample,
@@ -140,6 +143,15 @@ class TestRotationAndE:
         x = np.linspace(-7.0, 7.0, 29)
         assert np.allclose(eval_h_alpha(fejer2, 0.0, x), real_transforms(fejer2, x, 0).G, atol=1e-15)
 
+    def test_scaled_h_alpha_matches_components(self):
+        m = StieltjesMeasure(1.0, ((0.25, 1.0), (1.0, -0.5)))
+        for alpha in (0.7, -1.9):
+            for z in (complex(1.3, -0.2), complex(-2.0, -3.5)):
+                mant, scale = eval_h_alpha_scaled(m, alpha, z)
+                G, H = eval_GH(m, z)
+                expected = G * math.cos(alpha) - H * math.sin(alpha)
+                assert mant * math.exp(scale) == pytest.approx(expected, rel=1e-13)
+
     def test_atom_at_sigma_constant_e(self):
         m = StieltjesMeasure(1.0, ((1.0, 0.6),))
         x = np.linspace(-9.0, 9.0, 33)
@@ -161,6 +173,55 @@ class TestRotationAndE:
         m = StieltjesMeasure(1.0, ((0.5, 1.0),))
         with pytest.raises(ValueError, match="F\\(0\\) = 0"):
             eval_E(m, -math.pi / 2, -1, 0.0)
+
+
+def mixed_measure():
+    """Atoms plus a density with panel widths 0.05 to 0.7: at |z| near 2 or 3
+    some panels take the series below the cut |z| w = 1 and some the closed form."""
+    dens = PiecewiseLinearDensity((0.0, 0.05, 0.3, 1.0, 1.5), (1.0, 0.4, -0.7, 0.0), (0.2, -1.1, 0.5, 2.0))
+    return StieltjesMeasure(1.5, ((0.0, 0.8), (0.7, -0.3), (1.5, 1.2)), dens)
+
+
+def bits(values):
+    return np.ascontiguousarray(values, dtype=complex).reshape(-1).view(np.uint64)
+
+
+class TestSingleEvaluator:
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_batch_invariance(self, order):
+        # a point's moments are the same bits alone and inside any batch, which
+        # is what lets a contour round evaluate all its new samples in one call
+        rng = np.random.default_rng(3)
+        few = mixed_measure()  # 4 panels: a block holds _BLOCK // 4 points
+        many = from_monomial_density(1.5, 0.8)  # 2049 panels: one point per block
+        mixed = np.concatenate(
+            [rng.uniform(-40.0, 40.0, 5), rng.uniform(-20.0, 20.0, 5) + 1j * rng.uniform(-400.0, 3.0, 5)]
+        )
+        large = rng.uniform(-30.0, 30.0, _BLOCK) + 1j * rng.uniform(-5.0, 1.0, _BLOCK)
+        for m, batch in ((few, mixed), (many, mixed), (few, large)):
+            T, E = _grid_moments(m, batch, order)
+            for i in range(0, len(batch), max(1, len(batch) // 12)):
+                z = batch[i] if batch[i].imag else float(batch[i].real)
+                T1, E1 = _grid_moments(m, z, order)
+                assert np.array_equal(bits(T[:, i]), bits(T1))
+                assert E[i] == E1 == max(0.0, -z.imag * m.sigma)
+
+    def test_against_mpmath_at_complex_points(self):
+        mpmath = pytest.importorskip("mpmath")
+        m = mixed_measure()
+        zs = [0.3 - 1.0j, 3.0 - 0.5j, 0.4 - 2.0j, -7.5 + 1.2j, 12.0 - 30.0j, 0.5 - 400.0j]
+        T, E = _grid_moments(m, np.array(zs), 2)
+        with mpmath.workdps(30):
+            for i, z in enumerate(zs):
+                # the scaled moments int t^k e^{izt - E} dmu(t)
+                kernel = lambda t, k: t**k * mpmath.exp(1j * mpmath.mpc(z) * t - E[i])
+                for k in range(3):
+                    exact = sum(c * kernel(mpmath.mpf(t), k) for t, c in m.atoms)
+                    for t0, t1, v0, v1 in m.density.panels:
+                        g = lambda t: v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+                        exact += mpmath.quad(lambda t: g(t) * kernel(t, k), [t0, t1])
+                    scale = m.total_variation * m.sigma**k
+                    assert abs(T[k, i] - complex(exact)) <= 1e-14 * scale, (z, k)
 
 
 class TestSample:

@@ -10,6 +10,8 @@ from hbfourier.zeros import (
     DiagnosticFailure,
     HypothesisViolation,
     Rectangle,
+    _target_fn,
+    _winding_count,
     check_derivative_hb,
     classify,
     count_h_alpha_zeros,
@@ -24,6 +26,27 @@ LOWER = Rectangle(-10.0, 10.0, -5.0, -1e-3)
 
 
 class TestCountZeros:
+    def test_one_evaluator_call_per_refinement_round(self, triangle_case2):
+        fn = _target_fn(triangle_case2, "F'")
+        sizes = []
+
+        def counted(z):
+            sizes.append(z.size)
+            return fn(z)
+
+        rect = Rectangle(-20.0, 20.0, -6.0, -1e-3)
+        result = _winding_count(counted, rect, math.log(1e-12))
+        assert sizes[0] == 4 * 64 and len(sizes) >= 2  # the start samples, then one call per round
+        assert sum(sizes) == result.boundary_samples
+        assert result == count_zeros(triangle_case2, rect, "F'")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_huge_mantissas_keep_the_refinement(self, two_unit_atoms):
+        # neighbouring samples near 1e300 overflow their product, not their quotient
+        result = count_zeros(two_unit_atoms.scaled(1e300), LOWER)
+        assert result.count == 0
+        assert result.boundary_samples == count_zeros(two_unit_atoms, LOWER).boundary_samples
+
     def test_real_zeros_do_not_count_below_axis(self, two_unit_atoms):
         result = count_zeros(two_unit_atoms, LOWER)
         assert result.count == 0
