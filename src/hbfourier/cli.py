@@ -186,23 +186,22 @@ def _run_eval(measure, task, out) -> int:
     cfg = inequality.OmegaConfig(measure, task.n, task.tau)
     margins = inequality.margin_values(cfg, grid)
     e_vals = eval_E(measure, task.tau, task.n, grid)
-    header = ["x", "F_re", "F_im", "G", "H", "C", "S", "Delta", "E", "margin"]
-    rows = [
-        (
-            float(grid[i]),
-            float(rt.G[i]),
-            float(rt.H[i]),
-            float(rt.G[i]),
-            float(rt.H[i]),
-            float(rt.C[i]),
-            float(rt.S[i]),
-            float(rt.Delta[i]),
-            float(e_vals[i]),
-            float(margins[i]),
-        )
-        for i in range(len(grid))
-    ]
-    _emit_rows(header, rows, task.output if task.output != "table" else "csv", out)
+    columns = {
+        "x": grid,
+        "F_re": rt.G,
+        "F_im": rt.H,
+        "G": rt.G,
+        "H": rt.H,
+        "C": rt.C,
+        "S": rt.S,
+        "Delta": rt.Delta,
+        "E": e_vals,
+        "margin": margins,
+    }
+    if (code := _nonfinite(out, **columns)) is not None:
+        return code
+    rows = [tuple(float(v) for v in row) for row in zip(*columns.values())]
+    _emit_rows(list(columns), rows, task.output if task.output != "table" else "csv", out)
     return 0
 
 

@@ -13,15 +13,15 @@ nonnegative combination E matches c sin^2(sigma x + tau + beta).
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .measure import StieltjesMeasure
-from .transforms import eval_E, real_transforms
+from .transforms import _bracketed_newton, _grid_moments, _reflected, eval_E, real_transforms
 
 #: grid-hypothesis slack, relative to max(total variation, 1)
 HYPOTHESIS_TOL = 1e-9
@@ -215,37 +215,64 @@ class InequalityReport:
         return float(np.min(self.margin / self.scale))
 
 
+def _e_derivatives(cfg: OmegaConfig, x):
+    """E, E' and E'' at x (x != 0 for n = -1), from the mirrored moments.
+
+    With B = C cos(tau) - S sin(tau) = Re(T_0 e^{i tau}) for the mirrored
+    moments T, the derivatives are B^(j) = Re(i^j T_j e^{i tau}).
+    """
+    T = _grid_moments(_reflected(cfg.measure), x, 2)[0]
+    rot = cmath.exp(1j * cfg.tau)
+    b0, b1, b2 = (((1j) ** j * T[j] * rot).real for j in range(3))
+    if cfg.n == 0:
+        return b0, b1, b2
+    if cfg.n == 1:
+        return x * b0, b0 + x * b1, 2.0 * b1 + x * b2
+    e0 = b0 / x
+    e1 = (b1 - e0) / x
+    return e0, e1, (b2 - 2.0 * e1) / x
+
+
 def _refine_equality_points(cfg: OmegaConfig, grid, e_vals, e_tol):
-    """Golden-section refinement of |E| around grid local minima."""
-    candidates = []
+    """Refine the grid's local minima of |E| and keep those where E and the margin vanish.
+
+    A minimum where E keeps its sign across the bracket is a root of E'; one
+    where E changes sign, possible only where the hypothesis fails, is a root
+    of E.  All brackets are solved together by `_bracketed_newton`.  For
+    n != 0 the factor x^n gives E a structural zero at x = 0, which is not an
+    equality of the transforms; brackets reaching it are not searched.
+    """
     e_abs = np.abs(e_vals)
     e_scale = float(np.max(e_abs)) if e_abs.size else 0.0
     threshold = max(100.0 * e_tol, 1e-3 * e_scale)
-    for i in range(1, len(grid) - 1):
-        if e_abs[i] <= e_abs[i - 1] and e_abs[i] <= e_abs[i + 1] and e_abs[i] <= threshold:
-            candidates.append(i)
+    i = np.arange(1, len(grid) - 1)
+    i = i[(e_abs[i] <= e_abs[i - 1]) & (e_abs[i] <= e_abs[i + 1]) & (e_abs[i] <= threshold)]
+    lo, hi = grid[i - 1], grid[i + 1]
+    if cfg.n != 0:
+        away = (lo > 1e-8) | (hi < -1e-8)
+        i, lo, hi = i[away], lo[away], hi[away]
+    if not i.size:
+        return ()
+    crossing = np.sign(e_vals[i - 1]) * np.sign(e_vals[i + 1]) < 0
+    # orient each target to rise; E' rises through a minimum of an E that is
+    # positive at the bracket's ends, whatever the sign of the rounding near 0
+    sign = np.where(crossing, np.sign(e_vals[i + 1]), np.sign(e_vals[i - 1] + e_vals[i + 1]))
+
+    def target(x, k):
+        e0, e1, e2 = _e_derivatives(cfg, x)
+        return sign[k] * np.where(crossing[k], e0, e1), sign[k] * np.where(crossing[k], e1, e2)
+
+    x = _bracketed_newton(target, lo, hi, grid[i])
+    e_star = np.abs(eval_E(cfg.measure, cfg.tau, cfg.n, x))
+    lhs, rhs = _margin_pieces(cfg, x)
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
     points = []
-    for i in candidates:
-        fun = lambda t: abs(eval_E(cfg.measure, cfg.tau, cfg.n, float(t)))
-        res = optimize.minimize_scalar(
-            fun,
-            bracket=(grid[i - 1], grid[i], grid[i + 1]),
-            method="golden",
-            options={"xtol": 1e-11},
-        )
-        x_star = float(res.x)
-        if cfg.n != 0 and abs(x_star) < 1e-8:
-            # E carries a forced zero at the origin from the x^n prefactor;
-            # it is structural, not an equality of the transforms
-            continue
-        if abs(eval_E(cfg.measure, cfg.tau, cfg.n, x_star)) > e_tol:
-            continue
-        m_star = margin_values(cfg, x_star)
-        if abs(m_star) > MARGIN_TOL * margin_scale(cfg, x_star):
+    for x_star, e, margin, sc in zip(x, e_star, lhs - rhs, scale):
+        if not (e <= e_tol and abs(margin) <= MARGIN_TOL * sc):
             continue
         if points and abs(points[-1] - x_star) < 1e-9 * max(1.0, abs(x_star)):
             continue
-        points.append(x_star)
+        points.append(float(x_star))
     return tuple(points)
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import special
 
 
 class ScenarioError(ValueError):
@@ -358,6 +357,13 @@ def _monomial_g(t, mu_exp: float, nu_exp: float):
     return out
 
 
+def _beta(a: float, b: float) -> float:
+    """Euler's beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b) for a, b > 0."""
+    if a + b < 170.0:  # Gamma stays finite below 171.6
+        return math.gamma(b) / math.gamma(a + b) * math.gamma(a)
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
 def from_monomial_density(mu_exp: float, nu_exp: float) -> StieltjesMeasure:
     """Piecewise-linear approximation of g(t) = t^(mu-1) (1-t^2)^(nu-1) on [0, 1].
 
@@ -378,7 +384,7 @@ def from_monomial_density(mu_exp: float, nu_exp: float) -> StieltjesMeasure:
         dens = PiecewiseLinearDensity.interpolant((0.0, 1.0), (0.0, 1.0))
         return StieltjesMeasure(1.0, (), dens)
 
-    target = 0.5 * special.beta(mu_exp / 2.0, nu_exp)
+    target = 0.5 * _beta(mu_exp / 2.0, nu_exp)
     singular = nu_exp < 1.0
     eps = 1e-8
     n_half = 1024

@@ -21,13 +21,40 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .inequality import OmegaConfig
 from .transforms import real_transforms
 
 #: |sigma x + alpha - k pi| below which the kernel takes its removable value 1
 NODE_COINCIDENCE = 1e-8
+# the trigamma asymptotic series is used from this argument on; its first
+# omitted term, B_18 / x^19, is then below 1e-16 of the value
+_TRIGAMMA_CUT = 10.0
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)  # B_2 .. B_16
+
+
+def _trigamma(x: float) -> float:
+    """psi_1(x) = sum_{k >= 0} 1 / (x + k)^2, infinite at the poles x = 0, -1, -2, ...
+
+    Negative arguments use the reflection psi_1(x) = pi^2 / sin^2(pi x) -
+    psi_1(1 - x); the recurrence psi_1(x) = 1 / x^2 + psi_1(x + 1) carries
+    the rest up to the cut, where the asymptotic series
+    1/x + 1/(2 x^2) + sum_k B_2k / x^(2k+1) takes over.
+    """
+    if x <= 0.0:
+        if x == math.floor(x):
+            return math.inf
+        # x - round(x) is exact, so the sine keeps full relative accuracy
+        return (math.pi / math.sin(math.pi * (x - round(x)))) ** 2 - _trigamma(1.0 - x)
+    head = 0.0
+    while x < _TRIGAMMA_CUT:
+        head += 1.0 / (x * x)
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    tail = 0.0
+    for b in reversed(_BERNOULLI):
+        tail = (tail + b) * inv2
+    return head + (1.0 + 0.5 / x + tail) / x
 
 
 @dataclass(frozen=True)
@@ -136,7 +163,7 @@ def interp_rhs(f: SampledFunction, sigma: float, alpha: float, x: float, n_terms
     The terms are paired +-k and reduced in ascending |k| order, so the value
     does not depend on evaluation scheduling.  tail_bound multiplies the
     sampled maximum of |f| over the next 2 n_terms nodes by the exact
-    polygamma tail of the kernel; sin^2 <= 1 is not used to sharpen it.
+    trigamma tail of the kernel; sin^2 <= 1 is not used to sharpen it.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
@@ -156,5 +183,5 @@ def interp_rhs(f: SampledFunction, sigma: float, alpha: float, x: float, n_terms
     far_nodes = np.concatenate([(k_far * math.pi - alpha) / sigma, (-k_far * math.pi - alpha) / sigma])
     f_max = float(np.max(np.abs(np.asarray(f.evaluate(far_nodes), dtype=float))))
     a = theta / math.pi
-    tail_sum = (special.polygamma(1, n_terms + 1 - a) + special.polygamma(1, n_terms + 1 + a)) / math.pi**2
+    tail_sum = (_trigamma(n_terms + 1 - a) + _trigamma(n_terms + 1 + a)) / math.pi**2
     return SeriesEvaluation(value=float(value), n_terms=int(n_terms), tail_bound=float(sigma * f_max * tail_sum))

@@ -19,6 +19,12 @@ evaluates has a nonpositive real exponent, so contour sweeps far below the
 real axis cannot overflow; the public functions fold the scale back in, or
 hand the pair on, as `eval_F_scaled` does.
 
+Located points (real zeros, the imaginary lower zero, equality points of the
+inequality) are roots of functions built from these moments.
+`_bracketed_newton` finds them with Newton steps on the analytic derivatives,
+safeguarded by bisection, moving all brackets of a search with one evaluator
+call per iteration.
+
 All functions are pure; measures are immutable, so grid sweeps may share them
 across workers.
 """
@@ -39,7 +45,10 @@ from .measure import PiecewiseLinearDensity, StieltjesMeasure
 _SERIES_CUT = 1.0
 _SERIES_TERMS = 30
 _FOLD_LIMIT = 700.0  # log threshold beyond which a scaled value cannot be folded
-_MAX_ORDER = 2  # highest moment order any caller needs (second derivatives)
+_MAX_ORDER = 4  # highest moment order any caller needs: the Newton slope of |F''|^2
+#: a Newton iteration stops once its step is below this multiple of max(1, |x|)
+_NEWTON_XTOL = 1e-14
+_NEWTON_MAXITER = 100
 # points x panels evaluated together: the temporaries of a 4096 block peak near
 # 1 MB, and larger blocks raise the peak memory in proportion without running faster
 _BLOCK = 4096
@@ -491,3 +500,42 @@ def identity_residuals(
         linear_scale=max(2.0 * v, 1e-300),
         quadratic_scale=max(4.0 * v * moment_bound + 2.0 * sig * v * v, 1e-300),
     )
+
+
+# -- root finding ----------------------------------------------------------------
+
+
+def _bracketed_newton(fn, lo, hi, x0):
+    """Roots of fn in the brackets [lo, hi], one per bracket, from the starts x0.
+
+    fn(x, k) returns (f, f') at the points x of the brackets with indices k,
+    oriented so that f rises through the root: f(lo) <= 0 <= f(hi).  Every
+    bracket still moving is evaluated in one call per iteration.  A Newton
+    step that leaves its bracket, or is not finite, becomes a bisection step.
+    Where f does not change sign, the iteration runs into the end that
+    bisection would reach: lo where f > 0, hi where f < 0, which is the
+    minimum when f is the slope of a function minimized on the bracket.  A
+    bracket stops at f = 0, or once the step or the bracket width falls below
+    _NEWTON_XTOL * max(1, |x|).  Returns the points as an array.
+    """
+    x = np.array(x0, dtype=float).reshape(-1)
+    lo = np.array(np.broadcast_to(lo, x.shape), dtype=float)
+    hi = np.array(np.broadcast_to(hi, x.shape), dtype=float)
+    k = np.arange(x.size)
+    for _ in range(_NEWTON_MAXITER):
+        if not k.size:
+            break
+        xk = x[k]
+        f, fp = fn(xk, k)
+        lo[k] = np.where(f < 0.0, xk, lo[k])
+        hi[k] = np.where(f > 0.0, xk, hi[k])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = xk - f / fp
+        tol = _NEWTON_XTOL * np.maximum(1.0, np.abs(xk))
+        # a step below the tolerance ends the search even where rounding puts
+        # it on the bracket's edge; a NaN step fails every comparison
+        converged = (f == 0.0) | (np.abs(newton - xk) <= tol)
+        inside = (newton > lo[k]) & (newton < hi[k])
+        x[k] = np.where(f == 0.0, xk, np.where(converged | inside, newton, 0.5 * (lo[k] + hi[k])))
+        k = k[~(converged | (hi[k] - lo[k] <= tol))]
+    return x

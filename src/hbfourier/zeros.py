@@ -19,14 +19,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .measure import StieltjesMeasure, mass_summary
 from .inequality import HYPOTHESIS_TOL
 from .transforms import (
+    _bracketed_newton,
     _grid_moments,
     _reflected,
-    eval_F,
     eval_F_derivative,
     eval_h_alpha_scaled,
     real_transforms,
@@ -247,15 +246,27 @@ def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -
 # -- real axis -----------------------------------------------------------------
 
 
+def _modulus_slope(T, k: int):
+    """Re(conj(F^(k)) F^(k+1)) and its derivative, from real-axis moments T.
+
+    The first is half the slope of |F^(k)|^2, so it rises through each
+    minimum of |F^(k)|; T must hold the moments up to order k + 2.
+    """
+    d0, d1, d2 = ((1j) ** j * T[j] for j in range(k, k + 3))
+    return (d0.conj() * d1).real, (d1.conj() * d1).real + (d0.conj() * d2).real
+
+
 def find_real_zeros(measure: StieltjesMeasure, interval, with_multiplicity: bool = True):
     """Real zeros of F on a bounded interval, as (location, multiplicity) pairs.
 
-    Candidates come from two passes that are merged: bracketed sign changes of
-    G followed by |F|^2 minimization, and local minima of |F|^2 on the scan
-    grid (G need not change sign at a tangential zero).  A candidate is
-    accepted when |F| <= 1e-10 * total variation.  Multiplicity 1 is certified
-    by |F'| away from 0; a double zero is admitted at x = 0 only, and anything
-    deeper raises DiagnosticFailure.
+    Candidates come from two kinds of brackets on the scan grid, solved
+    together by `_bracketed_newton`: sign changes of G, solved for the root
+    of G (G' = -Im T_1), and local minima of |F|^2, solved for the root of
+    Re(conj(F) F') (G need not change sign at a tangential zero).  Each
+    candidate is polished by Newton steps on F/F' and accepted when
+    |F| <= 1e-10 * total variation.  Multiplicity 1 is certified by |F'| away
+    from 0; a double zero is admitted at x = 0 only, and anything deeper
+    raises DiagnosticFailure.
     """
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
@@ -268,127 +279,139 @@ def find_real_zeros(measure: StieltjesMeasure, interval, with_multiplicity: bool
     step = math.pi / (40.0 * sig)
     n = max(int(math.ceil((b - a) / step)), 8)
     grid = np.linspace(a, b, n + 1)
-    rt = real_transforms(m, grid, order=0)
-    G = rt.G
-    absF2 = rt.G**2 + rt.H**2
+    F = _grid_moments(m, grid, 0)[0][0]
+    G = F.real
+    absF2 = F.real**2 + F.imag**2
 
-    def abs_f(x):
-        val = eval_F(m, complex(x))
-        return abs(val) ** 2
+    roots = np.flatnonzero(np.sign(G[:-1]) * np.sign(G[1:]) < 0)
+    mid = np.arange(1, len(grid) - 1)
+    minima = mid[(absF2[mid] <= absF2[mid - 1]) & (absF2[mid] <= absF2[mid + 1])]
+    lo = np.concatenate([grid[roots], grid[minima - 1]])
+    hi = np.concatenate([grid[roots + 1], grid[minima + 1]])
+    # a sign change starts from the secant root of G, a minimum from its grid point
+    secant = grid[roots] - G[roots] * (grid[roots + 1] - grid[roots]) / (G[roots + 1] - G[roots])
+    x0 = np.concatenate([secant, grid[minima]])
+    on_g = np.arange(lo.size) < roots.size
+    g_sign = np.concatenate([np.sign(G[roots + 1]), np.ones(minima.size)])
 
-    candidates = []
-    sign_change = np.where(np.sign(G[:-1]) * np.sign(G[1:]) < 0)[0]
-    for i in sign_change:
-        try:
-            root = optimize.brentq(lambda t: _g_at(m, t), grid[i], grid[i + 1], xtol=1e-13)
-        except ValueError:
-            continue
-        candidates.append((max(grid[i], root - step), min(grid[i + 1], root + step), root))
-    for i in range(1, len(grid) - 1):
-        if absF2[i] <= absF2[i - 1] and absF2[i] <= absF2[i + 1]:
-            candidates.append((grid[i - 1], grid[i + 1], grid[i]))
+    def target(x, k):
+        T = _grid_moments(m, x, 2)[0]
+        slope, slope_p = _modulus_slope(T, 0)
+        g, gp = T[0].real, -T[1].imag
+        return np.where(on_g[k], g_sign[k] * g, slope), np.where(on_g[k], g_sign[k] * gp, slope_p)
 
-    found = []
-    tol_f = 1e-10 * v
-    for lo, hi, mid in candidates:
-        res = optimize.minimize_scalar(abs_f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
-        x0 = float(res.x)
-        # Newton polish on F/F' sharpens the location to machine precision
-        for _ in range(3):
-            fval = eval_F(m, complex(x0))
-            fp = eval_F_derivative(m, complex(x0), 1)
-            if fp == 0:
-                break
-            shift = (fval / fp).real
-            if abs(shift) > step:
-                break
-            x0 -= shift
-        if not (a - 1e-12 <= x0 <= b + 1e-12):
-            continue
-        if abs(eval_F(m, complex(x0))) > tol_f:
-            continue
-        found.append(x0)
-    # the two passes can locate the same zero; merge after sorting
-    accepted = []
-    for x0 in sorted(found):
-        if accepted and abs(accepted[-1][0] - x0) < 1e-6 * max(1.0, abs(x0)):
-            continue
-        accepted.append((x0, 0))
+    x = _bracketed_newton(target, lo, hi, x0)
+    # Newton polish on F/F' sharpens the location to machine precision
+    live = np.arange(x.size)
+    for _ in range(3):
+        if not live.size:
+            break
+        T = _grid_moments(m, x[live], 1)[0]
+        fp = 1j * T[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shift = (T[0] / fp).real
+        ok = (fp != 0) & (np.abs(shift) <= step)
+        x[live[ok]] -= shift[ok]
+        live = live[ok]
+    x = x[(a - 1e-12 <= x) & (x <= b + 1e-12)]
+    T = _grid_moments(m, x, 1)[0]
+    keep = np.abs(T[0]) <= 1e-10 * v
+    x, fp_abs = x[keep], np.abs(T[1][keep])
 
     out = []
     fp_tol = 1e-8 * sig * v
-    for x0, _ in accepted:
-        fp = abs(eval_F_derivative(m, complex(x0), 1))
-        if fp > fp_tol:
+    # the two kinds of brackets can locate the same zero; merge after sorting
+    for j in np.argsort(x, kind="stable"):
+        x0 = float(x[j])
+        if out and abs(out[-1][0] - x0) < 1e-6 * max(1.0, abs(x0)):
+            continue
+        if fp_abs[j] > fp_tol:
             mult = 1
         else:
             if abs(x0) > 1e-8:
                 raise DiagnosticFailure(f"real zero at {x0:.6g} is not simple")
-            fpp = abs(eval_F_derivative(m, complex(0.0), 2))
+            fpp = abs(eval_F_derivative(m, 0.0, 2))
             if fpp <= 1e-8 * sig * sig * v:
                 raise DiagnosticFailure("zero at the origin is deeper than multiplicity 2")
             mult = 2
-        out.append((x0, mult) if with_multiplicity else (x0, 0))
-    return out
-
-
-def _g_at(measure: StieltjesMeasure, x: float) -> float:
-    return float(np.real(eval_F(measure, complex(float(x)))))
+        out.append((x0, mult))
+    return out if with_multiplicity else [(x0, 0) for x0, _ in out]
 
 
 def _reflected_on_grid(measure: StieltjesMeasure, x_max: float | None):
-    """C + iS on the grid [0, x_max) of step pi / (50 sigma), and the sign-check slack."""
+    """(C >= 0, S >= 0) on the grid [0, x_max) of step pi / (50 sigma), from one pass.
+
+    x = 0 is left out of the sine check, since S(0) = 0.
+    """
     sig = measure.sigma
     if x_max is None:
         x_max = 20.0 * math.pi * max(1.0, 1.0 / sig)
     grid = np.arange(0.0, x_max, math.pi / (50.0 * sig))
     values = _grid_moments(_reflected(measure), grid, 0)[0][0]
-    return values, HYPOTHESIS_TOL * max(measure.total_variation, 1.0)
+    slack = HYPOTHESIS_TOL * max(measure.total_variation, 1.0)
+    return bool(np.min(values.real) >= -slack), bool(np.min(values[1:].imag) >= -slack)
 
 
 def s_nonneg_on_grid(measure: StieltjesMeasure, x_max: float | None = None) -> bool:
-    values, slack = _reflected_on_grid(measure, x_max)
-    return bool(np.min(values[1:].imag) >= -slack)  # x = 0 is left out: S(0) = 0
+    return _reflected_on_grid(measure, x_max)[1]
 
 
 def c_nonneg_on_grid(measure: StieltjesMeasure, x_max: float | None = None) -> bool:
-    values, slack = _reflected_on_grid(measure, x_max)
-    return bool(np.min(values.real) >= -slack)
+    return _reflected_on_grid(measure, x_max)[0]
+
+
+def _in_borderline_range(measure: StieltjesMeasure) -> bool:
+    """0 < F(0) < mu(sigma - 0) - mu(0), with a margin relative to the variation."""
+    edge = 1e-12 * max(measure.total_variation, 1.0)
+    return edge < measure.total_mass < measure.left_limit_mass - edge
 
 
 def find_imaginary_zero(measure: StieltjesMeasure):
     """The unique purely imaginary zero i y* (y* < 0), if the mass lies in the
     open borderline range 0 < F(0) < mu(sigma-0) - mu(0); otherwise None.
 
-    g(y) = F(iy) e^{sigma y} is strictly increasing on (-inf, 0] under the
-    sine hypothesis, with g(0) = F(0) and g(-inf) = F(0) - left-limit mass, so
-    plain bisection on a doubling bracket is reliable.
+    Requires the sine hypothesis S >= 0 on the grid, and raises
+    HypothesisViolation without it.
     """
     if not s_nonneg_on_grid(measure):
         raise HypothesisViolation("S(x) >= 0 failed on the grid")
-    f0 = measure.total_mass
-    left = measure.left_limit_mass
-    edge = 1e-12 * max(measure.total_variation, 1.0)
-    if not (f0 > edge and f0 < left - edge):
+    if not _in_borderline_range(measure):
         return None
+    return _imaginary_zero(measure)
 
-    def g(y: float) -> float:
-        mant, _ = _grid_moments(measure, complex(0.0, y), 0)
-        return mant[0].real
 
-    y_hi = 0.0
+def _imaginary_zero(measure: StieltjesMeasure) -> float:
+    """y* of the borderline range, without checking the hypothesis or the range.
+
+    g(y) = F(iy) e^{sigma y} is strictly increasing on (-inf, 0] under the
+    sine hypothesis, with g(0) = F(0) > 0 and g(-inf) = F(0) - left-limit
+    mass < 0.  A doubling bracket holds its one root, which Newton steps on
+    g'(y) = Re(sigma T_0 - T_1) (scaled moments at iy) locate.
+    """
+
+    def g(y):
+        return _grid_moments(measure, complex(0.0, y), 0)[0][0].real
+
+    y_hi, g_hi = 0.0, measure.total_mass
     y_lo = -1.0
     for _ in range(200):
-        if g(y_lo) < 0.0:
+        g_lo = g(y_lo)
+        if g_lo < 0.0:
             break
-        y_hi = y_lo
+        y_hi, g_hi = y_lo, g_lo
         y_lo *= 2.0
     else:
         raise DiagnosticFailure("failed to bracket the imaginary zero")
-    y_star = optimize.bisect(g, y_lo, y_hi, xtol=1e-14, maxiter=300)
+
+    def slope(y, _):
+        T = _grid_moments(measure, 1j * y, 1)[0]
+        return T[0].real, (measure.sigma * T[0] - T[1]).real
+
+    y0 = y_lo + (y_hi - y_lo) * g_lo / (g_lo - g_hi)  # secant start
+    y_star = float(_bracketed_newton(slope, y_lo, y_hi, y0)[0])
     if abs(g(y_star)) > 1e-10 * max(measure.total_variation, 1.0):
-        raise DiagnosticFailure("bisection did not drive |F(iy)| e^{sigma y} to zero")
-    return float(y_star)
+        raise DiagnosticFailure("Newton iteration did not drive |F(iy)| e^{sigma y} to zero")
+    return y_star
 
 
 def delta_xi(measure: StieltjesMeasure, xi: float, x):
@@ -451,8 +474,7 @@ def classify(
         verdict = VERDICT_TRIVIAL if loc == 0.0 else VERDICT_HB
         return Classification(verdict, (), None, defect, True, True, 0)
 
-    c_ok = c_nonneg_on_grid(measure)
-    s_ok = s_nonneg_on_grid(measure)
+    c_ok, s_ok = _reflected_on_grid(measure, None)
 
     if not (c_ok or s_ok):
         real = tuple(find_real_zeros(measure, real_interval))
@@ -460,13 +482,10 @@ def classify(
 
     expected_lower = 0
     y_star = None
-    if not c_ok:
-        f0 = summary.total_mass
-        left = summary.left_limit_mass
-        edge = 1e-12 * max(measure.total_variation, 1.0)
-        if f0 > edge and f0 < left - edge:
-            y_star = find_imaginary_zero(measure)
-            expected_lower = 1
+    if not c_ok and _in_borderline_range(measure):
+        # s_ok holds here, the hypothesis find_imaginary_zero would check again
+        y_star = _imaginary_zero(measure)
+        expected_lower = 1
 
     count_rect = rect
     if y_star is not None and not rect.contains(complex(0.0, y_star)):
@@ -522,20 +541,18 @@ def check_derivative_hb(
     a, b = float(real_interval[0]), float(real_interval[1])
     grid = np.linspace(a, b, max(int((b - a) * 40 * measure.sigma / math.pi), 64) + 1)
     vals = np.abs(eval_F_derivative(measure, grid, order))
-
-    def f_abs(x):
-        return abs(eval_F_derivative(measure, complex(x), order))
-
     best = float(np.min(vals))
     best_x = float(grid[int(np.argmin(vals))])
-    for i in range(1, len(grid) - 1):
-        if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]:
-            res = optimize.minimize_scalar(
-                f_abs, bounds=(grid[i - 1], grid[i + 1]), method="bounded", options={"xatol": 1e-12}
-            )
-            if res.fun < best:
-                best = float(res.fun)
-                best_x = float(res.x)
+    mid = np.arange(1, len(grid) - 1)
+    minima = mid[(vals[mid] <= vals[mid - 1]) & (vals[mid] <= vals[mid + 1])]
+    if minima.size:
+        slope = lambda x, _: _modulus_slope(_grid_moments(measure, x, order + 2)[0], order)
+        x = _bracketed_newton(slope, grid[minima - 1], grid[minima + 1], grid[minima])
+        refined = np.abs(eval_F_derivative(measure, x, order))
+        j = int(np.argmin(refined))
+        if refined[j] < best:
+            best = float(refined[j])
+            best_x = float(x[j])
     ok = result.count == 0 and best > 1e-10 * max(measure.total_variation, 1.0)
     if ok:
         note = ""

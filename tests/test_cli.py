@@ -1,9 +1,13 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hbfourier
 from hbfourier.cli import main
 
 
@@ -193,8 +197,8 @@ class TestNonFinite:
         assert text == ""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("command", ["identities", "ineq"])
-    @pytest.mark.parametrize("output", ["json", "table"])
+    @pytest.mark.parametrize("command", ["identities", "ineq", "eval"])
+    @pytest.mark.parametrize("output", ["json", "table", "csv"])
     def test_overflowing_gate_input_is_a_violation(self, tmp_path, command, output):
         doc = {"sigma": 1.0, "atoms": [{"t": 0.0, "c": 1e300}, {"t": 1.0, "c": 1e300}]}
         code, text = run_cli([command, write_scenario(tmp_path, doc), "--out", output])
@@ -232,3 +236,13 @@ class TestInterp:
         assert code == 0
         rows = json.loads(text)
         assert all(row["gap"] <= row["tail_bound"] + 1e-9 for row in rows)
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; importing the CLI must not pull scipy in
+    src = os.path.dirname(os.path.dirname(hbfourier.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, hbfourier.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hbfourier import inequality, transforms
 from hbfourier.inequality import (
     HypothesisKind,
     OmegaConfig,
@@ -115,6 +116,34 @@ class TestCheckInequality:
         for x_star in rep.equality_points:
             k = round((x_star / math.pi - 1.0) / 2.0)
             assert abs(x_star - (2 * k + 1) * math.pi) <= 1e-6
+
+    def test_fejer_equality_points_to_rounding(self, fejer2):
+        # E = C = (1 + cos x) / 2 touches 0 at the odd multiples of pi, where
+        # E' has simple roots that Newton steps locate to rounding level
+        cfg = OmegaConfig(fejer2, 0, 0.0)
+        grid = np.arange(-20.0 * math.pi, 20.0 * math.pi + 1e-9, math.pi / 100.0)
+        rep = check_inequality(cfg, grid)
+        odd = (2.0 * np.arange(-10, 10) + 1.0) * math.pi
+        assert len(rep.equality_points) == len(odd)
+        assert np.max(np.abs(np.array(rep.equality_points) - odd)) <= 1e-12
+
+    def test_ramp_skips_the_structural_zero(self, ramp_density, monkeypatch):
+        # x E(x) vanishes at x = 0 for n = 1 whatever the measure; no search
+        # goes there, so the check is the margin pass and the E pass alone
+        sizes = []
+        evaluator = transforms._grid_moments
+
+        def counted(measure, z, order):
+            sizes.append(np.size(z))
+            return evaluator(measure, z, order)
+
+        monkeypatch.setattr(transforms, "_grid_moments", counted)
+        monkeypatch.setattr(inequality, "_grid_moments", counted)
+        cfg = OmegaConfig(ramp_density, 1, -math.pi / 2)
+        grid = default_grid(cfg, -10.0, 10.0)  # the grid of `hbf demo ramp`
+        rep = check_inequality(cfg, grid)
+        assert rep.equality_points == ()
+        assert sizes == [grid.size] * 3  # margins: direct and mirrored moments; E: mirrored
 
     def test_ramp_density_positive_margin_no_equalities(self, ramp_density):
         cfg = OmegaConfig(ramp_density, 1, -math.pi / 2)

@@ -10,6 +10,7 @@ from hbfourier.measure import (
     PiecewiseLinearDensity,
     ScenarioError,
     StieltjesMeasure,
+    _beta,
     from_fejer,
     from_monomial_density,
     from_pd_profile,
@@ -114,6 +115,18 @@ class TestMonomialDensity:
     def test_singular_mass_is_half_pi(self):
         m = from_monomial_density(1.0, 0.5)
         assert m.total_mass == pytest.approx(math.pi / 2.0, abs=1e-6)
+
+    def test_beta_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(13)
+        moderate = [(0.75, 0.8), (1.5, 2.0), (0.5, 0.5)] + [
+            (float(a), float(b)) for a, b in zip(rng.uniform(0.5, 10.0, 200), rng.uniform(1e-3, 10.0, 200))
+        ]
+        large = [(100.0, 80.0), (0.5, 300.0), (150.0, 150.0)]  # past the range of Gamma
+        with mpmath.workdps(30):
+            for (a, b), tol in [(ab, 1e-14) for ab in moderate] + [(ab, 1e-12) for ab in large]:
+                exact = mpmath.beta(a, b)
+                assert abs(_beta(a, b) - exact) <= tol * exact, (a, b)
 
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):

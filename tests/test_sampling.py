@@ -6,6 +6,7 @@ import pytest
 from hbfourier.inequality import OmegaConfig
 from hbfourier.sampling import (
     SampledFunction,
+    _trigamma,
     from_omega_config,
     interp_lhs,
     interp_rhs,
@@ -101,6 +102,23 @@ class TestRhs:
         f = cosine_function(1.0, 0.25)
         tails = [interp_rhs(f, 1.0, 0.25, 0.4, n).tail_bound for n in (100, 200, 400, 800)]
         assert all(b > s for b, s in zip(tails, tails[1:]))
+
+
+class TestTrigamma:
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        positive = np.concatenate([10.0 ** rng.uniform(0.0, 6.0, 300), [1.0, 2.0, 9.999999, 10.0, 10.5, 1e6]])
+        negative = -rng.uniform(0.0, 40.0, 100)
+        negative = np.concatenate([negative[negative != np.floor(negative)], [-0.5, -2.25, -1e-3, -7.999]])
+        with mpmath.workdps(30):
+            for x in np.concatenate([positive, negative]):
+                exact = mpmath.psi(1, mpmath.mpf(float(x)))
+                assert abs(_trigamma(float(x)) - exact) <= 1e-14 * abs(exact), x
+
+    def test_poles(self):
+        assert _trigamma(0.0) == math.inf
+        assert _trigamma(-3.0) == math.inf
 
 
 class TestOmegaConfigFunctions:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hbfourier.measure import PiecewiseLinearDensity, StieltjesMeasure, from_monomial_density
 from hbfourier.transforms import (
     _BLOCK,
+    _bracketed_newton,
     _grid_moments,
     eval_CS,
     eval_Delta,
@@ -222,6 +223,28 @@ class TestSingleEvaluator:
                         exact += mpmath.quad(lambda t: g(t) * kernel(t, k), [t0, t1])
                     scale = m.total_variation * m.sigma**k
                     assert abs(T[k, i] - complex(exact)) <= 1e-14 * scale, (z, k)
+
+
+class TestBracketedNewton:
+    def test_roots_of_either_orientation(self):
+        # cos falls through pi/2 and 5 pi/2 and rises through 3 pi/2
+        sign = np.array([-1.0, 1.0, -1.0])
+        moving = []
+
+        def fn(x, k):
+            moving.append(len(k))
+            return sign[k] * np.cos(x), -sign[k] * np.sin(x)
+
+        roots = _bracketed_newton(fn, [1.0, 4.0, 7.0], [2.0, 5.0, 8.0], [1.0, 5.0, 7.5])
+        assert np.allclose(roots, [0.5 * math.pi, 1.5 * math.pi, 2.5 * math.pi], rtol=1e-15, atol=0.0)
+        assert moving[0] == 3 and len(moving) < 10
+
+    def test_no_sign_change_runs_into_the_end_bisection_reaches(self):
+        # f > 0 throughout ends at lo, f < 0 throughout at hi: the minimum of
+        # the function whose slope f is
+        shift = np.array([10.0, -10.0])
+        x = _bracketed_newton(lambda x, k: (x + shift[k], np.ones_like(x)), 0.0, 1.0, [0.5, 0.5])
+        assert x == pytest.approx([0.0, 1.0], abs=1e-13)
 
 
 class TestSample:

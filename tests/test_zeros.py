@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import hbfourier.zeros as zeros_module
 from hbfourier.measure import PiecewiseLinearDensity, StieltjesMeasure, from_fejer, from_pd_profile
 from hbfourier.transforms import eval_Delta, eval_F
 from hbfourier.zeros import (
@@ -134,6 +135,27 @@ class TestRealZeros:
         m = StieltjesMeasure(1.0, ((0.0, 1.0), (0.5, 2.0), (1.0, 1.0)))
         with pytest.raises(DiagnosticFailure, match="not simple"):
             find_real_zeros(m, (5.0, 8.0))
+
+    def test_one_evaluator_call_per_newton_iteration(self, fejer2, monkeypatch):
+        # every candidate of a search moves in the same call, so the number of
+        # calls does not grow with the number of zeros
+        evaluator = zeros_module._grid_moments
+
+        def calls_for(interval):
+            sizes = []
+
+            def counted(measure, z, order):
+                sizes.append(np.size(z))
+                return evaluator(measure, z, order)
+
+            monkeypatch.setattr(zeros_module, "_grid_moments", counted)
+            return find_real_zeros(fejer2, interval), sizes
+
+        narrow, narrow_sizes = calls_for((-13.0, 13.0))
+        wide, wide_sizes = calls_for((-200.0, 200.0))
+        assert len(narrow) == 4 and len(wide) == 64  # odd multiples of pi inside
+        assert len(wide_sizes) == len(narrow_sizes) < len(wide)
+        assert max(wide_sizes[1:]) > len(wide)  # after the scan: all candidates at once
 
     def test_wronskian_has_double_zero_at_simple_real_zeros(self, fejer2):
         # at every real zero the Wronskian vanishes to second order
