@@ -1,0 +1,91 @@
+#!/usr/bin/env python3
+"""Snapshot the `hbf` CLI output of a fixed set of invocations.
+
+Runs every command on the measure of each `scenarios/*.json` file, plus the
+five demos, in json and table form, in-process through `hbfourier.cli.main`.
+Each invocation's exit code, stdout and stderr go to a file of their own in
+OUTDIR, so that `diff -r` of two snapshots shows every byte that moved:
+
+    PYTHONPATH=src python scripts/cli_snapshot.py /tmp/snap_new
+    diff -r /tmp/snap_old /tmp/snap_new
+
+For a command other than the scenario's own, the scenario is rewritten with
+that command in its task; the task's other fields are kept.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from hbfourier.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+OUTPUTS = ("json", "table")
+#: (command, extra flags, file tag) run on every scenario
+SCENARIO_RUNS = (
+    ("eval", [], "eval"),
+    ("identities", [], "identities"),
+    ("ineq", [], "ineq"),
+    ("interp", [], "interp"),
+    ("zeros-count", ["--target", "F"], "zeros-count-F"),
+    ("zeros-count", ["--target", "F'"], "zeros-count-dF"),
+    ("zeros-count", ["--target", "F''"], "zeros-count-ddF"),
+    ("zeros-count", ["--target", "zF"], "zeros-count-zF"),
+    ("zeros-classify", [], "zeros-classify"),
+    ("zeros-imag", [], "zeros-imag"),
+    ("posdef", [], "posdef"),
+)
+DEMOS = ("fejer2", "atom-sigma", "triangle-case2", "ramp", "growth-limit")
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of one in-process invocation."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv, out=out)
+        except SystemExit as exc:  # argparse refusals
+            code = exc.code
+        except Exception as exc:  # a traceback is itself a finding
+            code = f"exception {type(exc).__name__}: {exc}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def invocations(workdir: Path):
+    """(file name, argv) for every invocation of the snapshot."""
+    for path in sorted((ROOT / "scenarios").glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for command, flags, tag in SCENARIO_RUNS:
+            task = dict(doc.get("task") or {}, command=command)
+            scenario = workdir / f"{path.stem}--{command}.json"
+            scenario.write_text(json.dumps(dict(doc, task=task)), encoding="utf-8")
+            for output in OUTPUTS:
+                yield f"{path.stem}--{tag}--{output}.txt", [command, str(scenario), *flags, "--out", output]
+    for demo in DEMOS:
+        for output in OUTPUTS:
+            yield f"demo-{demo}--{output}.txt", ["demo", demo, "--out", output]
+
+
+def main_snapshot(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", type=Path)
+    args = parser.parse_args(argv)
+    args.outdir.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        count = 0
+        for name, cli_argv in invocations(Path(tmp)):
+            code, stdout, stderr = run(cli_argv)
+            (args.outdir / name).write_text(
+                f"exit: {code}\n--- stdout\n{stdout}--- stderr\n{stderr}", encoding="utf-8"
+            )
+            count += 1
+    print(f"{count} invocations written to {args.outdir}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_snapshot())

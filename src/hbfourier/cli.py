@@ -44,6 +44,13 @@ _TASK_FIELDS = {"command", "grid", "rect", "tau", "n", "alpha", "tol", "terms", 
 
 _DEFAULT_TOL = {"ineq": 1e-9, "identities": 1e-10, "interp": 1e-9}
 
+# input budgets, checked before anything is allocated: past them a command
+# could exhaust memory before printing anything, so it exits 1 instead
+#: points of an evaluation grid (the scenarios and demos use a few thousand)
+_MAX_GRID_POINTS = 100_000
+#: terms on each side of the interpolation series; its tail probes 4x as many points
+_MAX_TERMS = 100_000
+
 
 @dataclass(frozen=True)
 class TaskDescriptor:
@@ -91,6 +98,8 @@ class TaskDescriptor:
         for key, conv in (("tau", float), ("n", int), ("alpha", float), ("tol", float), ("terms", int)):
             if key in mapping:
                 fields[key] = _number(mapping[key], f"task.{key}", conv)
+        if fields.get("terms", 0) > _MAX_TERMS:
+            raise ScenarioError(f"{fields['terms']} exceeds the budget of {_MAX_TERMS}", "task.terms")
         if "output" in mapping:
             if mapping["output"] not in ("csv", "json", "table"):
                 raise ScenarioError("output must be csv, json, or table", "task.output")
@@ -177,6 +186,10 @@ def _make_grid(task: TaskDescriptor, sigma: float) -> np.ndarray:
         step = math.pi / (50.0 * sigma)
     if not (stop > start and step > 0):
         raise ValueError("grid needs stop > start and step > 0")
+    # a float, so a span that overflows to inf is refused too
+    points = (stop - start) / step + 1.0
+    if not points <= _MAX_GRID_POINTS:
+        raise ValueError(f"grid has about {points:.3g} points, over the budget of {_MAX_GRID_POINTS}")
     return np.arange(start, stop + 0.5 * step, step)
 
 

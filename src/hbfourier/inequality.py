@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measure import StieltjesMeasure
-from .transforms import _bracketed_newton, _grid_moments, _reflected, eval_E, real_transforms
+from .transforms import _bracketed_newton, _e_from_mirrored, _grid_moments, _reflected, eval_E, real_transforms
 
 #: grid-hypothesis slack, relative to max(total variation, 1)
 HYPOTHESIS_TOL = 1e-9
@@ -120,14 +120,16 @@ def eval_D(cfg: OmegaConfig, x):
     return out if out.ndim else float(out)
 
 
-def _margin_pieces(cfg: OmegaConfig, x: np.ndarray):
+def _margin_pieces(cfg: OmegaConfig, x: np.ndarray, rt=None):
     """(lhs, rhs) with margin = lhs - rhs and the x-power factored analytically.
 
     n = 0:  lhs = 4 sigma Delta,        rhs = [(2 sigma S + C')cos + (2 sigma C - S')sin]^2
     n = 1:  lhs = 4 sigma x^2 Delta,    rhs = bracket^2 (prefactor x^0)
     n = -1: exact limits below |x| < cut, direct division above.
+    rt holds the order-1 transforms at x when the caller has them already.
     """
-    rt = real_transforms(cfg.measure, x, order=1)
+    if rt is None:
+        rt = real_transforms(cfg.measure, x, order=1)
     sig = cfg.measure.sigma
     tau = cfg.tau
     delta = rt.Delta
@@ -263,8 +265,9 @@ def _refine_equality_points(cfg: OmegaConfig, grid, e_vals, e_tol):
         return sign[k] * np.where(crossing[k], e0, e1), sign[k] * np.where(crossing[k], e1, e2)
 
     x = _bracketed_newton(target, lo, hi, grid[i])
-    e_star = np.abs(eval_E(cfg.measure, cfg.tau, cfg.n, x))
-    lhs, rhs = _margin_pieces(cfg, x)
+    rt = real_transforms(cfg.measure, x, order=1)
+    e_star = np.abs(_e_from_mirrored(cfg.measure, cfg.tau, cfg.n, x, rt.mirrored[0]))
+    lhs, rhs = _margin_pieces(cfg, x, rt)
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
     points = []
     for x_star, e, margin, sc in zip(x, e_star, lhs - rhs, scale):
@@ -287,10 +290,12 @@ def check_inequality(cfg: OmegaConfig, grid) -> InequalityReport:
         raise ValueError("grid must be a 1-d array with at least 2 points")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
-    lhs, rhs = _margin_pieces(cfg, grid)
+    # one order-1 pass serves the margins and, from its mirrored moments, E
+    rt = real_transforms(cfg.measure, grid, order=1)
+    lhs, rhs = _margin_pieces(cfg, grid, rt)
     margin = lhs - rhs
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
-    e_vals = np.asarray(eval_E(cfg.measure, cfg.tau, cfg.n, grid))
+    e_vals = _e_from_mirrored(cfg.measure, cfg.tau, cfg.n, grid, rt.mirrored[0])
     v = cfg.measure.total_variation
     hyp_tol = HYPOTHESIS_TOL * max(v, 1.0)
     hypothesis_ok = bool(np.min(e_vals) >= -hyp_tol)

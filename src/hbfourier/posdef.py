@@ -7,10 +7,11 @@ from the stored representation, exposes its cosine transform K (S(x) = x K(x)
 exactly), and carries the companion checks: the sign of H'(0) under the mass
 trichotomy, the Laplace limit toward the jump at 0, strict positivity of the
 exponentially damped integrals, the autocorrelation profile h with its
-transform identity h-hat = 2 Delta, nonnegative cosine polynomials from
-sampled profiles, monotone-density sine transforms with the equidistant-step
-equality detector, and an alternating-sign finite-difference test of complete
-monotonicity.
+transform identity h-hat = 2 Delta (h-hat is exact, from the piecewise-quartic
+h, for densities within a budget on the number of panels), nonnegative cosine
+polynomials from sampled profiles, monotone-density sine transforms with the
+equidistant-step equality detector, and an alternating-sign finite-difference
+test of complete monotonicity.
 
 Positive definiteness is always reported as grid-verified; nothing here is a
 proof.
@@ -24,11 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import PiecewiseLinearDensity, StieltjesMeasure
-from .transforms import _segment_moments, eval_F, real_transforms
+from .transforms import _BLOCK, _segment_moments, eval_F, real_transforms
 from .zeros import HypothesisViolation, s_nonneg_on_grid
 
 _GL3_NODES = (-math.sqrt(0.6), 0.0, math.sqrt(0.6))
 _GL3_WEIGHTS = (5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0)
+#: Chebyshev points in (-1, 1) at which each quartic piece of h is sampled
+_CHEB5 = np.cos((2 * np.arange(5) + 1) * math.pi / 10)
+#: the most quartic pieces of h that check_h_hat_identity transforms; a density
+#: of P panels has up to 3 P (P + 1) / 2, so about 100 panels fit
+_MAX_HHAT_PIECES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -234,29 +240,69 @@ def damped_kernel_integral(profile: PosDefProfile, alpha: float, beta: float) ->
     return 2.0 * total
 
 
+def _pair_h(g: PiecewiseLinearDensity, x, i, j):
+    """The part of h(x) where u lies in panel i of g and u - x in panel j.
+
+    x, i and j broadcast together.  On the overlap of the two panels the
+    integrand (2u - x) g(u) g(u - x) is a cubic in u, which the 3-point Gauss
+    rule integrates exactly.
+    """
+    nodes, left, right = (np.asarray(v) for v in (g.nodes, g.left, g.right))
+    a0, b0 = nodes[i], nodes[j]
+    lo = np.maximum(a0, b0 + x)
+    half = 0.5 * np.maximum(np.minimum(nodes[i + 1], nodes[j + 1] + x) - lo, 0.0)
+    slopes = (right - left) / np.diff(nodes)
+    total = 0.0
+    for node, weight in zip(_GL3_NODES, _GL3_WEIGHTS):
+        u = lo + half * (1.0 + node)
+        g_u = left[i] + slopes[i] * (u - a0)
+        g_shifted = left[j] + slopes[j] * (u - x - b0)
+        total = total + weight * (2.0 * u - x) * g_u * g_shifted
+    return half * total
+
+
 def autocorr_h(g: PiecewiseLinearDensity, x: float) -> float:
     """h(x) = int_{|x|}^{sigma} (2u - |x|) g(u) g(u - |x|) du, 0 for |x| >= sigma.
 
-    The integrand is piecewise cubic, integrated exactly with 3-point Gauss
-    panels split at every node of g(u) and g(u - |x|).
+    Exact: a sum over the pairs of panels of g that overlap after the shift.
     """
     a = abs(float(x))
-    sigma = g.nodes[-1]
-    if a >= sigma:
+    nodes = np.asarray(g.nodes)
+    if a >= nodes[-1]:
         return 0.0
-    cuts = np.union1d(np.asarray(g.nodes), np.asarray(g.nodes) + a)
-    cuts = cuts[(cuts >= a) & (cuts <= sigma)]
-    cuts = np.union1d(cuts, [a, sigma])
-    total = 0.0
-    for u0, u1 in zip(cuts[:-1], cuts[1:]):
-        if u1 - u0 <= 1e-15:
-            continue
-        half = 0.5 * (u1 - u0)
-        midp = 0.5 * (u0 + u1)
-        for node, weight in zip(_GL3_NODES, _GL3_WEIGHTS):
-            u = midp + half * node
-            total += weight * half * (2.0 * u - a) * float(g(u)) * float(g(u - a))
-    return total
+    i, j = np.nonzero((nodes[:-1, None] < nodes[None, 1:] + a) & (nodes[1:, None] > nodes[None, :-1] + a))
+    return float(np.sum(_pair_h(g, a, i, j)))
+
+
+def _h_quartics(g: PiecewiseLinearDensity):
+    """h on [0, sigma] as quartic pieces (mid, half, coefficients).
+
+    The part of h from a pair of panels i >= j is a quartic in x between the
+    shifts where an end of one panel passes an end of the other, so each pair
+    gives at most three pieces.  Each quartic, in the local coordinate
+    t = (x - mid) / half in [-1, 1], is interpolated from five exact values.
+    """
+    panels = len(g.nodes) - 1
+    bound = 3 * panels * (panels + 1) // 2
+    if bound > _MAX_HHAT_PIECES:
+        raise ValueError(
+            f"h-hat of a {panels}-panel density needs up to {bound} quartic pieces, "
+            f"over the budget of {_MAX_HHAT_PIECES}"
+        )
+    nodes = np.asarray(g.nodes)
+    i, j = np.tril_indices(panels)
+    kinks = (nodes[i] - nodes[j], nodes[i + 1] - nodes[j + 1])
+    edges = np.stack(
+        [nodes[i] - nodes[j + 1], np.minimum(*kinks), np.maximum(*kinks), nodes[i + 1] - nodes[j]], axis=1
+    )
+    edges = np.maximum(edges, 0.0)
+    live = edges[:, 1:] > edges[:, :-1]
+    pair = np.nonzero(live)[0]
+    lo, hi = edges[:, :-1][live], edges[:, 1:][live]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    values = _pair_h(g, mid[:, None] + half[:, None] * _CHEB5, i[pair][:, None], j[pair][:, None])
+    # the piece's monomial coefficients in t
+    return mid, half, np.linalg.solve(np.vander(_CHEB5, 5, increasing=True), values.T).T
 
 
 @dataclass(frozen=True)
@@ -265,47 +311,35 @@ class AutocorrelationReport:
     h_hat: np.ndarray
     two_delta: np.ndarray
     residuals: np.ndarray
-    samples: int
-    refinement_drift: float
-
-
-def _hhat_from_samples(sample_u: np.ndarray, sample_h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """2 int_0^sigma PL(h)(u) cos(xu) du for the sampled piecewise-linear h."""
-    w = sample_u[1] - sample_u[0]
-    out = np.zeros(x.shape, dtype=float)
-    for i, xv in enumerate(x):
-        a = complex(0.0, xv)
-        beta = 1j * xv * sample_u[:-1]
-        M = _segment_moments([w, w**2], np.full(len(beta), a), beta)
-        v0 = sample_h[:-1]
-        v1 = sample_h[1:]
-        slope = (v1 - v0) / w
-        out[i] = 2.0 * float(np.sum(v0 * M[0].real + slope * M[1].real))
-    return out
+    samples: int  # exact evaluations of h's pair parts, five per quartic piece
 
 
 def check_h_hat_identity(g: PiecewiseLinearDensity, x_samples) -> AutocorrelationReport:
     """Residuals of h-hat(x) = 2 Delta(x) for the autocorrelation profile of g.
 
-    h is sampled uniformly, interpolated piecewise-linearly, and integrated
-    panel-exactly against the cosine kernel; the sampling is doubled until two
-    successive refinements agree to 1e-8 (starting from 2048 panels).  Delta
+    h-hat(x) = 2 int_0^sigma h(u) cos(xu) du is exact up to rounding: h is
+    piecewise quartic (`_h_quartics`), and each piece is transformed in closed
+    form.  A density of P panels has up to 3 P (P + 1) / 2 pieces; past
+    _MAX_HHAT_PIECES the check raises ValueError before any work.  Delta
     comes from the transform side, so the two routes are independent.
     """
     sigma = g.nodes[-1]
     x = np.asarray(x_samples, dtype=float)
-    n = 2048
-    prev = None
-    while True:
-        u = np.linspace(0.0, sigma, n + 1)
-        h_vals = np.array([autocorr_h(g, float(t)) for t in u])
-        hhat = _hhat_from_samples(u, h_vals, x)
-        if prev is not None:
-            drift = float(np.max(np.abs(hhat - prev)))
-            if drift < 1e-8 or n >= 65536:
-                break
-        prev = hhat
-        n *= 2
+    mid, half, coeffs = _h_quartics(g)
+    flat = x.reshape(-1)
+    hhat = np.empty(flat.shape)
+    step = max(1, _BLOCK // len(mid))
+    for lo in range(0, flat.size, step):
+        xb = flat[lo : lo + step]
+        # with N_k = int_0^1 t^k e^{i x half t} dt, int_{-1}^{1} t^k e^{i x half t} dt
+        # is 2 Re N_k for even k and 2i Im N_k for odd k; a piece adds
+        # 2 half Re(e^{i x mid} sum_k c_k int_{-1}^{1} ...) to h-hat
+        N = _segment_moments(np.ones(5), 1j * half[:, None] * xb, 0.0)
+        N[0::2] = N[0::2].real
+        N[1::2] = 1j * N[1::2].imag
+        pieces = np.exp(1j * mid[:, None] * xb) * np.einsum("kpm,pk->pm", N, coeffs)
+        hhat[lo : lo + step] = 4.0 * (half @ pieces.real)
+    hhat = hhat.reshape(x.shape)
     measure = StieltjesMeasure(sigma, (), g if g.support() is not None else None)
     if measure.is_zero:
         two_delta = np.zeros_like(x)
@@ -316,8 +350,7 @@ def check_h_hat_identity(g: PiecewiseLinearDensity, x_samples) -> Autocorrelatio
         h_hat=hhat,
         two_delta=two_delta,
         residuals=np.abs(hhat - two_delta),
-        samples=n,
-        refinement_drift=drift,
+        samples=5 * len(mid),
     )
 
 

@@ -389,23 +389,25 @@ def eval_E(measure: StieltjesMeasure, tau: float, n: int, x):
     if n not in (-1, 0, 1):
         raise ValueError("n must be -1, 0, or 1")
     x = np.asarray(x, dtype=float)
-    reflected = _grid_moments(_reflected(measure), x, 0)[0][0]  # C + iS
-    base = reflected.real * math.cos(tau) - reflected.imag * math.sin(tau)
-    if n == 0:
-        out = base
-    elif n == 1:
-        out = x * base
-    else:
-        at_zero = np.abs(x) < 1e-12
-        if at_zero.any():
-            f0 = measure.total_mass
-            if abs(f0) > 1e-12 * max(1.0, measure.total_variation):
-                raise ValueError("x = 0 with n = -1 requires F(0) = 0")
-            sp0 = _reflected(measure).moment(1)  # S'(0) of the reflected transform
-            out = np.where(at_zero, -sp0 * math.sin(tau), base / np.where(at_zero, 1.0, x))
-        else:
-            out = base / x
+    out = _e_from_mirrored(measure, tau, n, x, _grid_moments(_reflected(measure), x, 0)[0][0])
     return out if out.ndim else float(out)
+
+
+def _e_from_mirrored(measure: StieltjesMeasure, tau: float, n: int, x, mirrored):
+    """E at the points x from the mirrored order-0 moments C + iS there (see eval_E)."""
+    base = mirrored.real * math.cos(tau) - mirrored.imag * math.sin(tau)
+    if n == 0:
+        return base
+    if n == 1:
+        return x * base
+    at_zero = np.abs(x) < 1e-12
+    if not at_zero.any():
+        return base / x
+    f0 = measure.total_mass
+    if abs(f0) > 1e-12 * max(1.0, measure.total_variation):
+        raise ValueError("x = 0 with n = -1 requires F(0) = 0")
+    sp0 = _reflected(measure).moment(1)  # S'(0) of the reflected transform
+    return np.where(at_zero, -sp0 * math.sin(tau), base / np.where(at_zero, 1.0, x))
 
 
 # -- structural identities -----------------------------------------------------

@@ -262,8 +262,10 @@ def find_real_zeros(measure: StieltjesMeasure, interval, with_multiplicity: bool
     Candidates come from two kinds of brackets on the scan grid, solved
     together by `_bracketed_newton`: sign changes of G, solved for the root
     of G (G' = -Im T_1), and local minima of |F|^2, solved for the root of
-    Re(conj(F) F') (G need not change sign at a tangential zero).  Each
-    candidate is polished by Newton steps on F/F' and accepted when
+    Re(conj(F) F') (G need not change sign at a tangential zero).  Since
+    |F'| <= sigma V, a minimum where |F| exceeds sigma V times the grid step
+    (plus a rounding margin) cannot lead to an accepted zero and is dropped.
+    Each candidate is polished by Newton steps on F/F' and accepted when
     |F| <= 1e-10 * total variation.  Multiplicity 1 is certified by |F'| away
     from 0; a double zero is admitted at x = 0 only, and anything deeper
     raises DiagnosticFailure.
@@ -285,7 +287,11 @@ def find_real_zeros(measure: StieltjesMeasure, interval, with_multiplicity: bool
 
     roots = np.flatnonzero(np.sign(G[:-1]) * np.sign(G[1:]) < 0)
     mid = np.arange(1, len(grid) - 1)
-    minima = mid[(absF2[mid] <= absF2[mid - 1]) & (absF2[mid] <= absF2[mid + 1])]
+    # |F'| <= sigma V, so |F| stays above the acceptance tolerance within a
+    # step of a minimum above this floor (ten times that tolerance covers rounding)
+    floor = v * (sig * step + 1e-9)
+    dips = (absF2[mid] <= absF2[mid - 1]) & (absF2[mid] <= absF2[mid + 1])
+    minima = mid[dips & (absF2[mid] <= floor * floor)]
     lo = np.concatenate([grid[roots], grid[minima - 1]])
     hi = np.concatenate([grid[roots + 1], grid[minima + 1]])
     # a sign change starts from the secant root of G, a minimum from its grid point

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hbfourier
@@ -236,6 +237,36 @@ class TestInterp:
         assert code == 0
         rows = json.loads(text)
         assert all(row["gap"] <= row["tail_bound"] + 1e-9 for row in rows)
+
+
+class TestBudgets:
+    """Over-budget grids and series are refused with exit 1 before any allocation."""
+
+    FEJER2 = {"sigma": 2.0, "atoms": [{"t": 1.0, "c": 0.5}, {"t": 2.0, "c": 0.5}]}
+
+    @pytest.fixture(autouse=True)
+    def no_arange(self, monkeypatch):
+        # np.arange builds both the grid and the series nodes; the refusal must precede it
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.arange reached before the budget check")
+
+        monkeypatch.setattr(np, "arange", refuse)
+
+    @pytest.mark.parametrize("command", ["ineq", "eval"])
+    def test_huge_grid(self, tmp_path, capsys, command):
+        code, text = run_cli([command, write_scenario(tmp_path, self.FEJER2), "--grid=0:1e9:1e-3"])
+        assert (code, text) == (1, "")
+        assert "over the budget" in capsys.readouterr().err
+
+    def test_grid_span_that_overflows(self, tmp_path, capsys):
+        code, text = run_cli(["eval", write_scenario(tmp_path, self.FEJER2), "--grid=-1e308:1e308:1"])
+        assert (code, text) == (1, "")
+        assert "inf points" in capsys.readouterr().err
+
+    def test_huge_series(self, tmp_path, capsys):
+        code, text = run_cli(["interp", write_scenario(tmp_path, self.FEJER2), "--terms", "100000000"])
+        assert (code, text) == (1, "")
+        assert "task.terms" in capsys.readouterr().err
 
 
 def test_import_loads_no_scipy():

@@ -129,7 +129,7 @@ class TestCheckInequality:
 
     def test_ramp_skips_the_structural_zero(self, ramp_density, monkeypatch):
         # x E(x) vanishes at x = 0 for n = 1 whatever the measure; no search
-        # goes there, so the check is the margin pass and the E pass alone
+        # goes there, so the check is its one order-1 pass alone
         sizes = []
         evaluator = transforms._grid_moments
 
@@ -143,7 +143,7 @@ class TestCheckInequality:
         grid = default_grid(cfg, -10.0, 10.0)  # the grid of `hbf demo ramp`
         rep = check_inequality(cfg, grid)
         assert rep.equality_points == ()
-        assert sizes == [grid.size] * 3  # margins: direct and mirrored moments; E: mirrored
+        assert sizes == [grid.size] * 2  # direct and mirrored moments; E reads the mirrored ones
 
     def test_ramp_density_positive_margin_no_equalities(self, ramp_density):
         cfg = OmegaConfig(ramp_density, 1, -math.pi / 2)

@@ -178,6 +178,48 @@ class TestAutocorrelation:
         assert report.residuals.max() == 0.0
 
 
+def _random_density(seed):
+    rng = np.random.default_rng(seed)
+    panels = int(rng.integers(2, 7))
+    nodes = np.sort(rng.uniform(0.0, 3.0, panels + 1))
+    return PiecewiseLinearDensity(
+        tuple(nodes), tuple(rng.uniform(-2.0, 2.0, panels)), tuple(rng.uniform(-2.0, 2.0, panels))
+    )
+
+
+class TestExactHHat:
+    """h-hat is exact, so h-hat = 2 Delta holds to rounding of 2 sigma V^2."""
+
+    X = np.concatenate([[0.0], np.geomspace(0.01, 60.0, 40)])
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            PiecewiseLinearDensity.interpolant([0.0, 1.0], [1.0, 1.0]),  # unit box
+            PiecewiseLinearDensity.interpolant([0.0, 1.0], [0.0, 1.0]),  # ramp
+            PiecewiseLinearDensity.step([0.0, 0.3, 0.7, 1.0], [1.0, -0.5, 2.0]),  # jumps
+            PiecewiseLinearDensity.interpolant([0.4, 0.9, 1.3], [0.5, 1.0, -0.3]),  # support from 0.4
+        ]
+        + [_random_density(seed) for seed in range(6)],
+        ids=["unit_box", "ramp", "step_with_jumps", "support_from_0.4"] + [f"random{seed}" for seed in range(6)],
+    )
+    def test_identity_to_rounding(self, g):
+        report = check_h_hat_identity(g, self.X)
+        measure = StieltjesMeasure(g.nodes[-1], (), g)
+        assert report.residuals.max() <= 1e-13 * 2.0 * measure.sigma * measure.total_variation**2
+        assert report.samples % 5 == 0 and 0 < report.samples <= 5 * 3 * 21  # 3 pieces per panel pair
+
+    def test_unit_box_at_zero(self, unit_g):
+        # h(x) = 1 - |x| on [-1, 1], so h-hat(0) = 1
+        assert check_h_hat_identity(unit_g, [0.0]).h_hat[0] == pytest.approx(1.0, abs=1e-15)
+
+    def test_over_budget_is_refused_by_panel_count(self):
+        nodes = np.linspace(0.0, 1.0, 106)  # 105 panels: up to 16695 pieces
+        g = PiecewiseLinearDensity.interpolant(nodes, np.ones_like(nodes))
+        with pytest.raises(ValueError, match="105-panel"):
+            check_h_hat_identity(g, [1.0])
+
+
 class TestCosinePolynomial:
     def test_matches_half_width_triangle(self):
         prof = lambda t: fejer_profile(t, 2, 1.0, 1.0)

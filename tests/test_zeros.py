@@ -157,6 +157,28 @@ class TestRealZeros:
         assert len(wide_sizes) == len(narrow_sizes) < len(wide)
         assert max(wide_sizes[1:]) > len(wide)  # after the scan: all candidates at once
 
+    def test_floor_drops_the_noise_minima_of_a_single_atom(self, monkeypatch):
+        # |F| = 1 on the whole axis, so each grid minimum of |F|^2 is rounding
+        # noise far above the floor sigma V step; only the 6 sign changes of
+        # G = cos(x / 2) are searched (2 Newton rounds, 3 polish rounds, the
+        # acceptance test), where the unfloored scan searched 336 more brackets
+        evaluator = zeros_module._grid_moments
+        sizes = []
+
+        def counted(measure, z, order):
+            sizes.append(np.size(z))
+            return evaluator(measure, z, order)
+
+        monkeypatch.setattr(zeros_module, "_grid_moments", counted)
+        assert find_real_zeros(StieltjesMeasure(1.0, ((0.5, 1.0),)), (-20.0, 20.0)) == []
+        assert sizes == [511] + [6] * 6
+
+    def test_floor_keeps_every_minimum_at_a_zero(self, two_unit_atoms, fejer2):
+        # |F| dips to 0 at each odd multiple of pi: the minima there survive
+        for measure in (two_unit_atoms, fejer2):
+            found = find_real_zeros(measure, (-13.0, 13.0))
+            assert [round(x / math.pi) for x, _ in found] == [-3, -1, 1, 3]
+
     def test_wronskian_has_double_zero_at_simple_real_zeros(self, fejer2):
         # at every real zero the Wronskian vanishes to second order
         for x0, mult in find_real_zeros(fejer2, (0.0, 12.0)):
