@@ -10,7 +10,8 @@ OUTDIR, so that `diff -r` of two snapshots shows every byte that moved:
     diff -r /tmp/snap_old /tmp/snap_new
 
 For a command other than the scenario's own, the scenario is rewritten with
-that command in its task; the task's other fields are kept.
+that command in its task; the task's other fields are kept.  The script exits
+1 when any invocation ended in an exception instead of an exit code.
 """
 
 import argparse
@@ -48,8 +49,6 @@ def run(argv):
     with contextlib.redirect_stderr(err):
         try:
             code = main(argv, out=out)
-        except SystemExit as exc:  # argparse refusals
-            code = exc.code
         except Exception as exc:  # a traceback is itself a finding
             code = f"exception {type(exc).__name__}: {exc}"
     return code, out.getvalue(), err.getvalue()
@@ -77,13 +76,19 @@ def main_snapshot(argv=None) -> int:
     args.outdir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         count = 0
+        failed = []
         for name, cli_argv in invocations(Path(tmp)):
             code, stdout, stderr = run(cli_argv)
             (args.outdir / name).write_text(
                 f"exit: {code}\n--- stdout\n{stdout}--- stderr\n{stderr}", encoding="utf-8"
             )
             count += 1
+            if isinstance(code, str):
+                failed.append(name)
     print(f"{count} invocations written to {args.outdir}", file=sys.stderr)
+    if failed:
+        print(f"{len(failed)} ended in an exception: {', '.join(failed)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -22,6 +22,7 @@ from .measure import (
     PiecewiseLinearDensity,
     ScenarioError,
     StieltjesMeasure,
+    _require_number,
     from_fejer,
     from_pd_profile,
     parse_scenario,
@@ -68,7 +69,7 @@ class TaskDescriptor:
     def resolved_tol(self) -> float:
         if self.tol is not None:
             return self.tol
-        return _DEFAULT_TOL.get(self.command, 1e-9)
+        return _DEFAULT_TOL[self.command]
 
     @classmethod
     def from_mapping(cls, command: str, mapping: dict | None) -> "TaskDescriptor":
@@ -95,9 +96,9 @@ class TaskDescriptor:
             if not (isinstance(r, list) and len(r) == 4):
                 raise ScenarioError("rect must be [x0, x1, y0, y1]", "task.rect")
             fields["rect"] = tuple(_number(v, "task.rect") for v in r)
-        for key, conv in (("tau", float), ("n", int), ("alpha", float), ("tol", float), ("terms", int)):
+        for key in ("tau", "n", "alpha", "tol", "terms"):
             if key in mapping:
-                fields[key] = _number(mapping[key], f"task.{key}", conv)
+                fields[key] = _number(mapping[key], f"task.{key}", whole=key in ("n", "terms"))
         if fields.get("terms", 0) > _MAX_TERMS:
             raise ScenarioError(f"{fields['terms']} exceeds the budget of {_MAX_TERMS}", "task.terms")
         if "output" in mapping:
@@ -109,15 +110,12 @@ class TaskDescriptor:
         return replace(task, **fields)
 
 
-def _number(value, field: str, conv=float):
-    """conv(value) for a task field; malformed and non-finite values are refused."""
-    try:
-        number = conv(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"expected a number, got {value!r}", field) from exc
-    if not math.isfinite(number):
-        raise ScenarioError(f"must be finite, got {value!r}", field)
-    return number
+def _number(value, field: str, whole: bool = False):
+    """A task field's number, checked as the measure's are; a `whole` one becomes an int."""
+    number = _require_number(value, field)
+    if whole and not number.is_integer():
+        raise ScenarioError(f"expected a whole number, got {value!r}", field)
+    return int(number) if whole else number
 
 
 def _fmt(value) -> str:
@@ -397,7 +395,7 @@ def _run_demo(args, task_flags, out) -> int:
         return 0
     measure, base_task = _demo_fixture(name)
     merged = dict(base_task)
-    merged.update({k: v for k, v in task_flags.items() if v is not None})
+    merged.update(task_flags)
     command = merged.pop("command")
     task = TaskDescriptor.from_mapping(command, merged)
     return _RUNNERS[command](measure, task, out)
@@ -433,8 +431,14 @@ def _flag_task_fields(args) -> dict:
     return fields
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a malformed flag is an input error (exit 1), not argparse's exit 2
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hbf",
         description="Finite Fourier-Stieltjes transforms: inequality checks, interpolation, zero classification.",
     )
@@ -455,13 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         flag_fields = _flag_task_fields(args)
         if args.command == "demo":
-            flag_fields_flat = dict(flag_fields)
-            return _run_demo(args, flag_fields_flat, out)
+            return _run_demo(args, flag_fields, out)
         if args.scenario is None:
             raise ValueError(f"{args.command} needs a scenario file")
         try:
@@ -474,10 +476,7 @@ def main(argv=None, out=None) -> int:
         merged.update(flag_fields)
         task = TaskDescriptor.from_mapping(args.command, merged)
         return _RUNNERS[args.command](measure, task, out)
-    except (ScenarioError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except zeros.BoundaryZeroError as exc:
+    except (ValueError, zeros.BoundaryZeroError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (zeros.DiagnosticFailure, zeros.HypothesisViolation) as exc:

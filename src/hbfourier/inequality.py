@@ -20,11 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import StieltjesMeasure
+from .measure import HYPOTHESIS_TOL, StieltjesMeasure
 from .transforms import _bracketed_newton, _e_from_mirrored, _grid_moments, _reflected, eval_E, real_transforms
 
-#: grid-hypothesis slack, relative to max(total variation, 1)
-HYPOTHESIS_TOL = 1e-9
 #: |margin| <= MARGIN_TOL * scale counts as equality at a point
 MARGIN_TOL = 1e-8
 #: |E| <= E_TOL * sqrt(total variation) counts as a vanishing combination
@@ -60,7 +58,6 @@ class OmegaConfig:
         if self.n not in (-1, 0, 1):
             raise ValueError("n must be -1, 0, or 1")
         tau = float(self.tau)
-        v = max(self.measure.total_variation, 1.0)
         if self.n == 0:
             kind = HypothesisKind.COSINE_NONNEG if tau == 0.0 else HypothesisKind.ROTATED_NONNEG
         elif self.n == 1:
@@ -74,7 +71,7 @@ class OmegaConfig:
         else:
             if not math.isclose(tau, -math.pi / 2, rel_tol=0.0, abs_tol=1e-12):
                 raise ValueError("n = -1 requires tau = -pi/2")
-            if abs(self.measure.total_mass) > 1e-12 * v:
+            if not self.measure.vanishes_at_zero:
                 raise ValueError("n = -1 requires F(0) = 0")
             kind = HypothesisKind.SINE_NONNEG_ROOT
         object.__setattr__(self, "tau", tau)
@@ -296,10 +293,8 @@ def check_inequality(cfg: OmegaConfig, grid) -> InequalityReport:
     margin = lhs - rhs
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
     e_vals = _e_from_mirrored(cfg.measure, cfg.tau, cfg.n, grid, rt.mirrored[0])
-    v = cfg.measure.total_variation
-    hyp_tol = HYPOTHESIS_TOL * max(v, 1.0)
-    hypothesis_ok = bool(np.min(e_vals) >= -hyp_tol)
-    e_tol = E_TOL * math.sqrt(max(v, 1e-30))
+    hypothesis_ok = bool(np.min(e_vals) >= -HYPOTHESIS_TOL * cfg.measure.tol_scale)
+    e_tol = E_TOL * math.sqrt(max(cfg.measure.total_variation, 1e-30))
     global_equality = bool(np.max(np.abs(e_vals)) <= e_tol)
     if global_equality:
         points = ()

@@ -10,11 +10,17 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+#: slack of F(0) = 0 and the other mass comparisons, times `StieltjesMeasure.tol_scale`
+MASS_TOL = 1e-12
+#: slack of the grid hypotheses E, C, S >= 0, times `StieltjesMeasure.tol_scale`
+HYPOTHESIS_TOL = 1e-9
 
 
 class ScenarioError(ValueError):
@@ -234,6 +240,16 @@ class StieltjesMeasure:
         return float(v)
 
     @property
+    def tol_scale(self) -> float:
+        """max(total variation, 1), the scale of the package's relative tolerances."""
+        return max(self.total_variation, 1.0)
+
+    @property
+    def vanishes_at_zero(self) -> bool:
+        """F(0) = 0: |total mass| <= MASS_TOL * tol_scale."""
+        return abs(self.total_mass) <= MASS_TOL * self.tol_scale
+
+    @property
     def is_zero(self) -> bool:
         return not self.atoms and (self.density is None or self.density.support() is None)
 
@@ -450,7 +466,10 @@ _DENSITY_KEYS = {"nodes", "values"}
 
 def _require_number(value, field):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError("expected a number", field)
+        raise ScenarioError(f"expected a number, got {value!r}", field)
+    # compared before float(), which overflows on a huge integer
+    if not abs(value) <= sys.float_info.max:
+        raise ScenarioError(f"must be finite, got {value!r}", field)
     return float(value)
 
 

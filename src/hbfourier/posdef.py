@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import PiecewiseLinearDensity, StieltjesMeasure
+from .measure import MASS_TOL, PiecewiseLinearDensity, StieltjesMeasure
 from .transforms import _BLOCK, _segment_moments, eval_F, real_transforms
 from .zeros import HypothesisViolation, s_nonneg_on_grid
 
@@ -35,6 +35,8 @@ _CHEB5 = np.cos((2 * np.arange(5) + 1) * math.pi / 10)
 #: the most quartic pieces of h that check_h_hat_identity transforms; a density
 #: of P panels has up to 3 P (P + 1) / 2, so about 100 panels fit
 _MAX_HHAT_PIECES = 1 << 14
+#: step pieces count as equidistant when their widths agree to this, times max(width, 1)
+_WIDTH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -148,10 +150,9 @@ def recover_pd_profile(measure: StieltjesMeasure) -> ProfileReport:
     if verdict:
         f0 = profile.f0
         grid = np.linspace(0.0, measure.sigma, 2001)
+        tol = MASS_TOL * measure.tol_scale
         pd_ok = bool(
-            f0 >= -1e-12 * max(measure.total_variation, 1.0)
-            and np.max(np.abs(profile.f(grid))) <= f0 + 1e-12 * max(measure.total_variation, 1.0)
-            and abs(f0 - measure.left_limit_mass) <= 1e-12 * max(measure.total_variation, 1.0)
+            f0 >= -tol and np.max(np.abs(profile.f(grid))) <= f0 + tol and abs(f0 - measure.left_limit_mass) <= tol
         )
     return ProfileReport(profile=profile, s_nonneg=verdict, f0=profile.f0, pd_bound_ok=pd_ok)
 
@@ -178,7 +179,7 @@ def h_prime_zero_checks(measure: StieltjesMeasure) -> MomentSignReport:
     h1 = measure.moment(1)
     f0 = measure.total_mass
     left = measure.left_limit_mass
-    tol = 1e-12 * max(measure.total_variation, 1.0)
+    tol = MASS_TOL * measure.tol_scale
     if f0 <= tol:
         expected, ok = "nonpos", bool(h1 <= tol * measure.sigma)
     elif f0 >= left - tol:
@@ -399,7 +400,7 @@ def _detect_equidistant_steps(g: PiecewiseLinearDensity) -> StepStructure:
         return StepStructure(False, None, None)
     widths = [t1 - t0 for t0, t1, _ in pieces]
     d = widths[0]
-    if any(abs(w - d) > 1e-12 * max(d, 1.0) for w in widths):
+    if any(abs(w - d) > _WIDTH_TOL * max(d, 1.0) for w in widths):
         return StepStructure(False, None, None)
     return StepStructure(True, d, 2.0 * math.pi / d)
 
@@ -434,7 +435,7 @@ class MonotonicityReport:
     failures: tuple
 
 
-def alternating_sign_table(f, x_grid, step: float, max_order: int, tol_factor: float = 1e-11) -> MonotonicityReport:
+def alternating_sign_table(f, x_grid, step: float, max_order: int) -> MonotonicityReport:
     """Check (-1)^n Delta_step^n f(x) >= -tol for n <= max_order (forward differences)."""
     if step <= 0:
         raise ValueError("step must be positive")
@@ -449,7 +450,7 @@ def alternating_sign_table(f, x_grid, step: float, max_order: int, tol_factor: f
         for n in range(1, max_order + 1):
             d = np.diff(d)
             signed = (-1.0) ** n * d[0]
-            tol = tol_factor * (2.0**n) * scale
+            tol = 1e-11 * (2.0**n) * scale
             worst = min(worst, signed + tol)
             if signed < -tol:
                 failures.append((float(x), n, float(signed)))

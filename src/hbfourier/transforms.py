@@ -220,14 +220,6 @@ class RealTransforms:
         return self.direct[1].real
 
     @property
-    def Gpp(self):
-        return -self.direct[2].real
-
-    @property
-    def Hpp(self):
-        return -self.direct[2].imag
-
-    @property
     def C(self):
         return self.mirrored[0].real
 
@@ -244,20 +236,12 @@ class RealTransforms:
         return self.mirrored[1].real
 
     @property
-    def Cpp(self):
-        return -self.mirrored[2].real
-
-    @property
-    def Spp(self):
-        return -self.mirrored[2].imag
-
-    @property
     def Delta(self):
         return self.G * self.Hp - self.Gp * self.H
 
 
 def real_transforms(measure: StieltjesMeasure, x, order: int = 1) -> RealTransforms:
-    """Evaluate all components on a real grid; order 2 adds second derivatives."""
+    """Evaluate all components on a real grid; order 2 adds the second moments."""
     x = np.asarray(x, dtype=float)
     return RealTransforms(
         x=x,
@@ -403,8 +387,7 @@ def _e_from_mirrored(measure: StieltjesMeasure, tau: float, n: int, x, mirrored)
     at_zero = np.abs(x) < 1e-12
     if not at_zero.any():
         return base / x
-    f0 = measure.total_mass
-    if abs(f0) > 1e-12 * max(1.0, measure.total_variation):
+    if not measure.vanishes_at_zero:
         raise ValueError("x = 0 with n = -1 requires F(0) = 0")
     sp0 = _reflected(measure).moment(1)  # S'(0) of the reflected transform
     return np.where(at_zero, -sp0 * math.sin(tau), base / np.where(at_zero, 1.0, x))

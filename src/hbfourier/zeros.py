@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import StieltjesMeasure, mass_summary
-from .inequality import HYPOTHESIS_TOL
+from .measure import HYPOTHESIS_TOL, MASS_TOL, StieltjesMeasure, mass_summary
 from .transforms import (
     _bracketed_newton,
     _grid_moments,
@@ -33,6 +32,10 @@ from .transforms import (
 
 #: |target| must exceed this multiple of the total variation on the boundary
 BOUNDARY_MODULUS_FACTOR = 1e-12
+#: |F| or |F^(k)| below this, times `StieltjesMeasure.tol_scale`, counts as a zero
+ZERO_TOL = 1e-10
+#: boundary samples a contour count may refine to
+_MAX_CONTOUR_POINTS = 400_000
 #: default axis-avoiding window for "open lower half-plane" checks
 DEFAULT_LOWER_RECT = (-20.0, 20.0, -6.0, -1e-3)
 
@@ -100,7 +103,7 @@ class ZeroCountResult:
     boundary_samples: int
 
 
-def _winding_count(fn, rect: Rectangle, min_log_modulus: float, max_points: int = 400_000) -> ZeroCountResult:
+def _winding_count(fn, rect: Rectangle, min_log_modulus: float) -> ZeroCountResult:
     """Winding number of fn along the rectangle boundary (counterclockwise).
 
     fn maps an array of points to (mantissas, log-scales); only the mantissa
@@ -135,7 +138,7 @@ def _winding_count(fn, rect: Rectangle, min_log_modulus: float, max_points: int 
         zm = 0.5 * (zs[split] + np.roll(zs, -1)[split])
         zs = np.insert(zs, split + 1, zm)
         ws = np.insert(ws, split + 1, probe(zm))
-        if len(zs) > max_points:
+        if len(zs) > _MAX_CONTOUR_POINTS:
             raise DiagnosticFailure("contour refinement exceeded the sample budget")
     else:
         raise DiagnosticFailure("contour refinement did not converge")
@@ -153,7 +156,7 @@ def _winding_count(fn, rect: Rectangle, min_log_modulus: float, max_points: int 
 
 def _target_fn(measure: StieltjesMeasure, target: str):
     """Scaled evaluator z -> (mantissa, log-scale) over arrays, for a named target."""
-    if target == "F/z" and abs(measure.total_mass) > 1e-12 * max(1.0, measure.total_variation):
+    if target == "F/z" and not measure.vanishes_at_zero:
         raise ValueError("target F/z requires F(0) = 0")
     forms = {
         "F": (0, lambda z, T: T[0]),
@@ -256,15 +259,16 @@ def _modulus_slope(T, k: int):
     return (d0.conj() * d1).real, (d1.conj() * d1).real + (d0.conj() * d2).real
 
 
-def find_real_zeros(measure: StieltjesMeasure, interval, with_multiplicity: bool = True):
+def find_real_zeros(measure: StieltjesMeasure, interval):
     """Real zeros of F on a bounded interval, as (location, multiplicity) pairs.
 
     Candidates come from two kinds of brackets on the scan grid, solved
     together by `_bracketed_newton`: sign changes of G, solved for the root
     of G (G' = -Im T_1), and local minima of |F|^2, solved for the root of
     Re(conj(F) F') (G need not change sign at a tangential zero).  Since
-    |F'| <= sigma V, a minimum where |F| exceeds sigma V times the grid step
-    (plus a rounding margin) cannot lead to an accepted zero and is dropped.
+    |F'| <= sigma V, a bracket where |F| exceeds sigma V times the grid step
+    (plus a rounding margin) at every grid point cannot lead to an accepted
+    zero and is dropped.
     Each candidate is polished by Newton steps on F/F' and accepted when
     |F| <= 1e-10 * total variation.  Multiplicity 1 is certified by |F'| away
     from 0; a double zero is admitted at x = 0 only, and anything deeper
@@ -285,13 +289,15 @@ def find_real_zeros(measure: StieltjesMeasure, interval, with_multiplicity: bool
     G = F.real
     absF2 = F.real**2 + F.imag**2
 
-    roots = np.flatnonzero(np.sign(G[:-1]) * np.sign(G[1:]) < 0)
-    mid = np.arange(1, len(grid) - 1)
     # |F'| <= sigma V, so |F| stays above the acceptance tolerance within a
-    # step of a minimum above this floor (ten times that tolerance covers rounding)
+    # step of a grid point above this floor (ten times that tolerance covers
+    # rounding): a sign change or a minimum between such points holds no zero
     floor = v * (sig * step + 1e-9)
+    low = absF2 <= floor * floor
+    roots = np.flatnonzero((np.sign(G[:-1]) * np.sign(G[1:]) < 0) & (low[:-1] | low[1:]))
+    mid = np.arange(1, len(grid) - 1)
     dips = (absF2[mid] <= absF2[mid - 1]) & (absF2[mid] <= absF2[mid + 1])
-    minima = mid[dips & (absF2[mid] <= floor * floor)]
+    minima = mid[dips & low[mid]]
     lo = np.concatenate([grid[roots], grid[minima - 1]])
     hi = np.concatenate([grid[roots + 1], grid[minima + 1]])
     # a sign change starts from the secant root of G, a minimum from its grid point
@@ -341,34 +347,28 @@ def find_real_zeros(measure: StieltjesMeasure, interval, with_multiplicity: bool
                 raise DiagnosticFailure("zero at the origin is deeper than multiplicity 2")
             mult = 2
         out.append((x0, mult))
-    return out if with_multiplicity else [(x0, 0) for x0, _ in out]
+    return out
 
 
-def _reflected_on_grid(measure: StieltjesMeasure, x_max: float | None):
-    """(C >= 0, S >= 0) on the grid [0, x_max) of step pi / (50 sigma), from one pass.
+def _reflected_on_grid(measure: StieltjesMeasure):
+    """(C >= 0, S >= 0) on the grid [0, 20 pi max(1, 1/sigma)) of step pi / (50 sigma), from one pass.
 
     x = 0 is left out of the sine check, since S(0) = 0.
     """
     sig = measure.sigma
-    if x_max is None:
-        x_max = 20.0 * math.pi * max(1.0, 1.0 / sig)
-    grid = np.arange(0.0, x_max, math.pi / (50.0 * sig))
+    grid = np.arange(0.0, 20.0 * math.pi * max(1.0, 1.0 / sig), math.pi / (50.0 * sig))
     values = _grid_moments(_reflected(measure), grid, 0)[0][0]
-    slack = HYPOTHESIS_TOL * max(measure.total_variation, 1.0)
+    slack = HYPOTHESIS_TOL * measure.tol_scale
     return bool(np.min(values.real) >= -slack), bool(np.min(values[1:].imag) >= -slack)
 
 
-def s_nonneg_on_grid(measure: StieltjesMeasure, x_max: float | None = None) -> bool:
-    return _reflected_on_grid(measure, x_max)[1]
-
-
-def c_nonneg_on_grid(measure: StieltjesMeasure, x_max: float | None = None) -> bool:
-    return _reflected_on_grid(measure, x_max)[0]
+def s_nonneg_on_grid(measure: StieltjesMeasure) -> bool:
+    return _reflected_on_grid(measure)[1]
 
 
 def _in_borderline_range(measure: StieltjesMeasure) -> bool:
-    """0 < F(0) < mu(sigma - 0) - mu(0), with a margin relative to the variation."""
-    edge = 1e-12 * max(measure.total_variation, 1.0)
+    """0 < F(0) < mu(sigma - 0) - mu(0), with a margin of MASS_TOL * tol_scale."""
+    edge = MASS_TOL * measure.tol_scale
     return edge < measure.total_mass < measure.left_limit_mass - edge
 
 
@@ -415,7 +415,7 @@ def _imaginary_zero(measure: StieltjesMeasure) -> float:
 
     y0 = y_lo + (y_hi - y_lo) * g_lo / (g_lo - g_hi)  # secant start
     y_star = float(_bracketed_newton(slope, y_lo, y_hi, y0)[0])
-    if abs(g(y_star)) > 1e-10 * max(measure.total_variation, 1.0):
+    if abs(g(y_star)) > ZERO_TOL * measure.tol_scale:
         raise DiagnosticFailure("Newton iteration did not drive |F(iy)| e^{sigma y} to zero")
     return y_star
 
@@ -450,22 +450,17 @@ class Classification:
     lower_count: int | None
 
 
-def classify(
-    measure: StieltjesMeasure,
-    rect: Rectangle | None = None,
-    real_interval: tuple | None = None,
-) -> Classification:
+def classify(measure: StieltjesMeasure, rect: Rectangle | None = None) -> Classification:
     """Classify F against the lower-half-plane zero criteria.
 
     Checks the cosine hypothesis (C >= 0 on a grid) and the sine hypothesis
     (S >= 0 for x > 0 with the mass trichotomy); confirms the implied zero
     structure by an argument-principle count over an axis-avoiding rectangle
-    and a real-axis scan.  Hypotheses are grid-verified only.
+    and a real-axis scan over its x-range.  Hypotheses are grid-verified only.
     """
     if rect is None:
         rect = Rectangle(*DEFAULT_LOWER_RECT)
-    if real_interval is None:
-        real_interval = (rect.x_min, rect.x_max)
+    real_interval = (rect.x_min, rect.x_max)
 
     summary = mass_summary(measure)
     defect = 0.5 * (summary.support_interval[0] + summary.support_interval[1])
@@ -480,7 +475,7 @@ def classify(
         verdict = VERDICT_TRIVIAL if loc == 0.0 else VERDICT_HB
         return Classification(verdict, (), None, defect, True, True, 0)
 
-    c_ok, s_ok = _reflected_on_grid(measure, None)
+    c_ok, s_ok = _reflected_on_grid(measure)
 
     if not (c_ok or s_ok):
         real = tuple(find_real_zeros(measure, real_interval))
@@ -559,7 +554,7 @@ def check_derivative_hb(
         if refined[j] < best:
             best = float(refined[j])
             best_x = float(x[j])
-    ok = result.count == 0 and best > 1e-10 * max(measure.total_variation, 1.0)
+    ok = result.count == 0 and best > ZERO_TOL * measure.tol_scale
     if ok:
         note = ""
     elif result.count != 0:

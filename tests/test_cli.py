@@ -163,6 +163,10 @@ class TestInputErrors:
             {"tau": "abc"},
             {"n": None},
             {"terms": 1e400},
+            {"n": 0.9},
+            {"terms": 2.5},
+            {"tau": "0.5"},
+            {"tau": True},
         ],
     )
     def test_malformed_task_field(self, tmp_path, task):
@@ -170,6 +174,25 @@ class TestInputErrors:
         code, text = run_cli(["eval", write_scenario(tmp_path, doc)])
         assert code == 1
         assert text == ""
+
+    def test_whole_float_accepted(self, tmp_path):
+        doc = {"sigma": 1.0, "atoms": [{"t": 1.0, "c": 2.0}], "task": {"n": 0.0, "terms": 20.0}}
+        code, _ = run_cli(["eval", write_scenario(tmp_path, doc), "--grid=0:1:0.5"])
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv", [["demo", "atom-sigma", "--n", "0.9"], ["demo", "atom-sigma", "--out", "xml"], ["bogus"], []]
+    )
+    def test_malformed_flag_is_input_error(self, capsys, argv):
+        code, text = run_cli(argv)
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: hbf" in capsys.readouterr().out
 
 
 def strict_json_lines(text):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hbfourier.inequality import OmegaConfig
 from hbfourier.measure import (
+    MASS_TOL,
     PiecewiseLinearDensity,
     ScenarioError,
     StieltjesMeasure,
@@ -17,7 +19,8 @@ from hbfourier.measure import (
     mass_summary,
     parse_scenario,
 )
-from hbfourier.transforms import eval_F, real_transforms
+from hbfourier.transforms import eval_E, eval_F, real_transforms
+from hbfourier.zeros import Rectangle, count_zeros
 
 from .strategies import atomic_measures, measures_with_density
 
@@ -179,6 +182,11 @@ class TestScenario:
         with pytest.raises(ScenarioError, match="unknown fields"):
             parse_scenario(json.dumps({"sigma": 1.0, "atoms": [{"t": 0.0, "c": 1.0, "x": 2}]}))
 
+    def test_integer_beyond_float_range_refused(self):
+        # float() of such an integer raises OverflowError, not a scenario error
+        with pytest.raises(ScenarioError, match="sigma: must be finite"):
+            parse_scenario(json.dumps({"sigma": 10**400}))
+
     def test_bad_json_reports_location(self):
         with pytest.raises(ScenarioError, match="line 1"):
             parse_scenario("{bad json")
@@ -187,6 +195,26 @@ class TestScenario:
         doc = {"sigma": 1.0, "atoms": [{"t": 1.0, "c": 2.0}], "task": {"command": "ineq"}}
         _, task = parse_scenario(json.dumps(doc))
         assert task == {"command": "ineq"}
+
+
+class TestVanishesAtZero:
+    @pytest.mark.parametrize("ratio, accepted", [(0.5, True), (2.0, False)])
+    @pytest.mark.parametrize("entry", ["OmegaConfig", "eval_E", "count_zeros"])
+    def test_entry_points_agree_at_the_edge(self, ratio, accepted, entry):
+        # |F(0)| = ratio * MASS_TOL * max(V, 1) with V about 4, so a slack
+        # without the scale would refuse ratio 0.5 as well
+        m = StieltjesMeasure(1.0, ((0.25, 2.0), (0.75, 4.0 * ratio * MASS_TOL - 2.0)))
+        assert abs(m.total_mass) / (MASS_TOL * m.tol_scale) == pytest.approx(ratio, rel=1e-3)
+        calls = {
+            "OmegaConfig": lambda: OmegaConfig(m, -1, -math.pi / 2),
+            "eval_E": lambda: eval_E(m, -math.pi / 2, -1, 0.0),
+            "count_zeros": lambda: count_zeros(m, Rectangle(-5.0, 5.0, -3.0, -0.5), "F/z"),
+        }
+        if accepted:
+            calls[entry]()
+        else:
+            with pytest.raises(ValueError, match=r"F\(0\) = 0"):
+                calls[entry]()
 
 
 class TestProperties:

@@ -155,13 +155,13 @@ class TestRealZeros:
         wide, wide_sizes = calls_for((-200.0, 200.0))
         assert len(narrow) == 4 and len(wide) == 64  # odd multiples of pi inside
         assert len(wide_sizes) == len(narrow_sizes) < len(wide)
-        assert max(wide_sizes[1:]) > len(wide)  # after the scan: all candidates at once
+        assert max(wide_sizes[1:]) == len(wide)  # after the scan: all candidates at once
 
     def test_floor_drops_the_noise_minima_of_a_single_atom(self, monkeypatch):
-        # |F| = 1 on the whole axis, so each grid minimum of |F|^2 is rounding
-        # noise far above the floor sigma V step; only the 6 sign changes of
-        # G = cos(x / 2) are searched (2 Newton rounds, 3 polish rounds, the
-        # acceptance test), where the unfloored scan searched 336 more brackets
+        # |F| = 1 on the whole axis, far above the floor sigma V step, so
+        # neither the grid minima of |F|^2 (rounding noise) nor the 6 sign
+        # changes of G = cos(x / 2) are searched: the scan and an empty
+        # acceptance test, where the unfloored scan searched 342 brackets
         evaluator = zeros_module._grid_moments
         sizes = []
 
@@ -171,7 +171,7 @@ class TestRealZeros:
 
         monkeypatch.setattr(zeros_module, "_grid_moments", counted)
         assert find_real_zeros(StieltjesMeasure(1.0, ((0.5, 1.0),)), (-20.0, 20.0)) == []
-        assert sizes == [511] + [6] * 6
+        assert sizes == [511, 0]
 
     def test_floor_keeps_every_minimum_at_a_zero(self, two_unit_atoms, fejer2):
         # |F| dips to 0 at each odd multiple of pi: the minima there survive
