@@ -3,6 +3,12 @@
 
 Runs every command on the measure of each `scenarios/*.json` file, plus the
 five demos, in json and table form, in-process through `hbfourier.cli.main`.
+It also runs every command but `interp` on the two 2049-panel
+`from_monomial_density` measures, (1.5, 0.8) and (3.0, 2.0), written as
+scenario files into a temporary directory: the scenarios are all few-panel,
+so only these show the evaluator's cluster path.  `interp` is left out
+there, since its series probes about a million points past the finest
+cluster level and takes minutes on 2049 panels.
 Each invocation's exit code, stdout and stderr go to a file of their own in
 OUTDIR, so that `diff -r` of two snapshots shows every byte that moved:
 
@@ -23,6 +29,7 @@ import tempfile
 from pathlib import Path
 
 from hbfourier.cli import main
+from hbfourier.measure import from_monomial_density
 
 ROOT = Path(__file__).resolve().parent.parent
 OUTPUTS = ("json", "table")
@@ -41,6 +48,9 @@ SCENARIO_RUNS = (
     ("posdef", [], "posdef"),
 )
 DEMOS = ("fejer2", "atom-sigma", "triangle-case2", "ramp", "growth-limit")
+#: (mu, nu) of the many-panel measures, and the commands not run on them
+MANY_PANEL = ((1.5, 0.8), (3.0, 2.0))
+MANY_PANEL_SKIP = {"interp"}
 
 
 def run(argv):
@@ -54,16 +64,31 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def monomial_scenario(mu: float, nu: float) -> dict:
+    """The measure from_monomial_density(mu, nu) as a scenario document."""
+    measure = from_monomial_density(mu, nu)
+    dens = measure.density
+    return {"sigma": measure.sigma, "density": {"nodes": list(dens.nodes), "values": [*dens.left, dens.right[-1]]}}
+
+
+def scenario_runs(stem: str, doc: dict, workdir: Path, skip=()):
+    """(file name, argv) of every command but `skip` on one scenario document."""
+    for command, flags, tag in SCENARIO_RUNS:
+        if command in skip:
+            continue
+        task = dict(doc.get("task") or {}, command=command)
+        scenario = workdir / f"{stem}--{command}.json"
+        scenario.write_text(json.dumps(dict(doc, task=task)), encoding="utf-8")
+        for output in OUTPUTS:
+            yield f"{stem}--{tag}--{output}.txt", [command, str(scenario), *flags, "--out", output]
+
+
 def invocations(workdir: Path):
     """(file name, argv) for every invocation of the snapshot."""
     for path in sorted((ROOT / "scenarios").glob("*.json")):
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        for command, flags, tag in SCENARIO_RUNS:
-            task = dict(doc.get("task") or {}, command=command)
-            scenario = workdir / f"{path.stem}--{command}.json"
-            scenario.write_text(json.dumps(dict(doc, task=task)), encoding="utf-8")
-            for output in OUTPUTS:
-                yield f"{path.stem}--{tag}--{output}.txt", [command, str(scenario), *flags, "--out", output]
+        yield from scenario_runs(path.stem, json.loads(path.read_text(encoding="utf-8")), workdir)
+    for mu, nu in MANY_PANEL:
+        yield from scenario_runs(f"monomial-{mu}-{nu}", monomial_scenario(mu, nu), workdir, MANY_PANEL_SKIP)
     for demo in DEMOS:
         for output in OUTPUTS:
             yield f"demo-{demo}--{output}.txt", ["demo", demo, "--out", output]

@@ -8,6 +8,7 @@ convention: an atom at t contributes to mu(s) only for s > t.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -206,8 +207,9 @@ class StieltjesMeasure:
         object.__setattr__(self, "atoms", atoms)
 
     # -- aggregate quantities -------------------------------------------------
+    # the measure is frozen, so the two panel sums are computed on first read
 
-    @property
+    @functools.cached_property
     def total_mass(self) -> float:
         m = sum(c for _, c in self.atoms)
         if self.density is not None:
@@ -232,7 +234,7 @@ class StieltjesMeasure:
     def left_limit_mass(self) -> float:
         return self.total_mass - self.jump_at_sigma
 
-    @property
+    @functools.cached_property
     def total_variation(self) -> float:
         v = sum(abs(c) for _, c in self.atoms)
         if self.density is not None:

@@ -19,6 +19,22 @@ evaluates has a nonpositive real exponent, so contour sweeps far below the
 real axis cannot overflow; the public functions fold the scale back in, or
 hand the pair on, as `eval_F_scaled` does.
 
+The evaluator sums a density at two levels of detail.  The panel path
+integrates every panel exactly: a closed-form recurrence, or a power series
+whose length follows the largest |z| w of the block and is cut where the
+omitted terms could not change a bit.  The cluster path is the far-field
+expansion of the fast multipole method and the type-3 nonuniform FFT
+(Greengard & Rokhlin, J. Comput. Phys. 73, 1987; Barnett, Magland &
+af Klinteberg, SIAM J. Sci. Comput. 41, 2019).  Dyadic clusters of
+half-width h and centre c contribute
+e^{izc - E} sum_k (izh)^k / k! int g(t) t^m ((t - c) / h)^k dt, with the
+moments tabulated once per density, on its first evaluation.  A point takes
+the coarsest level with |z| h <= 1/2, chosen from |z| alone, so 16 terms
+reach rounding and none cancel.  Levels are stored only while their clusters
+hold at least `_LEAF_PANELS` panels on average; a point past the finest
+stored level, and every point of a density with fewer than 2 * _LEAF_PANELS
+panels, takes the panel path, which is thus the leaf of the same evaluator.
+
 Located points (real zeros, the imaginary lower zero, equality points of the
 inequality) are roots of functions built from these moments.
 `_bracketed_newton` finds them with Newton steps on the analytic derivatives,
@@ -35,6 +51,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,12 +63,42 @@ _SERIES_CUT = 1.0
 _SERIES_TERMS = 30
 _FOLD_LIMIT = 700.0  # log threshold beyond which a scaled value cannot be folded
 _MAX_ORDER = 4  # highest moment order any caller needs: the Newton slope of |F''|^2
+#: a series term below this bound relative to its sum's parts is dropped (see _series_length)
+_SERIES_OMIT = 2.0**-55 * math.cos(1.0) / math.e
+#: 1 / (m + 1 + j), the divisors of the series, for m up to _MAX_ORDER + 1
+_SERIES_RECIPROCALS = 1.0 / (np.arange(1.0, _MAX_ORDER + 3)[:, None] + np.arange(float(_SERIES_TERMS)))
 #: a Newton iteration stops once its step is below this multiple of max(1, |x|)
 _NEWTON_XTOL = 1e-14
 _NEWTON_MAXITER = 100
 # points x panels evaluated together: the temporaries of a 4096 block peak near
 # 1 MB, and larger blocks raise the peak memory in proportion without running faster
 _BLOCK = 4096
+# the cluster path (see _cluster_levels): a point is served by the coarsest level
+# whose half-width h has |z| h <= _CLUSTER_RHO, where _CLUSTER_TERMS Taylor terms
+# leave a remainder below rho^K / K! < 1e-18 of sigma^m times the cluster's variation
+_CLUSTER_RHO = 0.5
+_CLUSTER_TERMS = 16
+#: fewest panels per cluster, on average, of a stored level.  The cluster path
+#: is faster at every level, but below about 32 panels per cluster it is less
+#: accurate than the panel path against mpmath (the measured crossover)
+_LEAF_PANELS = 32
+
+
+def _series_length(r: float) -> int:
+    """Terms of the series (aw)^j / j! that decide every bit when |aw| <= r < 1.
+
+    With |aw| < 1, Re N >= cos(1) e^{-1} / (m + 1) and |Im N| >= sin(1) e^{-1}
+    |Im aw| / (m + 2) for the normalized moment N = sum_j (aw)^j / (j! (m+1+j)),
+    while term j adds at most r^j / j! to the real part and
+    |Im aw| r^(j-1) / (j-1)! to the imaginary part.  Past the count returned,
+    every term is below a quarter ulp of both parts of the sum, so adding it
+    would not change a bit: the sum equals the full _SERIES_TERMS series.
+    """
+    n, bound = 1, 1.0  # bound = r^(n-1) / (n-1)!
+    while n < _SERIES_TERMS and bound >= _SERIES_OMIT:
+        bound *= r / n
+        n += 1
+    return n
 
 
 def _segment_moments(w_powers, a, beta):
@@ -71,16 +118,18 @@ def _segment_moments(w_powers, a, beta):
     w = w_powers[0]
     out = np.empty((order + 1,) + a.shape, dtype=complex)
 
-    small = np.abs(a) * w < _SERIES_CUT
+    aw_abs = np.abs(a) * w
+    small = aw_abs < _SERIES_CUT
     if small.any():
         aw = a[small] * w[small]
-        # the terms (aw)^j / j! are shared by every m; only the divisors differ
-        m1 = np.arange(1.0, order + 2)[:, None]
+        # the terms (aw)^j / j! are shared by every m; only the divisors differ,
+        # and numpy divides a complex by a real as a product with its reciprocal
+        recip = _SERIES_RECIPROCALS[: order + 1]
         term = np.ones_like(aw)
-        acc = term / m1
-        for j in range(1, _SERIES_TERMS):
+        acc = term * recip[:, :1]
+        for j in range(1, _series_length(float(np.max(aw_abs[small])))):
             term = term * aw / j
-            acc += term / (m1 + j)
+            acc += term * recip[:, j : j + 1]
         acc *= np.exp(beta[small])
         acc *= np.array([wp[small] for wp in w_powers])
         out[:, small] = acc
@@ -100,16 +149,29 @@ def _segment_moments(w_powers, a, beta):
     return out
 
 
-@functools.lru_cache(maxsize=64)  # an entry of a 2049-panel density is about 0.4 MB
-def _panel_arrays(density: PiecewiseLinearDensity):
-    """A density's panels laid out for evaluating all of them at once.
+class _DensityTables(NamedTuple):
+    """A density laid out for `_grid_moments`; see `_density_tables`."""
 
-    Returns (t0, w_powers, rows).  t0 and w_powers[k] = w ** (k + 1) are
-    columns of shape (P, 1).  For a panel p, q_j are the coefficients of
-    t^m (v0 + slope u) as a polynomial in u = t - t0, so the panel adds
-    sum_j q_j N_j to T_m.  rows[m] = (index, q) lists the nonzero q_j, panel
-    by panel, with index = j * P + p locating N_j of panel p in the moments
-    flattened to shape ((order + 2) * P, points).
+    t0: np.ndarray
+    w_powers: np.ndarray
+    rows: tuple
+    limits: np.ndarray
+    levels: tuple
+
+
+@functools.lru_cache(maxsize=64)  # an entry of a 2049-panel density is about 0.85 MB
+def _density_tables(density: PiecewiseLinearDensity) -> _DensityTables:
+    """A density's panels and cluster levels, built on its first evaluation.
+
+    The panel path: t0 and w_powers[k] = w ** (k + 1) are columns of shape
+    (P, 1).  For a panel p, q_j are the coefficients of t^m (v0 + slope u) as
+    a polynomial in u = t - t0, so the panel adds sum_j q_j N_j to T_m.
+    rows[m] = (index, q) lists the nonzero q_j, panel by panel, with
+    index = j * P + p locating N_j of panel p in the moments flattened to
+    shape ((order + 2) * P, points).
+
+    The cluster path: levels[L] = (h, centres, B) from `_cluster_levels`, and
+    limits[L] = _CLUSTER_RHO / h, the largest |z| that level L serves.
     """
     panels = density.panels
     widths = [t1 - t0 for t0, t1, _, _ in panels]
@@ -126,7 +188,108 @@ def _panel_arrays(density: PiecewiseLinearDensity):
         panel, j = np.nonzero(q)
         rows.append((j * len(panels) + panel, q[panel, j][:, None]))
     t0 = np.array([p[0] for p in panels])[:, None]
-    return t0, w_powers[:, :, None], tuple(rows)
+    levels = _cluster_levels(density)
+    limits = np.array([_CLUSTER_RHO / h for h, _, _ in levels])
+    return _DensityTables(t0, w_powers[:, :, None], tuple(rows), limits, levels)
+
+
+def _cluster_levels(density: PiecewiseLinearDensity) -> tuple:
+    """Dyadic cluster tables (h, centres, B) of a density, coarsest level first.
+
+    Level L cuts the density's span [lo, hi] into 2^(L+1) clusters of
+    half-width h = (hi - lo) / 2^(L+2) with centres c_j, and
+    B[m, k, j] = int_{cluster j} g(t) t^m ((t - c_j) / h)^k dt / k!
+    for m <= _MAX_ORDER and k < _CLUSTER_TERMS.  Every panel is cut at the
+    cluster edges, and a piece's moments come from its own end values, width
+    and offset from the centre, never from a global t - c.  Only levels
+    whose clusters hold at least _LEAF_PANELS panels on average are built.
+    The coarsest level has two clusters, not one: with one cluster, order 0
+    and one point, every product of `_cluster_sum` would be a lone complex
+    element, which numpy multiplies without the fused multiply-add of its
+    array loops, and the point's bits would depend on its batch.
+    """
+    nodes = np.array(density.nodes)
+    left, right = np.array(density.left), np.array(density.right)
+    panels = len(nodes) - 1
+    lo, hi = nodes[0], nodes[-1]
+    n_moments = _CLUSTER_TERMS + _MAX_ORDER
+    inv_fact = np.array([1.0 / math.factorial(k) for k in range(_CLUSTER_TERMS)])[:, None]
+    levels = []
+    count = 2
+    while panels >= _LEAF_PANELS * count:
+        h = (hi - lo) / (2 * count)
+        edges = lo + 2.0 * h * np.arange(count + 1)
+        edges[-1] = hi
+        centres = lo + h * (2.0 * np.arange(count) + 1.0)
+        cuts = np.union1d(nodes, edges)
+        start, end = cuts[:-1], cuts[1:]
+        p = np.searchsorted(nodes, start, side="right") - 1
+        j = np.minimum(np.searchsorted(edges, start, side="right") - 1, count - 1)
+        t0, t1, v0, v1 = nodes[p], nodes[p + 1], left[p], right[p]
+        va = np.where(start == t0, v0, v0 + (v1 - v0) * ((start - t0) / (t1 - t0)))
+        vb = np.where(end == t1, v1, v0 + (v1 - v0) * ((end - t0) / (t1 - t0)))
+        w = end - start
+        d, s = (start - centres[j]) / h, w / h
+        # int_0^w (va + (vb - va) u / w) ((d h + u) / h)^k du
+        #   = w sum_i C(k, i) d^(k-i) s^i (va + (i + 1) vb) / ((i + 1)(i + 2))
+        e = [s**i * w * (va + (i + 1) * vb) / ((i + 1) * (i + 2)) for i in range(n_moments)]
+        d_pow = [np.ones_like(d)]
+        for _ in range(1, n_moments):
+            d_pow.append(d_pow[-1] * d)
+        moments = np.empty((n_moments, count))
+        for k in range(n_moments):
+            piece = sum(math.comb(k, i) * d_pow[k - i] * e[i] for i in range(k + 1))
+            moments[k] = np.bincount(j, weights=piece, minlength=count)
+        # t^m = sum_i C(m, i) c^(m-i) h^i ((t - c) / h)^i
+        B = np.zeros((_MAX_ORDER + 1, _CLUSTER_TERMS, count))
+        for m in range(_MAX_ORDER + 1):
+            for i in range(m + 1):
+                B[m] += math.comb(m, i) * h**i * centres ** (m - i) * moments[i : i + _CLUSTER_TERMS]
+        levels.append((h, centres, B * inv_fact))
+        count *= 2
+    return tuple(levels)
+
+
+def _panel_sum(out, a, E, tables: _DensityTables):
+    """Add every panel's moments at the points a = iz to out, in panel order.
+
+    out has shape (order + 1, points) and holds the points' sums so far.
+    """
+    order = len(out) - 1
+    step = max(1, _BLOCK // len(tables.t0))
+    for lo in range(0, a.size, step):
+        blk = slice(lo, lo + step)
+        M = _segment_moments(tables.w_powers[: order + 2], a[blk], a[blk] * tables.t0 - E[blk])
+        M = M.reshape(-1, M.shape[-1])
+        for m in range(order + 1):
+            rows_m, q = tables.rows[m]
+            terms = np.empty((len(q) + 1, M.shape[-1]), dtype=complex)
+            terms[0] = out[m, blk]
+            np.take(M, rows_m, axis=0, out=terms[1:])
+            terms[1:] *= q
+            # cumulative sum down the rows adds the panel terms in order
+            out[m, blk] = np.cumsum(terms, axis=0)[-1]
+        del M, terms  # free this block's arrays before the next block's
+
+
+def _cluster_sum(out, a, E, h, centres, B):
+    """Add every cluster of one level at the points a = iz to out, in cluster order.
+
+    A cluster adds e^{izc - E} sum_k (izh)^k B[m, k] to out[m], the Taylor
+    series summed by Horner's rule; |z| h <= _CLUSTER_RHO bounds its terms.
+    """
+    B = B[: len(out), :, :, None]
+    step = max(1, _BLOCK // len(centres))
+    for lo in range(0, a.size, step):
+        blk = slice(lo, lo + step)
+        u = a[blk] * h
+        acc = B[:, -1] * np.ones_like(u)
+        for k in range(_CLUSTER_TERMS - 2, -1, -1):
+            acc *= u
+            acc += B[:, k]
+        acc *= np.exp(centres[:, None] * a[blk] - E[blk])
+        terms = np.concatenate([out[:, None, blk], acc], axis=1)
+        out[:, blk] = np.cumsum(terms, axis=1)[:, -1]
 
 
 def _grid_moments(measure: StieltjesMeasure, z, order: int):
@@ -135,9 +298,11 @@ def _grid_moments(measure: StieltjesMeasure, z, order: int):
     z is a real or complex scalar or array; E = max(0, -Im z * sigma), which
     is 0 on real input, and every exponential evaluated has a nonpositive
     real part, so points far below the real axis cannot overflow.  Atoms are
-    added one by one; all density panels of a block of points are evaluated
-    together and summed in panel order, so a point's moments do not depend on
-    the other points of the call.  T has shape (order + 1,) + z.shape.
+    added one by one.  The density is summed, in a fixed order, over the
+    clusters of the level that |z| selects, or over all panels where |z| is
+    past every stored level; each block of points is evaluated element by
+    element, so a point's moments do not depend on the other points of the
+    call.  T has shape (order + 1,) + z.shape.
     """
     z = np.asarray(z)
     E = np.maximum(-measure.sigma * z.imag, 0.0)
@@ -150,22 +315,24 @@ def _grid_moments(measure: StieltjesMeasure, z, order: int):
             T[m] += (c * tm) * phase
             tm *= t
     if measure.density is not None:
-        t0, w_powers, rows = _panel_arrays(measure.density)
+        tables = _density_tables(measure.density)
         a, E, flat = a.reshape(-1), E.reshape(-1), T.reshape(order + 1, -1)
-        step = max(1, _BLOCK // len(t0))
-        for lo in range(0, a.size, step):
-            blk = slice(lo, lo + step)
-            M = _segment_moments(w_powers[: order + 2], a[blk], a[blk] * t0 - E[blk])
-            M = M.reshape(-1, M.shape[-1])
-            for m in range(order + 1):
-                rows_m, q = rows[m]
-                terms = np.empty((len(q) + 1, M.shape[-1]), dtype=complex)
-                terms[0] = flat[m, blk]
-                np.take(M, rows_m, axis=0, out=terms[1:])
-                terms[1:] *= q
-                # cumulative sum down the rows adds the panel terms in order
-                flat[m, blk] = np.cumsum(terms, axis=0)[-1]
-            del M, terms  # free this block's arrays before the next block's
+        if not tables.levels:
+            _panel_sum(flat, a, E, tables)
+        else:
+            # the coarsest level with |z| h <= rho; len(levels) marks a panel-path leaf
+            level = np.searchsorted(tables.limits, np.abs(a))
+            counts = np.bincount(level)
+            for lv in np.flatnonzero(counts):
+                whole = counts[lv] == a.size
+                pts = slice(None) if whole else np.flatnonzero(level == lv)
+                part = flat[:, pts]  # a view when whole, else a copy written back below
+                if lv < len(tables.levels):
+                    _cluster_sum(part, a[pts], E[pts], *tables.levels[lv])
+                else:
+                    _panel_sum(part, a[pts], E[pts], tables)
+                if not whole:
+                    flat[:, pts] = part
     return T, E.reshape(z.shape)[()]  # [()] gives a scalar E for a scalar z
 
 

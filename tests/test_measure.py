@@ -268,3 +268,35 @@ class TestDensityRepresentation:
         r = g.reflected(1.0)
         ts = np.linspace(0.0, 1.0, 37)
         assert np.allclose(r(ts), g(1.0 - ts))
+
+
+class TestCachedAggregates:
+    def test_panel_sums_run_once_and_match_a_fresh_sum(self, monkeypatch):
+        calls = {"mass": 0, "abs_mass": 0}
+        for name in calls:
+            original = getattr(PiecewiseLinearDensity, name)
+
+            def counted(self, original=original, name=name):
+                calls[name] += 1
+                return original(self)
+
+            monkeypatch.setattr(PiecewiseLinearDensity, name, counted)
+        dens = PiecewiseLinearDensity.interpolant([0.0, 0.3, 0.5, 1.0], [1.0, -0.4, 0.8, 0.2])
+        m = StieltjesMeasure(1.0, ((0.0, 0.7), (1.0, -0.25)), dens)
+        reads = [(m.total_mass, m.total_variation, m.left_limit_mass, m.tol_scale) for _ in range(4)]
+        m.vanishes_at_zero, mass_summary(m)
+        assert calls == {"mass": 1, "abs_mass": 1}
+        assert len(set(reads)) == 1
+        fresh_mass = float(0.7 - 0.25 + PiecewiseLinearDensity.mass(dens))
+        fresh_variation = float(0.7 + 0.25 + PiecewiseLinearDensity.abs_mass(dens))
+        assert reads[0][:2] == (fresh_mass, fresh_variation)
+        assert reads[0][2:] == (fresh_mass - (-0.25), max(fresh_variation, 1.0))
+
+    def test_cached_measure_still_equals_and_hashes_like_a_fresh_one(self):
+        cached = from_monomial_density(1.5, 0.8)
+        fresh = StieltjesMeasure(cached.sigma, cached.atoms, cached.density)
+        cached.total_mass, cached.total_variation
+        assert "total_variation" in vars(cached) and "total_variation" not in vars(fresh)
+        assert cached == fresh and fresh == cached
+        assert hash(cached) == hash(fresh)
+        assert len({cached, fresh}) == 1

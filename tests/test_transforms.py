@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -9,8 +10,12 @@ from hypothesis import strategies as st
 from hbfourier.measure import PiecewiseLinearDensity, StieltjesMeasure, from_monomial_density
 from hbfourier.transforms import (
     _BLOCK,
+    _MAX_ORDER,
+    _SERIES_CUT,
     _bracketed_newton,
+    _density_tables,
     _grid_moments,
+    _segment_moments,
     eval_CS,
     eval_Delta,
     eval_Delta_reflected,
@@ -223,6 +228,147 @@ class TestSingleEvaluator:
                         exact += mpmath.quad(lambda t: g(t) * kernel(t, k), [t0, t1])
                     scale = m.total_variation * m.sigma**k
                     assert abs(T[k, i] - complex(exact)) <= 1e-14 * scale, (z, k)
+
+
+class TestSegmentSeries:
+    @staticmethod
+    def thirty_terms(w_powers, a, beta):
+        """The series branch of _segment_moments with all 30 terms and plain divisions."""
+        w = w_powers[0]
+        aw = a * w
+        m1 = np.arange(1.0, len(w_powers) + 1)[:, None]
+        term = np.ones_like(aw)
+        acc = term / m1
+        for j in range(1, 30):
+            term = term * aw / j
+            acc += term / (m1 + j)
+        return acc * np.exp(beta) * np.array(w_powers)
+
+    @pytest.mark.parametrize("order", range(_MAX_ORDER + 2))
+    def test_adaptive_length_keeps_every_bit(self, order):
+        # the term count follows the block's largest |aw|; each block mixes
+        # tiny, middling and just-below-the-cut |aw| at every phase, including
+        # real a (imaginary z) and imaginary a (real z)
+        rng = np.random.default_rng(order)
+        for block in range(12):
+            n = 64
+            w = rng.uniform(1e-3, 2.0, n)
+            size = np.concatenate(
+                [rng.uniform(0.0, 1.0, n - 8), 1.0 - rng.uniform(0.0, 1e-9, 4), 10.0 ** -rng.uniform(3, 12, 4)]
+            )
+            phases = (rng.uniform(-math.pi, math.pi, n), np.full(n, math.pi / 2), np.zeros(n), np.full(n, math.pi))
+            phase = phases[block % 4]
+            a = size[rng.permutation(n)] * _SERIES_CUT / w * np.exp(1j * phase)
+            beta = -rng.uniform(0.0, 3.0, n) + 1j * rng.normal(size=n)
+            w_powers = np.array([[x**k for x in w] for k in range(1, order + 2)])
+            assert np.all(np.abs(a) * w < _SERIES_CUT)
+            got = _segment_moments(w_powers, a, beta)
+            assert np.array_equal(bits(got), bits(self.thirty_terms(w_powers, a, beta)))
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_nodes(density):
+    """Nodes t of a density, the nodes where g jumps, and the jumps a of g
+    and b of g' times t^j for j = 0..3, at 40 digits.  A jump is taken as
+    (panel ending at t) - (panel starting at t).  The closed form of
+    int q e^{lam t} on a panel is e^{lam t} sum_k (-1)^k q^(k) / lam^(k+1), so
+    the density integral is a sum over nodes of these jumps."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        jumps = {}
+        for t0, t1, v0, v1 in density.panels:
+            slope = (mpmath.mpf(v1) - v0) / (mpmath.mpf(t1) - t0)
+            a0, s0 = jumps.get(t0, (0, 0))
+            jumps[t0] = (a0 - v0, s0 - slope)
+            a1, s1 = jumps.get(t1, (0, 0))
+            jumps[t1] = (a1 + v1, s1 + slope)
+        keys = sorted(jumps)
+        nodes = [mpmath.mpf(t) for t in keys]
+        # g is continuous at most nodes: keep the nodes where it jumps apart
+        steps = [i for i, t in enumerate(keys) if jumps[t][0] != 0]
+        a_t = [[jumps[keys[i]][0] for i in steps]]
+        b_t = [[jumps[t][1] for t in keys]]
+        for _ in range(3):
+            a_t.append([a * nodes[i] for a, i in zip(a_t[-1], steps)])
+            b_t.append([b * t for b, t in zip(b_t[-1], nodes)])
+        return nodes, steps, a_t, b_t
+
+
+def _mp_scaled_moments(density, z, scale, order):
+    """int t^m g(t) e^{izt - scale} dt, m = 0..order <= 3, at 40 digits; each
+    node's exponential is computed once and shared by all orders."""
+    import mpmath
+
+    nodes, steps, a_t, b_t = _mp_nodes(density)
+    with mpmath.workdps(40):
+        z = mpmath.mpc(z)
+        lam = 1j * z
+        if z.imag == 0:
+            exps = [mpmath.expj(z.real * t) for t in nodes]
+        else:
+            exps = [mpmath.exp(lam * t - scale) for t in nodes]
+        sa = [mpmath.fdot(a, [exps[i] for i in steps]) for a in a_t[: order + 1]]
+        sb = [mpmath.fdot(b, exps) for b in b_t[: order + 1]]
+        moments = []
+        for m in range(order + 1):
+            # the jump of q^(k) for q = t^m g is ff(m, k) t^(m-k) a + k ff(m, k-1) t^(m-k+1) b
+            acc = 0
+            for k in range(m + 2):
+                term = mpmath.ff(m, k) * sa[m - k] if k <= m else 0
+                if k >= 1:
+                    term += k * mpmath.ff(m, k - 1) * sb[m - k + 1]
+                acc += (-1) ** k * term / lam ** (k + 1)
+            moments.append(complex(acc))
+        return moments
+
+
+class TestClusterPath:
+    @pytest.mark.parametrize("mu_exp,nu_exp", [(1.5, 0.8), (3.0, 2.0)])
+    def test_against_mpmath(self, mu_exp, nu_exp):
+        pytest.importorskip("mpmath")
+        m = from_monomial_density(mu_exp, nu_exp)
+        exact = {x: _mp_scaled_moments(m.density, x, 0.0, 2) for x in (0.37, 2.9, 11.3, 41.7, 60.0)}
+        for z in (7.3 - 2.1j, 3.3 - 400.0j):
+            exact[z] = _mp_scaled_moments(m.density, z, -z.imag, 2)
+        # one ulp either side of a level switch and of the switch from the
+        # finest cluster level to the panel path; one oracle call at the switch
+        # x serves both, as T_m(x + d) = T_m(x) + i d T_(m+1)(x) + O(d^2) with d ~ 1e-14
+        limits = _density_tables(m.density).limits
+        for edge in (float(limits[2]), float(limits[-1])):
+            at_edge = _mp_scaled_moments(m.density, edge, 0.0, 3)
+            for x in (float(np.nextafter(edge, 0.0)), float(np.nextafter(edge, np.inf))):
+                exact[x] = [at_edge[k] + 1j * (x - edge) * at_edge[k + 1] for k in range(3)]
+        zs = list(exact)
+        T, E = _grid_moments(m, np.array(zs, dtype=complex), 2)
+        for i, z in enumerate(zs):
+            assert E[i] == max(0.0, -z.imag)
+            for k in range(3):
+                scale = m.total_variation * m.sigma**k
+                assert abs(T[k, i] - exact[z][k]) <= 1e-14 * scale, (z, k)
+
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_batch_invariance_across_levels_and_paths(self, order):
+        # one batch holds points of every cluster level and of the panel path;
+        # the 4099 points of the coarsest level (2 clusters) fill three of its
+        # blocks of _BLOCK // 2 points, and the panel path takes one point per block
+        rng = np.random.default_rng(8)
+        m = from_monomial_density(3.0, 2.0)
+        limits = _density_tables(m.density).limits
+        edges = np.concatenate([[0.0], limits, [1.5 * limits[-1]]])
+        parts = [rng.uniform(0.0, limits[0], _BLOCK + 3)]
+        for lo, hi in zip(edges[1:-1], edges[2:]):
+            parts.append(rng.uniform(lo, hi, 40 if hi <= limits[-1] else 4))
+        radius = np.concatenate(parts)
+        batch = radius * np.exp(1j * rng.uniform(-0.5 * math.pi, 0.1, radius.size))
+        batch[::3] = batch[::3].real
+        T, E = _grid_moments(m, batch, order)
+        block_edges = [0, _BLOCK // 2 - 1, _BLOCK // 2, _BLOCK - 1, _BLOCK, _BLOCK + 2]
+        picks = np.concatenate([block_edges, np.arange(_BLOCK + 3, batch.size, 7)])
+        for i in picks:
+            z = batch[i] if batch[i].imag else float(batch[i].real)
+            T1, E1 = _grid_moments(m, z, order)
+            assert np.array_equal(bits(T[:, i]), bits(T1))
+            assert E[i] == E1
 
 
 class TestBracketedNewton:
