@@ -27,7 +27,7 @@ from .measure import (
     from_pd_profile,
     parse_scenario,
 )
-from .transforms import eval_E, identity_residuals, real_transforms
+from .transforms import _e_from_mirrored, identity_residuals, real_transforms
 
 COMMANDS = (
     "eval",
@@ -195,8 +195,9 @@ def _run_eval(measure, task, out) -> int:
     grid = _make_grid(task, measure.sigma)
     rt = real_transforms(measure, grid, order=1)
     cfg = inequality.OmegaConfig(measure, task.n, task.tau)
-    margins = inequality.margin_values(cfg, grid)
-    e_vals = eval_E(measure, task.tau, task.n, grid)
+    # the one order-1 pass serves the margins and, from its mirrored moments, E
+    lhs, rhs = inequality._margin_pieces(cfg, grid, rt)
+    e_vals = _e_from_mirrored(measure, task.tau, task.n, grid, rt.mirrored[0])
     columns = {
         "x": grid,
         "F_re": rt.G,
@@ -207,7 +208,7 @@ def _run_eval(measure, task, out) -> int:
         "S": rt.S,
         "Delta": rt.Delta,
         "E": e_vals,
-        "margin": margins,
+        "margin": lhs - rhs,
     }
     if (code := _nonfinite(out, **columns)) is not None:
         return code
@@ -277,11 +278,12 @@ def _run_interp(measure, task, out) -> int:
     f = sampling.from_omega_config(cfg, task.alpha)
     grid = _make_grid(task, measure.sigma)
     probes = grid[:: max(len(grid) // 16, 1)]
+    samples = sampling._node_samples(f, measure.sigma, task.alpha, task.terms)
     rows = []
     worst = None
     for x in probes:
         lhs = sampling.interp_lhs(f, measure.sigma, task.alpha, float(x))
-        rhs = sampling.interp_rhs(f, measure.sigma, task.alpha, float(x), task.terms)
+        rhs = sampling._series_at(samples, measure.sigma, task.alpha, float(x))
         gap = abs(lhs - rhs.value)
         rows.append((float(x), lhs, rhs.value, gap, rhs.tail_bound))
         if gap > rhs.tail_bound + task.resolved_tol():
@@ -414,20 +416,9 @@ def _flag_task_fields(args) -> dict:
             fields["rect"] = [float(v) for v in args.rect.split(",")]
         except ValueError as exc:
             raise ValueError("--rect expects x0,x1,y0,y1") from exc
-    if args.tau is not None:
-        fields["tau"] = args.tau
-    if args.n is not None:
-        fields["n"] = args.n
-    if args.alpha is not None:
-        fields["alpha"] = args.alpha
-    if args.tol is not None:
-        fields["tol"] = args.tol
-    if args.terms is not None:
-        fields["terms"] = args.terms
-    if args.out is not None:
-        fields["output"] = args.out
-    if args.target is not None:
-        fields["target"] = args.target
+    for flag in ("tau", "n", "alpha", "tol", "terms", "out", "target"):
+        if (value := getattr(args, flag)) is not None:
+            fields["output" if flag == "out" else flag] = value
     return fields
 
 

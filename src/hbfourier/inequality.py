@@ -2,9 +2,14 @@
 
 For a config (measure, n, tau) drawn from the admissible hypothesis families,
 the inequality reads 4 sigma d(x) >= x^{2n-2} D(x) with d = x^{2n} Delta and
-D the squared phase bracket built from C, S and their derivatives.  The
-removable x-powers are cancelled analytically before evaluation for n in
-{0, 1}; the n = -1 case uses exact limits at the origin.
+D the squared phase bracket built from C, S and their derivatives.  Its right
+side is one expression for every n: x^{2n-2} D = (E' + 2 sigma E~)^2, where
+E + i E~ = x^n e^{i tau} (C + i S), so the margin is
+
+  4 sigma x^{2n} Delta - (E' + 2 sigma E~)^2.
+
+The x-powers enter through `transforms._times_x_power` alone, so no removable
+power is ever divided out; the n = -1 case uses exact limits at the origin.
 
 Equality on the whole line or at isolated points is detected, and the
 closed-form witness (c, beta, gamma) of the equality family is fitted when the
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measure import HYPOTHESIS_TOL, StieltjesMeasure
-from .transforms import _bracketed_newton, _e_from_mirrored, _grid_moments, _reflected, eval_E, real_transforms
+from .transforms import _bracketed_newton, _e_from_mirrored, _grid_moments, _reflected, _times_x_power, real_transforms
 
 #: |margin| <= MARGIN_TOL * scale counts as equality at a point
 MARGIN_TOL = 1e-8
@@ -84,23 +89,31 @@ def default_grid(cfg: OmegaConfig, x_min: float, x_max: float) -> np.ndarray:
     return np.arange(x_min, x_max + 0.5 * step, step)
 
 
-def _limit_d_at_zero(measure: StieltjesMeasure) -> float:
+def _origin_cut(cfg: OmegaConfig, x: np.ndarray):
+    """(small, safe): the points where n = -1 takes its exact x -> 0 limits
+    (none for n = 0, 1), and x with those points moved to 1."""
+    small = np.abs(x) < _N_MINUS_CUT if cfg.n == -1 else np.zeros(x.shape, dtype=bool)
+    return small, np.where(small, 1.0, x)
+
+
+def _d_from_delta(cfg: OmegaConfig, x: np.ndarray, delta):
+    """d = x^{2n} Delta = (x^2)^n Delta at the points x, given Delta there."""
+    small, safe = _origin_cut(cfg, x)
+    (d,) = _times_x_power(cfg.n, safe * safe, (delta,))
     # lim Delta(x)/x^2 = -G''(0) H'(0) / 2 = (int t^2 dmu)(int t dmu)/2, valid for F(0)=0
-    return 0.5 * measure.moment(2) * measure.moment(1)
+    return np.where(small, 0.5 * cfg.measure.moment(2) * cfg.measure.moment(1), d) if small.any() else d
+
+
+def _rotated(tau: float, T):
+    """e^{i tau} (C + i S)^(j) = e^{i tau} i^j T_j for the mirrored moments T."""
+    rot = cmath.exp(1j * tau)
+    return [(1j) ** j * T[j] * rot for j in range(len(T))]
 
 
 def eval_d(cfg: OmegaConfig, x):
     """d(x) = x^{2n} Delta(x); the n = -1 removable point uses the exact limit."""
     x = np.asarray(x, dtype=float)
-    delta = real_transforms(cfg.measure, x, order=1).Delta
-    if cfg.n == 0:
-        out = delta
-    elif cfg.n == 1:
-        out = x * x * delta
-    else:
-        small = np.abs(x) < _N_MINUS_CUT
-        safe = np.where(small, 1.0, x)
-        out = np.where(small, _limit_d_at_zero(cfg.measure), delta / (safe * safe))
+    out = _d_from_delta(cfg, x, real_transforms(cfg.measure, x, order=1).Delta)
     return out if out.ndim else float(out)
 
 
@@ -118,36 +131,19 @@ def eval_D(cfg: OmegaConfig, x):
 
 
 def _margin_pieces(cfg: OmegaConfig, x: np.ndarray, rt=None):
-    """(lhs, rhs) with margin = lhs - rhs and the x-power factored analytically.
-
-    n = 0:  lhs = 4 sigma Delta,        rhs = [(2 sigma S + C')cos + (2 sigma C - S')sin]^2
-    n = 1:  lhs = 4 sigma x^2 Delta,    rhs = bracket^2 (prefactor x^0)
-    n = -1: exact limits below |x| < cut, direct division above.
-    rt holds the order-1 transforms at x when the caller has them already.
-    """
+    """(lhs, rhs) with margin = lhs - rhs, one formula for every n: lhs =
+    4 sigma x^{2n} Delta and rhs = (Re W' + 2 sigma Im W)^2 for the mirrored
+    W = E + i E~ = x^n e^{i tau} (C + i S).  rt holds the order-1 transforms
+    at x when the caller has them already."""
     if rt is None:
         rt = real_transforms(cfg.measure, x, order=1)
     sig = cfg.measure.sigma
-    tau = cfg.tau
-    delta = rt.Delta
-    if cfg.n == 0:
-        bracket = (2.0 * sig * rt.S + rt.Cp) * math.cos(tau) + (2.0 * sig * rt.C - rt.Sp) * math.sin(tau)
-        return 4.0 * sig * delta, bracket * bracket
-    if cfg.n == 1:
-        bracket = (2.0 * sig * x * rt.S + x * rt.Cp + rt.C) * math.cos(tau) + (
-            2.0 * sig * x * rt.C - x * rt.Sp - rt.S
-        ) * math.sin(tau)
-        return 4.0 * sig * x * x * delta, bracket * bracket
-    # n = -1
-    bracket = (2.0 * sig * x * rt.S + x * rt.Cp - rt.C) * math.cos(tau) + (
-        2.0 * sig * x * rt.C - x * rt.Sp + rt.S
-    ) * math.sin(tau)
-    small = np.abs(x) < _N_MINUS_CUT
-    safe = np.where(small, 1.0, x)
-    lhs = np.where(small, 4.0 * sig * _limit_d_at_zero(cfg.measure), 4.0 * sig * delta / safe**2)
-    # bracket has a triple zero at the origin when F(0) = 0, so rhs -> 0 there
-    rhs = np.where(small, 0.0, (bracket / safe**2) ** 2)
-    return lhs, rhs
+    small, safe = _origin_cut(cfg, x)
+    w, wp = _times_x_power(cfg.n, safe, _rotated(cfg.tau, rt.mirrored))
+    # for n = -1 the bracket x^2 (E' + 2 sigma E~) has a triple zero at the
+    # origin when F(0) = 0, so rhs -> 0 there
+    rhs = np.where(small, 0.0, (wp.real + 2.0 * sig * w.imag) ** 2)
+    return 4.0 * sig * _d_from_delta(cfg, x, rt.Delta), rhs
 
 
 def margin_values(cfg: OmegaConfig, x):
@@ -221,15 +217,7 @@ def _e_derivatives(cfg: OmegaConfig, x):
     moments T, the derivatives are B^(j) = Re(i^j T_j e^{i tau}).
     """
     T = _grid_moments(_reflected(cfg.measure), x, 2)[0]
-    rot = cmath.exp(1j * cfg.tau)
-    b0, b1, b2 = (((1j) ** j * T[j] * rot).real for j in range(3))
-    if cfg.n == 0:
-        return b0, b1, b2
-    if cfg.n == 1:
-        return x * b0, b0 + x * b1, 2.0 * b1 + x * b2
-    e0 = b0 / x
-    e1 = (b1 - e0) / x
-    return e0, e1, (b2 - 2.0 * e1) / x
+    return _times_x_power(cfg.n, x, [b.real for b in _rotated(cfg.tau, T)])
 
 
 def _refine_equality_points(cfg: OmegaConfig, grid, e_vals, e_tol):
@@ -336,7 +324,9 @@ def fit_equality_witness(cfg: OmegaConfig, grid) -> EqualityWitness | None:
     v = m.total_variation
     tol = 1e-8 * max(v, 1.0)
 
-    e_vals = np.asarray(eval_E(m, cfg.tau, cfg.n, grid))
+    # one order-1 pass serves E, d and P + i Q = x^n F
+    rt = real_transforms(m, grid, order=1)
+    e_vals = _e_from_mirrored(m, cfg.tau, cfg.n, grid, rt.mirrored[0])
     # E = A + B cos(2 sigma x + 2 tau) + C sin(2 sigma x + 2 tau) with
     # A = c/2, B = -(c/2) cos(2 beta), C = (c/2) sin(2 beta)
     theta = 2.0 * sig * grid + 2.0 * cfg.tau
@@ -357,18 +347,19 @@ def fit_equality_witness(cfg: OmegaConfig, grid) -> EqualityWitness | None:
         beta = 0.5 * math.atan2(C, -B)
         beta %= math.pi
 
-    d_vals = np.asarray(eval_d(cfg, grid))
+    d_vals = _d_from_delta(cfg, grid, rt.Delta)
     d_bar = float(np.mean(d_vals))
     quad_scale = max(v * v * sig, 1.0)
     if float(np.max(np.abs(d_vals - d_bar))) > 1e-8 * quad_scale or d_bar < -1e-8 * quad_scale:
         return None
     gamma_abs = math.sqrt(max(d_bar, 0.0) / sig)
 
-    # fix the sign of gamma from the P identity at a well-conditioned point
-    rt = real_transforms(m, grid, order=0)
-    xn = grid**cfg.n if cfg.n != 0 else np.ones_like(grid)
+    # fix the sign of gamma from the P identity at a well-conditioned point;
+    # for n = -1 the points near the origin are left out and P, Q set to 0 there
+    ok = np.abs(grid) > 1e-6 if cfg.n == -1 else np.ones_like(grid, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        P = np.where(np.isfinite(xn), xn, 0.0) * rt.G
+        (pq,) = _times_x_power(cfg.n, grid, (rt.F,))
+    P, Q = np.where(ok, pq.real, 0.0), np.where(ok, pq.imag, 0.0)
     phase = sig * grid + cfg.tau
     i_star = int(np.argmax(np.abs(np.sin(phase))))
     denom = math.sin(phase[i_star])
@@ -376,13 +367,8 @@ def fit_equality_witness(cfg: OmegaConfig, grid) -> EqualityWitness | None:
     gamma = math.copysign(gamma_abs, gamma_est) if gamma_abs > 0.0 else 0.0
 
     # validate both closed forms on the grid before accepting
-    Q = np.where(np.isfinite(xn), xn, 0.0) * rt.H
     P_model = c * math.sin(beta) * np.sin(phase + beta) + gamma * np.sin(phase)
     Q_model = c * math.cos(beta) * np.sin(phase + beta) - gamma * np.cos(phase)
-    if cfg.n == -1:
-        ok = np.abs(grid) > 1e-6
-    else:
-        ok = np.ones_like(grid, dtype=bool)
     if float(np.max(np.abs((P - P_model)[ok]))) > 1e-6 * max(v, 1.0):
         return None
     if float(np.max(np.abs((Q - Q_model)[ok]))) > 1e-6 * max(v, 1.0):

@@ -479,10 +479,15 @@ def eval_F_derivative(measure: StieltjesMeasure, z, k: int = 1):
 
 
 def _combine_scaled(pairs):
-    """Sum of terms coef * mant * e^E given (coef, mant, E); returns (mant, E)."""
-    emax = functools.reduce(np.maximum, (E for _, _, E in pairs))
-    total = sum(coef * mant * np.exp(E - emax) for coef, mant, E in pairs)
-    return total, emax
+    """Sum of terms coef * mant * e^E given (coef, mant, E); returns (mant, E).
+
+    A lone point is multiplied as a 1-d array too: numpy's product of complex
+    scalars skips the fused multiply-add of its array loops.
+    """
+    shape = np.shape(pairs[0][1])
+    emax = functools.reduce(np.maximum, (np.atleast_1d(E) for _, _, E in pairs))
+    total = sum(coef * np.atleast_1d(mant) * np.exp(E - emax) for coef, mant, E in pairs)
+    return total.reshape(shape)[()], emax.reshape(shape)[()]
 
 
 def eval_GH(measure: StieltjesMeasure, z):
@@ -550,17 +555,33 @@ def eval_E(measure: StieltjesMeasure, tau: float, n: int, x):
 def _e_from_mirrored(measure: StieltjesMeasure, tau: float, n: int, x, mirrored):
     """E at the points x from the mirrored order-0 moments C + iS there (see eval_E)."""
     base = mirrored.real * math.cos(tau) - mirrored.imag * math.sin(tau)
-    if n == 0:
-        return base
-    if n == 1:
-        return x * base
-    at_zero = np.abs(x) < 1e-12
+    at_zero = np.abs(x) < 1e-12 if n == -1 else np.zeros(np.shape(x), dtype=bool)
+    (e,) = _times_x_power(n, np.where(at_zero, 1.0, x), (base,))
     if not at_zero.any():
-        return base / x
+        return e
     if not measure.vanishes_at_zero:
         raise ValueError("x = 0 with n = -1 requires F(0) = 0")
     sp0 = _reflected(measure).moment(1)  # S'(0) of the reflected transform
-    return np.where(at_zero, -sp0 * math.sin(tau), base / np.where(at_zero, 1.0, x))
+    return np.where(at_zero, -sp0 * math.sin(tau), e)
+
+
+def _times_x_power(n: int, x, d):
+    """[e_j] = (x^n f)^(j) at the points x from d[j] = f^(j), for n = -1, 0, 1.
+
+    n = 1 is Leibniz's rule, e_j = x d_j + j d_{j-1}; n = -1 solves it for
+    f / x, e_j = (d_j - j e_{j-1}) / x, at nonzero x.  Every real-axis value
+    of omega = z^n F takes its power here, except the independent reference
+    `inequality.squared_bracket_direct`.
+    """
+    e = []
+    for j, dj in enumerate(d):
+        if n == 1:
+            e.append(x * dj + j * d[j - 1] if j else x * dj)
+        elif n == -1:
+            e.append((dj - j * e[j - 1]) / x if j else dj / x)
+        else:
+            e.append(dj)
+    return e
 
 
 # -- structural identities -----------------------------------------------------

@@ -17,7 +17,7 @@ from hbfourier.inequality import (
     margin_values,
     squared_bracket_direct,
 )
-from hbfourier.measure import PiecewiseLinearDensity, StieltjesMeasure, from_fejer
+from hbfourier.measure import PiecewiseLinearDensity, StieltjesMeasure, from_fejer, from_pd_profile
 from hbfourier.transforms import eval_E
 
 
@@ -30,6 +30,23 @@ def atom_at_sigma():
 def balanced_atoms():
     """F(0) = 0, admissible for the n = -1 family."""
     return StieltjesMeasure(1.0, ((0.25, 1.0), (0.75, -1.0)))
+
+
+#: (measure, n, tau) of each family the two bracket routes are compared on
+BRACKET_CASES = {
+    "cosine-fejer2": lambda: OmegaConfig(from_fejer(2, 1.0, 1.0), 0, 0.0),
+    "decay-ramp": lambda: OmegaConfig(
+        StieltjesMeasure(1.0, (), PiecewiseLinearDensity.interpolant([0.0, 1.0], [0.0, 1.0])), 1, -math.pi / 2
+    ),
+    "rotated-few-panel": lambda: OmegaConfig(
+        StieltjesMeasure(
+            1.5, ((0.0, 0.7), (1.1, -0.4)), PiecewiseLinearDensity.interpolant([0.0, 0.5, 1.5], [0.3, 1.0, 0.2])
+        ),
+        0,
+        0.3,
+    ),
+    "root-triangle": lambda: OmegaConfig(from_pd_profile([0.0, 1.0], [1.0, 0.0], -1.0), -1, -math.pi / 2),
+}
 
 
 class TestConfig:
@@ -181,11 +198,14 @@ class TestCheckInequality:
         assert np.max(np.abs(rt.C * math.cos(cfg.tau))) <= 1e-12 * v
         assert np.max(np.abs(rt.S * math.sin(cfg.tau))) <= 1e-12 * v
 
-    def test_one_parameter_and_component_brackets_agree(self, fejer2):
+    @pytest.mark.parametrize("case", sorted(BRACKET_CASES))
+    def test_one_parameter_and_component_brackets_agree(self, case):
         # the bracket written through P, Q and the bracket written through
-        # C, S are the same function for the cosine family
-        cfg = OmegaConfig(fejer2, 0, 0.0)
+        # C, S are the same function for every n and tau
+        cfg = BRACKET_CASES[case]()
         x = np.linspace(-15.0, 15.0, 301)
+        if cfg.n == -1:
+            x = x[np.abs(x) > 0.5]  # the direct route divides by x
         from hbfourier.inequality import _margin_pieces
 
         _, rhs = _margin_pieces(cfg, x)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from hbfourier import sampling
 from hbfourier.inequality import OmegaConfig
+from hbfourier.measure import PiecewiseLinearDensity, StieltjesMeasure, from_fejer, from_pd_profile
 from hbfourier.sampling import (
     SampledFunction,
     _trigamma,
@@ -176,3 +178,52 @@ class TestOmegaConfigFunctions:
         a = interp_rhs(f, fejer2.sigma, 0.3, 1.1, 500)
         b = interp_rhs(f, fejer2.sigma, 0.3, 1.1, 500)
         assert a.value == b.value and a.tail_bound == b.tail_bound
+
+    def test_identity_for_root_family(self):
+        # omega = F / z with F(0) = 0; the probes include points near the
+        # origin of u = x - tau / sigma, where f takes its exact limits
+        m = from_pd_profile([0.0, 1.0], [1.0, 0.0], -1.0)
+        cfg = OmegaConfig(m, -1, -math.pi / 2)
+        shift = cfg.tau / m.sigma
+        rng = np.random.default_rng(9)
+        for x in [*rng.uniform(-6.0, 6.0, 4), shift, shift + 0.5e-6, shift + 1e-3]:
+            alpha = float(rng.uniform(0.0, math.pi))
+            f = from_omega_config(cfg, alpha)
+            lhs = interp_lhs(f, m.sigma, alpha, float(x))
+            rhs = interp_rhs(f, m.sigma, alpha, float(x), 4000)
+            assert abs(lhs - rhs.value) <= rhs.tail_bound + 1e-9
+
+    def test_root_family_continuous_across_the_origin_cut(self):
+        # below |u| = 1e-6 f and f' switch to the series of F(u) / u at u = 0;
+        # above it they are quotients of G and H, whose rounding eps V grows
+        # to eps V / u in f and eps V / u^2 in f', and bounds the jumps
+        m = from_pd_profile([0.0, 1.0], [1.0, 0.0], -1.0)
+        cfg = OmegaConfig(m, -1, -math.pi / 2)
+        shift = cfg.tau / m.sigma
+        rounding = np.finfo(float).eps * m.total_variation / 1e-6
+        for alpha in (0.0, 0.7, math.pi / 2):
+            f = from_omega_config(cfg, alpha)
+            for side in (1.0, -1.0):
+                x = shift + side * np.array([1e-6 * (1.0 - 1e-3), 1e-6 * (1.0 + 1e-3)])
+                assert abs(x[0] - shift) < 1e-6 < abs(x[1] - shift)
+                value, slope = f.evaluate(x), f.derivative(x)
+                # f moves by its slope times the 2e-9 step, f' by about 1e-9 times f''
+                assert abs(value[1] - value[0] - slope[0] * (x[1] - x[0])) <= rounding
+                assert abs(slope[1] - slope[0]) <= rounding / 1e-6
+
+    @pytest.mark.parametrize("n", [0, 1, -1])
+    def test_one_evaluator_pass_per_evaluation(self, n, monkeypatch):
+        measure = {
+            0: from_fejer(2, 1.0, 1.0),
+            1: StieltjesMeasure(1.0, (), PiecewiseLinearDensity.interpolant([0.0, 1.0], [1.0, 0.0])),
+            -1: from_pd_profile([0.0, 1.0], [1.0, 0.0], -1.0),
+        }[n]
+        f = from_omega_config(OmegaConfig(measure, n, 0.0 if n == 0 else -math.pi / 2), 0.4)
+        calls = []
+        original = sampling._grid_moments
+        monkeypatch.setattr(sampling, "_grid_moments", lambda *args: calls.append(args) or original(*args))
+        x = np.array([-3.0, -math.pi / 2, 0.0, 1.3])  # u = 0 at the second point for n = -1
+        f.evaluate(x)
+        assert len(calls) == 1
+        f.derivative(x)
+        assert len(calls) == 2

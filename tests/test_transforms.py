@@ -211,6 +211,17 @@ class TestSingleEvaluator:
                 T1, E1 = _grid_moments(m, z, order)
                 assert np.array_equal(bits(T[:, i]), bits(T1))
                 assert E[i] == E1 == max(0.0, -z.imag * m.sigma)
+        # the scaled h_alpha combines F(z) and F(-z) with complex coefficients,
+        # on a 2-panel measure with atoms; alpha varies with the order
+        two_panel = StieltjesMeasure(
+            1.5, ((0.0, 0.7), (1.1, -0.4)), PiecewiseLinearDensity.interpolant([0.0, 0.5, 1.5], [0.3, 1.0, 0.2])
+        )
+        batch = rng.uniform(-10.0, 10.0, 40) + 1j * rng.uniform(-6.0, 1.0, 40)
+        mant, scale = eval_h_alpha_scaled(two_panel, 0.3 + order, batch)
+        for i, z in enumerate(batch):
+            mant1, scale1 = eval_h_alpha_scaled(two_panel, 0.3 + order, z)
+            assert np.array_equal(bits(mant[i]), bits(mant1))
+            assert scale[i] == scale1
 
     def test_against_mpmath_at_complex_points(self):
         mpmath = pytest.importorskip("mpmath")
