@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Snapshot the `hbf` CLI output of a fixed set of invocations.
 
-Runs every command on the measure of each `scenarios/*.json` file, plus the
-five demos, in json and table form, in-process through `hbfourier.cli.main`.
+Runs every command on the measure of each `scenarios/*.json` file, with
+`zeros-count` once per target (F, F', F'', zF and F/z), plus the five demos,
+in json and table form, in-process through `hbfourier.cli.main`.
 It also runs every command but `interp` on the two 2049-panel
 `from_monomial_density` measures, (1.5, 0.8) and (3.0, 2.0), written as
 scenario files into a temporary directory: the scenarios are all few-panel,
 so only these show the evaluator's cluster path.  `interp` is left out
 there, since its series probes about a million points past the finest
-cluster level and takes minutes on 2049 panels.
+cluster level and takes minutes on 2049 panels.  With the four scenario
+files that makes 150 invocations: 24 per scenario, 22 per many-panel measure
+and 10 for the demos.
 Each invocation's exit code, stdout and stderr go to a file of their own in
 OUTDIR, so that `diff -r` of two snapshots shows every byte that moved:
 
@@ -43,6 +46,7 @@ SCENARIO_RUNS = (
     ("zeros-count", ["--target", "F'"], "zeros-count-dF"),
     ("zeros-count", ["--target", "F''"], "zeros-count-ddF"),
     ("zeros-count", ["--target", "zF"], "zeros-count-zF"),
+    ("zeros-count", ["--target", "F/z"], "zeros-count-Fz"),
     ("zeros-classify", [], "zeros-classify"),
     ("zeros-imag", [], "zeros-imag"),
     ("posdef", [], "posdef"),

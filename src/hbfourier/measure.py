@@ -256,15 +256,21 @@ class StieltjesMeasure:
         return not self.atoms and (self.density is None or self.density.support() is None)
 
     def moment(self, k: int) -> float:
-        """Exact int t^k dmu(t)."""
-        m = sum(c * t**k for t, c in self.atoms)
+        """Exact int t^k dmu(t).
+
+        On a panel, t^k is expanded about the panel's start t0, so no
+        difference of large powers of t cancels; the terms are summed exactly.
+        """
+        terms = [c * t**k for t, c in self.atoms]
         if self.density is not None:
-            for t0, t1, v0, v1 in self.density.panels:
-                slope = (v1 - v0) / (t1 - t0)
-                a0 = v0 - slope * t0  # g(t) = a0 + slope * t on the panel
-                m += a0 * (t1 ** (k + 1) - t0 ** (k + 1)) / (k + 1)
-                m += slope * (t1 ** (k + 2) - t0 ** (k + 2)) / (k + 2)
-        return float(m)
+            dens = self.density
+            t0, w, v0 = np.array(dens.nodes[:-1]), np.diff(dens.nodes), np.array(dens.left)
+            slope = (np.array(dens.right) - v0) / w
+            # int_0^w (t0 + u)^k (v0 + slope u) du on every panel, binomially in u
+            for j in range(k + 1):
+                part = math.comb(k, j) * t0 ** (k - j) * (v0 * w ** (j + 1) / (j + 1) + slope * w ** (j + 2) / (j + 2))
+                terms += part.tolist()
+        return math.fsum(terms)
 
     def distribution(self, s):
         """mu(s) - mu(0), left-continuous (atoms at t count only for s > t)."""

@@ -54,14 +54,11 @@ class PosDefProfile:
 
     def f(self, t):
         t = np.abs(np.asarray(t, dtype=float))
-        out = np.zeros_like(t)
         starts = np.array([p[0] for p in self.pieces])
         idx = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(self.pieces) - 1)
-        for i, (t0, t1, (c0, c1, c2)) in enumerate(self.pieces):
-            mask = (idx == i) & (t <= self.sigma)
-            if mask.any():
-                u = t[mask] - t0
-                out[mask] = c0 + c1 * u + c2 * u * u
+        c0, c1, c2 = np.array([p[2] for p in self.pieces])[idx].T
+        u = t - starts[idx]
+        out = np.where(t <= self.sigma, c0 + c1 * u + c2 * u * u, 0.0)
         return out if out.ndim else float(out)
 
     def K(self, x):
@@ -97,37 +94,32 @@ def _profile_pieces(measure: StieltjesMeasure):
     dens = measure.density
     if dens is not None:
         breaks.update(t for t in dens.nodes if 0.0 < t < sig)
-    s_breaks = sorted(breaks)
-
-    def density_linear_on(mid):
-        if dens is None:
-            return 0.0, 0.0
-        nodes = dens.nodes
-        if mid <= nodes[0] or mid >= nodes[-1]:
-            return 0.0, 0.0
-        i = int(np.searchsorted(nodes, mid, side="right") - 1)
-        t0, t1 = nodes[i], nodes[i + 1]
-        v0, v1 = dens.left[i], dens.right[i]
-        slope = (v1 - v0) / (t1 - t0)
-        return v0 - slope * t0, slope  # g(s) = a0 + slope * s
-
-    out = []
-    for b0, b1 in zip(s_breaks, s_breaks[1:]):
-        w = b1 - b0
+    s_breaks = np.array(sorted(breaks))
+    b0, b1 = s_breaks[:-1], s_breaks[1:]
+    w = b1 - b0
+    # D0: the atoms at t <= b0 plus the density's mass up to b0
+    atom_t = np.array([t for t, _ in measure.atoms])
+    atom_cum = np.concatenate([[0.0], np.cumsum([c for _, c in measure.atoms])])
+    D0 = atom_cum[np.searchsorted(atom_t, b0, side="right")]
+    slope, a0 = np.zeros(b0.shape), np.zeros(b0.shape)
+    if dens is not None:
+        D0 = D0 + dens.cumulative(b0)
+        # g(s) = a0 + slope * s on the density panel holding the piece's midpoint
+        nodes, left, right = np.array(dens.nodes), np.array(dens.left), np.array(dens.right)
         mid = 0.5 * (b0 + b1)
-        a0, slope = density_linear_on(mid)
-        g_b0 = a0 + slope * b0
-        # D(s) = D0 + g(b0) u + slope/2 u^2 on (b0, b1], u = s - b0
-        D0 = sum(c for t, c in measure.atoms if t <= b0)
-        if dens is not None:
-            D0 += float(dens.cumulative(b0))
-        # reflected piece: t in [sig - b1, sig - b0], f(t) = D(sig - t)
-        c0 = D0 + g_b0 * w + 0.5 * slope * w * w
-        c1 = -(g_b0 + slope * w)
-        c2 = 0.5 * slope
-        out.append((sig - b1, sig - b0, (c0, c1, c2)))
-    out.sort(key=lambda p: p[0])
-    return tuple(out)
+        inside = (mid > nodes[0]) & (mid < nodes[-1])
+        i = np.clip(np.searchsorted(nodes, mid, side="right") - 1, 0, len(left) - 1)
+        slope = np.where(inside, (right[i] - left[i]) / (nodes[i + 1] - nodes[i]), 0.0)
+        a0 = np.where(inside, left[i] - slope * nodes[i], 0.0)
+    g_b0 = a0 + slope * b0
+    # D(s) = D0 + g(b0) u + slope/2 u^2 on (b0, b1], u = s - b0; the
+    # reflected piece is t in [sig - b1, sig - b0], f(t) = D(sig - t)
+    c0 = D0 + g_b0 * w + 0.5 * slope * w * w
+    c1 = -(g_b0 + slope * w)
+    c2 = 0.5 * slope
+    order = np.argsort(sig - b1, kind="stable")
+    coeffs = zip(*(c[order].tolist() for c in (c0, c1, c2)))
+    return tuple(zip((sig - b1)[order].tolist(), (sig - b0)[order].tolist(), coeffs))
 
 
 @dataclass(frozen=True)

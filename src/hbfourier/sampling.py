@@ -69,7 +69,6 @@ class SampledFunction:
     evaluate: Callable
     derivative: Callable
     sigma: float
-    growth_class: str = "o(x)"
 
     def __post_init__(self):
         if self.sigma <= 0:

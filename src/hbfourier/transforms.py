@@ -569,9 +569,9 @@ def _times_x_power(n: int, x, d):
     """[e_j] = (x^n f)^(j) at the points x from d[j] = f^(j), for n = -1, 0, 1.
 
     n = 1 is Leibniz's rule, e_j = x d_j + j d_{j-1}; n = -1 solves it for
-    f / x, e_j = (d_j - j e_{j-1}) / x, at nonzero x.  Every real-axis value
-    of omega = z^n F takes its power here, except the independent reference
-    `inequality.squared_bracket_direct`.
+    f / x, e_j = (d_j - j e_{j-1}) / x, at nonzero x.  Every value of
+    omega = z^n F, real or complex, takes its power here, except the
+    independent reference `inequality.squared_bracket_direct`.
     """
     e = []
     for j, dj in enumerate(d):

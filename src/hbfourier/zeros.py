@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import HYPOTHESIS_TOL, MASS_TOL, StieltjesMeasure, mass_summary
+from .measure import HYPOTHESIS_TOL, MASS_TOL, StieltjesMeasure
 from .transforms import (
     _bracketed_newton,
     _grid_moments,
     _reflected,
-    eval_F_derivative,
+    _times_x_power,
     eval_h_alpha_scaled,
     real_transforms,
 )
@@ -38,6 +38,8 @@ ZERO_TOL = 1e-10
 _MAX_CONTOUR_POINTS = 400_000
 #: default axis-avoiding window for "open lower half-plane" checks
 DEFAULT_LOWER_RECT = (-20.0, 20.0, -6.0, -1e-3)
+#: each zero target as (k, n): the target is z^n F^(k)
+_TARGETS = {"F": (0, 0), "zF": (0, 1), "F/z": (0, -1), "F'": (1, 0), "F''": (2, 0)}
 
 
 class BoundaryZeroError(RuntimeError):
@@ -154,40 +156,46 @@ def _winding_count(fn, rect: Rectangle, min_log_modulus: float) -> ZeroCountResu
     return ZeroCountResult(count=count, winding_residual=residual, boundary_samples=len(zs))
 
 
+def _boundary_floor(measure: StieltjesMeasure) -> float:
+    """log of the smallest |target| a contour may pass, BOUNDARY_MODULUS_FACTOR * V."""
+    return math.log(BOUNDARY_MODULUS_FACTOR * max(measure.total_variation, 1e-300))
+
+
+def _target(measure: StieltjesMeasure, target: str, z, order: int):
+    """([w, w', ..., w^(order)], E) for w = z^n F^(k) of a `_TARGETS` entry, at real or complex z.
+
+    Each entry is a mantissa: the value is the entry times e^E.  One
+    `_grid_moments` pass gives F^(j) = i^j T_j, and `_times_x_power` applies
+    z^n; nowhere else in this module is either rule written.
+    """
+    k, n = _TARGETS[target]
+    T, E = _grid_moments(measure, z, k + order)
+    return _times_x_power(n, z, [(1j) ** j * T[j] for j in range(k, k + order + 1)]), E
+
+
 def _target_fn(measure: StieltjesMeasure, target: str):
     """Scaled evaluator z -> (mantissa, log-scale) over arrays, for a named target."""
+    if target not in _TARGETS:
+        raise ValueError(f"unknown target {target!r}")
     if target == "F/z" and not measure.vanishes_at_zero:
         raise ValueError("target F/z requires F(0) = 0")
-    forms = {
-        "F": (0, lambda z, T: T[0]),
-        "zF": (0, lambda z, T: z * T[0]),
-        "F/z": (0, lambda z, T: T[0] / z),
-        "F'": (1, lambda z, T: 1j * T[1]),
-        "F''": (2, lambda z, T: -T[2]),
-    }
-    if target not in forms:
-        raise ValueError(f"unknown target {target!r}")
-    order, form = forms[target]
 
     def fn(z):
-        T, s = _grid_moments(measure, z, order)
-        return form(z, T), s
+        (w,), E = _target(measure, target, z, 0)
+        return w, E
 
     return fn
 
 
 def count_zeros(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -> ZeroCountResult:
     """Argument-principle zero count of the target inside the rectangle."""
-    v = max(measure.total_variation, 1e-300)
-    fn = _target_fn(measure, target)
-    return _winding_count(fn, rect, min_log_modulus=math.log(BOUNDARY_MODULUS_FACTOR * v))
+    return _winding_count(_target_fn(measure, target), rect, _boundary_floor(measure))
 
 
 def count_h_alpha_zeros(measure: StieltjesMeasure, alpha: float, rect: Rectangle) -> ZeroCountResult:
     """Zero count of h_alpha = G cos(alpha) - H sin(alpha) inside the rectangle."""
-    v = max(measure.total_variation, 1e-300)
     fn = lambda z: eval_h_alpha_scaled(measure, alpha, z)
-    return _winding_count(fn, rect, min_log_modulus=math.log(BOUNDARY_MODULUS_FACTOR * v))
+    return _winding_count(fn, rect, _boundary_floor(measure))
 
 
 def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -> complex:
@@ -206,13 +214,7 @@ def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -
     def newton_from(z0: complex, box: Rectangle):
         z = z0
         for _ in range(60):
-            T, _ = _grid_moments(measure, z, 1)
-            f = T[0]
-            fp = 1j * T[1]
-            if target == "zF":
-                f, fp = z * f, f + z * fp
-            elif target == "F/z":
-                f, fp = f / z, (fp * z - f) / (z * z)
+            (f, fp), _ = _target(measure, target, z, 1)
             if fp == 0:
                 return None
             step = f / fp
@@ -229,8 +231,8 @@ def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -
         z0 = complex(0.5 * (box.x_min + box.x_max), 0.5 * (box.y_min + box.y_max))
         z_star = newton_from(z0, rect)
         if z_star is not None and rect.contains(z_star, pad=1e-9):
-            mant, _ = _grid_moments(measure, z_star, 0)
-            if abs(mant[0]) <= 1e-9 * max(measure.total_variation, 1.0):
+            (f,), _ = _target(measure, "F", z_star, 0)
+            if abs(f) <= 1e-9 * measure.tol_scale:
                 return z_star
         sub = list(box.quadrants())
         counts = []
@@ -249,14 +251,12 @@ def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -
 # -- real axis -----------------------------------------------------------------
 
 
-def _modulus_slope(T, k: int):
-    """Re(conj(F^(k)) F^(k+1)) and its derivative, from real-axis moments T.
+def _modulus_slope(w, wp, wpp):
+    """Re(conj(w) w') and its derivative, from a target's w, w' and w'' at real points.
 
-    The first is half the slope of |F^(k)|^2, so it rises through each
-    minimum of |F^(k)|; T must hold the moments up to order k + 2.
+    The first is half the slope of |w|^2, so it rises through each minimum of |w|.
     """
-    d0, d1, d2 = ((1j) ** j * T[j] for j in range(k, k + 3))
-    return (d0.conj() * d1).real, (d1.conj() * d1).real + (d0.conj() * d2).real
+    return (w.conj() * wp).real, (wp.conj() * wp).real + (w.conj() * wpp).real
 
 
 def find_real_zeros(measure: StieltjesMeasure, interval):
@@ -264,7 +264,7 @@ def find_real_zeros(measure: StieltjesMeasure, interval):
 
     Candidates come from two kinds of brackets on the scan grid, solved
     together by `_bracketed_newton`: sign changes of G, solved for the root
-    of G (G' = -Im T_1), and local minima of |F|^2, solved for the root of
+    of G (G' = Re F'), and local minima of |F|^2, solved for the root of
     Re(conj(F) F') (G need not change sign at a tangential zero).  Since
     |F'| <= sigma V, a bracket where |F| exceeds sigma V times the grid step
     (plus a rounding margin) at every grid point cannot lead to an accepted
@@ -285,7 +285,7 @@ def find_real_zeros(measure: StieltjesMeasure, interval):
     step = math.pi / (40.0 * sig)
     n = max(int(math.ceil((b - a) / step)), 8)
     grid = np.linspace(a, b, n + 1)
-    F = _grid_moments(m, grid, 0)[0][0]
+    F = _target(m, "F", grid, 0)[0][0]
     G = F.real
     absF2 = F.real**2 + F.imag**2
 
@@ -307,10 +307,9 @@ def find_real_zeros(measure: StieltjesMeasure, interval):
     g_sign = np.concatenate([np.sign(G[roots + 1]), np.ones(minima.size)])
 
     def target(x, k):
-        T = _grid_moments(m, x, 2)[0]
-        slope, slope_p = _modulus_slope(T, 0)
-        g, gp = T[0].real, -T[1].imag
-        return np.where(on_g[k], g_sign[k] * g, slope), np.where(on_g[k], g_sign[k] * gp, slope_p)
+        f, fp, fpp = _target(m, "F", x, 2)[0]
+        slope, slope_p = _modulus_slope(f, fp, fpp)
+        return np.where(on_g[k], g_sign[k] * f.real, slope), np.where(on_g[k], g_sign[k] * fp.real, slope_p)
 
     x = _bracketed_newton(target, lo, hi, x0)
     # Newton polish on F/F' sharpens the location to machine precision
@@ -318,17 +317,16 @@ def find_real_zeros(measure: StieltjesMeasure, interval):
     for _ in range(3):
         if not live.size:
             break
-        T = _grid_moments(m, x[live], 1)[0]
-        fp = 1j * T[1]
+        f, fp = _target(m, "F", x[live], 1)[0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            shift = (T[0] / fp).real
+            shift = (f / fp).real
         ok = (fp != 0) & (np.abs(shift) <= step)
         x[live[ok]] -= shift[ok]
         live = live[ok]
     x = x[(a - 1e-12 <= x) & (x <= b + 1e-12)]
-    T = _grid_moments(m, x, 1)[0]
-    keep = np.abs(T[0]) <= 1e-10 * v
-    x, fp_abs = x[keep], np.abs(T[1][keep])
+    f, fp = _target(m, "F", x, 1)[0]
+    keep = np.abs(f) <= 1e-10 * v
+    x, fp_abs = x[keep], np.abs(fp[keep])
 
     out = []
     fp_tol = 1e-8 * sig * v
@@ -342,7 +340,7 @@ def find_real_zeros(measure: StieltjesMeasure, interval):
         else:
             if abs(x0) > 1e-8:
                 raise DiagnosticFailure(f"real zero at {x0:.6g} is not simple")
-            fpp = abs(eval_F_derivative(m, 0.0, 2))
+            fpp = abs(_target(m, "F''", 0.0, 0)[0][0])
             if fpp <= 1e-8 * sig * sig * v:
                 raise DiagnosticFailure("zero at the origin is deeper than multiplicity 2")
             mult = 2
@@ -392,11 +390,11 @@ def _imaginary_zero(measure: StieltjesMeasure) -> float:
     g(y) = F(iy) e^{sigma y} is strictly increasing on (-inf, 0] under the
     sine hypothesis, with g(0) = F(0) > 0 and g(-inf) = F(0) - left-limit
     mass < 0.  A doubling bracket holds its one root, which Newton steps on
-    g'(y) = Re(sigma T_0 - T_1) (scaled moments at iy) locate.
+    g'(y) = (sigma F(iy) + i F'(iy)) e^{sigma y} locate.
     """
 
     def g(y):
-        return _grid_moments(measure, complex(0.0, y), 0)[0][0].real
+        return _target(measure, "F", complex(0.0, y), 0)[0][0].real
 
     y_hi, g_hi = 0.0, measure.total_mass
     y_lo = -1.0
@@ -410,8 +408,8 @@ def _imaginary_zero(measure: StieltjesMeasure) -> float:
         raise DiagnosticFailure("failed to bracket the imaginary zero")
 
     def slope(y, _):
-        T = _grid_moments(measure, 1j * y, 1)[0]
-        return T[0].real, (measure.sigma * T[0] - T[1]).real
+        f, fp = _target(measure, "F", 1j * y, 1)[0]
+        return f.real, measure.sigma * f.real - fp.imag
 
     y0 = y_lo + (y_hi - y_lo) * g_lo / (g_lo - g_hi)  # secant start
     y_star = float(_bracketed_newton(slope, y_lo, y_hi, y0)[0])
@@ -462,8 +460,8 @@ def classify(measure: StieltjesMeasure, rect: Rectangle | None = None) -> Classi
         rect = Rectangle(*DEFAULT_LOWER_RECT)
     real_interval = (rect.x_min, rect.x_max)
 
-    summary = mass_summary(measure)
-    defect = 0.5 * (summary.support_interval[0] + summary.support_interval[1])
+    a1, b1 = measure.plateau_interval()
+    defect = 0.5 * (a1 + b1)
 
     if measure.is_zero:
         return Classification(VERDICT_IDENTICALLY_ZERO, (), None, 0.0, True, True, None)
@@ -541,15 +539,15 @@ def check_derivative_hb(
 
     a, b = float(real_interval[0]), float(real_interval[1])
     grid = np.linspace(a, b, max(int((b - a) * 40 * measure.sigma / math.pi), 64) + 1)
-    vals = np.abs(eval_F_derivative(measure, grid, order))
+    vals = np.abs(_target(measure, target, grid, 0)[0][0])
     best = float(np.min(vals))
     best_x = float(grid[int(np.argmin(vals))])
     mid = np.arange(1, len(grid) - 1)
     minima = mid[(vals[mid] <= vals[mid - 1]) & (vals[mid] <= vals[mid + 1])]
     if minima.size:
-        slope = lambda x, _: _modulus_slope(_grid_moments(measure, x, order + 2)[0], order)
+        slope = lambda x, _: _modulus_slope(*_target(measure, target, x, 2)[0])
         x = _bracketed_newton(slope, grid[minima - 1], grid[minima + 1], grid[minima])
-        refined = np.abs(eval_F_derivative(measure, x, order))
+        refined = np.abs(_target(measure, target, x, 0)[0][0])
         j = int(np.argmin(refined))
         if refined[j] < best:
             best = float(refined[j])

@@ -131,6 +131,21 @@ class TestMonomialDensity:
                 exact = mpmath.beta(a, b)
                 assert abs(_beta(a, b) - exact) <= tol * exact, (a, b)
 
+    @pytest.mark.parametrize("mu_exp,nu_exp", [(1.0, 0.5), (2.0, 0.5), (1.5, 0.8)])
+    def test_moments_against_mpmath(self, mu_exp, nu_exp):
+        # the steep panels next to t = 1 cancel in any global-coordinate form
+        mpmath = pytest.importorskip("mpmath")
+        m = from_monomial_density(mu_exp, nu_exp)
+        with mpmath.workdps(40):
+            for k in range(4):
+                exact = mpmath.mpf(0)
+                for t0, t1, v0, v1 in m.density.panels:
+                    t0, t1, v0, v1 = map(mpmath.mpf, (t0, t1, v0, v1))
+                    slope = (v1 - v0) / (t1 - t0)
+                    exact += (v0 - slope * t0) * (t1 ** (k + 1) - t0 ** (k + 1)) / (k + 1)
+                    exact += slope * (t1 ** (k + 2) - t0 ** (k + 2)) / (k + 2)
+                assert abs(m.moment(k) - exact) <= 1e-14 * exact, k
+
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):
             from_monomial_density(0.5, 0.5)

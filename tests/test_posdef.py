@@ -61,6 +61,17 @@ class TestProfileRecovery:
             k_vals = rep.profile.K(x)
             assert np.max(np.abs(s_vals - x * k_vals)) <= 1e-10 * max(1.0, m.total_variation)
 
+    def test_many_panel_profile_is_the_reflected_distribution(self):
+        from hbfourier.measure import from_monomial_density
+
+        m = from_monomial_density(1.5, 0.8)
+        profile = recover_pd_profile(m).profile
+        assert len(profile.pieces) == len(m.density.nodes) - 1
+        t = np.concatenate([1.0 - np.array(m.density.nodes), np.random.default_rng(3).uniform(0.0, 1.0, 2000)])
+        expected = m.density.cumulative(m.sigma - t)
+        assert np.max(np.abs(profile.f(t) - expected)) <= 1e-14 * m.total_variation
+        assert np.array_equal(profile.f(-t), profile.f(t))
+
     def test_pd_bound_holds_under_verdict(self, ramp_density):
         rep = recover_pd_profile(ramp_density)
         assert rep.s_nonneg

@@ -90,6 +90,13 @@ class TestLocate:
         z = locate_zero(sign_breaking_atoms, Rectangle(-1.0, 1.0, -2.0, -0.1))
         assert abs(z - complex(0.0, -math.log(2.0))) <= 1e-8
 
+    @pytest.mark.parametrize("target", ["F", "zF", "F/z"])
+    def test_omega_targets_share_the_lower_zero(self, target):
+        # F = (w - 1)(w - 2) with w = e^{iz}: F(0) = 0, and z^n F keeps the zero -i ln 2
+        m = StieltjesMeasure(2.0, ((0.0, 2.0), (1.0, -3.0), (2.0, 1.0)))
+        z = locate_zero(m, Rectangle(-1.0, 1.0, -1.2, -0.2), target)
+        assert abs(z - complex(0.0, -math.log(2.0))) <= 1e-12
+
     def test_requires_exactly_one_zero(self, two_unit_atoms):
         with pytest.raises(ValueError, match="exactly 1"):
             locate_zero(two_unit_atoms, LOWER)
