@@ -2,15 +2,16 @@
 """Snapshot the `hbf` CLI output of a fixed set of invocations.
 
 Runs every command on the measure of each `scenarios/*.json` file, with
-`zeros-count` once per target (F, F', F'', zF and F/z), plus the five demos,
-in json and table form, in-process through `hbfourier.cli.main`.
+`zeros-count` once per target (F, F', F'', zF and F/z) and once more for F/z
+on the rectangle [-1, 1] x [-1, 0], whose top edge passes through z = 0, plus
+the five demos, in json and table form, in-process through `hbfourier.cli.main`.
 It also runs every command but `interp` on the two 2049-panel
 `from_monomial_density` measures, (1.5, 0.8) and (3.0, 2.0), written as
 scenario files into a temporary directory: the scenarios are all few-panel,
 so only these show the evaluator's cluster path.  `interp` is left out
 there, since its series probes about a million points past the finest
 cluster level and takes minutes on 2049 panels.  With the four scenario
-files that makes 150 invocations: 24 per scenario, 22 per many-panel measure
+files that makes 162 invocations: 26 per scenario, 24 per many-panel measure
 and 10 for the demos.
 Each invocation's exit code, stdout and stderr go to a file of their own in
 OUTDIR, so that `diff -r` of two snapshots shows every byte that moved:
@@ -47,6 +48,7 @@ SCENARIO_RUNS = (
     ("zeros-count", ["--target", "F''"], "zeros-count-ddF"),
     ("zeros-count", ["--target", "zF"], "zeros-count-zF"),
     ("zeros-count", ["--target", "F/z"], "zeros-count-Fz"),
+    ("zeros-count", ["--target", "F/z", "--rect=-1,1,-1,0"], "zeros-count-Fz-origin"),
     ("zeros-classify", [], "zeros-classify"),
     ("zeros-imag", [], "zeros-imag"),
     ("posdef", [], "posdef"),

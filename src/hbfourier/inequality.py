@@ -9,7 +9,7 @@ E + i E~ = x^n e^{i tau} (C + i S), so the margin is
   4 sigma x^{2n} Delta - (E' + 2 sigma E~)^2.
 
 The x-powers enter through `transforms._times_x_power` alone, so no removable
-power is ever divided out; the n = -1 case uses exact limits at the origin.
+power is ever divided out; near the origin it sums n = -1's F / x as a series.
 
 Equality on the whole line or at isolated points is detected, and the
 closed-form witness (c, beta, gamma) of the equality family is fitted when the
@@ -32,8 +32,6 @@ from .transforms import _bracketed_newton, _e_from_mirrored, _grid_moments, _ref
 MARGIN_TOL = 1e-8
 #: |E| <= E_TOL * sqrt(total variation) counts as a vanishing combination
 E_TOL = 1e-6
-#: below this |x|, the n = -1 formulas switch to their exact x -> 0 limits
-_N_MINUS_CUT = 1e-4
 
 
 class HypothesisKind(enum.Enum):
@@ -89,31 +87,25 @@ def default_grid(cfg: OmegaConfig, x_min: float, x_max: float) -> np.ndarray:
     return np.arange(x_min, x_max + 0.5 * step, step)
 
 
-def _origin_cut(cfg: OmegaConfig, x: np.ndarray):
-    """(small, safe): the points where n = -1 takes its exact x -> 0 limits
-    (none for n = 0, 1), and x with those points moved to 1."""
-    small = np.abs(x) < _N_MINUS_CUT if cfg.n == -1 else np.zeros(x.shape, dtype=bool)
-    return small, np.where(small, 1.0, x)
+def _d_values(cfg: OmegaConfig, x: np.ndarray, rt):
+    """d = x^{2n} Delta at x from the order-1 transforms rt; Im(conj(w) w') for w = F / x if n = -1."""
+    if cfg.n == -1:
+        w, wp = _times_x_power(-1, x, (rt.F, 1j * rt.direct[1]), cfg.measure)
+        return (np.conj(w) * wp).imag
+    (d,) = _times_x_power(cfg.n, x * x, (rt.Delta,))
+    return d
 
 
-def _d_from_delta(cfg: OmegaConfig, x: np.ndarray, delta):
-    """d = x^{2n} Delta = (x^2)^n Delta at the points x, given Delta there."""
-    small, safe = _origin_cut(cfg, x)
-    (d,) = _times_x_power(cfg.n, safe * safe, (delta,))
-    # lim Delta(x)/x^2 = -G''(0) H'(0) / 2 = (int t^2 dmu)(int t dmu)/2, valid for F(0)=0
-    return np.where(small, 0.5 * cfg.measure.moment(2) * cfg.measure.moment(1), d) if small.any() else d
-
-
-def _rotated(tau: float, T):
-    """e^{i tau} (C + i S)^(j) = e^{i tau} i^j T_j for the mirrored moments T."""
-    rot = cmath.exp(1j * tau)
-    return [(1j) ** j * T[j] * rot for j in range(len(T))]
+def _rotated(cfg: OmegaConfig, x, T):
+    """[W, W', ...] at x for W = x^n e^{i tau} (C + i S), from mirrored moments T: (C + i S)^(j) = i^j T_j."""
+    rot = cmath.exp(1j * cfg.tau)
+    return _times_x_power(cfg.n, x, [(1j) ** j * T[j] * rot for j in range(len(T))], _reflected(cfg.measure), rot)
 
 
 def eval_d(cfg: OmegaConfig, x):
-    """d(x) = x^{2n} Delta(x); the n = -1 removable point uses the exact limit."""
+    """d(x) = x^{2n} Delta(x); removable at 0 for n = -1."""
     x = np.asarray(x, dtype=float)
-    out = _d_from_delta(cfg, x, real_transforms(cfg.measure, x, order=1).Delta)
+    out = _d_values(cfg, x, real_transforms(cfg.measure, x, order=1))
     return out if out.ndim else float(out)
 
 
@@ -138,12 +130,8 @@ def _margin_pieces(cfg: OmegaConfig, x: np.ndarray, rt=None):
     if rt is None:
         rt = real_transforms(cfg.measure, x, order=1)
     sig = cfg.measure.sigma
-    small, safe = _origin_cut(cfg, x)
-    w, wp = _times_x_power(cfg.n, safe, _rotated(cfg.tau, rt.mirrored))
-    # for n = -1 the bracket x^2 (E' + 2 sigma E~) has a triple zero at the
-    # origin when F(0) = 0, so rhs -> 0 there
-    rhs = np.where(small, 0.0, (wp.real + 2.0 * sig * w.imag) ** 2)
-    return 4.0 * sig * _d_from_delta(cfg, x, rt.Delta), rhs
+    w, wp = _rotated(cfg, x, rt.mirrored)
+    return 4.0 * sig * _d_values(cfg, x, rt), (wp.real + 2.0 * sig * w.imag) ** 2
 
 
 def margin_values(cfg: OmegaConfig, x):
@@ -211,13 +199,9 @@ class InequalityReport:
 
 
 def _e_derivatives(cfg: OmegaConfig, x):
-    """E, E' and E'' at x (x != 0 for n = -1), from the mirrored moments.
-
-    With B = C cos(tau) - S sin(tau) = Re(T_0 e^{i tau}) for the mirrored
-    moments T, the derivatives are B^(j) = Re(i^j T_j e^{i tau}).
-    """
+    """E, E' and E'' at x, the real parts of W, W' and W'' (see `_rotated`)."""
     T = _grid_moments(_reflected(cfg.measure), x, 2)[0]
-    return _times_x_power(cfg.n, x, [b.real for b in _rotated(cfg.tau, T)])
+    return [w.real for w in _rotated(cfg, x, T)]
 
 
 def _refine_equality_points(cfg: OmegaConfig, grid, e_vals, e_tol):
@@ -347,19 +331,16 @@ def fit_equality_witness(cfg: OmegaConfig, grid) -> EqualityWitness | None:
         beta = 0.5 * math.atan2(C, -B)
         beta %= math.pi
 
-    d_vals = _d_from_delta(cfg, grid, rt.Delta)
+    d_vals = _d_values(cfg, grid, rt)
     d_bar = float(np.mean(d_vals))
     quad_scale = max(v * v * sig, 1.0)
     if float(np.max(np.abs(d_vals - d_bar))) > 1e-8 * quad_scale or d_bar < -1e-8 * quad_scale:
         return None
     gamma_abs = math.sqrt(max(d_bar, 0.0) / sig)
 
-    # fix the sign of gamma from the P identity at a well-conditioned point;
-    # for n = -1 the points near the origin are left out and P, Q set to 0 there
-    ok = np.abs(grid) > 1e-6 if cfg.n == -1 else np.ones_like(grid, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        (pq,) = _times_x_power(cfg.n, grid, (rt.F,))
-    P, Q = np.where(ok, pq.real, 0.0), np.where(ok, pq.imag, 0.0)
+    # fix the sign of gamma from the P identity at a well-conditioned point
+    (pq,) = _times_x_power(cfg.n, grid, (rt.F,), m)
+    P, Q = pq.real, pq.imag
     phase = sig * grid + cfg.tau
     i_star = int(np.argmax(np.abs(np.sin(phase))))
     denom = math.sin(phase[i_star])
@@ -369,9 +350,9 @@ def fit_equality_witness(cfg: OmegaConfig, grid) -> EqualityWitness | None:
     # validate both closed forms on the grid before accepting
     P_model = c * math.sin(beta) * np.sin(phase + beta) + gamma * np.sin(phase)
     Q_model = c * math.cos(beta) * np.sin(phase + beta) - gamma * np.cos(phase)
-    if float(np.max(np.abs((P - P_model)[ok]))) > 1e-6 * max(v, 1.0):
+    if float(np.max(np.abs(P - P_model))) > 1e-6 * max(v, 1.0):
         return None
-    if float(np.max(np.abs((Q - Q_model)[ok]))) > 1e-6 * max(v, 1.0):
+    if float(np.max(np.abs(Q - Q_model))) > 1e-6 * max(v, 1.0):
         return None
     return EqualityWitness(c=c, beta=beta, gamma=gamma)
 

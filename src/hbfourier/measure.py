@@ -261,16 +261,23 @@ class StieltjesMeasure:
         On a panel, t^k is expanded about the panel's start t0, so no
         difference of large powers of t cancels; the terms are summed exactly.
         """
-        terms = [c * t**k for t, c in self.atoms]
-        if self.density is not None:
-            dens = self.density
-            t0, w, v0 = np.array(dens.nodes[:-1]), np.diff(dens.nodes), np.array(dens.left)
-            slope = (np.array(dens.right) - v0) / w
-            # int_0^w (t0 + u)^k (v0 + slope u) du on every panel, binomially in u
-            for j in range(k + 1):
-                part = math.comb(k, j) * t0 ** (k - j) * (v0 * w ** (j + 1) / (j + 1) + slope * w ** (j + 2) / (j + 2))
-                terms += part.tolist()
-        return math.fsum(terms)
+        atoms, panels = self._moment_terms(k)
+        return math.fsum(atoms + panels.ravel().tolist())
+
+    def _moment_terms(self, k: int):
+        """(atom terms, panel terms) of `moment(k)`; row j of the panel terms
+        holds C(k, j) t0^(k-j) int_0^w u^j (v0 + slope u) du, panel by panel."""
+        atoms = [c * t**k for t, c in self.atoms]
+        if self.density is None:
+            return atoms, np.zeros((0, 0))
+        dens = self.density
+        t0, w, v0 = np.array(dens.nodes[:-1]), np.diff(dens.nodes), np.array(dens.left)
+        slope = (np.array(dens.right) - v0) / w
+        parts = [
+            math.comb(k, j) * t0 ** (k - j) * (v0 * w ** (j + 1) / (j + 1) + slope * w ** (j + 2) / (j + 2))
+            for j in range(k + 1)
+        ]
+        return atoms, np.array(parts)
 
     def distribution(self, s):
         """mu(s) - mu(0), left-continuous (atoms at t count only for s > t)."""

@@ -101,17 +101,16 @@ def _profile_pieces(measure: StieltjesMeasure):
     atom_t = np.array([t for t, _ in measure.atoms])
     atom_cum = np.concatenate([[0.0], np.cumsum([c for _, c in measure.atoms])])
     D0 = atom_cum[np.searchsorted(atom_t, b0, side="right")]
-    slope, a0 = np.zeros(b0.shape), np.zeros(b0.shape)
+    slope, g_b0 = np.zeros(b0.shape), np.zeros(b0.shape)
     if dens is not None:
         D0 = D0 + dens.cumulative(b0)
-        # g(s) = a0 + slope * s on the density panel holding the piece's midpoint
+        # g(b0) = v0 + slope (b0 - t0) on the panel holding the midpoint, with no intercept to cancel
         nodes, left, right = np.array(dens.nodes), np.array(dens.left), np.array(dens.right)
         mid = 0.5 * (b0 + b1)
         inside = (mid > nodes[0]) & (mid < nodes[-1])
         i = np.clip(np.searchsorted(nodes, mid, side="right") - 1, 0, len(left) - 1)
         slope = np.where(inside, (right[i] - left[i]) / (nodes[i + 1] - nodes[i]), 0.0)
-        a0 = np.where(inside, left[i] - slope * nodes[i], 0.0)
-    g_b0 = a0 + slope * b0
+        g_b0 = np.where(inside, left[i] + slope * (b0 - nodes[i]), 0.0)
     # D(s) = D0 + g(b0) u + slope/2 u^2 on (b0, b1], u = s - b0; the
     # reflected piece is t in [sig - b1, sig - b0], f(t) = D(sig - t)
     c0 = D0 + g_b0 * w + 0.5 * slope * w * w

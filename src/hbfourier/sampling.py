@@ -90,28 +90,20 @@ def from_omega_config(cfg: OmegaConfig, alpha: float) -> SampledFunction:
 
     P = x^n G and Q = x^n H for the config's measure; such f has exponential
     type <= sigma and is o(x), so the interpolation identity applies to it.
-    f and f' each take one pass of the evaluator over the direct moments.
+    f and f' each take one pass of the evaluator over the direct moments; for
+    n = -1, `_times_x_power` forms F(u) / u near u = 0 from its Taylor series.
     """
     m = cfg.measure
     sig = m.sigma
     shift = cfg.tau / sig
-    n = cfg.n
     ca, sa = math.cos(alpha), math.sin(alpha)
-    if n == -1:
-        # below |u| = 1e-6 the series of F(u) / u, F(0) = 0, gives P = -m2 u / 2,
-        # Q = m1, P' = -m2 / 2 and Q' = -m3 u / 3, each within 2e-13 of the moments
-        half_m2, m1, third_m3 = 0.5 * m.moment(2), m.moment(1), m.moment(3) / 3.0
 
     def derivative(x, j):  # f^(j)(x) for j = 0 or 1
         u = np.asarray(x, dtype=float) - shift
-        small = np.abs(u) < 1e-6 if n == -1 else np.zeros(u.shape, dtype=bool)
         T = _grid_moments(m, u, j)[0]
         # (u^n F)^(j) from F^(k) = i^k T_k
-        pq = _times_x_power(n, np.where(small, 1.0, u), [(1j) ** k * T[k] for k in range(j + 1)])[j]
-        out = pq.real * ca - pq.imag * sa
-        if small.any():
-            out = np.where(small, -half_m2 * u * ca - m1 * sa if j == 0 else -half_m2 * ca + third_m3 * u * sa, out)
-        return out
+        pq = _times_x_power(cfg.n, u, [(1j) ** k * T[k] for k in range(j + 1)], m)[j]
+        return pq.real * ca - pq.imag * sa
 
     return SampledFunction(evaluate=lambda x: derivative(x, 0), derivative=lambda x: derivative(x, 1), sigma=sig)
 

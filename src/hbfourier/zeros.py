@@ -170,7 +170,7 @@ def _target(measure: StieltjesMeasure, target: str, z, order: int):
     """
     k, n = _TARGETS[target]
     T, E = _grid_moments(measure, z, k + order)
-    return _times_x_power(n, z, [(1j) ** j * T[j] for j in range(k, k + order + 1)]), E
+    return _times_x_power(n, z, [(1j) ** j * T[j] for j in range(k, k + order + 1)], measure, np.exp(-E)), E
 
 
 def _target_fn(measure: StieltjesMeasure, target: str):

@@ -78,6 +78,13 @@ class TestZeros:
         assert code == 0
         assert json.loads(text)["count"] == 1
 
+    def test_inverse_target_contour_through_the_origin(self, tmp_path):
+        doc = {"sigma": 1.0, "atoms": [{"t": 1.0, "c": -1.0}], "density": {"nodes": [0.0, 1.0], "values": [1.0, 1.0]}}
+        argv = ["zeros-count", write_scenario(tmp_path, doc), "--rect=-1,1,-1,0", "--target", "F/z", "--out", "json"]
+        code, text = run_cli(argv)
+        assert code == 0
+        assert json.loads(text)["count"] == 0
+
     def test_imag_command(self, tmp_path):
         doc = {k: v for k, v in TRIANGLE_CASE2.items() if k != "task"}
         code, text = run_cli(["zeros-imag", write_scenario(tmp_path, doc), "--out", "json"])

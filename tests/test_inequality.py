@@ -18,6 +18,7 @@ from hbfourier.inequality import (
     squared_bracket_direct,
 )
 from hbfourier.measure import PiecewiseLinearDensity, StieltjesMeasure, from_fejer, from_pd_profile
+from hbfourier.sampling import from_omega_config
 from hbfourier.transforms import eval_E
 
 
@@ -291,3 +292,65 @@ class TestMarginScale:
     def test_margin_values_scalar(self, atom_at_sigma):
         cfg = OmegaConfig(atom_at_sigma, 0, math.pi / 2)
         assert margin_values(cfg, 0.9) == pytest.approx(0.0, abs=1e-12)
+
+
+def _mp_omega(measure, x, phase=1):
+    """(w, w') for w = phase (F(x) - F(0)) / x, from mpmath quadrature of the
+    stored representation; subtracting F(0) drops the rounding-level mass
+    that makes the stored F / x a genuine pole."""
+    mpmath = pytest.importorskip("mpmath")
+    x = mpmath.mpf(x)
+
+    def transform(x, k):  # int t^k e^{ixt} dmu
+        value = sum(mpmath.mpf(c) * mpmath.mpf(t) ** k * mpmath.expj(x * t) for t, c in measure.atoms)
+        for t0, t1, v0, v1 in measure.density.panels:
+            t0, t1, v0, v1 = (mpmath.mpf(v) for v in (t0, t1, v0, v1))
+            g = lambda t: v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+            value += mpmath.quad(lambda t: g(t) * t**k * mpmath.expj(x * t), [t0, t1], method="gauss-legendre")
+        return value
+
+    w = (transform(x, 0) - transform(0, 0)) / x
+    return phase * w, phase * (1j * transform(x, 1) - w) / x
+
+
+def _few_panel_root():
+    """Three panels and two atoms on [0, 1.5]; the atom at sigma cancels the mass, so F(0) = 0."""
+    dens = PiecewiseLinearDensity.interpolant([0.0, 0.4, 1.1, 1.5], [1.0, 0.3, -0.5, 0.8])
+    return StieltjesMeasure(1.5, ((0.7, 0.6), (1.5, -0.6 - dens.mass())), dens)
+
+
+class TestOriginSeries:
+    """n = -1 values near x = 0, where F / x is removable, against mpmath."""
+
+    MEASURES = {"root-at-zero": lambda: from_pd_profile([0.0, 1.0], [1.0, 0.0], -1.0), "few-panel": _few_panel_root}
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_against_mpmath(self, name):
+        # the quotient F / x lost up to 3.6e-9 of the margin's scale just past
+        # the old cut |x| = 1e-4.  Near the origin |w| <= sigma V and
+        # |w'| <= sigma^2 V, so d and the margin's two terms are bounded by
+        # multiples of sigma^3 V^2 and sigma^4 V^2: the scales below.  Just past
+        # the switch |x| sigma = 1/2 the quotient's rounding reaches 2.6e-15 of
+        # margin_scale, which floors at 1, on the few-panel measure
+        mpmath = pytest.importorskip("mpmath")
+        m = self.MEASURES[name]()
+        cfg = OmegaConfig(m, -1, -math.pi / 2)
+        sig, v = m.sigma, m.total_variation
+        switch = 0.5 / sig
+        alpha, shift = 0.7, cfg.tau / sig
+        f = from_omega_config(cfg, alpha)
+        points = [1e-8, -3e-6, 1.01e-4, -1e-3, 1e-2, switch * (1 - 1e-4), -switch * (1 + 1e-4), switch * (1 + 1e-4)]
+        with mpmath.workdps(40):
+            rot, e_alpha = mpmath.expj(cfg.tau), mpmath.expj(alpha)
+            for x in points:
+                w, wp = _mp_omega(m, x)
+                W, Wp = _mp_omega(m.reflected(), x, rot)
+                d = (mpmath.conj(w) * wp).imag
+                margin = 4 * sig * d - (Wp.real + 2 * sig * W.imag) ** 2
+                assert abs(margin_values(cfg, x) - margin) <= 1e-15 * sig**4 * v * v, x
+                assert abs(eval_d(cfg, x) - d) <= 1e-15 * sig**3 * v * v, x
+                assert abs(eval_E(m, cfg.tau, -1, x) - W.real) <= 1e-15 * sig * v, x
+                u = np.array([x + shift])  # f reads u = x - shift, which rounds
+                wu, wup = _mp_omega(m, float(u[0] - shift))
+                assert abs(f.evaluate(u)[0] - (e_alpha * wu).real) <= 1e-15 * sig * v, x
+                assert abs(f.derivative(u)[0] - (e_alpha * wup).real) <= 1e-15 * sig * sig * v, x

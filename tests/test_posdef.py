@@ -72,6 +72,20 @@ class TestProfileRecovery:
         assert np.max(np.abs(profile.f(t) - expected)) <= 1e-14 * m.total_variation
         assert np.array_equal(profile.f(-t), profile.f(t))
 
+    @pytest.mark.parametrize("mu, nu", [(1.0, 0.5), (2.0, 0.5), (1.5, 0.8)])
+    def test_steep_panels_keep_the_profile_exact(self, mu, nu):
+        # g(b0) is taken in each panel's own coordinate: a global intercept
+        # cancelled on the steep panels next to t = 1 and put f0 = f(0)
+        # 5.7e-13 off the left-limit mass on (1.0, 0.5)
+        from hbfourier.measure import from_monomial_density
+
+        m = from_monomial_density(mu, nu)
+        rep = recover_pd_profile(m)
+        assert rep.f0 == m.left_limit_mass
+        t = np.concatenate([m.sigma - np.array(m.density.nodes), np.random.default_rng(3).uniform(0.0, m.sigma, 2000)])
+        expected = m.density.cumulative(m.sigma - t)
+        assert np.max(np.abs(rep.profile.f(t) - expected)) <= 2e-15 * m.total_variation
+
     def test_pd_bound_holds_under_verdict(self, ramp_density):
         rep = recover_pd_profile(ramp_density)
         assert rep.s_nonneg

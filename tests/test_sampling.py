@@ -194,22 +194,24 @@ class TestOmegaConfigFunctions:
             assert abs(lhs - rhs.value) <= rhs.tail_bound + 1e-9
 
     def test_root_family_continuous_across_the_origin_cut(self):
-        # below |u| = 1e-6 f and f' switch to the series of F(u) / u at u = 0;
-        # above it they are quotients of G and H, whose rounding eps V grows
-        # to eps V / u in f and eps V / u^2 in f', and bounds the jumps
+        # where |u| sigma <= 1/2, f and f' come from the series of F(u) / u;
+        # past that switch they are quotients of G and H, whose rounding eps V
+        # grows to eps V / u in f and eps V / u^2 in f', and bounds the jumps
         m = from_pd_profile([0.0, 1.0], [1.0, 0.0], -1.0)
         cfg = OmegaConfig(m, -1, -math.pi / 2)
         shift = cfg.tau / m.sigma
-        rounding = np.finfo(float).eps * m.total_variation / 1e-6
+        switch = 0.5 / m.sigma
+        rounding = np.finfo(float).eps * m.total_variation / switch
         for alpha in (0.0, 0.7, math.pi / 2):
             f = from_omega_config(cfg, alpha)
             for side in (1.0, -1.0):
-                x = shift + side * np.array([1e-6 * (1.0 - 1e-3), 1e-6 * (1.0 + 1e-3)])
-                assert abs(x[0] - shift) < 1e-6 < abs(x[1] - shift)
+                edge = shift + side * switch
+                x = edge + side * abs(np.spacing(edge)) * np.array([-1.0, 1.0])
+                assert abs(x[0] - shift) <= switch < abs(x[1] - shift)
                 value, slope = f.evaluate(x), f.derivative(x)
-                # f moves by its slope times the 2e-9 step, f' by about 1e-9 times f''
+                # f moves by its slope times the 2-ulp step, f' by 2 ulps times f''
                 assert abs(value[1] - value[0] - slope[0] * (x[1] - x[0])) <= rounding
-                assert abs(slope[1] - slope[0]) <= rounding / 1e-6
+                assert abs(slope[1] - slope[0]) <= rounding / switch
 
     @pytest.mark.parametrize("n", [0, 1, -1])
     def test_one_evaluator_pass_per_evaluation(self, n, monkeypatch):

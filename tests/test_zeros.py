@@ -84,6 +84,15 @@ class TestCountZeros:
         with pytest.raises(ValueError):
             count_zeros(two_unit_atoms, LOWER, "F/z")
 
+    def test_inverse_target_contour_through_the_origin(self):
+        # F(0) = 0 and F'(0) = -i/2, so F / z is entire and nonzero at z = 0,
+        # where the top edge of the rectangle has a sample
+        m = from_pd_profile([0.0, 1.0], [1.0, 0.0], -1.0)
+        w, scale = _target_fn(m, "F/z")(np.array([0j, 0.3 - 0.2j]))
+        assert w[0] == pytest.approx(1j * m.moment(1), abs=1e-16)
+        assert w[1] * math.exp(scale[1]) == pytest.approx(eval_F(m, 0.3 - 0.2j) / (0.3 - 0.2j), abs=1e-15)
+        assert count_zeros(m, Rectangle(-1.0, 1.0, -1.0, 0.0), "F/z").count == 0
+
 
 class TestLocate:
     def test_locates_log_two_zero(self, sign_breaking_atoms):
