@@ -19,21 +19,22 @@ evaluates has a nonpositive real exponent, so contour sweeps far below the
 real axis cannot overflow; the public functions fold the scale back in, or
 hand the pair on, as `eval_F_scaled` does.
 
-The evaluator sums a density at two levels of detail.  The panel path
-integrates every panel exactly: a closed-form recurrence, or a power series
-whose length follows the largest |z| w of the block and is cut where the
-omitted terms could not change a bit.  The cluster path is the far-field
-expansion of the fast multipole method and the type-3 nonuniform FFT
-(Greengard & Rokhlin, J. Comput. Phys. 73, 1987; Barnett, Magland &
-af Klinteberg, SIAM J. Sci. Comput. 41, 2019).  Dyadic clusters of
-half-width h and centre c contribute
-e^{izc - E} sum_k (izh)^k / k! int g(t) t^m ((t - c) / h)^k dt, with the
-moments tabulated once per density, on its first evaluation.  A point takes
-the coarsest level with |z| h <= 1/2, chosen from |z| alone, so 16 terms
-reach rounding and none cancel.  Levels are stored only while their clusters
-hold at least `_LEAF_PANELS` panels on average; a point past the finest
-stored level, and every point of a density with fewer than 2 * _LEAF_PANELS
-panels, takes the panel path, which is thus the leaf of the same evaluator.
+The evaluator sums a density in one of two ways.  The cluster path is the
+far-field expansion of the fast multipole method and the type-3 nonuniform
+FFT (Greengard & Rokhlin, J. Comput. Phys. 73, 1987; Barnett, Magland &
+af Klinteberg, SIAM J. Sci. Comput. 41, 2019).  Clusters of half-width h and
+centre c contribute e^{izc - E} sum_k (izh)^k / k! int g(t) t^m ((t - c) / h)^k dt,
+with the moments tabulated per density.  Its levels are dyadic cuts of the
+density's span, stored while their clusters hold at least
+`_MIN_CLUSTER_PANELS` panels on average, and below them the leaf, in which
+every panel is a cluster of its own and h is the largest panel half-width.
+A point takes the coarsest level with |z| h <= 1/2, chosen from |z| alone,
+so 16 terms reach rounding and none cancel.  The dyadic tables are built on
+a density's first evaluation, the leaf's on its first point that needs it.
+A point past the leaf takes the panel path, which integrates every panel
+exactly: a closed-form recurrence, or a power series whose length follows
+the largest |z| w of the block and is cut where the omitted terms could not
+change a bit.
 
 Located points (real zeros, the imaginary lower zero, equality points of the
 inequality) are roots of functions built from these moments.
@@ -78,10 +79,11 @@ _BLOCK = 4096
 # leave a remainder below rho^K / K! < 1e-18 of sigma^m times the cluster's variation
 _CLUSTER_RHO = 0.5
 _CLUSTER_TERMS = 16
-#: fewest panels per cluster, on average, of a stored level.  The cluster path
-#: is faster at every level, but below about 32 panels per cluster it is less
-#: accurate than the panel path against mpmath (the measured crossover)
-_LEAF_PANELS = 32
+#: fewest panels per cluster, on average, of a stored dyadic level.  A dyadic
+#: cluster cuts panels at its edges, and below about 32 panels per cluster the
+#: cut pieces' moments are less accurate than the panel path against mpmath
+#: (the measured crossover); the leaf cuts no panel
+_MIN_CLUSTER_PANELS = 32
 
 
 def _series_length(r: float) -> int:
@@ -171,7 +173,10 @@ def _density_tables(density: PiecewiseLinearDensity) -> _DensityTables:
     shape ((order + 2) * P, points).
 
     The cluster path: levels[L] = (h, centres, B) from `_cluster_levels`, and
-    limits[L] = _CLUSTER_RHO / h, the largest |z| that level L serves.
+    limits[L] = _CLUSTER_RHO / h, the largest |z| that level L serves.  One
+    more limit, the last, is the leaf's (`_leaf_level`), whose table is not
+    built here; it is left out where it would serve no point, when a graded
+    mesh's widest panel is wider than the finest dyadic cluster.
     """
     panels = density.panels
     widths = [t1 - t0 for t0, t1, _, _ in panels]
@@ -189,8 +194,11 @@ def _density_tables(density: PiecewiseLinearDensity) -> _DensityTables:
         rows.append((j * len(panels) + panel, q[panel, j][:, None]))
     t0 = np.array([p[0] for p in panels])[:, None]
     levels = _cluster_levels(density)
-    limits = np.array([_CLUSTER_RHO / h for h, _, _ in levels])
-    return _DensityTables(t0, w_powers[:, :, None], tuple(rows), limits, levels)
+    limits = [_CLUSTER_RHO / h for h, _, _ in levels]
+    leaf = _CLUSTER_RHO / _leaf_pieces(density)[1].max()
+    if not limits or leaf > limits[-1]:
+        limits.append(leaf)
+    return _DensityTables(t0, w_powers[:, :, None], tuple(rows), np.array(limits), levels)
 
 
 def _cluster_levels(density: PiecewiseLinearDensity) -> tuple:
@@ -202,7 +210,7 @@ def _cluster_levels(density: PiecewiseLinearDensity) -> tuple:
     for m <= _MAX_ORDER and k < _CLUSTER_TERMS.  Every panel is cut at the
     cluster edges, and a piece's moments come from its own end values, width
     and offset from the centre, never from a global t - c.  Only levels
-    whose clusters hold at least _LEAF_PANELS panels on average are built.
+    whose clusters hold at least _MIN_CLUSTER_PANELS panels on average are built.
     The coarsest level has two clusters, not one: with one cluster, order 0
     and one point, every product of `_cluster_sum` would be a lone complex
     element, which numpy multiplies without the fused multiply-add of its
@@ -213,10 +221,9 @@ def _cluster_levels(density: PiecewiseLinearDensity) -> tuple:
     panels = len(nodes) - 1
     lo, hi = nodes[0], nodes[-1]
     n_moments = _CLUSTER_TERMS + _MAX_ORDER
-    inv_fact = np.array([1.0 / math.factorial(k) for k in range(_CLUSTER_TERMS)])[:, None]
     levels = []
     count = 2
-    while panels >= _LEAF_PANELS * count:
+    while panels >= _MIN_CLUSTER_PANELS * count:
         h = (hi - lo) / (2 * count)
         edges = lo + 2.0 * h * np.arange(count + 1)
         edges[-1] = hi
@@ -243,14 +250,59 @@ def _cluster_levels(density: PiecewiseLinearDensity) -> tuple:
         for k in range(n_moments):
             piece = sum(math.comb(k, i) * d_pow[k - i] * e[i] for i in range(k + 1))
             moments[k] = np.bincount(j, weights=piece, minlength=count)
-        # t^m = sum_i C(m, i) c^(m-i) h^i ((t - c) / h)^i
-        B = np.zeros((_MAX_ORDER + 1, _CLUSTER_TERMS, count))
-        for m in range(_MAX_ORDER + 1):
-            for i in range(m + 1):
-                B[m] += math.comb(m, i) * h**i * centres ** (m - i) * moments[i : i + _CLUSTER_TERMS]
-        levels.append((h, centres, B * inv_fact))
+        levels.append((h, centres, _cluster_table(h, centres, moments)))
         count *= 2
     return tuple(levels)
+
+
+def _leaf_pieces(density: PiecewiseLinearDensity):
+    """(centres, half-widths, alpha, beta) of the leaf's clusters, one per panel.
+
+    On a cluster, g(c + h_p x) = alpha + beta x for x in [-1, 1]: alpha is the
+    panel's mean value and beta half its value change.  A one-panel density
+    is split at its midpoint, as a one-cluster level would break batch
+    invariance (see `_cluster_levels`).
+    """
+    nodes = np.array(density.nodes)
+    left, right = np.array(density.left), np.array(density.right)
+    if len(left) == 1:
+        mid = 0.5 * (left + right)
+        nodes = np.array([nodes[0], 0.5 * (nodes[0] + nodes[1]), nodes[1]])
+        left, right = np.concatenate([left, mid]), np.concatenate([mid, right])
+    return 0.5 * (nodes[:-1] + nodes[1:]), 0.5 * (nodes[1:] - nodes[:-1]), 0.5 * (left + right), 0.5 * (right - left)
+
+
+@functools.lru_cache(maxsize=64)  # an entry of a 2049-panel density is about 1.3 MB
+def _leaf_level(density: PiecewiseLinearDensity) -> tuple:
+    """The leaf cluster level (h, centres, B) of a density, as in `_cluster_levels`.
+
+    Every panel is a cluster centred at its midpoint, and all share h, the
+    largest half-width, so the leaf serves |z| <= _CLUSTER_RHO / h.  A
+    cluster of half-width h_p has the centred moments
+    int g(t) ((t - c) / h)^k dt = h_p (h_p / h)^k int_{-1}^{1} (alpha + beta x) x^k dx,
+    in closed form from its end values, with no term that cancels.  Built
+    on the first point the leaf serves: points inside the dyadic levels,
+    like most real-axis work on many-panel densities, never pay for it.
+    """
+    centres, half, alpha, beta = _leaf_pieces(density)
+    h = half.max()
+    k = np.arange(_CLUSTER_TERMS + _MAX_ORDER)[:, None]
+    # only the even powers of x integrate to nonzero over [-1, 1]
+    moments = half * (half / h) ** k * np.where(k % 2 == 0, 2.0 * alpha / (k + 1), 2.0 * beta / (k + 2))
+    return h, centres, _cluster_table(h, centres, moments)
+
+
+def _cluster_table(h: float, centres, moments):
+    """B[m, k, j] = int_{cluster j} g(t) t^m ((t - c_j) / h)^k dt / k! for
+    m <= _MAX_ORDER and k < _CLUSTER_TERMS, from the centred moments
+    moments[i, j] = int_{cluster j} g(t) ((t - c_j) / h)^i dt."""
+    inv_fact = np.array([1.0 / math.factorial(k) for k in range(_CLUSTER_TERMS)])[:, None]
+    B = np.zeros((_MAX_ORDER + 1, _CLUSTER_TERMS, len(centres)))
+    # t^m = sum_i C(m, i) c^(m-i) h^i ((t - c) / h)^i
+    for m in range(_MAX_ORDER + 1):
+        for i in range(m + 1):
+            B[m] += math.comb(m, i) * h**i * centres ** (m - i) * moments[i : i + _CLUSTER_TERMS]
+    return B * inv_fact
 
 
 def _panel_sum(out, a, E, tables: _DensityTables):
@@ -303,7 +355,7 @@ def _grid_moments(measure: StieltjesMeasure, z, order: int):
     real part, so points far below the real axis cannot overflow.  Atoms are
     added one by one.  The density is summed, in a fixed order, over the
     clusters of the level that |z| selects, or over all panels where |z| is
-    past every stored level; each block of points is evaluated element by
+    past the leaf; each block of points is evaluated element by
     element, so a point's moments do not depend on the other points of the
     call.  T has shape (order + 1,) + z.shape.
     """
@@ -320,22 +372,22 @@ def _grid_moments(measure: StieltjesMeasure, z, order: int):
     if measure.density is not None:
         tables = _density_tables(measure.density)
         a, E, flat = a.reshape(-1), E.reshape(-1), T.reshape(order + 1, -1)
-        if not tables.levels:
-            _panel_sum(flat, a, E, tables)
-        else:
-            # the coarsest level with |z| h <= rho; len(levels) marks a panel-path leaf
-            level = np.searchsorted(tables.limits, np.abs(a))
-            counts = np.bincount(level)
-            for lv in np.flatnonzero(counts):
-                whole = counts[lv] == a.size
-                pts = slice(None) if whole else np.flatnonzero(level == lv)
-                part = flat[:, pts]  # a view when whole, else a copy written back below
-                if lv < len(tables.levels):
-                    _cluster_sum(part, a[pts], E[pts], *tables.levels[lv])
-                else:
-                    _panel_sum(part, a[pts], E[pts], tables)
-                if not whole:
-                    flat[:, pts] = part
+        # the coarsest level with |z| h <= rho: the dyadic levels, then the leaf;
+        # len(limits) marks the panel path
+        level = np.searchsorted(tables.limits, np.abs(a))
+        counts = np.bincount(level)
+        for lv in np.flatnonzero(counts):
+            whole = counts[lv] == a.size
+            pts = slice(None) if whole else np.flatnonzero(level == lv)
+            part = flat[:, pts]  # a view when whole, else a copy written back below
+            if lv < len(tables.levels):
+                _cluster_sum(part, a[pts], E[pts], *tables.levels[lv])
+            elif lv < len(tables.limits):
+                _cluster_sum(part, a[pts], E[pts], *_leaf_level(measure.density))
+            else:
+                _panel_sum(part, a[pts], E[pts], tables)
+            if not whole:
+                flat[:, pts] = part
     return T, E.reshape(z.shape)[()]  # [()] gives a scalar E for a scalar z
 
 

@@ -315,3 +315,32 @@ class TestCachedAggregates:
         assert cached == fresh and fresh == cached
         assert hash(cached) == hash(fresh)
         assert len({cached, fresh}) == 1
+
+    def test_equal_densities_hash_equal(self):
+        a = PiecewiseLinearDensity.interpolant([0.0, 0.3, 1.0], [1.0, -0.4, 0.2])
+        b = PiecewiseLinearDensity((0, 0.3, 1), (1, -0.4), (-0.4, 0.2))
+        c = PiecewiseLinearDensity.interpolant([0.0, 0.3, 1.0], [1.0, -0.4, 0.25])
+        assert a == b and hash(a) == hash(b) == hash((a.nodes, a.left, a.right))
+        assert a != c and len({a, b, c}) == 2
+        assert "_hash" not in repr(a)
+
+    def test_lookups_do_not_rehash_the_nodes(self):
+        # the evaluator's lru caches look a density up on every call; after
+        # construction its hash must not touch the nodes or values again
+        hashed = []
+
+        class Counted(tuple):
+            def __hash__(self):
+                hashed.append(len(self))
+                return super().__hash__()
+
+        dens = PiecewiseLinearDensity.interpolant(np.linspace(0.0, 1.0, 65), np.linspace(1.0, 0.0, 65))
+        first = hash(dens)
+        for name in ("nodes", "left", "right"):
+            object.__setattr__(dens, name, Counted(getattr(dens, name)))
+        m = StieltjesMeasure(1.0, (), dens)
+        for _ in range(2):
+            assert hash(dens) == first
+            eval_F(m, np.array([0.5, 30.0, 200.0]))
+            eval_E(m, 0.0, 0, 3.0)
+        assert hashed == []

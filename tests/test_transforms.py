@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbfourier.measure import PiecewiseLinearDensity, StieltjesMeasure, from_monomial_density
+from hbfourier.measure import PiecewiseLinearDensity, StieltjesMeasure, from_monomial_density, from_pd_profile
 from hbfourier.transforms import (
     _BLOCK,
     _MAX_ORDER,
@@ -15,6 +15,7 @@ from hbfourier.transforms import (
     _bracketed_newton,
     _density_tables,
     _grid_moments,
+    _leaf_level,
     _segment_moments,
     eval_CS,
     eval_Delta,
@@ -338,14 +339,15 @@ class TestClusterPath:
     def test_against_mpmath(self, mu_exp, nu_exp):
         pytest.importorskip("mpmath")
         m = from_monomial_density(mu_exp, nu_exp)
-        exact = {x: _mp_scaled_moments(m.density, x, 0.0, 2) for x in (0.37, 2.9, 11.3, 41.7, 60.0)}
+        exact = {x: _mp_scaled_moments(m.density, x, 0.0, 2) for x in (0.37, 2.9, 11.3, 41.7, 60.0, 250.0)}
         for z in (7.3 - 2.1j, 3.3 - 400.0j):
             exact[z] = _mp_scaled_moments(m.density, z, -z.imag, 2)
-        # one ulp either side of a level switch and of the switch from the
-        # finest cluster level to the panel path; one oracle call at the switch
-        # x serves both, as T_m(x + d) = T_m(x) + i d T_(m+1)(x) + O(d^2) with d ~ 1e-14
+        # one ulp either side of a dyadic level switch, of the switch from the
+        # finest dyadic level to the leaf and of the switch from the leaf to the
+        # panel path; one oracle call at the switch x serves both sides, as
+        # T_m(x + d) = T_m(x) + i d T_(m+1)(x) + O(d^2) with d ~ 1e-14
         limits = _density_tables(m.density).limits
-        for edge in (float(limits[2]), float(limits[-1])):
+        for edge in (float(limits[2]), float(limits[-2]), float(limits[-1])):
             at_edge = _mp_scaled_moments(m.density, edge, 0.0, 3)
             for x in (float(np.nextafter(edge, 0.0)), float(np.nextafter(edge, np.inf))):
                 exact[x] = [at_edge[k] + 1j * (x - edge) * at_edge[k + 1] for k in range(3)]
@@ -380,6 +382,114 @@ class TestClusterPath:
             T1, E1 = _grid_moments(m, z, order)
             assert np.array_equal(bits(T[:, i]), bits(T1))
             assert E[i] == E1
+
+
+def _triangle(panels: int):
+    """The borderline triangle of the paper on `panels` equal panels: a step
+    density with an atom of -1/2 at sigma = 1."""
+    return from_pd_profile([i / panels for i in range(panels + 1)], [1.0 - i / panels for i in range(panels + 1)], -0.5)
+
+
+def _jump_mesh():
+    """A 1000-panel graded mesh on [0, 1.5] whose values jump at every node
+    (left != right) and change sign; its widest panel is at the right end."""
+    rng = np.random.default_rng(21)
+    nodes = 1.5 * np.linspace(0.0, 1.0, 1001) ** 1.5
+    dens = PiecewiseLinearDensity(nodes, rng.uniform(-0.5, 2.0, 1000), rng.uniform(-0.5, 2.0, 1000))
+    return StieltjesMeasure(1.5, (), dens)
+
+
+def _one_panel():
+    return StieltjesMeasure(1.5, (), PiecewiseLinearDensity((0.0, 1.5), (0.3,), (1.7,)))
+
+
+class TestLeaf:
+    """The leaf cluster level, in which every panel is a cluster of its own."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: _triangle(16), lambda: _triangle(64), lambda: _triangle(128), _jump_mesh, _one_panel],
+        ids=["triangle16", "triangle64", "triangle128", "jump_mesh", "one_panel"],
+    )
+    def test_against_mpmath(self, make):
+        pytest.importorskip("mpmath")
+        m = make()
+        m = StieltjesMeasure(m.sigma, (), m.density)  # the oracle sums the density alone
+        limits = _density_tables(m.density).limits
+        leaf = float(limits[-1])
+        # real and complex points the leaf serves, at up to 0.95 of its radius
+        zs = [0.3 * leaf, -0.77 * leaf, 0.6 * leaf * cmath.exp(-0.4j), -0.95j * leaf, 0.5 * leaf * cmath.exp(-2.5j)]
+        inner = float(limits[-2]) if len(limits) > 1 else 0.0
+        assert all(inner < abs(z) <= leaf for z in zs)
+        exact = {z: _mp_scaled_moments(m.density, z, max(0.0, -z.imag * m.sigma), 2) for z in zs}
+        # Im z = -400: the leaf on the graded mesh, the panel path on the rest
+        exact[3.3 - 400.0j] = _mp_scaled_moments(m.density, 3.3 - 400.0j, 400.0 * m.sigma, 2)
+        # one ulp either side of the switch from the leaf to the panel path
+        at_edge = _mp_scaled_moments(m.density, leaf, 0.0, 3)
+        for x in (float(np.nextafter(leaf, 0.0)), float(np.nextafter(leaf, np.inf))):
+            exact[x] = [at_edge[k] + 1j * (x - leaf) * at_edge[k + 1] for k in range(3)]
+        zs = list(exact)
+        T, E = _grid_moments(m, np.array(zs, dtype=complex), 2)
+        for i, z in enumerate(zs):
+            for k in range(3):
+                scale = m.total_variation * m.sigma**k
+                assert abs(T[k, i] - exact[z][k]) <= 1e-14 * scale, (z, k)
+
+    def test_left_out_where_a_dyadic_level_reaches_further(self):
+        # a graded mesh whose widest panel, [0, 0.6], is wider than the two
+        # dyadic clusters: the leaf would serve |z| <= 1 / 0.6 < 2, so |z| up
+        # to 2 stays on the dyadic level and the panel path takes the rest
+        nodes = np.concatenate([[0.0], np.linspace(0.6, 1.0, 64)])
+        m = StieltjesMeasure(1.0, (), PiecewiseLinearDensity.interpolant(nodes, 1.0 + nodes**2))
+        assert _density_tables(m.density).limits.tolist() == [2.0]
+        zs = [1.8, 1.5 - 0.9j, 2.5]
+        T, E = _grid_moments(m, np.array(zs), 2)
+        for i, z in enumerate(zs):
+            exact = _mp_scaled_moments(m.density, z, E[i], 2)
+            for k in range(3):
+                assert abs(T[k, i] - exact[k]) <= 1e-14 * m.total_variation, (z, k)
+
+    def test_one_panel_is_split_in_two(self):
+        h, centres, B = _leaf_level(_one_panel().density)
+        assert h == 0.375 and list(centres) == [0.375, 1.125] and B.shape[-1] == 2
+        assert _density_tables(_one_panel().density).limits.tolist() == [0.5 / 0.375]
+
+    @pytest.mark.parametrize("order", [0, 2])
+    @pytest.mark.parametrize("make", [lambda: _triangle(128), _one_panel], ids=["triangle128", "one_panel"])
+    def test_batch_invariance_across_level_leaf_and_panels(self, make, order):
+        # 128 panels: dyadic levels to |z| = 2 and 4, the leaf to 128, whose
+        # blocks hold _BLOCK // 128 = 32 points, and the panel path past it.
+        # One panel: the leaf's two halves, then the panel path; a leaf of one
+        # cluster would differ in the last bit at order 0
+        rng = np.random.default_rng(12)
+        m = make()
+        limits = _density_tables(m.density).limits
+        edges = np.concatenate([[0.0], limits])
+        radius = [rng.uniform(lo, hi, 75 if hi == limits[-1] else 20) for lo, hi in zip(edges[:-1], edges[1:])]
+        radius += [limits[-1:], [np.nextafter(limits[-1], np.inf)], rng.uniform(limits[-1], 2.5 * limits[-1], 6)]
+        radius = rng.permutation(np.concatenate(radius))
+        batch = radius * np.exp(1j * rng.uniform(-math.pi, 0.1, radius.size))
+        batch[::3] = batch[::3].real
+        T, E = _grid_moments(m, batch, order)
+        for i, z in enumerate(batch):
+            z = z if z.imag else float(z.real)
+            T1, E1 = _grid_moments(m, z, order)
+            assert np.array_equal(bits(T[:, i]), bits(T1))
+            assert E[i] == E1
+
+    def test_built_only_for_the_points_it_serves(self):
+        # a 2049-panel density evaluated inside its dyadic levels, as the
+        # real-axis checks do, never builds the leaf's 1.3 MB table
+        m = from_monomial_density(2.5, 1.5)
+        limits = _density_tables(m.density).limits
+        before = _leaf_level.cache_info()
+        real_transforms(m, np.linspace(-limits[-2], limits[-2], 301), order=2)
+        eval_F(m, 0.5 * limits[-2] * cmath.exp(-1j))
+        assert _leaf_level.cache_info()[:2] == before[:2]
+        eval_F(m, np.array([limits[-2] * 1.01, limits[-1]]))
+        eval_F(m, limits[-1] * 0.5)
+        after = _leaf_level.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses + 1)
 
 
 class TestBracketedNewton:
