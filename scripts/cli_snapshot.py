@@ -6,17 +6,20 @@ Runs every command on the measure of each `scenarios/*.json` file, with
 on the rectangle [-1, 1] x [-1, 0], whose top edge passes through z = 0, plus
 the five demos, in json and table form, in-process through `hbfourier.cli.main`.
 It also runs every command but `interp` on the two 2049-panel
-`from_monomial_density` measures, (1.5, 0.8) and (3.0, 2.0), and `eval`,
+`from_monomial_density` measures, (1.5, 0.8) and (3.0, 2.0), `eval`,
 `posdef`, `zeros-classify` and `zeros-imag` on the borderline triangle of 64
-panels (density 1 on [0, 1], an atom of -1/2 at 1), all written as scenario
-files into a temporary directory.  The scenarios have one to a few panels,
-so the evaluator serves them from its leaf (one cluster per panel) or its
-panel path; only the many-panel measures show its dyadic cluster levels, and
-the triangle shows the leaf beside one dyadic level.  `interp` is left out
-on the monomial measures, since its series probes about a million points
-past every cluster level and takes minutes on 2049 panels.  With the four
-scenario files that makes 170 invocations: 26 per scenario, 24 per monomial
-measure, 8 for the triangle and 10 for the demos.
+panels (density 1 on [0, 1], an atom of -1/2 at 1), and `eval`, every
+`zeros-count`, `zeros-classify` and `zeros-imag` on the same triangle of 16
+panels, all written as scenario files into a temporary directory.  The
+scenarios have one to a few panels, so the evaluator serves them from its
+levels of two or four cells or its panel path; the 16-panel triangle's
+contours pass through every level of 2 to 16 cells, and the many-panel
+measures and the 64-panel triangle show the coarse levels of longer
+hierarchies.  `interp` is left out on the monomial measures, since its
+series probes about a million points past every cluster level and takes
+minutes on 2049 panels.  With the four scenario files that makes 188
+invocations: 26 per scenario, 24 per monomial measure, 8 for the 64-panel
+triangle, 18 for the 16-panel one and 10 for the demos.
 Each invocation's exit code, stdout and stderr go to a file of their own in
 OUTDIR, so that `diff -r` of two snapshots shows every byte that moved:
 
@@ -61,9 +64,11 @@ DEMOS = ("fejer2", "atom-sigma", "triangle-case2", "ramp", "growth-limit")
 #: (mu, nu) of the many-panel measures, and the commands not run on them
 MANY_PANEL = ((1.5, 0.8), (3.0, 2.0))
 MANY_PANEL_SKIP = {"interp"}
-#: panels of the borderline triangle, and the commands run on it
-TRIANGLE_PANELS = 64
-TRIANGLE_COMMANDS = {"eval", "posdef", "zeros-classify", "zeros-imag"}
+#: panels of each borderline triangle, and the commands run on it
+TRIANGLES = (
+    (64, {"eval", "posdef", "zeros-classify", "zeros-imag"}),
+    (16, {"eval", "zeros-count", "zeros-classify", "zeros-imag"}),
+)
 
 
 def run(argv):
@@ -109,8 +114,9 @@ def invocations(workdir: Path):
         yield from scenario_runs(path.stem, json.loads(path.read_text(encoding="utf-8")), workdir)
     for mu, nu in MANY_PANEL:
         yield from scenario_runs(f"monomial-{mu}-{nu}", monomial_scenario(mu, nu), workdir, MANY_PANEL_SKIP)
-    skip = {command for command, _, _ in SCENARIO_RUNS} - TRIANGLE_COMMANDS
-    yield from scenario_runs(f"triangle-{TRIANGLE_PANELS}", triangle_scenario(TRIANGLE_PANELS), workdir, skip)
+    for panels, commands in TRIANGLES:
+        skip = {command for command, _, _ in SCENARIO_RUNS} - commands
+        yield from scenario_runs(f"triangle-{panels}", triangle_scenario(panels), workdir, skip)
     for demo in DEMOS:
         for output in OUTPUTS:
             yield f"demo-{demo}--{output}.txt", ["demo", demo, "--out", output]

@@ -22,19 +22,22 @@ hand the pair on, as `eval_F_scaled` does.
 The evaluator sums a density in one of two ways.  The cluster path is the
 far-field expansion of the fast multipole method and the type-3 nonuniform
 FFT (Greengard & Rokhlin, J. Comput. Phys. 73, 1987; Barnett, Magland &
-af Klinteberg, SIAM J. Sci. Comput. 41, 2019).  Clusters of half-width h and
+af Klinteberg, SIAM J. Sci. Comput. 41, 2019).  Cells of half-width h and
 centre c contribute e^{izc - E} sum_k (izh)^k / k! int g(t) t^m ((t - c) / h)^k dt,
-with the moments tabulated per density.  Its levels are dyadic cuts of the
-density's span, stored while their clusters hold at least
-`_MIN_CLUSTER_PANELS` panels on average, and below them the leaf, in which
-every panel is a cluster of its own and h is the largest panel half-width.
-A point takes the coarsest level with |z| h <= 1/2, chosen from |z| alone,
-so 16 terms reach rounding and none cancel.  The dyadic tables are built on
-a density's first evaluation, the leaf's on its first point that needs it.
-A point past the leaf takes the panel path, which integrates every panel
-exactly: a closed-form recurrence, or a power series whose length follows
-the largest |z| w of the block and is cut where the omitted terms could not
-change a bit.
+with the moments tabulated per density.  There is one hierarchy of levels:
+dyadic cuts of the density's span into 2, 4, 8, ... cells, down to about
+one cell per panel.  A cell's moments are sums over the pieces that its
+edges cut from the panels, each expanded about its own midpoint and moved
+to the cell's centre; a piece inside its cell lies within |d| + s <= 1 of
+it in units of h (d its offset, s its half-width), so the binomial weights
+of the move add up to at most 1 and its rounding stays a few ulps of the
+piece's integral of |g|, however the cells cut the panels.  A point takes the
+coarsest level with |z| h <= 1/2, chosen from |z| alone, so 16 terms reach
+rounding and none cancel.  A level's table is built on the first point
+that needs it.  A point past the finest level takes the panel path, which
+integrates every panel exactly: a closed-form recurrence, or a power series
+whose length follows the largest |z| w of the block and is cut where the
+omitted terms could not change a bit.
 
 Located points (real zeros, the imaginary lower zero, equality points of the
 inequality) are roots of functions built from these moments.
@@ -74,16 +77,11 @@ _NEWTON_MAXITER = 100
 # points x panels evaluated together: the temporaries of a 4096 block peak near
 # 1 MB, and larger blocks raise the peak memory in proportion without running faster
 _BLOCK = 4096
-# the cluster path (see _cluster_levels): a point is served by the coarsest level
+# the cluster path (see _cluster_level): a point is served by the coarsest level
 # whose half-width h has |z| h <= _CLUSTER_RHO, where _CLUSTER_TERMS Taylor terms
-# leave a remainder below rho^K / K! < 1e-18 of sigma^m times the cluster's variation
+# leave a remainder below rho^K / K! < 1e-18 of sigma^m times the cell's variation
 _CLUSTER_RHO = 0.5
 _CLUSTER_TERMS = 16
-#: fewest panels per cluster, on average, of a stored dyadic level.  A dyadic
-#: cluster cuts panels at its edges, and below about 32 panels per cluster the
-#: cut pieces' moments are less accurate than the panel path against mpmath
-#: (the measured crossover); the leaf cuts no panel
-_MIN_CLUSTER_PANELS = 32
 
 
 def _series_length(r: float) -> int:
@@ -158,12 +156,12 @@ class _DensityTables(NamedTuple):
     w_powers: np.ndarray
     rows: tuple
     limits: np.ndarray
-    levels: tuple
+    levels: list
 
 
-@functools.lru_cache(maxsize=64)  # an entry of a 2049-panel density is about 0.85 MB
+@functools.lru_cache(maxsize=64)  # an entry of a 2049-panel density is 0.77 MB, 3.4 MB with every level built
 def _density_tables(density: PiecewiseLinearDensity) -> _DensityTables:
-    """A density's panels and cluster levels, built on its first evaluation.
+    """A density's panels and cluster levels, laid out on its first evaluation.
 
     The panel path: t0 and w_powers[k] = w ** (k + 1) are columns of shape
     (P, 1).  For a panel p, q_j are the coefficients of t^m (v0 + slope u) as
@@ -172,11 +170,13 @@ def _density_tables(density: PiecewiseLinearDensity) -> _DensityTables:
     index = j * P + p locating N_j of panel p in the moments flattened to
     shape ((order + 2) * P, points).
 
-    The cluster path: levels[L] = (h, centres, B) from `_cluster_levels`, and
-    limits[L] = _CLUSTER_RHO / h, the largest |z| that level L serves.  One
-    more limit, the last, is the leaf's (`_leaf_level`), whose table is not
-    built here; it is left out where it would serve no point, when a graded
-    mesh's widest panel is wider than the finest dyadic cluster.
+    The cluster path: level L cuts the span [lo, hi] into 2^(L+1) cells of
+    half-width h = (hi - lo) / 2^(L+2), from 2 cells up to the most that do
+    not outnumber the panels (still 2 for a one-panel density), and
+    limits[L] = _CLUSTER_RHO / h is the largest |z| it serves.  levels[L]
+    holds its table (h, centres, B) from `_cluster_level` once a point has
+    needed it, else None: real-axis work on a many-panel density stays on
+    the coarse levels and never builds the fine ones.
     """
     panels = density.panels
     widths = [t1 - t0 for t0, t1, _, _ in panels]
@@ -193,116 +193,71 @@ def _density_tables(density: PiecewiseLinearDensity) -> _DensityTables:
         panel, j = np.nonzero(q)
         rows.append((j * len(panels) + panel, q[panel, j][:, None]))
     t0 = np.array([p[0] for p in panels])[:, None]
-    levels = _cluster_levels(density)
-    limits = [_CLUSTER_RHO / h for h, _, _ in levels]
-    leaf = _CLUSTER_RHO / _leaf_pieces(density)[1].max()
-    if not limits or leaf > limits[-1]:
-        limits.append(leaf)
-    return _DensityTables(t0, w_powers[:, :, None], tuple(rows), np.array(limits), levels)
+    span = density.nodes[-1] - density.nodes[0]
+    counts = 2 ** np.arange(1, max(2, len(panels)).bit_length())
+    limits = _CLUSTER_RHO / (span / (2 * counts))
+    return _DensityTables(t0, w_powers[:, :, None], tuple(rows), limits, [None] * len(counts))
 
 
-def _cluster_levels(density: PiecewiseLinearDensity) -> tuple:
-    """Dyadic cluster tables (h, centres, B) of a density, coarsest level first.
+def _cluster_level(density: PiecewiseLinearDensity, count: int) -> tuple:
+    """The cluster table (h, centres, B) of a density's level of `count` cells.
 
-    Level L cuts the density's span [lo, hi] into 2^(L+1) clusters of
-    half-width h = (hi - lo) / 2^(L+2) with centres c_j, and
-    B[m, k, j] = int_{cluster j} g(t) t^m ((t - c_j) / h)^k dt / k!
+    The level cuts the density's span [lo, hi] into cells of half-width
+    h = (hi - lo) / (2 count) and centres c_j, and
+    B[m, k, j] = int_{cell j} g(t) t^m ((t - c_j) / h)^k dt / k!
     for m <= _MAX_ORDER and k < _CLUSTER_TERMS.  Every panel is cut at the
-    cluster edges, and a piece's moments come from its own end values, width
-    and offset from the centre, never from a global t - c.  Only levels
-    whose clusters hold at least _MIN_CLUSTER_PANELS panels on average are built.
-    The coarsest level has two clusters, not one: with one cluster, order 0
-    and one point, every product of `_cluster_sum` would be a lone complex
-    element, which numpy multiplies without the fused multiply-add of its
-    array loops, and the point's bits would depend on its batch.
+    cell edges.  A piece of midpoint p and half-width h_p, on which
+    g(p + h_p x) = alpha + beta x for x in [-1, 1], has the moments
+    int g(t) ((t - p) / h)^i dt = h_p s^i (2 alpha / (i + 1) or 2 beta / (i + 2)),
+    even or odd i, with s = h_p / h; the binomial sum
+    sum_i C(k, i) d^(k-i) (...)_i with d = (p - c_j) / h moves them to the
+    cell's centre.  A piece inside its cell has |d| + s <= 1, so the
+    weights C(k, i) |d|^(k-i) s^i add up to (|d| + s)^k <= 1 and the move
+    costs a few ulps of the piece's integral of |g| (the well-conditioned
+    translation of Greengard and Rokhlin).  About the piece's start, with
+    d = (start - c_j) / h, they could reach 3^k, which the Taylor factors
+    rho^k / k! of `_cluster_sum` damp to at most e^(3 rho), about 4.5.  A level
+    needs two cells, not one: with one cell, order 0 and one point, every
+    product of `_cluster_sum` would be a lone complex element, which numpy
+    multiplies without the fused multiply-add of its array loops, and the
+    point's bits would depend on its batch.
     """
     nodes = np.array(density.nodes)
     left, right = np.array(density.left), np.array(density.right)
-    panels = len(nodes) - 1
     lo, hi = nodes[0], nodes[-1]
+    h = (hi - lo) / (2 * count)
+    edges = lo + 2.0 * h * np.arange(count + 1)
+    edges[-1] = hi
+    centres = lo + h * (2.0 * np.arange(count) + 1.0)
+    # the sorted union of nodes and edges; np.union1d would import numpy.ma,
+    # which adds about 1.8 MB to the peak memory of a process without it
+    cuts = np.sort(np.concatenate([nodes, edges]))
+    cuts = cuts[np.concatenate([[True], cuts[1:] > cuts[:-1]])]
+    start, end = cuts[:-1], cuts[1:]
+    p = np.searchsorted(nodes, start, side="right") - 1
+    j = np.minimum(np.searchsorted(edges, start, side="right") - 1, count - 1)
+    t0, t1, v0, v1 = nodes[p], nodes[p + 1], left[p], right[p]
+    va = np.where(start == t0, v0, v0 + (v1 - v0) * ((start - t0) / (t1 - t0)))
+    vb = np.where(end == t1, v1, v0 + (v1 - v0) * ((end - t0) / (t1 - t0)))
+    half = 0.5 * (end - start)
+    d, s = (0.5 * (start + end) - centres[j]) / h, half / h
     n_moments = _CLUSTER_TERMS + _MAX_ORDER
-    levels = []
-    count = 2
-    while panels >= _MIN_CLUSTER_PANELS * count:
-        h = (hi - lo) / (2 * count)
-        edges = lo + 2.0 * h * np.arange(count + 1)
-        edges[-1] = hi
-        centres = lo + h * (2.0 * np.arange(count) + 1.0)
-        # the sorted union of nodes and edges; np.union1d would import numpy.ma,
-        # which adds about 1.8 MB to the peak memory of a process without it
-        cuts = np.sort(np.concatenate([nodes, edges]))
-        cuts = cuts[np.concatenate([[True], cuts[1:] > cuts[:-1]])]
-        start, end = cuts[:-1], cuts[1:]
-        p = np.searchsorted(nodes, start, side="right") - 1
-        j = np.minimum(np.searchsorted(edges, start, side="right") - 1, count - 1)
-        t0, t1, v0, v1 = nodes[p], nodes[p + 1], left[p], right[p]
-        va = np.where(start == t0, v0, v0 + (v1 - v0) * ((start - t0) / (t1 - t0)))
-        vb = np.where(end == t1, v1, v0 + (v1 - v0) * ((end - t0) / (t1 - t0)))
-        w = end - start
-        d, s = (start - centres[j]) / h, w / h
-        # int_0^w (va + (vb - va) u / w) ((d h + u) / h)^k du
-        #   = w sum_i C(k, i) d^(k-i) s^i (va + (i + 1) vb) / ((i + 1)(i + 2))
-        e = [s**i * w * (va + (i + 1) * vb) / ((i + 1) * (i + 2)) for i in range(n_moments)]
-        d_pow = [np.ones_like(d)]
-        for _ in range(1, n_moments):
-            d_pow.append(d_pow[-1] * d)
-        moments = np.empty((n_moments, count))
-        for k in range(n_moments):
-            piece = sum(math.comb(k, i) * d_pow[k - i] * e[i] for i in range(k + 1))
-            moments[k] = np.bincount(j, weights=piece, minlength=count)
-        levels.append((h, centres, _cluster_table(h, centres, moments)))
-        count *= 2
-    return tuple(levels)
-
-
-def _leaf_pieces(density: PiecewiseLinearDensity):
-    """(centres, half-widths, alpha, beta) of the leaf's clusters, one per panel.
-
-    On a cluster, g(c + h_p x) = alpha + beta x for x in [-1, 1]: alpha is the
-    panel's mean value and beta half its value change.  A one-panel density
-    is split at its midpoint, as a one-cluster level would break batch
-    invariance (see `_cluster_levels`).
-    """
-    nodes = np.array(density.nodes)
-    left, right = np.array(density.left), np.array(density.right)
-    if len(left) == 1:
-        mid = 0.5 * (left + right)
-        nodes = np.array([nodes[0], 0.5 * (nodes[0] + nodes[1]), nodes[1]])
-        left, right = np.concatenate([left, mid]), np.concatenate([mid, right])
-    return 0.5 * (nodes[:-1] + nodes[1:]), 0.5 * (nodes[1:] - nodes[:-1]), 0.5 * (left + right), 0.5 * (right - left)
-
-
-@functools.lru_cache(maxsize=64)  # an entry of a 2049-panel density is about 1.3 MB
-def _leaf_level(density: PiecewiseLinearDensity) -> tuple:
-    """The leaf cluster level (h, centres, B) of a density, as in `_cluster_levels`.
-
-    Every panel is a cluster centred at its midpoint, and all share h, the
-    largest half-width, so the leaf serves |z| <= _CLUSTER_RHO / h.  A
-    cluster of half-width h_p has the centred moments
-    int g(t) ((t - c) / h)^k dt = h_p (h_p / h)^k int_{-1}^{1} (alpha + beta x) x^k dx,
-    in closed form from its end values, with no term that cancels.  Built
-    on the first point the leaf serves: points inside the dyadic levels,
-    like most real-axis work on many-panel densities, never pay for it.
-    """
-    centres, half, alpha, beta = _leaf_pieces(density)
-    h = half.max()
-    k = np.arange(_CLUSTER_TERMS + _MAX_ORDER)[:, None]
-    # only the even powers of x integrate to nonzero over [-1, 1]
-    moments = half * (half / h) ** k * np.where(k % 2 == 0, 2.0 * alpha / (k + 1), 2.0 * beta / (k + 2))
-    return h, centres, _cluster_table(h, centres, moments)
-
-
-def _cluster_table(h: float, centres, moments):
-    """B[m, k, j] = int_{cluster j} g(t) t^m ((t - c_j) / h)^k dt / k! for
-    m <= _MAX_ORDER and k < _CLUSTER_TERMS, from the centred moments
-    moments[i, j] = int_{cluster j} g(t) ((t - c_j) / h)^i dt."""
+    # only the even powers of x integrate to nonzero against alpha, the odd ones against beta x
+    own = [half * s**i * ((va + vb) / (i + 1) if i % 2 == 0 else (vb - va) / (i + 2)) for i in range(n_moments)]
+    d_pow = [np.ones_like(d)]
+    for _ in range(1, n_moments):
+        d_pow.append(d_pow[-1] * d)
+    moments = np.empty((n_moments, count))
+    for k in range(n_moments):
+        piece = sum(math.comb(k, n) * d_pow[k - n] * own[n] for n in range(k + 1))
+        moments[k] = np.bincount(j, weights=piece, minlength=count)
     inv_fact = np.array([1.0 / math.factorial(k) for k in range(_CLUSTER_TERMS)])[:, None]
-    B = np.zeros((_MAX_ORDER + 1, _CLUSTER_TERMS, len(centres)))
+    B = np.zeros((_MAX_ORDER + 1, _CLUSTER_TERMS, count))
     # t^m = sum_i C(m, i) c^(m-i) h^i ((t - c) / h)^i
     for m in range(_MAX_ORDER + 1):
-        for i in range(m + 1):
-            B[m] += math.comb(m, i) * h**i * centres ** (m - i) * moments[i : i + _CLUSTER_TERMS]
-    return B * inv_fact
+        for n in range(m + 1):
+            B[m] += math.comb(m, n) * h**n * centres ** (m - n) * moments[n : n + _CLUSTER_TERMS]
+    return h, centres, B * inv_fact
 
 
 def _panel_sum(out, a, E, tables: _DensityTables):
@@ -328,9 +283,9 @@ def _panel_sum(out, a, E, tables: _DensityTables):
 
 
 def _cluster_sum(out, a, E, h, centres, B):
-    """Add every cluster of one level at the points a = iz to out, in cluster order.
+    """Add every cell of one level at the points a = iz to out, in cell order.
 
-    A cluster adds e^{izc - E} sum_k (izh)^k B[m, k] to out[m], the Taylor
+    A cell adds e^{izc - E} sum_k (izh)^k B[m, k] to out[m], the Taylor
     series summed by Horner's rule; |z| h <= _CLUSTER_RHO bounds its terms.
     """
     B = B[: len(out), :, :, None]
@@ -354,8 +309,8 @@ def _grid_moments(measure: StieltjesMeasure, z, order: int):
     is 0 on real input, and every exponential evaluated has a nonpositive
     real part, so points far below the real axis cannot overflow.  Atoms are
     added one by one.  The density is summed, in a fixed order, over the
-    clusters of the level that |z| selects, or over all panels where |z| is
-    past the leaf; each block of points is evaluated element by
+    cells of the level that |z| selects, or over all panels where |z| is
+    past the finest level; each block of points is evaluated element by
     element, so a point's moments do not depend on the other points of the
     call.  T has shape (order + 1,) + z.shape.
     """
@@ -372,8 +327,7 @@ def _grid_moments(measure: StieltjesMeasure, z, order: int):
     if measure.density is not None:
         tables = _density_tables(measure.density)
         a, E, flat = a.reshape(-1), E.reshape(-1), T.reshape(order + 1, -1)
-        # the coarsest level with |z| h <= rho: the dyadic levels, then the leaf;
-        # len(limits) marks the panel path
+        # the coarsest level with |z| h <= rho; len(limits) marks the panel path
         level = np.searchsorted(tables.limits, np.abs(a))
         counts = np.bincount(level)
         for lv in np.flatnonzero(counts):
@@ -381,9 +335,10 @@ def _grid_moments(measure: StieltjesMeasure, z, order: int):
             pts = slice(None) if whole else np.flatnonzero(level == lv)
             part = flat[:, pts]  # a view when whole, else a copy written back below
             if lv < len(tables.levels):
+                # threads that race here each build the same table; either store is kept
+                if tables.levels[lv] is None:
+                    tables.levels[lv] = _cluster_level(measure.density, 2 << lv)
                 _cluster_sum(part, a[pts], E[pts], *tables.levels[lv])
-            elif lv < len(tables.limits):
-                _cluster_sum(part, a[pts], E[pts], *_leaf_level(measure.density))
             else:
                 _panel_sum(part, a[pts], E[pts], tables)
             if not whole:

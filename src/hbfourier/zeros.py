@@ -16,7 +16,7 @@ silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,6 +103,9 @@ class ZeroCountResult:
     count: int
     winding_residual: float
     boundary_samples: int
+    #: the sum of the zeros inside, (1 / 2 pi i) times the contour integral of
+    #: z w'/w dz, from the same samples; an estimate, so left out of equality
+    zero_sum: complex | None = field(default=None, compare=False)
 
 
 def _winding_count(fn, rect: Rectangle, min_log_modulus: float) -> ZeroCountResult:
@@ -113,7 +116,9 @@ def _winding_count(fn, rect: Rectangle, min_log_modulus: float) -> ZeroCountResu
     to the perimeter and bisects every interval whose phase increment reaches
     pi/2, all midpoints of a round in one call of fn, so the final polygonal
     path cannot wrap the origin undetected unless the true phase moves by
-    >= pi between samples.
+    >= pi between samples.  The same samples give the zero sum: each segment
+    adds its midpoint times its increment of log w, that of log|w| plus i
+    times the phase increment.
     """
     corners = list(rect.corners)
     n0 = 64  # initial points per edge; adaptive bisection supplies the rest
@@ -129,9 +134,9 @@ def _winding_count(fn, rect: Rectangle, min_log_modulus: float) -> ZeroCountResu
             raise BoundaryZeroError(
                 f"|target| below the boundary floor at z = {complex(z[low[0]]):.6g}; nudge the rectangle by ~1e-6"
             )
-        return mant
+        return mant, logmod
 
-    ws = probe(zs)
+    ws, logs = probe(zs)
     for _ in range(64):
         # the quotient of neighbouring samples cannot overflow, unlike a product
         split = np.flatnonzero(np.abs(np.angle(np.roll(ws, -1) / ws)) >= 0.5 * math.pi)
@@ -139,7 +144,8 @@ def _winding_count(fn, rect: Rectangle, min_log_modulus: float) -> ZeroCountResu
             break
         zm = 0.5 * (zs[split] + np.roll(zs, -1)[split])
         zs = np.insert(zs, split + 1, zm)
-        ws = np.insert(ws, split + 1, probe(zm))
+        wm, lm = probe(zm)
+        ws, logs = np.insert(ws, split + 1, wm), np.insert(logs, split + 1, lm)
         if len(zs) > _MAX_CONTOUR_POINTS:
             raise DiagnosticFailure("contour refinement exceeded the sample budget")
     else:
@@ -153,7 +159,9 @@ def _winding_count(fn, rect: Rectangle, min_log_modulus: float) -> ZeroCountResu
         raise DiagnosticFailure(f"non-integer winding number {winding:.3f} after refinement")
     if count < 0:
         raise DiagnosticFailure(f"negative winding count {count}; the target is not analytic inside")
-    return ZeroCountResult(count=count, winding_residual=residual, boundary_samples=len(zs))
+    dlog = np.roll(logs, -1) - logs + 1j * dphi
+    zero_sum = complex(np.sum(0.5 * (zs + np.roll(zs, -1)) * dlog) / (2j * math.pi))
+    return ZeroCountResult(count=count, winding_residual=residual, boundary_samples=len(zs), zero_sum=zero_sum)
 
 
 def _boundary_floor(measure: StieltjesMeasure) -> float:
@@ -202,8 +210,10 @@ def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -
     """Locate the unique zero of the target inside the rectangle.
 
     Counts first (must be exactly 1), then polishes with Newton iterations
-    from the rectangle center, falling back to quadrant subdivision if Newton
-    leaves the window.
+    from the count's zero sum, which with one zero inside estimates the zero
+    itself, or from the rectangle centre where that estimate lies outside;
+    it falls back to quadrant subdivision if Newton leaves the window.  A
+    zero is accepted where the target itself nearly vanishes.
     """
     if target not in ("F", "zF", "F/z"):
         raise ValueError("locate_zero supports the F-family targets only")
@@ -228,23 +238,24 @@ def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -
 
     box = rect
     for _ in range(40):
-        z0 = complex(0.5 * (box.x_min + box.x_max), 0.5 * (box.y_min + box.y_max))
+        z0 = result.zero_sum
+        if not box.contains(z0):
+            z0 = complex(0.5 * (box.x_min + box.x_max), 0.5 * (box.y_min + box.y_max))
         z_star = newton_from(z0, rect)
         if z_star is not None and rect.contains(z_star, pad=1e-9):
-            (f,), _ = _target(measure, "F", z_star, 0)
+            (f,), _ = _target(measure, target, z_star, 0)
             if abs(f) <= 1e-9 * measure.tol_scale:
                 return z_star
-        sub = list(box.quadrants())
-        counts = []
-        for q in sub:
+        for q in box.quadrants():
             try:
-                counts.append(count_zeros(measure, q, target).count)
+                counted = count_zeros(measure, q, target)
             except BoundaryZeroError:
-                counts.append(-1)  # zero sits on the cut; retry after shrink
-        hits = [q for q, c in zip(sub, counts) if c == 1]
-        if not hits:
+                continue  # the zero sits on this quadrant's edge
+            if counted.count == 1:
+                box, result = q, counted
+                break
+        else:
             raise DiagnosticFailure("zero localization lost the zero during subdivision")
-        box = hits[0]
     raise DiagnosticFailure("zero localization did not converge")
 
 

@@ -1,6 +1,8 @@
 import cmath
+import concurrent.futures
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,9 +15,9 @@ from hbfourier.transforms import (
     _MAX_ORDER,
     _SERIES_CUT,
     _bracketed_newton,
+    _cluster_level,
     _density_tables,
     _grid_moments,
-    _leaf_level,
     _segment_moments,
     eval_CS,
     eval_Delta,
@@ -339,15 +341,17 @@ class TestClusterPath:
     def test_against_mpmath(self, mu_exp, nu_exp):
         pytest.importorskip("mpmath")
         m = from_monomial_density(mu_exp, nu_exp)
-        exact = {x: _mp_scaled_moments(m.density, x, 0.0, 2) for x in (0.37, 2.9, 11.3, 41.7, 60.0, 250.0)}
-        for z in (7.3 - 2.1j, 3.3 - 400.0j):
+        xs = (0.37, 2.9, 11.3, 41.7, 60.0, 250.0, 1000.0, 1900.0, 2100.0)
+        exact = {x: _mp_scaled_moments(m.density, x, 0.0, 2) for x in xs}
+        for z in (7.3 - 2.1j, 3.3 - 400.0j, 1500.0 - 900.0j):
             exact[z] = _mp_scaled_moments(m.density, z, -z.imag, 2)
-        # one ulp either side of a dyadic level switch, of the switch from the
-        # finest dyadic level to the leaf and of the switch from the leaf to the
-        # panel path; one oracle call at the switch x serves both sides, as
+        # one ulp either side of every switch: from level to level, and from
+        # the finest level (2048 cells) to the panel path; one oracle call at
+        # the switch x serves both sides, as
         # T_m(x + d) = T_m(x) + i d T_(m+1)(x) + O(d^2) with d ~ 1e-14
         limits = _density_tables(m.density).limits
-        for edge in (float(limits[2]), float(limits[-2]), float(limits[-1])):
+        assert limits[-1] == 2048.0
+        for edge in map(float, limits):
             at_edge = _mp_scaled_moments(m.density, edge, 0.0, 3)
             for x in (float(np.nextafter(edge, 0.0)), float(np.nextafter(edge, np.inf))):
                 exact[x] = [at_edge[k] + 1j * (x - edge) * at_edge[k + 1] for k in range(3)]
@@ -404,7 +408,9 @@ def _one_panel():
 
 
 class TestLeaf:
-    """The leaf cluster level, in which every panel is a cluster of its own."""
+    """The finest cluster levels, the leaves of the one dyadic hierarchy: its
+    levels run from 2 cells to about one cell per panel, whatever the panels'
+    sizes, and the panel path takes every point past them."""
 
     @pytest.mark.parametrize(
         "make",
@@ -416,18 +422,24 @@ class TestLeaf:
         m = make()
         m = StieltjesMeasure(m.sigma, (), m.density)  # the oracle sums the density alone
         limits = _density_tables(m.density).limits
-        leaf = float(limits[-1])
-        # real and complex points the leaf serves, at up to 0.95 of its radius
-        zs = [0.3 * leaf, -0.77 * leaf, 0.6 * leaf * cmath.exp(-0.4j), -0.95j * leaf, 0.5 * leaf * cmath.exp(-2.5j)]
-        inner = float(limits[-2]) if len(limits) > 1 else 0.0
-        assert all(inner < abs(z) <= leaf for z in zs)
+        cells = 2 ** np.arange(1, len(limits) + 1)
+        assert cells[-1] <= max(2, len(m.density.panels)) < 2 * cells[-1]
+        # a complex point inside every level, turning through the lower half-plane
+        inner = np.concatenate([[0.0], limits[:-1]])
+        zs = [0.5 * (lo + hi) * cmath.exp(-1j * (0.3 + 0.4 * n)) for n, (lo, hi) in enumerate(zip(inner, limits))]
+        # real and complex points the finest level serves, at up to 0.95 of its radius
+        finest = float(limits[-1])
+        served = [0.6 * finest, -0.77 * finest, -0.95j * finest, 0.8 * finest * cmath.exp(-2.5j)]
+        assert all(inner[-1] < abs(z) <= finest for z in served)
+        zs += served
         exact = {z: _mp_scaled_moments(m.density, z, max(0.0, -z.imag * m.sigma), 2) for z in zs}
-        # Im z = -400: the leaf on the graded mesh, the panel path on the rest
+        # Im z = -400: the panel path on every one of these densities
         exact[3.3 - 400.0j] = _mp_scaled_moments(m.density, 3.3 - 400.0j, 400.0 * m.sigma, 2)
-        # one ulp either side of the switch from the leaf to the panel path
-        at_edge = _mp_scaled_moments(m.density, leaf, 0.0, 3)
-        for x in (float(np.nextafter(leaf, 0.0)), float(np.nextafter(leaf, np.inf))):
-            exact[x] = [at_edge[k] + 1j * (x - leaf) * at_edge[k + 1] for k in range(3)]
+        # one ulp either side of every switch, the last one to the panel path
+        for edge in map(float, limits):
+            at_edge = _mp_scaled_moments(m.density, edge, 0.0, 3)
+            for x in (float(np.nextafter(edge, 0.0)), float(np.nextafter(edge, np.inf))):
+                exact[x] = [at_edge[k] + 1j * (x - edge) * at_edge[k + 1] for k in range(3)]
         zs = list(exact)
         T, E = _grid_moments(m, np.array(zs, dtype=complex), 2)
         for i, z in enumerate(zs):
@@ -435,14 +447,13 @@ class TestLeaf:
                 scale = m.total_variation * m.sigma**k
                 assert abs(T[k, i] - exact[z][k]) <= 1e-14 * scale, (z, k)
 
-    def test_left_out_where_a_dyadic_level_reaches_further(self):
-        # a graded mesh whose widest panel, [0, 0.6], is wider than the two
-        # dyadic clusters: the leaf would serve |z| <= 1 / 0.6 < 2, so |z| up
-        # to 2 stays on the dyadic level and the panel path takes the rest
+    def test_cells_cut_a_panel_wider_than_themselves(self):
+        # a graded mesh whose widest panel, [0, 0.6], spans 38.4 of the 64
+        # cells of its finest level, so every cell it reaches cuts it
         nodes = np.concatenate([[0.0], np.linspace(0.6, 1.0, 64)])
         m = StieltjesMeasure(1.0, (), PiecewiseLinearDensity.interpolant(nodes, 1.0 + nodes**2))
-        assert _density_tables(m.density).limits.tolist() == [2.0]
-        zs = [1.8, 1.5 - 0.9j, 2.5]
+        assert _density_tables(m.density).limits.tolist() == [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+        zs = [1.8, 1.5 - 0.9j, 2.5, 11.0 - 7.0j, 50.0, 40.0 - 41.0j, 70.0]
         T, E = _grid_moments(m, np.array(zs), 2)
         for i, z in enumerate(zs):
             exact = _mp_scaled_moments(m.density, z, E[i], 2)
@@ -450,23 +461,24 @@ class TestLeaf:
                 assert abs(T[k, i] - exact[k]) <= 1e-14 * m.total_variation, (z, k)
 
     def test_one_panel_is_split_in_two(self):
-        h, centres, B = _leaf_level(_one_panel().density)
+        density = _one_panel().density
+        assert _density_tables(density).limits.tolist() == [0.5 / 0.375]
+        h, centres, B = _cluster_level(density, 2)
         assert h == 0.375 and list(centres) == [0.375, 1.125] and B.shape[-1] == 2
-        assert _density_tables(_one_panel().density).limits.tolist() == [0.5 / 0.375]
 
     @pytest.mark.parametrize("order", [0, 2])
     @pytest.mark.parametrize("make", [lambda: _triangle(128), _one_panel], ids=["triangle128", "one_panel"])
     def test_batch_invariance_across_level_leaf_and_panels(self, make, order):
-        # 128 panels: dyadic levels to |z| = 2 and 4, the leaf to 128, whose
-        # blocks hold _BLOCK // 128 = 32 points, and the panel path past it.
-        # One panel: the leaf's two halves, then the panel path; a leaf of one
-        # cluster would differ in the last bit at order 0
+        # 128 panels: levels of 2 to 128 cells, the finest serving |z| <= 128
+        # in blocks of _BLOCK // 128 = 32 points, and the panel path past it.
+        # One panel: its two cells, then the panel path; a level of one cell
+        # would differ in the last bit at order 0
         rng = np.random.default_rng(12)
         m = make()
         limits = _density_tables(m.density).limits
         edges = np.concatenate([[0.0], limits])
         radius = [rng.uniform(lo, hi, 75 if hi == limits[-1] else 20) for lo, hi in zip(edges[:-1], edges[1:])]
-        radius += [limits[-1:], [np.nextafter(limits[-1], np.inf)], rng.uniform(limits[-1], 2.5 * limits[-1], 6)]
+        radius += [limits, np.nextafter(limits, np.inf), rng.uniform(limits[-1], 2.5 * limits[-1], 6)]
         radius = rng.permutation(np.concatenate(radius))
         batch = radius * np.exp(1j * rng.uniform(-math.pi, 0.1, radius.size))
         batch[::3] = batch[::3].real
@@ -478,18 +490,35 @@ class TestLeaf:
             assert E[i] == E1
 
     def test_built_only_for_the_points_it_serves(self):
-        # a 2049-panel density evaluated inside its dyadic levels, as the
-        # real-axis checks do, never builds the leaf's 1.3 MB table
+        # a 2049-panel density evaluated at |x| <= 60, as the real-axis checks
+        # do, builds no level finer than 64 cells; a farther point builds its
+        # own level and no other
         m = from_monomial_density(2.5, 1.5)
-        limits = _density_tables(m.density).limits
-        before = _leaf_level.cache_info()
-        real_transforms(m, np.linspace(-limits[-2], limits[-2], 301), order=2)
-        eval_F(m, 0.5 * limits[-2] * cmath.exp(-1j))
-        assert _leaf_level.cache_info()[:2] == before[:2]
-        eval_F(m, np.array([limits[-2] * 1.01, limits[-1]]))
-        eval_F(m, limits[-1] * 0.5)
-        after = _leaf_level.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 1, before.misses + 1)
+        _density_tables.cache_clear()
+        levels = _density_tables(m.density).levels
+        assert len(levels) == 11 and not any(levels)
+        real_transforms(m, np.linspace(-60.0, 60.0, 301), order=2)
+        eval_F(m, 60.0 * cmath.exp(-1j))
+        assert [level is not None for level in levels] == [True] * 6 + [False] * 5
+        eval_F(m, np.array([700.0, 650.0 - 100.0j]))
+        assert [level is not None for level in levels] == [True] * 6 + [False, False, False, True, False]
+
+    def test_threads_that_build_levels_together_agree(self):
+        # eight threads race to build the levels of one fresh density, with
+        # thread switches forced often; every point keeps its lone bits
+        m = from_monomial_density(2.0, 1.5)
+        points = np.geomspace(1.0, 3000.0, 40) * np.exp(-0.3j)
+        _density_tables.cache_clear()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(8) as pool:
+                got = list(pool.map(lambda z: _grid_moments(m, z, 1)[0], np.tile(points, 4), timeout=120))
+        finally:
+            sys.setswitchinterval(switch)
+        _density_tables.cache_clear()
+        for z, T in zip(np.tile(points, 4), got):
+            assert np.array_equal(bits(T), bits(_grid_moments(m, z, 1)[0]))
 
 
 class TestBracketedNewton:

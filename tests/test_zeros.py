@@ -110,6 +110,75 @@ class TestLocate:
         with pytest.raises(ValueError, match="exactly 1"):
             locate_zero(two_unit_atoms, LOWER)
 
+    def test_accepts_the_zero_of_the_target_it_located(self):
+        # zF vanishes at z = 0, where F = 3/2 does not
+        m = _triangle(4, 0.5)
+        rect = Rectangle(-0.5, 0.6, -0.4, 0.5)
+        assert count_zeros(m, rect, "zF").count == 1
+        assert abs(locate_zero(m, rect, "zF")) <= 1e-12
+
+
+def _triangle(panels: int, jump: float):
+    """The triangular profile (1 - t)_+ on `panels` equal panels with a jump at
+    sigma = 1; jump in (-1, 0) puts one zero on the negative imaginary axis."""
+    return from_pd_profile([i / panels for i in range(panels + 1)], [1.0 - i / panels for i in range(panels + 1)], jump)
+
+
+def _around(y: float) -> Rectangle:
+    """A rectangle about the zero i y, shaped as the benchmark's locate tasks."""
+    return Rectangle(-0.6, 0.7, y - 0.45, min(y + 0.5, -1e-3))
+
+
+class TestNewtonStart:
+    @pytest.mark.parametrize("jump", [-0.65, -0.5, -0.35])
+    def test_zero_sum_estimates_the_zero(self, jump):
+        m = _triangle(16, jump)
+        y = find_imaginary_zero(m)
+        result = count_zeros(m, _around(y))
+        assert result.count == 1
+        assert abs(result.zero_sum - complex(0.0, y)) <= 1e-4
+
+    @pytest.mark.parametrize(
+        "x_min,x_max,below,above", [(-30.0, 30.0, 0.01, 0.5), (-0.6, 0.7, 0.45, 1e-4)], ids=["wide", "zero_at_the_top"]
+    )
+    def test_estimate_outside_the_rectangle_still_locates(self, x_min, x_max, below, above):
+        # a wide flat rectangle, or the zero 1e-4 below the top edge: the
+        # samples estimate the zero outside, and Newton starts from the centre
+        m = _triangle(16, -0.5)
+        y = find_imaginary_zero(m)
+        rect = Rectangle(x_min, x_max, y - below, y + above)
+        assert not rect.contains(count_zeros(m, rect).zero_sum)
+        assert abs(locate_zero(m, rect) - complex(0.0, y)) <= 1e-12
+
+    def test_subdivision_takes_over_where_newton_leaves(self, monkeypatch):
+        # F = (w - 1)(w - 2) with w = e^{iz}: the zero -i ln 2 lies 1e-3 inside
+        # the left edge, the estimate falls outside, Newton from the centre
+        # leaves the window, and the quadrant counts find the zero
+        m = StieltjesMeasure(2.0, ((0.0, 2.0), (1.0, -3.0), (2.0, 1.0)))
+        rect = Rectangle(-0.001, 6.0, -3.0, -0.1)
+        assert not rect.contains(count_zeros(m, rect).zero_sum)
+        counts = []
+        monkeypatch.setattr(zeros_module, "count_zeros", lambda *args: counts.append(1) or count_zeros(*args))
+        assert abs(locate_zero(m, rect) - complex(0.0, -math.log(2.0))) <= 1e-12
+        assert len(counts) > 1
+
+    def test_probe_keeps_its_value_with_fewer_evaluations(self, monkeypatch):
+        # the benchmark's probe, around the correctly rounded 40-digit zero
+        # -1.593624260040040092i: the contour, three Newton steps and the
+        # acceptance check, where the centre start took two steps more
+        y_ref = -1.59362426004004
+        evaluator = zeros_module._grid_moments
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return evaluator(*args)
+
+        monkeypatch.setattr(zeros_module, "_grid_moments", counted)
+        z = locate_zero(_triangle(16, -0.5), _around(y_ref))
+        assert abs(z.imag - y_ref) <= math.ulp(y_ref) and abs(z.real) <= 1e-30
+        assert len(calls) == 5
+
 
 class TestRealZeros:
     def test_two_atom_zeros_at_odd_pi(self, two_unit_atoms):
