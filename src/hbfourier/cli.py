@@ -27,7 +27,7 @@ from .measure import (
     from_pd_profile,
     parse_scenario,
 )
-from .transforms import _e_from_mirrored, identity_residuals, real_transforms
+from .transforms import identity_residuals, real_transforms
 
 COMMANDS = (
     "eval",
@@ -196,8 +196,7 @@ def _run_eval(measure, task, out) -> int:
     rt = real_transforms(measure, grid, order=1)
     cfg = inequality.OmegaConfig(measure, task.n, task.tau)
     # the one order-1 pass serves the margins and, from its mirrored moments, E
-    lhs, rhs = inequality._margin_pieces(cfg, grid, rt)
-    e_vals = _e_from_mirrored(measure, task.tau, task.n, grid, rt.mirrored[0])
+    lhs, rhs, _, e_vals = inequality._margin_pieces(cfg, grid, rt)
     columns = {
         "x": grid,
         "F_re": rt.G,

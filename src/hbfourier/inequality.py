@@ -8,8 +8,10 @@ E + i E~ = x^n e^{i tau} (C + i S), so the margin is
 
   4 sigma x^{2n} Delta - (E' + 2 sigma E~)^2.
 
-The x-powers enter through `transforms._times_x_power` alone, so no removable
-power is ever divided out; near the origin it sums n = -1's F / x as a series.
+Both sides come from omega's rows: d = Im(conj(w) w') for w = x^n F, and E is
+Re W for the mirrored W.  `transforms._omega_rows` forms w, W and their
+derivatives from the moments alone, so no removable power is ever divided
+out; near the origin it sums n = -1's F / x as a series.
 
 Equality on the whole line or at isolated points is detected, and the
 closed-form witness (c, beta, gamma) of the equality family is fitted when the
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measure import HYPOTHESIS_TOL, StieltjesMeasure
-from .transforms import _bracketed_newton, _e_from_mirrored, _grid_moments, _reflected, _times_x_power, real_transforms
+from .transforms import _bracketed_newton, _grid_moments, _omega_rows, _reflected, real_transforms
 
 #: |margin| <= MARGIN_TOL * scale counts as equality at a point
 MARGIN_TOL = 1e-8
@@ -88,18 +90,14 @@ def default_grid(cfg: OmegaConfig, x_min: float, x_max: float) -> np.ndarray:
 
 
 def _d_values(cfg: OmegaConfig, x: np.ndarray, rt):
-    """d = x^{2n} Delta at x from the order-1 transforms rt; Im(conj(w) w') for w = F / x if n = -1."""
-    if cfg.n == -1:
-        w, wp = _times_x_power(-1, x, (rt.F, 1j * rt.direct[1]), cfg.measure)
-        return (np.conj(w) * wp).imag
-    (d,) = _times_x_power(cfg.n, x * x, (rt.Delta,))
-    return d
+    """d = x^{2n} Delta = Im(conj(w) w') at x for w = x^n F, from the order-1 transforms rt."""
+    w, wp = _omega_rows(cfg.measure, x, rt.direct, n=cfg.n)
+    return (np.conj(w) * wp).imag
 
 
 def _rotated(cfg: OmegaConfig, x, T):
-    """[W, W', ...] at x for W = x^n e^{i tau} (C + i S), from mirrored moments T: (C + i S)^(j) = i^j T_j."""
-    rot = cmath.exp(1j * cfg.tau)
-    return _times_x_power(cfg.n, x, [(1j) ** j * T[j] * rot for j in range(len(T))], _reflected(cfg.measure), rot)
+    """[W, W', ...] at x for W = x^n e^{i tau} (C + i S), from mirrored moments T."""
+    return _omega_rows(_reflected(cfg.measure), x, T, n=cfg.n, phase=cmath.exp(1j * cfg.tau))
 
 
 def eval_d(cfg: OmegaConfig, x):
@@ -123,28 +121,28 @@ def eval_D(cfg: OmegaConfig, x):
 
 
 def _margin_pieces(cfg: OmegaConfig, x: np.ndarray, rt=None):
-    """(lhs, rhs) with margin = lhs - rhs, one formula for every n: lhs =
-    4 sigma x^{2n} Delta and rhs = (Re W' + 2 sigma Im W)^2 for the mirrored
-    W = E + i E~ = x^n e^{i tau} (C + i S).  rt holds the order-1 transforms
-    at x when the caller has them already."""
+    """(lhs, rhs, scale, E) with margin = lhs - rhs, one formula for every n:
+    lhs = 4 sigma x^{2n} Delta and rhs = (Re W' + 2 sigma Im W)^2 for the
+    mirrored W = E + i E~ = x^n e^{i tau} (C + i S), and the margin's scale
+    max(|lhs|, |rhs|, 1).  rt holds the order-1 transforms at x when the
+    caller has them already."""
     if rt is None:
         rt = real_transforms(cfg.measure, x, order=1)
     sig = cfg.measure.sigma
     w, wp = _rotated(cfg, x, rt.mirrored)
-    return 4.0 * sig * _d_values(cfg, x, rt), (wp.real + 2.0 * sig * w.imag) ** 2
+    lhs, rhs = 4.0 * sig * _d_values(cfg, x, rt), (wp.real + 2.0 * sig * w.imag) ** 2
+    return lhs, rhs, np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0), w.real
 
 
 def margin_values(cfg: OmegaConfig, x):
     x = np.asarray(x, dtype=float)
-    lhs, rhs = _margin_pieces(cfg, x)
+    lhs, rhs, _, _ = _margin_pieces(cfg, x)
     out = lhs - rhs
     return out if out.ndim else float(out)
 
 
 def margin_scale(cfg: OmegaConfig, x):
-    x = np.asarray(x, dtype=float)
-    lhs, rhs = _margin_pieces(cfg, x)
-    out = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
+    out = _margin_pieces(cfg, np.asarray(x, dtype=float))[2]
     return out if out.ndim else float(out)
 
 
@@ -234,12 +232,9 @@ def _refine_equality_points(cfg: OmegaConfig, grid, e_vals, e_tol):
         return sign[k] * np.where(crossing[k], e0, e1), sign[k] * np.where(crossing[k], e1, e2)
 
     x = _bracketed_newton(target, lo, hi, grid[i])
-    rt = real_transforms(cfg.measure, x, order=1)
-    e_star = np.abs(_e_from_mirrored(cfg.measure, cfg.tau, cfg.n, x, rt.mirrored[0]))
-    lhs, rhs = _margin_pieces(cfg, x, rt)
-    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
+    lhs, rhs, scale, e_star = _margin_pieces(cfg, x)
     points = []
-    for x_star, e, margin, sc in zip(x, e_star, lhs - rhs, scale):
+    for x_star, e, margin, sc in zip(x, np.abs(e_star), lhs - rhs, scale):
         if not (e <= e_tol and abs(margin) <= MARGIN_TOL * sc):
             continue
         if points and abs(points[-1] - x_star) < 1e-9 * max(1.0, abs(x_star)):
@@ -260,11 +255,8 @@ def check_inequality(cfg: OmegaConfig, grid) -> InequalityReport:
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
     # one order-1 pass serves the margins and, from its mirrored moments, E
-    rt = real_transforms(cfg.measure, grid, order=1)
-    lhs, rhs = _margin_pieces(cfg, grid, rt)
+    lhs, rhs, scale, e_vals = _margin_pieces(cfg, grid)
     margin = lhs - rhs
-    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
-    e_vals = _e_from_mirrored(cfg.measure, cfg.tau, cfg.n, grid, rt.mirrored[0])
     hypothesis_ok = bool(np.min(e_vals) >= -HYPOTHESIS_TOL * cfg.measure.tol_scale)
     e_tol = E_TOL * math.sqrt(max(cfg.measure.total_variation, 1e-30))
     global_equality = bool(np.max(np.abs(e_vals)) <= e_tol)
@@ -310,7 +302,7 @@ def fit_equality_witness(cfg: OmegaConfig, grid) -> EqualityWitness | None:
 
     # one order-1 pass serves E, d and P + i Q = x^n F
     rt = real_transforms(m, grid, order=1)
-    e_vals = _e_from_mirrored(m, cfg.tau, cfg.n, grid, rt.mirrored[0])
+    e_vals = _rotated(cfg, grid, rt.mirrored[:1])[0].real
     # E = A + B cos(2 sigma x + 2 tau) + C sin(2 sigma x + 2 tau) with
     # A = c/2, B = -(c/2) cos(2 beta), C = (c/2) sin(2 beta)
     theta = 2.0 * sig * grid + 2.0 * cfg.tau
@@ -339,7 +331,7 @@ def fit_equality_witness(cfg: OmegaConfig, grid) -> EqualityWitness | None:
     gamma_abs = math.sqrt(max(d_bar, 0.0) / sig)
 
     # fix the sign of gamma from the P identity at a well-conditioned point
-    (pq,) = _times_x_power(cfg.n, grid, (rt.F,), m)
+    pq = _omega_rows(m, grid, rt.direct[:1], n=cfg.n)[0]
     P, Q = pq.real, pq.imag
     phase = sig * grid + cfg.tau
     i_star = int(np.argmax(np.abs(np.sin(phase))))

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .inequality import OmegaConfig
-from .transforms import _grid_moments, _times_x_power
+from .transforms import _grid_moments, _omega_rows
 
 #: |sigma x + alpha - k pi| below which the kernel takes its removable value 1
 NODE_COINCIDENCE = 1e-8
@@ -90,8 +90,9 @@ def from_omega_config(cfg: OmegaConfig, alpha: float) -> SampledFunction:
 
     P = x^n G and Q = x^n H for the config's measure; such f has exponential
     type <= sigma and is o(x), so the interpolation identity applies to it.
-    f and f' each take one pass of the evaluator over the direct moments; for
-    n = -1, `_times_x_power` forms F(u) / u near u = 0 from its Taylor series.
+    f and f' each take one pass of the evaluator over the direct moments,
+    which `transforms._omega_rows` turns into (u^n F)^(j); for n = -1 it
+    forms F(u) / u near u = 0 from its Taylor series.
     """
     m = cfg.measure
     sig = m.sigma
@@ -100,9 +101,7 @@ def from_omega_config(cfg: OmegaConfig, alpha: float) -> SampledFunction:
 
     def derivative(x, j):  # f^(j)(x) for j = 0 or 1
         u = np.asarray(x, dtype=float) - shift
-        T = _grid_moments(m, u, j)[0]
-        # (u^n F)^(j) from F^(k) = i^k T_k
-        pq = _times_x_power(cfg.n, u, [(1j) ** k * T[k] for k in range(j + 1)], m)[j]
+        pq = _omega_rows(m, u, _grid_moments(m, u, j)[0], n=cfg.n)[j]
         return pq.real * ca - pq.imag * sa
 
     return SampledFunction(evaluate=lambda x: derivative(x, 0), derivative=lambda x: derivative(x, 1), sigma=sig)

@@ -39,6 +39,11 @@ integrates every panel exactly: a closed-form recurrence, or a power series
 whose length follows the largest |z| w of the block and is cut where the
 omitted terms could not change a bit.
 
+Values of omega = z^n F for n = -1, 0, 1, turned by a phase e^{i tau} or
+taken of a derivative F^(k), come from the moments through one helper,
+`_omega_rows`: F^(j) = i^j T_j, Leibniz's rule or its quotient for z^n, and,
+for F / z near the origin, the Taylor series from the measure's moments.
+
 Located points (real zeros, the imaginary lower zero, equality points of the
 inequality) are roots of functions built from these moments.
 `_bracketed_newton` finds them with Newton steps on the analytic derivatives,
@@ -454,7 +459,7 @@ def transform_sample(measure: StieltjesMeasure, x: float) -> TransformSample:
         H=float(rt.H[0]),
         C=float(rt.C[0]),
         S=float(rt.S[0]),
-        Fp=complex(1j * rt.direct[1][0]),
+        Fp=complex(rt.Gp[0], rt.Hp[0]),
         Gp=float(rt.Gp[0]),
         Hp=float(rt.Hp[0]),
         Cp=float(rt.Cp[0]),
@@ -482,7 +487,7 @@ def eval_F_derivative(measure: StieltjesMeasure, z, k: int = 1):
     if k not in (0, 1, 2):
         raise ValueError("derivative order must be 0, 1, or 2")
     T, scale = _grid_moments(measure, z, k)
-    return _fold((1j) ** k * T[k], scale)
+    return _fold(_omega_rows(measure, z, T, k=k)[0], scale)
 
 
 def _combine_scaled(pairs):
@@ -547,20 +552,14 @@ def eval_Delta_reflected(measure: StieltjesMeasure, x):
 
 
 def eval_E(measure: StieltjesMeasure, tau: float, n: int, x):
-    """E(x) = x^n (C cos(tau) - S sin(tau)), removable at 0 for n = -1 when F(0) = 0;
+    """E(x) = Re x^n e^{i tau} (C + i S), removable at 0 for n = -1 when F(0) = 0;
     a nonzero F(0) makes x = 0 a pole and raises ValueError where |x| sigma <= 1/2."""
     if n not in (-1, 0, 1):
         raise ValueError("n must be -1, 0, or 1")
     x = np.asarray(x, dtype=float)
-    out = _e_from_mirrored(measure, tau, n, x, _grid_moments(_reflected(measure), x, 0)[0][0])
+    reflected = _reflected(measure)
+    out = _omega_rows(reflected, x, _grid_moments(reflected, x, 0)[0], n=n, phase=cmath.exp(1j * tau))[0].real
     return out if out.ndim else float(out)
-
-
-def _e_from_mirrored(measure: StieltjesMeasure, tau: float, n: int, x, mirrored):
-    """E at the points x from the mirrored order-0 moments C + iS there (see eval_E)."""
-    # a real base: numpy rounds Re(e^{i tau} (C + i S)) differently
-    base = mirrored.real * math.cos(tau) - mirrored.imag * math.sin(tau)
-    return _times_x_power(n, x, (base,), _reflected(measure), cmath.exp(1j * tau))[0].real
 
 
 @functools.lru_cache(maxsize=64)
@@ -578,16 +577,19 @@ def _origin_series(measure: StieltjesMeasure) -> np.ndarray:
     return np.array(a)
 
 
-def _times_x_power(n: int, x, d, measure=None, factor=1.0):
-    """[e_j] = (x^n f)^(j) at the points x from d[j] = f^(j), for n = -1, 0, 1.
+def _omega_rows(measure: StieltjesMeasure, x, T, E=0.0, n: int = 0, k: int = 0, phase=1):
+    """Mantissa rows [w, w', ...] at the points x of w = x^n phase F^(k), for n = -1, 0, 1.
 
-    n = 1 is Leibniz's rule, e_j = x d_j + j d_{j-1}; n = -1 solves it for
-    f / x, e_j = (d_j - j e_{j-1}) / x, which loses eps V / |x|^(j+1).  So
-    where |x| sigma <= 1/2, e_j is the derivative of factor sum_k a[k] x^k
-    (`_origin_series`) instead, for f = factor F (or its real part) and F the
-    transform of `measure`, with F(0) = 0.  Every value of omega = z^n F takes
-    its power here, except the reference `inequality.squared_bracket_direct`.
+    T and E are the caller's `_grid_moments(measure, x, order)`, so the rows run
+    to w^(order - k).  With d_j = phase F^(k+j) and F^(j) = i^j T_j, n = 1 is
+    Leibniz's rule, e_j = x d_j + j d_{j-1}; n = -1 solves it for d_0 / x,
+    e_j = (d_j - j e_{j-1}) / x, which loses eps V / |x|^(j+1).  So where
+    |x| sigma <= 1/2, n = -1 (with k = 0 and F(0) = 0) takes e_j from the
+    derivatives of phase e^{-E} sum_k a[k] x^k (`_origin_series`) instead.
+    Every value of omega = z^n F takes its i^j and its power here, except
+    the reference `inequality.squared_bracket_direct`.
     """
+    d = [(1j) ** j * T[j] * phase for j in range(k, len(T))]
     e = []
     with np.errstate(divide="ignore", invalid="ignore"):  # x = 0 takes the series
         for j, dj in enumerate(d):
@@ -602,11 +604,11 @@ def _times_x_power(n: int, x, d, measure=None, factor=1.0):
         return e
     if not measure.vanishes_at_zero:
         raise ValueError("n = -1 near x = 0 requires F(0) = 0")
-    a, xs = _origin_series(measure), np.where(near, x, 0.0)
+    a, xs, factor = _origin_series(measure), np.where(near, x, 0.0), phase * np.exp(-E)
     for j in range(len(d)):
         w = 0.0
-        for k in range(len(a) - 1, j - 1, -1):
-            w = w * xs + math.perm(k, j) * a[k]
+        for i in range(len(a) - 1, j - 1, -1):
+            w = w * xs + math.perm(i, j) * a[i]
         e[j] = np.where(near, w * factor, e[j])[()]
     return e
 

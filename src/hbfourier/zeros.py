@@ -24,8 +24,8 @@ from .measure import HYPOTHESIS_TOL, MASS_TOL, StieltjesMeasure
 from .transforms import (
     _bracketed_newton,
     _grid_moments,
+    _omega_rows,
     _reflected,
-    _times_x_power,
     eval_h_alpha_scaled,
     real_transforms,
 )
@@ -139,7 +139,8 @@ def _winding_count(fn, rect: Rectangle, min_log_modulus: float) -> ZeroCountResu
     ws, logs = probe(zs)
     for _ in range(64):
         # the quotient of neighbouring samples cannot overflow, unlike a product
-        split = np.flatnonzero(np.abs(np.angle(np.roll(ws, -1) / ws)) >= 0.5 * math.pi)
+        dphi = np.angle(np.roll(ws, -1) / ws)
+        split = np.flatnonzero(np.abs(dphi) >= 0.5 * math.pi)
         if not split.size:
             break
         zm = 0.5 * (zs[split] + np.roll(zs, -1)[split])
@@ -151,7 +152,6 @@ def _winding_count(fn, rect: Rectangle, min_log_modulus: float) -> ZeroCountResu
     else:
         raise DiagnosticFailure("contour refinement did not converge")
 
-    dphi = np.angle(np.roll(ws, -1) * np.conj(ws))
     winding = float(np.sum(dphi) / (2.0 * math.pi))
     count = int(round(winding))
     residual = abs(winding - count)
@@ -173,12 +173,12 @@ def _target(measure: StieltjesMeasure, target: str, z, order: int):
     """([w, w', ..., w^(order)], E) for w = z^n F^(k) of a `_TARGETS` entry, at real or complex z.
 
     Each entry is a mantissa: the value is the entry times e^E.  One
-    `_grid_moments` pass gives F^(j) = i^j T_j, and `_times_x_power` applies
-    z^n; nowhere else in this module is either rule written.
+    `_grid_moments` pass gives the moments, and `transforms._omega_rows`
+    forms the rows from them; nowhere in this module is i^j or z^n written.
     """
     k, n = _TARGETS[target]
     T, E = _grid_moments(measure, z, k + order)
-    return _times_x_power(n, z, [(1j) ** j * T[j] for j in range(k, k + order + 1)], measure, np.exp(-E)), E
+    return _omega_rows(measure, z, T, E, n, k), E
 
 
 def _target_fn(measure: StieltjesMeasure, target: str):
@@ -273,13 +273,13 @@ def _modulus_slope(w, wp, wpp):
 def find_real_zeros(measure: StieltjesMeasure, interval):
     """Real zeros of F on a bounded interval, as (location, multiplicity) pairs.
 
-    Candidates come from two kinds of brackets on the scan grid, solved
-    together by `_bracketed_newton`: sign changes of G, solved for the root
-    of G (G' = Re F'), and local minima of |F|^2, solved for the root of
-    Re(conj(F) F') (G need not change sign at a tangential zero).  Since
-    |F'| <= sigma V, a bracket where |F| exceeds sigma V times the grid step
-    (plus a rounding margin) at every grid point cannot lead to an accepted
-    zero and is dropped.
+    Every zero lies next to a local minimum of |F|^2 on the scan grid, the
+    grid's ends included.  Each such minimum brackets its neighbouring grid
+    points, and all brackets are solved together by `_bracketed_newton` for
+    the root of Re(conj(F) F') (`_modulus_slope`), which also finds a
+    tangential zero, where G need not change sign.  Since |F'| <= sigma V,
+    a minimum where |F| exceeds sigma V times the grid step (plus a rounding
+    margin) cannot lead to an accepted zero and is dropped.
     Each candidate is polished by Newton steps on F/F' and accepted when
     |F| <= 1e-10 * total variation.  Multiplicity 1 is certified by |F'| away
     from 0; a double zero is admitted at x = 0 only, and anything deeper
@@ -297,32 +297,17 @@ def find_real_zeros(measure: StieltjesMeasure, interval):
     n = max(int(math.ceil((b - a) / step)), 8)
     grid = np.linspace(a, b, n + 1)
     F = _target(m, "F", grid, 0)[0][0]
-    G = F.real
     absF2 = F.real**2 + F.imag**2
 
     # |F'| <= sigma V, so |F| stays above the acceptance tolerance within a
     # step of a grid point above this floor (ten times that tolerance covers
-    # rounding): a sign change or a minimum between such points holds no zero
+    # rounding): a minimum above it holds no zero
     floor = v * (sig * step + 1e-9)
-    low = absF2 <= floor * floor
-    roots = np.flatnonzero((np.sign(G[:-1]) * np.sign(G[1:]) < 0) & (low[:-1] | low[1:]))
-    mid = np.arange(1, len(grid) - 1)
-    dips = (absF2[mid] <= absF2[mid - 1]) & (absF2[mid] <= absF2[mid + 1])
-    minima = mid[dips & low[mid]]
-    lo = np.concatenate([grid[roots], grid[minima - 1]])
-    hi = np.concatenate([grid[roots + 1], grid[minima + 1]])
-    # a sign change starts from the secant root of G, a minimum from its grid point
-    secant = grid[roots] - G[roots] * (grid[roots + 1] - grid[roots]) / (G[roots + 1] - G[roots])
-    x0 = np.concatenate([secant, grid[minima]])
-    on_g = np.arange(lo.size) < roots.size
-    g_sign = np.concatenate([np.sign(G[roots + 1]), np.ones(minima.size)])
-
-    def target(x, k):
-        f, fp, fpp = _target(m, "F", x, 2)[0]
-        slope, slope_p = _modulus_slope(f, fp, fpp)
-        return np.where(on_g[k], g_sign[k] * f.real, slope), np.where(on_g[k], g_sign[k] * fp.real, slope_p)
-
-    x = _bracketed_newton(target, lo, hi, x0)
+    padded = np.concatenate([[np.inf], absF2, [np.inf]])
+    minima = np.flatnonzero((absF2 <= padded[:-2]) & (absF2 <= padded[2:]) & (absF2 <= floor * floor))
+    lo, hi = grid[np.maximum(minima - 1, 0)], grid[np.minimum(minima + 1, n)]
+    slope = lambda x, _: _modulus_slope(*_target(m, "F", x, 2)[0])
+    x = _bracketed_newton(slope, lo, hi, grid[minima])
     # Newton polish on F/F' sharpens the location to machine precision
     live = np.arange(x.size)
     for _ in range(3):
@@ -341,7 +326,7 @@ def find_real_zeros(measure: StieltjesMeasure, interval):
 
     out = []
     fp_tol = 1e-8 * sig * v
-    # the two kinds of brackets can locate the same zero; merge after sorting
+    # neighbouring grid minima can tie and locate the same zero; merge after sorting
     for j in np.argsort(x, kind="stable"):
         x0 = float(x[j])
         if out and abs(out[-1][0] - x0) < 1e-6 * max(1.0, abs(x0)):

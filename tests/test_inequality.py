@@ -209,7 +209,7 @@ class TestCheckInequality:
             x = x[np.abs(x) > 0.5]  # the direct route divides by x
         from hbfourier.inequality import _margin_pieces
 
-        _, rhs = _margin_pieces(cfg, x)
+        _, rhs, _, _ = _margin_pieces(cfg, x)
         direct = squared_bracket_direct(cfg, x)
         scale = np.maximum(np.abs(rhs), 1.0)
         assert np.max(np.abs(rhs - direct) / scale) <= 1e-9
@@ -292,6 +292,41 @@ class TestMarginScale:
     def test_margin_values_scalar(self, atom_at_sigma):
         cfg = OmegaConfig(atom_at_sigma, 0, math.pi / 2)
         assert margin_values(cfg, 0.9) == pytest.approx(0.0, abs=1e-12)
+
+
+def _rotated_case(tau):
+    return lambda: OmegaConfig(BRACKET_CASES["rotated-few-panel"]().measure, 0, tau)
+
+
+#: configs on which every route to E is compared; root-at-zero is scenarios/root_at_zero.json
+E_CASES = {
+    "rotated+0.3": _rotated_case(0.3),
+    "rotated-0.3": _rotated_case(-0.3),
+    "decay-ramp": BRACKET_CASES["decay-ramp"],
+    "root-at-zero": lambda: OmegaConfig(
+        StieltjesMeasure(1.0, ((1.0, -1.0),), PiecewiseLinearDensity.interpolant([0.0, 1.0], [1.0, 1.0])),
+        -1,
+        -math.pi / 2,
+    ),
+}
+
+
+class TestOneE:
+    """E is Re W for the one mirrored W of `transforms._omega_rows`, whichever route reads it."""
+
+    @pytest.mark.parametrize("name", sorted(E_CASES))
+    def test_every_route_gives_the_same_bits(self, name):
+        cfg = E_CASES[name]()
+        x = np.linspace(-30.0, 30.0, 1001)
+        routes = {
+            "check_inequality": check_inequality(cfg, x).e_values,
+            "eval_E": eval_E(cfg.measure, cfg.tau, cfg.n, x),
+            "_e_derivatives": inequality._e_derivatives(cfg, x)[0],
+            "_margin_pieces": inequality._margin_pieces(cfg, x)[3],
+        }
+        bits = {route: np.asarray(e, dtype=float).view(np.uint64) for route, e in routes.items()}
+        for route, b in bits.items():
+            assert np.count_nonzero(b != bits["eval_E"]) == 0, route
 
 
 def _mp_omega(measure, x, phase=1):

@@ -41,12 +41,16 @@ class TestCountZeros:
         assert sum(sizes) == result.boundary_samples
         assert result == count_zeros(triangle_case2, rect, "F'")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_huge_mantissas_keep_the_refinement(self, two_unit_atoms):
-        # neighbouring samples near 1e300 overflow their product, not their quotient
+        # neighbouring samples near 1e300 overflow their product, not their quotient,
+        # so the refinement and the final phases both read the quotient
         result = count_zeros(two_unit_atoms.scaled(1e300), LOWER)
+        unscaled = count_zeros(two_unit_atoms, LOWER)
         assert result.count == 0
-        assert result.boundary_samples == count_zeros(two_unit_atoms, LOWER).boundary_samples
+        assert result.boundary_samples == unscaled.boundary_samples
+        assert result.winding_residual == unscaled.winding_residual
+        # the log-moduli near 690 hold about 1e-13 absolute
+        assert abs(result.zero_sum - unscaled.zero_sum) <= 1e-12
 
     def test_real_zeros_do_not_count_below_axis(self, two_unit_atoms):
         result = count_zeros(two_unit_atoms, LOWER)
