@@ -9,9 +9,10 @@ E + i E~ = x^n e^{i tau} (C + i S), so the margin is
   4 sigma x^{2n} Delta - (E' + 2 sigma E~)^2.
 
 Both sides come from omega's rows: d = Im(conj(w) w') for w = x^n F, and E is
-Re W for the mirrored W.  `transforms._omega_rows` forms w, W and their
-derivatives from the moments alone, so no removable power is ever divided
-out; near the origin it sums n = -1's F / x as a series.
+Re W for the mirrored W (`transforms._mirrored_rows`, which `eval_E` shares).
+`transforms._omega_rows` forms w, W and their derivatives from the moments
+alone, so no removable power is ever divided out; near the origin it sums
+n = -1's F / x as a series.
 
 Equality on the whole line or at isolated points is detected, and the
 closed-form witness (c, beta, gamma) of the equality family is fitted when the
@@ -20,7 +21,6 @@ nonnegative combination E matches c sin^2(sigma x + tau + beta).
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass, field
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measure import HYPOTHESIS_TOL, StieltjesMeasure
-from .transforms import _bracketed_newton, _grid_moments, _omega_rows, _reflected, real_transforms
+from .transforms import _bracketed_newton, _grid_moments, _mirrored_rows, _omega_rows, _reflected, real_transforms
 
 #: |margin| <= MARGIN_TOL * scale counts as equality at a point
 MARGIN_TOL = 1e-8
@@ -95,11 +95,6 @@ def _d_values(cfg: OmegaConfig, x: np.ndarray, rt):
     return (np.conj(w) * wp).imag
 
 
-def _rotated(cfg: OmegaConfig, x, T):
-    """[W, W', ...] at x for W = x^n e^{i tau} (C + i S), from mirrored moments T."""
-    return _omega_rows(_reflected(cfg.measure), x, T, n=cfg.n, phase=cmath.exp(1j * cfg.tau))
-
-
 def eval_d(cfg: OmegaConfig, x):
     """d(x) = x^{2n} Delta(x); removable at 0 for n = -1."""
     x = np.asarray(x, dtype=float)
@@ -129,7 +124,7 @@ def _margin_pieces(cfg: OmegaConfig, x: np.ndarray, rt=None):
     if rt is None:
         rt = real_transforms(cfg.measure, x, order=1)
     sig = cfg.measure.sigma
-    w, wp = _rotated(cfg, x, rt.mirrored)
+    w, wp = _mirrored_rows(cfg.measure, cfg.tau, cfg.n, x, rt.mirrored)
     lhs, rhs = 4.0 * sig * _d_values(cfg, x, rt), (wp.real + 2.0 * sig * w.imag) ** 2
     return lhs, rhs, np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0), w.real
 
@@ -197,9 +192,9 @@ class InequalityReport:
 
 
 def _e_derivatives(cfg: OmegaConfig, x):
-    """E, E' and E'' at x, the real parts of W, W' and W'' (see `_rotated`)."""
+    """E, E' and E'' at x, the real parts of W, W' and W'' (see `transforms._mirrored_rows`)."""
     T = _grid_moments(_reflected(cfg.measure), x, 2)[0]
-    return [w.real for w in _rotated(cfg, x, T)]
+    return [w.real for w in _mirrored_rows(cfg.measure, cfg.tau, cfg.n, x, T)]
 
 
 def _refine_equality_points(cfg: OmegaConfig, grid, e_vals, e_tol):
@@ -302,7 +297,7 @@ def fit_equality_witness(cfg: OmegaConfig, grid) -> EqualityWitness | None:
 
     # one order-1 pass serves E, d and P + i Q = x^n F
     rt = real_transforms(m, grid, order=1)
-    e_vals = _rotated(cfg, grid, rt.mirrored[:1])[0].real
+    e_vals = _mirrored_rows(m, cfg.tau, cfg.n, grid, rt.mirrored[:1])[0].real
     # E = A + B cos(2 sigma x + 2 tau) + C sin(2 sigma x + 2 tau) with
     # A = c/2, B = -(c/2) cos(2 beta), C = (c/2) sin(2 beta)
     theta = 2.0 * sig * grid + 2.0 * cfg.tau

@@ -557,9 +557,14 @@ def eval_E(measure: StieltjesMeasure, tau: float, n: int, x):
     if n not in (-1, 0, 1):
         raise ValueError("n must be -1, 0, or 1")
     x = np.asarray(x, dtype=float)
-    reflected = _reflected(measure)
-    out = _omega_rows(reflected, x, _grid_moments(reflected, x, 0)[0], n=n, phase=cmath.exp(1j * tau))[0].real
+    out = _mirrored_rows(measure, tau, n, x, _grid_moments(_reflected(measure), x, 0)[0])[0].real
     return out if out.ndim else float(out)
+
+
+def _mirrored_rows(measure: StieltjesMeasure, tau: float, n: int, x, T):
+    """[W, W', ...] at x for the mirrored W = E + i E~ = x^n e^{i tau} (C + i S),
+    from the reflected measure's moments T; E is Re W on every route."""
+    return _omega_rows(_reflected(measure), x, T, n=n, phase=cmath.exp(1j * tau))
 
 
 @functools.lru_cache(maxsize=64)

@@ -273,13 +273,15 @@ def _modulus_slope(w, wp, wpp):
 def find_real_zeros(measure: StieltjesMeasure, interval):
     """Real zeros of F on a bounded interval, as (location, multiplicity) pairs.
 
-    Every zero lies next to a local minimum of |F|^2 on the scan grid, the
-    grid's ends included.  Each such minimum brackets its neighbouring grid
-    points, and all brackets are solved together by `_bracketed_newton` for
-    the root of Re(conj(F) F') (`_modulus_slope`), which also finds a
-    tangential zero, where G need not change sign.  Since |F'| <= sigma V,
-    a minimum where |F| exceeds sigma V times the grid step (plus a rounding
-    margin) cannot lead to an accepted zero and is dropped.
+    Candidates come from two kinds of brackets on the scan grid, solved
+    together by `_bracketed_newton`: sign changes of G, solved for the root
+    of G (G' = Re F'), and local minima of |F|^2, solved for the root of
+    Re(conj(F) F') (G need not change sign at a tangential zero).  Neither
+    kind alone suffices: two zeros closer than about two grid steps can share
+    one grid minimum, while G still changes sign at each of them.  Since
+    |F'| <= sigma V, a bracket where |F| exceeds sigma V times the grid step
+    (plus a rounding margin) at every grid point cannot lead to an accepted
+    zero and is dropped.
     Each candidate is polished by Newton steps on F/F' and accepted when
     |F| <= 1e-10 * total variation.  Multiplicity 1 is certified by |F'| away
     from 0; a double zero is admitted at x = 0 only, and anything deeper
@@ -297,17 +299,32 @@ def find_real_zeros(measure: StieltjesMeasure, interval):
     n = max(int(math.ceil((b - a) / step)), 8)
     grid = np.linspace(a, b, n + 1)
     F = _target(m, "F", grid, 0)[0][0]
+    G = F.real
     absF2 = F.real**2 + F.imag**2
 
     # |F'| <= sigma V, so |F| stays above the acceptance tolerance within a
     # step of a grid point above this floor (ten times that tolerance covers
-    # rounding): a minimum above it holds no zero
+    # rounding): a sign change or a minimum between such points holds no zero
     floor = v * (sig * step + 1e-9)
-    padded = np.concatenate([[np.inf], absF2, [np.inf]])
-    minima = np.flatnonzero((absF2 <= padded[:-2]) & (absF2 <= padded[2:]) & (absF2 <= floor * floor))
-    lo, hi = grid[np.maximum(minima - 1, 0)], grid[np.minimum(minima + 1, n)]
-    slope = lambda x, _: _modulus_slope(*_target(m, "F", x, 2)[0])
-    x = _bracketed_newton(slope, lo, hi, grid[minima])
+    low = absF2 <= floor * floor
+    roots = np.flatnonzero((np.sign(G[:-1]) * np.sign(G[1:]) < 0) & (low[:-1] | low[1:]))
+    mid = np.arange(1, len(grid) - 1)
+    dips = (absF2[mid] <= absF2[mid - 1]) & (absF2[mid] <= absF2[mid + 1])
+    minima = mid[dips & low[mid]]
+    lo = np.concatenate([grid[roots], grid[minima - 1]])
+    hi = np.concatenate([grid[roots + 1], grid[minima + 1]])
+    # a sign change starts from the secant root of G, a minimum from its grid point
+    secant = grid[roots] - G[roots] * (grid[roots + 1] - grid[roots]) / (G[roots + 1] - G[roots])
+    x0 = np.concatenate([secant, grid[minima]])
+    on_g = np.arange(lo.size) < roots.size
+    g_sign = np.concatenate([np.sign(G[roots + 1]), np.ones(minima.size)])
+
+    def target(x, k):
+        f, fp, fpp = _target(m, "F", x, 2)[0]
+        slope, slope_p = _modulus_slope(f, fp, fpp)
+        return np.where(on_g[k], g_sign[k] * f.real, slope), np.where(on_g[k], g_sign[k] * fp.real, slope_p)
+
+    x = _bracketed_newton(target, lo, hi, x0)
     # Newton polish on F/F' sharpens the location to machine precision
     live = np.arange(x.size)
     for _ in range(3):
@@ -326,7 +343,7 @@ def find_real_zeros(measure: StieltjesMeasure, interval):
 
     out = []
     fp_tol = 1e-8 * sig * v
-    # neighbouring grid minima can tie and locate the same zero; merge after sorting
+    # the two kinds of brackets can locate the same zero; merge after sorting
     for j in np.argsort(x, kind="stable"):
         x0 = float(x[j])
         if out and abs(out[-1][0] - x0) < 1e-6 * max(1.0, abs(x0)):

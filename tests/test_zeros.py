@@ -212,6 +212,17 @@ class TestRealZeros:
         zeros_found = find_real_zeros(m, (-3.0, 3.0))
         assert any(abs(x) <= 1e-8 and mult == 2 for x, mult in zeros_found)
 
+    def test_close_pair_sharing_one_grid_minimum(self):
+        # F(z) = 2 e^{iz/2} (cos(z/2) - cos t) has simple zeros at +-2t, here
+        # 0.7 grid steps from 0; the grid point at -0.8 steps is the only
+        # minimum of |F|^2 near 0, and its bracket misses the zero at +2t,
+        # which only the sign change of G on (0.2, 1.2) steps finds
+        step = math.pi / 40.0  # sigma = 1
+        t = 0.35 * step
+        m = StieltjesMeasure(1.0, ((0.0, 1.0), (0.5, -2.0 * math.cos(t)), (1.0, 1.0)))
+        zeros_found = find_real_zeros(m, (-4.8 * step, 11.2 * step))
+        assert zeros_found == [(pytest.approx(-2.0 * t, abs=1e-12), 1), (pytest.approx(2.0 * t, abs=1e-12), 1)]
+
     def test_reports_no_duplicates_when_both_passes_hit(self, fejer2):
         zeros_found = find_real_zeros(fejer2, (-13.0, 13.0))
         locations = [x for x, _ in zeros_found]
