@@ -36,6 +36,8 @@ BOUNDARY_MODULUS_FACTOR = 1e-12
 ZERO_TOL = 1e-10
 #: boundary samples a contour count may refine to
 _MAX_CONTOUR_POINTS = 400_000
+#: grid points a real-axis scan may allocate
+_MAX_SCAN_POINTS = 1_000_000
 #: default axis-avoiding window for "open lower half-plane" checks
 DEFAULT_LOWER_RECT = (-20.0, 20.0, -6.0, -1e-3)
 #: each zero target as (k, n): the target is z^n F^(k)
@@ -117,8 +119,9 @@ def _winding_count(fn, rect: Rectangle, min_log_modulus: float) -> ZeroCountResu
     pi/2, all midpoints of a round in one call of fn, so the final polygonal
     path cannot wrap the origin undetected unless the true phase moves by
     >= pi between samples.  The same samples give the zero sum: each segment
-    adds its midpoint times its increment of log w, that of log|w| plus i
-    times the phase increment.
+    adds its midpoint times its increment of log w, log q plus the increment
+    of the log-scale for the quotient q of its end mantissas, so that scales
+    near 700 cost the increments no digits.
     """
     corners = list(rect.corners)
     n0 = 64  # initial points per edge; adaptive bisection supplies the rest
@@ -134,19 +137,20 @@ def _winding_count(fn, rect: Rectangle, min_log_modulus: float) -> ZeroCountResu
             raise BoundaryZeroError(
                 f"|target| below the boundary floor at z = {complex(z[low[0]]):.6g}; nudge the rectangle by ~1e-6"
             )
-        return mant, logmod
+        return mant, scale
 
-    ws, logs = probe(zs)
+    ws, scales = probe(zs)
     for _ in range(64):
         # the quotient of neighbouring samples cannot overflow, unlike a product
-        dphi = np.angle(np.roll(ws, -1) / ws)
+        q = np.roll(ws, -1) / ws
+        dphi = np.angle(q)
         split = np.flatnonzero(np.abs(dphi) >= 0.5 * math.pi)
         if not split.size:
             break
         zm = 0.5 * (zs[split] + np.roll(zs, -1)[split])
         zs = np.insert(zs, split + 1, zm)
-        wm, lm = probe(zm)
-        ws, logs = np.insert(ws, split + 1, wm), np.insert(logs, split + 1, lm)
+        wm, em = probe(zm)
+        ws, scales = np.insert(ws, split + 1, wm), np.insert(scales, split + 1, em)
         if len(zs) > _MAX_CONTOUR_POINTS:
             raise DiagnosticFailure("contour refinement exceeded the sample budget")
     else:
@@ -159,7 +163,7 @@ def _winding_count(fn, rect: Rectangle, min_log_modulus: float) -> ZeroCountResu
         raise DiagnosticFailure(f"non-integer winding number {winding:.3f} after refinement")
     if count < 0:
         raise DiagnosticFailure(f"negative winding count {count}; the target is not analytic inside")
-    dlog = np.roll(logs, -1) - logs + 1j * dphi
+    dlog = np.log(np.abs(q)) + (np.roll(scales, -1) - scales) + 1j * dphi
     zero_sum = complex(np.sum(0.5 * (zs + np.roll(zs, -1)) * dlog) / (2j * math.pi))
     return ZeroCountResult(count=count, winding_residual=residual, boundary_samples=len(zs), zero_sum=zero_sum)
 
@@ -209,7 +213,7 @@ def count_h_alpha_zeros(measure: StieltjesMeasure, alpha: float, rect: Rectangle
 def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -> complex:
     """Locate the unique zero of the target inside the rectangle.
 
-    Counts first (must be exactly 1), then polishes with Newton iterations
+    Counts first (must be exactly 1), then refines with Newton iterations
     from the count's zero sum, which with one zero inside estimates the zero
     itself, or from the rectangle centre where that estimate lies outside;
     it falls back to quadrant subdivision if Newton leaves the window.  A
@@ -270,73 +274,67 @@ def _modulus_slope(w, wp, wpp):
     return (w.conj() * wp).real, (wp.conj() * wp).real + (w.conj() * wpp).real
 
 
+def _real_minima(measure: StieltjesMeasure, target: str, a: float, b: float):
+    """(grid, w on the grid, candidates) of the real-axis scan of w = F^(k), a `_TARGETS` entry.
+
+    The grid spans [a, b] in steps of at most pi / (40 sigma).  Two kinds of
+    brackets can hold a zero of w: sign changes of Re w, and local minima of
+    |w|, where both grid ends count as minima, so that a zero within a step
+    of an end is bracketed even where Re w only touches 0.  Neither kind
+    alone suffices: two zeros closer than about two grid steps can share one
+    grid minimum, while Re w still changes sign at each of them.  Since
+    |w'| <= sigma^(k+1) V, |w| stays above 10 ZERO_TOL tol_scale within a
+    step of a grid point above the floor sigma^(k+1) V step + 10 ZERO_TOL
+    tol_scale; a bracket with no grid point below the floor holds no point
+    that any acceptance threshold admits, and is dropped.  One
+    `_bracketed_newton` call solves every bracket left for the root of
+    Re(conj(w) w'), where |w| is least, from the secant root of Re w or the
+    grid minimum.  The candidates are its solutions, unsorted and untested;
+    without a bracket they are empty, at no evaluator call.  Raises
+    ValueError unless a < b are finite, and before allocating a grid of more
+    than _MAX_SCAN_POINTS points.
+    """
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"real interval ({a}, {b}) must be finite with a < b")
+    k, _ = _TARGETS[target]
+    sig = measure.sigma
+    step = math.pi / (40.0 * sig)
+    # a float, so a span that overflows to inf is refused too
+    span = (b - a) / step
+    if not span < _MAX_SCAN_POINTS - 1:
+        raise ValueError(f"real scan needs about {span:.3g} points, over the budget of {_MAX_SCAN_POINTS}")
+    n = max(math.ceil(span), 8)
+    grid = np.linspace(a, b, n + 1)
+    w = _target(measure, target, grid, 0)[0][0]
+    real = w.real
+    floor = sig ** (k + 1) * measure.total_variation * step + 10.0 * ZERO_TOL * measure.tol_scale
+    absw2 = real**2 + w.imag**2
+    low = absw2 <= floor * floor
+    roots = np.flatnonzero((np.sign(real[:-1]) * np.sign(real[1:]) < 0) & (low[:-1] | low[1:]))
+    padded = np.concatenate([[np.inf], absw2, [np.inf]])
+    minima = np.flatnonzero((absw2 <= padded[:-2]) & (absw2 <= padded[2:]) & low)
+    lo = np.concatenate([grid[roots], grid[np.maximum(minima - 1, 0)]])
+    hi = np.concatenate([grid[roots + 1], grid[np.minimum(minima + 1, n)]])
+    secant = grid[roots] - real[roots] * (grid[roots + 1] - grid[roots]) / (real[roots + 1] - real[roots])
+    slope = lambda x, _: _modulus_slope(*_target(measure, target, x, 2)[0])
+    return grid, w, _bracketed_newton(slope, lo, hi, np.concatenate([secant, grid[minima]]))
+
+
 def find_real_zeros(measure: StieltjesMeasure, interval):
     """Real zeros of F on a bounded interval, as (location, multiplicity) pairs.
 
-    Candidates come from two kinds of brackets on the scan grid, solved
-    together by `_bracketed_newton`: sign changes of G, solved for the root
-    of G (G' = Re F'), and local minima of |F|^2, solved for the root of
-    Re(conj(F) F') (G need not change sign at a tangential zero).  Neither
-    kind alone suffices: two zeros closer than about two grid steps can share
-    one grid minimum, while G still changes sign at each of them.  Since
-    |F'| <= sigma V, a bracket where |F| exceeds sigma V times the grid step
-    (plus a rounding margin) at every grid point cannot lead to an accepted
-    zero and is dropped.
-    Each candidate is polished by Newton steps on F/F' and accepted when
-    |F| <= 1e-10 * total variation.  Multiplicity 1 is certified by |F'| away
-    from 0; a double zero is admitted at x = 0 only, and anything deeper
-    raises DiagnosticFailure.
+    The candidates of `_real_minima` are accepted where |F| <= 1e-10 * total
+    variation, and merged where two brackets located the same zero.
+    Multiplicity 1 is certified by |F'| away from 0; a double zero is
+    admitted at x = 0 only, and anything deeper raises DiagnosticFailure.
+    Raises ValueError for an interval that is not finite with a < b, or
+    whose scan would exceed the grid budget.
     """
-    a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise ValueError("interval must satisfy a < b")
     m = measure
-    v = max(m.total_variation, 1e-300)
     if m.is_zero:
         return []
-    sig = m.sigma
-    step = math.pi / (40.0 * sig)
-    n = max(int(math.ceil((b - a) / step)), 8)
-    grid = np.linspace(a, b, n + 1)
-    F = _target(m, "F", grid, 0)[0][0]
-    G = F.real
-    absF2 = F.real**2 + F.imag**2
-
-    # |F'| <= sigma V, so |F| stays above the acceptance tolerance within a
-    # step of a grid point above this floor (ten times that tolerance covers
-    # rounding): a sign change or a minimum between such points holds no zero
-    floor = v * (sig * step + 1e-9)
-    low = absF2 <= floor * floor
-    roots = np.flatnonzero((np.sign(G[:-1]) * np.sign(G[1:]) < 0) & (low[:-1] | low[1:]))
-    mid = np.arange(1, len(grid) - 1)
-    dips = (absF2[mid] <= absF2[mid - 1]) & (absF2[mid] <= absF2[mid + 1])
-    minima = mid[dips & low[mid]]
-    lo = np.concatenate([grid[roots], grid[minima - 1]])
-    hi = np.concatenate([grid[roots + 1], grid[minima + 1]])
-    # a sign change starts from the secant root of G, a minimum from its grid point
-    secant = grid[roots] - G[roots] * (grid[roots + 1] - grid[roots]) / (G[roots + 1] - G[roots])
-    x0 = np.concatenate([secant, grid[minima]])
-    on_g = np.arange(lo.size) < roots.size
-    g_sign = np.concatenate([np.sign(G[roots + 1]), np.ones(minima.size)])
-
-    def target(x, k):
-        f, fp, fpp = _target(m, "F", x, 2)[0]
-        slope, slope_p = _modulus_slope(f, fp, fpp)
-        return np.where(on_g[k], g_sign[k] * f.real, slope), np.where(on_g[k], g_sign[k] * fp.real, slope_p)
-
-    x = _bracketed_newton(target, lo, hi, x0)
-    # Newton polish on F/F' sharpens the location to machine precision
-    live = np.arange(x.size)
-    for _ in range(3):
-        if not live.size:
-            break
-        f, fp = _target(m, "F", x[live], 1)[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shift = (f / fp).real
-        ok = (fp != 0) & (np.abs(shift) <= step)
-        x[live[ok]] -= shift[ok]
-        live = live[ok]
-    x = x[(a - 1e-12 <= x) & (x <= b + 1e-12)]
+    sig, v = m.sigma, m.total_variation
+    x = _real_minima(m, "F", float(interval[0]), float(interval[1]))[2]
     f, fp = _target(m, "F", x, 1)[0]
     keep = np.abs(f) <= 1e-10 * v
     x, fp_abs = x[keep], np.abs(fp[keep])
@@ -535,9 +533,11 @@ def check_derivative_hb(
 ) -> DerivativeZeroReport:
     """Verify F^(k) (k in {1, 2}) has no lower-half-plane and no real zeros.
 
-    The real-axis check reports the refined minimum of |F^(k)| over the
-    interval; the lower half-plane is checked by winding count over the
-    axis-avoiding rectangle.
+    The lower half-plane is checked by winding count over the axis-avoiding
+    rectangle.  The real-axis check reports the least |F^(k)| over the
+    interval's scan grid and the candidates of `_real_minima`: the refined
+    minimum wherever a bracket could hold a zero, elsewhere a grid value,
+    which the scan's floor keeps above the ZERO_TOL threshold.
     """
     if order not in (1, 2):
         raise ValueError("derivative order must be 1 or 2")
@@ -548,23 +548,13 @@ def check_derivative_hb(
     if real_interval is None:
         real_interval = (rect.x_min, rect.x_max)
     target = "F'" if order == 1 else "F''"
+    xs, w, x = _real_minima(measure, target, float(real_interval[0]), float(real_interval[1]))
     result = count_zeros(measure, rect, target)
-
-    a, b = float(real_interval[0]), float(real_interval[1])
-    grid = np.linspace(a, b, max(int((b - a) * 40 * measure.sigma / math.pi), 64) + 1)
-    vals = np.abs(_target(measure, target, grid, 0)[0][0])
-    best = float(np.min(vals))
-    best_x = float(grid[int(np.argmin(vals))])
-    mid = np.arange(1, len(grid) - 1)
-    minima = mid[(vals[mid] <= vals[mid - 1]) & (vals[mid] <= vals[mid + 1])]
-    if minima.size:
-        slope = lambda x, _: _modulus_slope(*_target(measure, target, x, 2)[0])
-        x = _bracketed_newton(slope, grid[minima - 1], grid[minima + 1], grid[minima])
-        refined = np.abs(_target(measure, target, x, 0)[0][0])
-        j = int(np.argmin(refined))
-        if refined[j] < best:
-            best = float(refined[j])
-            best_x = float(x[j])
+    if x.size:  # the refined minima join the grid's; no evaluator call without one
+        xs, w = np.concatenate([xs, x]), np.concatenate([w, _target(measure, target, x, 0)[0][0]])
+    vals = np.abs(w)
+    j = int(np.argmin(vals))
+    best, best_x = float(vals[j]), float(xs[j])
     ok = result.count == 0 and best > ZERO_TOL * measure.tol_scale
     if ok:
         note = ""

@@ -44,13 +44,15 @@ class TestCountZeros:
     def test_huge_mantissas_keep_the_refinement(self, two_unit_atoms):
         # neighbouring samples near 1e300 overflow their product, not their quotient,
         # so the refinement and the final phases both read the quotient
-        result = count_zeros(two_unit_atoms.scaled(1e300), LOWER)
-        unscaled = count_zeros(two_unit_atoms, LOWER)
-        assert result.count == 0
-        assert result.boundary_samples == unscaled.boundary_samples
-        assert result.winding_residual == unscaled.winding_residual
-        # the log-moduli near 690 hold about 1e-13 absolute
-        assert abs(result.zero_sum - unscaled.zero_sum) <= 1e-12
+        for measure in (two_unit_atoms, StieltjesMeasure(2.0, ((0.0, 1.0), (2.0, 1.0)))):
+            result = count_zeros(measure.scaled(1e300), LOWER)
+            unscaled = count_zeros(measure, LOWER)
+            assert result.count == 0
+            assert result.boundary_samples == unscaled.boundary_samples
+            assert result.winding_residual == unscaled.winding_residual
+            # the log-modulus increments come from the quotients and the scale
+            # differences, never from absolute log-moduli near 690
+            assert abs(result.zero_sum - unscaled.zero_sum) <= 1e-13
 
     def test_real_zeros_do_not_count_below_axis(self, two_unit_atoms):
         result = count_zeros(two_unit_atoms, LOWER)
@@ -279,6 +281,45 @@ class TestRealZeros:
             found = find_real_zeros(measure, (-13.0, 13.0))
             assert [round(x / math.pi) for x, _ in found] == [-3, -1, 1, 3]
 
+    @pytest.mark.parametrize("interval", [(math.pi - 0.01, 6.0), (0.0, math.pi + 1e-4)], ids=["left", "right"])
+    def test_zero_in_an_end_cell(self, two_unit_atoms, interval):
+        # G = 1 + cos x only touches 0 at pi, and the grid end next to pi is
+        # the least |F| of the scan: only an end minimum brackets the zero
+        assert find_real_zeros(two_unit_atoms, interval) == [(pytest.approx(math.pi, abs=1e-14), 1)]
+
+    def test_matches_the_unit_circle_roots_of_palindromic_atoms(self):
+        # F = sum c_k e^{ikx} with c_k = c_{N-k} vanishes on the axis at the
+        # angles of the unit-circle roots of sum c_k u^k; one end of each
+        # interval lies a random fraction of a grid step past such a zero
+        rng = np.random.default_rng(20161)
+        checked = 0
+        for _ in range(400):
+            n = int(rng.integers(2, 9))
+            half = rng.integers(-4, 5, n // 2 + 1).astype(float)
+            c = np.concatenate([half, half[: (n + 1) // 2][::-1]])
+            if c[0] == 0:
+                continue
+            roots = np.roots(c[::-1])
+            off = np.abs(np.abs(roots) - 1.0)
+            angles = np.sort(np.angle(roots[off <= 1e-6]))
+            # only simple zeros, with every root clearly on or off the circle
+            if not angles.size or np.any((off > 1e-6) & (off <= 1e-3)):
+                continue
+            if np.min(np.diff(np.append(angles, angles[0] + 2.0 * math.pi))) <= 1e-3:
+                continue
+            m = StieltjesMeasure(float(n), tuple((float(t), float(v)) for t, v in enumerate(c) if v))
+            x0 = float(rng.choice(angles)) + 2.0 * math.pi * int(rng.integers(-3, 4))
+            past = float(rng.uniform(0.0, 1.0)) * math.pi / (40.0 * n)
+            other = float(rng.uniform(2.0, 15.0))
+            a, b = (x0 - past, x0 + other) if rng.integers(2) else (x0 - other, x0 + past)
+            images = (angles[None, :] + 2.0 * math.pi * np.arange(-6, 7)[:, None]).ravel()
+            expected = np.sort(images[(a <= images) & (images <= b)])
+            found = find_real_zeros(m, (a, b))
+            assert [mult for _, mult in found] == [1] * expected.size, (c, a, b)
+            assert np.allclose([x for x, _ in found], expected, rtol=0.0, atol=1e-9), (c, a, b)
+            checked += 1
+        assert checked >= 300
+
     def test_wronskian_has_double_zero_at_simple_real_zeros(self, fejer2):
         # at every real zero the Wronskian vanishes to second order
         for x0, mult in find_real_zeros(fejer2, (0.0, 12.0)):
@@ -359,6 +400,12 @@ class TestClassify:
         assert result.verdict == "hb"
         assert result.real_zeros == ()
 
+    def test_real_zeros_in_the_end_cells_break_hb(self, two_unit_atoms):
+        # F(+-pi) = 0, 0.01 inside either end of the rectangle's x-range
+        result = classify(two_unit_atoms, Rectangle(-math.pi - 0.01, math.pi + 0.01, -6.0, -1e-3))
+        assert result.verdict == "hb_bar_nontrivial"
+        assert result.real_zeros == ((pytest.approx(-math.pi, abs=1e-14), 1), (pytest.approx(math.pi, abs=1e-14), 1))
+
 
 class TestDerivativeChecks:
     def test_ramp_derivative_clear_of_lower_halfplane(self, ramp_density):
@@ -379,6 +426,46 @@ class TestDerivativeChecks:
     def test_second_derivative_for_fejer(self, fejer2):
         report = check_derivative_hb(fejer2, 2, Rectangle(-10.0, 10.0, -4.0, -1e-3))
         assert report.lower_count == 0
+
+    def test_zero_in_an_end_cell(self):
+        # F' = i e^{ix} (1 + e^{ix}) vanishes at pi, 0.01 inside the left end
+        m = StieltjesMeasure(2.0, ((1.0, 1.0), (2.0, 0.5)))
+        report = check_derivative_hb(m, 1, Rectangle(-20.0, 20.0, -6.0, -1e-3), (math.pi - 0.01, 9.0))
+        assert not report.ok and report.lower_count == 0
+        assert report.real_min <= 1e-15 and report.real_argmin == pytest.approx(math.pi, abs=1e-14)
+
+    def test_no_evaluator_call_without_a_candidate(self, ramp_density, monkeypatch):
+        # |F'| stays far above the floor: one contour probe, which needs no
+        # refinement round, and the scan
+        evaluator = zeros_module._grid_moments
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return evaluator(*args)
+
+        monkeypatch.setattr(zeros_module, "_grid_moments", counted)
+        assert check_derivative_hb(ramp_density, 1, Rectangle(-20.0, 20.0, -6.0, -1e-3)).ok
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("interval", [(5.0, 1.0), (2.0, 2.0), (0.0, math.inf), (math.nan, 1.0)])
+    def test_refuses_an_interval_that_is_not_finite_and_ordered(self, two_unit_atoms, interval):
+        with pytest.raises(ValueError, match="finite with a < b"):
+            check_derivative_hb(two_unit_atoms, 1, LOWER, interval)
+
+    @pytest.mark.parametrize("interval", [(0.0, 1e6), (-1e308, 1e308)], ids=["over", "overflowing"])
+    def test_refuses_a_scan_over_the_budget_before_allocating(self, two_unit_atoms, monkeypatch, interval):
+        linspace = np.linspace
+
+        def small(start, stop, num=50, **kwargs):
+            assert num <= 100_000, "np.linspace reached before the budget check"
+            return linspace(start, stop, num, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", small)
+        with pytest.raises(ValueError, match="over the budget"):
+            find_real_zeros(two_unit_atoms, interval)
+        with pytest.raises(ValueError, match="over the budget"):
+            check_derivative_hb(two_unit_atoms, 1, LOWER, interval)
 
 
 class TestRotatedZeros:
