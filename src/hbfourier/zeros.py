@@ -274,6 +274,14 @@ def _modulus_slope(w, wp, wpp):
     return (w.conj() * wp).real, (wp.conj() * wp).real + (w.conj() * wpp).real
 
 
+def _real_interval(a, b):
+    """(a, b) as floats; ValueError unless both are finite with a < b."""
+    a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"real interval ({a}, {b}) must be finite with a < b")
+    return a, b
+
+
 def _real_minima(measure: StieltjesMeasure, target: str, a: float, b: float):
     """(grid, w on the grid, candidates) of the real-axis scan of w = F^(k), a `_TARGETS` entry.
 
@@ -287,15 +295,17 @@ def _real_minima(measure: StieltjesMeasure, target: str, a: float, b: float):
     step of a grid point above the floor sigma^(k+1) V step + 10 ZERO_TOL
     tol_scale; a bracket with no grid point below the floor holds no point
     that any acceptance threshold admits, and is dropped.  One
-    `_bracketed_newton` call solves every bracket left for the root of
-    Re(conj(w) w'), where |w| is least, from the secant root of Re w or the
-    grid minimum.  The candidates are its solutions, unsorted and untested;
-    without a bracket they are empty, at no evaluator call.  Raises
-    ValueError unless a < b are finite, and before allocating a grid of more
-    than _MAX_SCAN_POINTS points.
+    `_bracketed_newton` call solves every bracket left: a sign change for
+    the root of Re w it is sure to hold, from the secant root, and a minimum
+    for the root of Re(conj(w) w'), where |w| is least, from the grid point.
+    The slope would not do for a sign change: a cell that also holds the
+    maximum of |w| between a close pair gives it the same sign at both ends.
+    The candidates are the solutions, unsorted and untested; without a
+    bracket they are empty, at no evaluator call.  Raises ValueError unless
+    a < b are finite, and before allocating a grid of more than
+    _MAX_SCAN_POINTS points.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ValueError(f"real interval ({a}, {b}) must be finite with a < b")
+    a, b = _real_interval(a, b)
     k, _ = _TARGETS[target]
     sig = measure.sigma
     step = math.pi / (40.0 * sig)
@@ -316,36 +326,51 @@ def _real_minima(measure: StieltjesMeasure, target: str, a: float, b: float):
     lo = np.concatenate([grid[roots], grid[np.maximum(minima - 1, 0)]])
     hi = np.concatenate([grid[roots + 1], grid[np.minimum(minima + 1, n)]])
     secant = grid[roots] - real[roots] * (grid[roots + 1] - grid[roots]) / (real[roots + 1] - real[roots])
-    slope = lambda x, _: _modulus_slope(*_target(measure, target, x, 2)[0])
-    return grid, w, _bracketed_newton(slope, lo, hi, np.concatenate([secant, grid[minima]]))
+    # +-1 orients Re w to rise through the root of a sign change; 0 marks a minimum
+    orient = np.concatenate([np.sign(real[roots + 1]), np.zeros(minima.size)])
+
+    def solve(x, j):
+        rows = _target(measure, target, x, 2)[0]
+        slope, slope_p = _modulus_slope(*rows)
+        s = orient[j]
+        return np.where(s != 0, s * rows[0].real, slope), np.where(s != 0, s * rows[1].real, slope_p)
+
+    return grid, w, _bracketed_newton(solve, lo, hi, np.concatenate([secant, grid[minima]]))
 
 
 def find_real_zeros(measure: StieltjesMeasure, interval):
     """Real zeros of F on a bounded interval, as (location, multiplicity) pairs.
 
     The candidates of `_real_minima` are accepted where |F| <= 1e-10 * total
-    variation, and merged where two brackets located the same zero.
-    Multiplicity 1 is certified by |F'| away from 0; a double zero is
-    admitted at x = 0 only, and anything deeper raises DiagnosticFailure.
-    Raises ValueError for an interval that is not finite with a < b, or
-    whose scan would exceed the grid budget.
+    variation.  Where two brackets located the same zero, the candidate of
+    least |F| stands for it: a minimum's solution is conditioned by |F'|, a
+    sign change's by |Re F'| only.  Multiplicity 1 is certified by |F'| away
+    from 0; a double zero is admitted at x = 0 only, and anything deeper
+    raises DiagnosticFailure.  Raises ValueError for an interval that is not
+    finite with a < b, even for the zero measure, or whose scan would exceed
+    the grid budget.
     """
     m = measure
+    a, b = _real_interval(*interval)
     if m.is_zero:
         return []
     sig, v = m.sigma, m.total_variation
-    x = _real_minima(m, "F", float(interval[0]), float(interval[1]))[2]
+    x = _real_minima(m, "F", a, b)[2]
     f, fp = _target(m, "F", x, 1)[0]
     keep = np.abs(f) <= 1e-10 * v
-    x, fp_abs = x[keep], np.abs(fp[keep])
+    x, f_abs, fp_abs = x[keep], np.abs(f[keep]), np.abs(fp[keep])
+    picked = []
+    for j in np.argsort(x, kind="stable"):
+        if picked and abs(x[picked[-1]] - x[j]) < 1e-6 * max(1.0, abs(x[j])):
+            if f_abs[j] < f_abs[picked[-1]]:
+                picked[-1] = j
+            continue
+        picked.append(j)
 
     out = []
     fp_tol = 1e-8 * sig * v
-    # the two kinds of brackets can locate the same zero; merge after sorting
-    for j in np.argsort(x, kind="stable"):
+    for j in picked:
         x0 = float(x[j])
-        if out and abs(out[-1][0] - x0) < 1e-6 * max(1.0, abs(x0)):
-            continue
         if fp_abs[j] > fp_tol:
             mult = 1
         else:
@@ -536,19 +561,23 @@ def check_derivative_hb(
     The lower half-plane is checked by winding count over the axis-avoiding
     rectangle.  The real-axis check reports the least |F^(k)| over the
     interval's scan grid and the candidates of `_real_minima`: the refined
-    minimum wherever a bracket could hold a zero, elsewhere a grid value,
-    which the scan's floor keeps above the ZERO_TOL threshold.
+    minimum of every minimum bracket and the root of Re F^(k) of every
+    sign change, elsewhere a grid value, which the scan's floor keeps above
+    the ZERO_TOL threshold.  Raises ValueError for a real interval that is
+    not finite with a < b, even for the zero measure, or whose scan would
+    exceed the grid budget.
     """
     if order not in (1, 2):
         raise ValueError("derivative order must be 1 or 2")
-    if measure.is_zero:
-        return DerivativeZeroReport(True, 0, 0.0, 0.0, 0.0, VERDICT_IDENTICALLY_ZERO)
     if rect is None:
         rect = Rectangle(*DEFAULT_LOWER_RECT)
     if real_interval is None:
         real_interval = (rect.x_min, rect.x_max)
+    a, b = _real_interval(*real_interval)
+    if measure.is_zero:
+        return DerivativeZeroReport(True, 0, 0.0, 0.0, 0.0, VERDICT_IDENTICALLY_ZERO)
     target = "F'" if order == 1 else "F''"
-    xs, w, x = _real_minima(measure, target, float(real_interval[0]), float(real_interval[1]))
+    xs, w, x = _real_minima(measure, target, a, b)
     result = count_zeros(measure, rect, target)
     if x.size:  # the refined minima join the grid's; no evaluator call without one
         xs, w = np.concatenate([xs, x]), np.concatenate([w, _target(measure, target, x, 0)[0][0]])

@@ -10,6 +10,18 @@ from hbfourier.measure import (
 
 
 @pytest.fixture
+def no_large_linspace(monkeypatch):
+    """np.linspace refusing more than 1e5 points: a scan over its budget must refuse before its grid."""
+    linspace = np.linspace
+
+    def small(start, stop, num=50, **kwargs):
+        assert num <= 100_000, "np.linspace reached before the budget check"
+        return linspace(start, stop, num, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", small)
+
+
+@pytest.fixture
 def fejer2():
     """Atoms {0.5@1, 0.5@2}, sigma = 2: C(x) = (1 + cos x)/2."""
     return from_fejer(2, 1.0, 1.0)

@@ -299,16 +299,10 @@ class TestBudgets:
         assert "task.terms" in capsys.readouterr().err
 
 
-def test_classify_refuses_a_real_scan_over_the_budget(tmp_path, capsys, monkeypatch):
+@pytest.mark.usefixtures("no_large_linspace")
+def test_classify_refuses_a_real_scan_over_the_budget(tmp_path, capsys):
     # C and S both fail, so classify goes straight to the real-axis scan,
     # which refuses a grid of about 1e8 points before building it
-    linspace = np.linspace
-
-    def small(start, stop, num=50, **kwargs):
-        assert num <= 100_000, "np.linspace reached before the budget check"
-        return linspace(start, stop, num, **kwargs)
-
-    monkeypatch.setattr(np, "linspace", small)
     doc = {"sigma": 1.0, "atoms": [{"t": 0.0, "c": 2.0}, {"t": 1.0, "c": -1.0}], "task": {"command": "zeros-classify"}}
     code, text = run_cli(["zeros-classify", write_scenario(tmp_path, doc), "--rect=-4e6,4e6,-6,-1e-3"])
     assert (code, text) == (1, "")

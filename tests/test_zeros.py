@@ -186,6 +186,15 @@ class TestNewtonStart:
         assert len(calls) == 5
 
 
+CLOSE_STEP = math.pi / 40.0  # the real scan's grid step for sigma = 1
+
+
+def _close_pair(zero):
+    """(F(z) = 2 e^{iz/2} (cos(z/2) - cos t), t) with simple zeros at +-2t, `zero` grid steps from 0."""
+    t = 0.5 * zero * CLOSE_STEP
+    return StieltjesMeasure(1.0, ((0.0, 1.0), (0.5, -2.0 * math.cos(t)), (1.0, 1.0))), t
+
+
 class TestRealZeros:
     def test_two_atom_zeros_at_odd_pi(self, two_unit_atoms):
         zeros_found = find_real_zeros(two_unit_atoms, (0.0, 10.0))
@@ -219,10 +228,21 @@ class TestRealZeros:
         # 0.7 grid steps from 0; the grid point at -0.8 steps is the only
         # minimum of |F|^2 near 0, and its bracket misses the zero at +2t,
         # which only the sign change of G on (0.2, 1.2) steps finds
-        step = math.pi / 40.0  # sigma = 1
-        t = 0.35 * step
-        m = StieltjesMeasure(1.0, ((0.0, 1.0), (0.5, -2.0 * math.cos(t)), (1.0, 1.0)))
-        zeros_found = find_real_zeros(m, (-4.8 * step, 11.2 * step))
+        m, t = _close_pair(0.7)
+        zeros_found = find_real_zeros(m, (-4.8 * CLOSE_STEP, 11.2 * CLOSE_STEP))
+        assert zeros_found == [(pytest.approx(-2.0 * t, abs=1e-12), 1), (pytest.approx(2.0 * t, abs=1e-12), 1)]
+
+    @pytest.mark.parametrize(
+        "zero, grid_point", [(0.45, -0.3), (0.45, 0.3), (0.3, 0.0), (0.2, -0.1)], ids=["0.45@-0.3", "0.45@0.3", "0.3@0", "0.2@-0.1"]
+    )
+    def test_close_pair_at_other_grid_offsets(self, zero, grid_point):
+        # the pair at +-`zero` grid steps, with a grid point at `grid_point`
+        # steps, the only minimum of |F|^2 near 0: the other zero is the root
+        # of G's sign change in the next cell, where the slope of |F|^2 can
+        # keep one sign, since the cell also holds the maximum of |F| between
+        # the pair
+        m, t = _close_pair(zero)
+        zeros_found = find_real_zeros(m, ((grid_point - 4.0) * CLOSE_STEP, (grid_point + 12.0) * CLOSE_STEP))
         assert zeros_found == [(pytest.approx(-2.0 * t, abs=1e-12), 1), (pytest.approx(2.0 * t, abs=1e-12), 1)]
 
     def test_reports_no_duplicates_when_both_passes_hit(self, fejer2):
@@ -449,19 +469,17 @@ class TestDerivativeChecks:
         assert len(calls) == 2
 
     @pytest.mark.parametrize("interval", [(5.0, 1.0), (2.0, 2.0), (0.0, math.inf), (math.nan, 1.0)])
-    def test_refuses_an_interval_that_is_not_finite_and_ordered(self, two_unit_atoms, interval):
+    @pytest.mark.parametrize("atoms", [((0.0, 1.0), (1.0, 1.0)), ()], ids=["two_unit_atoms", "zero_measure"])
+    def test_refuses_an_interval_that_is_not_finite_and_ordered(self, atoms, interval):
+        m = StieltjesMeasure(1.0, atoms)
         with pytest.raises(ValueError, match="finite with a < b"):
-            check_derivative_hb(two_unit_atoms, 1, LOWER, interval)
+            find_real_zeros(m, interval)
+        with pytest.raises(ValueError, match="finite with a < b"):
+            check_derivative_hb(m, 1, LOWER, interval)
 
     @pytest.mark.parametrize("interval", [(0.0, 1e6), (-1e308, 1e308)], ids=["over", "overflowing"])
-    def test_refuses_a_scan_over_the_budget_before_allocating(self, two_unit_atoms, monkeypatch, interval):
-        linspace = np.linspace
-
-        def small(start, stop, num=50, **kwargs):
-            assert num <= 100_000, "np.linspace reached before the budget check"
-            return linspace(start, stop, num, **kwargs)
-
-        monkeypatch.setattr(np, "linspace", small)
+    @pytest.mark.usefixtures("no_large_linspace")
+    def test_refuses_a_scan_over_the_budget_before_allocating(self, two_unit_atoms, interval):
         with pytest.raises(ValueError, match="over the budget"):
             find_real_zeros(two_unit_atoms, interval)
         with pytest.raises(ValueError, match="over the budget"):
