@@ -340,8 +340,8 @@ def _run_posdef(measure, task, out) -> int:
         "f0": rep.f0,
         "pd_bound_ok": rep.pd_bound_ok,
     }
-    if rep.s_nonneg:
-        moment_rep = posdef.h_prime_zero_checks(measure)
+    if rep.s_nonneg:  # recover_pd_profile checked the sine hypothesis
+        moment_rep = posdef._moment_signs(measure)
         doc["h_prime_zero"] = moment_rep.h_prime_zero
         doc["expected_sign"] = moment_rep.expected_sign
         doc["sign_ok"] = moment_rep.sign_ok

@@ -200,27 +200,30 @@ def _e_derivatives(cfg: OmegaConfig, x):
 def _refine_equality_points(cfg: OmegaConfig, grid, e_vals, e_tol):
     """Refine the grid's local minima of |E| and keep those where E and the margin vanish.
 
-    A minimum where E keeps its sign across the bracket is a root of E'; one
-    where E changes sign, possible only where the hypothesis fails, is a root
-    of E.  All brackets are solved together by `_bracketed_newton`.  For
+    Both grid ends count as minima, padded as in `zeros._real_minima`, so an
+    equality point in the first or last grid cell is not lost.  A minimum
+    where E keeps its sign across the bracket is a root of E'; one where E
+    changes sign, possible only where the hypothesis fails, is a root of E.
+    All brackets are solved together by `_bracketed_newton`.  For
     n != 0 the factor x^n gives E a structural zero at x = 0, which is not an
     equality of the transforms; brackets reaching it are not searched.
     """
     e_abs = np.abs(e_vals)
     e_scale = float(np.max(e_abs)) if e_abs.size else 0.0
     threshold = max(100.0 * e_tol, 1e-3 * e_scale)
-    i = np.arange(1, len(grid) - 1)
-    i = i[(e_abs[i] <= e_abs[i - 1]) & (e_abs[i] <= e_abs[i + 1]) & (e_abs[i] <= threshold)]
-    lo, hi = grid[i - 1], grid[i + 1]
+    padded = np.concatenate([[np.inf], e_abs, [np.inf]])
+    i = np.flatnonzero((e_abs <= padded[:-2]) & (e_abs <= padded[2:]) & (e_abs <= threshold))
+    below, above = np.maximum(i - 1, 0), np.minimum(i + 1, len(grid) - 1)
+    lo, hi = grid[below], grid[above]
     if cfg.n != 0:
         away = (lo > 1e-8) | (hi < -1e-8)
-        i, lo, hi = i[away], lo[away], hi[away]
+        i, below, above, lo, hi = i[away], below[away], above[away], lo[away], hi[away]
     if not i.size:
         return ()
-    crossing = np.sign(e_vals[i - 1]) * np.sign(e_vals[i + 1]) < 0
+    crossing = np.sign(e_vals[below]) * np.sign(e_vals[above]) < 0
     # orient each target to rise; E' rises through a minimum of an E that is
     # positive at the bracket's ends, whatever the sign of the rounding near 0
-    sign = np.where(crossing, np.sign(e_vals[i + 1]), np.sign(e_vals[i - 1] + e_vals[i + 1]))
+    sign = np.where(crossing, np.sign(e_vals[above]), np.sign(e_vals[below] + e_vals[above]))
 
     def target(x, k):
         e0, e1, e2 = _e_derivatives(cfg, x)

@@ -167,6 +167,11 @@ def h_prime_zero_checks(measure: StieltjesMeasure) -> MomentSignReport:
     """
     if not s_nonneg_on_grid(measure):
         raise HypothesisViolation("S(x) >= 0 failed on the grid")
+    return _moment_signs(measure)
+
+
+def _moment_signs(measure: StieltjesMeasure) -> MomentSignReport:
+    """`h_prime_zero_checks` for a measure whose sine hypothesis is already checked."""
     h1 = measure.moment(1)
     f0 = measure.total_mass
     left = measure.left_limit_mass

@@ -255,6 +255,18 @@ class TestPosdef:
         assert code == 0
         assert "s_nonneg" in text
 
+    def test_sine_grid_runs_once(self, tmp_path, monkeypatch):
+        # recover_pd_profile checks S >= 0; the H'(0) sign report reuses its verdict
+        check = hbfourier.zeros._reflected_on_grid
+        calls = []
+        monkeypatch.setattr(hbfourier.zeros, "_reflected_on_grid", lambda *a, **k: calls.append(1) or check(*a, **k))
+        doc = {k: v for k, v in TRIANGLE_CASE2.items() if k != "task"}
+        code, text = run_cli(["posdef", write_scenario(tmp_path, doc), "--out", "json"])
+        assert code == 0
+        parsed = json.loads(text)
+        assert parsed["s_nonneg"] is True and parsed["expected_sign"] == "indeterminate"
+        assert len(calls) == 1
+
 
 class TestInterp:
     def test_interp_on_fejer_scenario(self, tmp_path):

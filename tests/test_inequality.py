@@ -145,6 +145,19 @@ class TestCheckInequality:
         assert len(rep.equality_points) == len(odd)
         assert np.max(np.abs(np.array(rep.equality_points) - odd)) <= 1e-12
 
+    @pytest.mark.parametrize("end", ["first", "last"])
+    def test_equality_point_in_an_end_cell(self, fejer2, end):
+        # cut to start at pi - 0.00265, the grid's first point is the least |E|
+        # near pi; reflected about 2 pi, the last point is the least near 3 pi
+        cfg = OmegaConfig(fejer2, 0, 0.0)
+        grid = np.arange(0.5, 12.0, math.pi / 100.0)[84:]
+        assert grid[0] == pytest.approx(math.pi - 0.00265, abs=1e-5)
+        if end == "last":
+            grid = np.flip(4.0 * math.pi - grid)
+        points = check_inequality(cfg, grid).equality_points
+        assert len(points) == 2
+        assert np.max(np.abs(np.array(points) - [math.pi, 3.0 * math.pi])) <= 1e-12
+
     def test_ramp_skips_the_structural_zero(self, ramp_density, monkeypatch):
         # x E(x) vanishes at x = 0 for n = 1 whatever the measure; no search
         # goes there, so the check is its one order-1 pass alone

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import hbfourier.zeros as zeros_module
-from hbfourier.measure import PiecewiseLinearDensity, StieltjesMeasure, from_fejer, from_pd_profile
-from hbfourier.transforms import eval_Delta, eval_F
+from hbfourier.measure import HYPOTHESIS_TOL, PiecewiseLinearDensity, StieltjesMeasure, from_fejer, from_pd_profile
+from hbfourier.transforms import _reflected, eval_Delta, eval_F
 from hbfourier.zeros import (
     BoundaryZeroError,
     DiagnosticFailure,
@@ -366,6 +366,120 @@ class TestImaginaryZero:
     def test_hypothesis_violation_raises(self, sign_breaking_atoms):
         with pytest.raises(HypothesisViolation):
             find_imaginary_zero(sign_breaking_atoms)
+
+    @pytest.mark.parametrize("panels", [1, 64])
+    def test_batched_bracket_matches_the_sequential_search(self, panels, monkeypatch):
+        # F(0) = 0.999 puts y* near -1000, ten doublings past y = -1: the four
+        # first probes in one call, and the rest one at a time, must hand Newton
+        # the bracket and start of the search that probes one y per call
+        m = _triangle(panels, -0.001)
+        y_hi, g_hi, y_lo = 0.0, m.total_mass, -1.0
+        while (g_lo := zeros_module._target(m, "F", complex(0.0, y_lo), 0)[0][0].real) >= 0.0:
+            y_hi, g_hi, y_lo = y_lo, g_lo, 2.0 * y_lo
+        assert y_lo < -16.0
+        y0 = y_lo + (y_hi - y_lo) * g_lo / (g_lo - g_hi)
+
+        def slope(y, _):
+            f, fp = zeros_module._target(m, "F", 1j * y, 1)[0]
+            return f.real, m.sigma * f.real - fp.imag
+
+        newton = zeros_module._bracketed_newton
+        brackets = []
+        monkeypatch.setattr(
+            zeros_module, "_bracketed_newton", lambda fn, *args: brackets.append(args) or newton(fn, *args)
+        )
+        y_star = zeros_module._imaginary_zero(m)
+        assert brackets == [(y_lo, y_hi, y0)]
+        assert y_star == float(newton(slope, y_lo, y_hi, y0)[0])
+
+    def test_first_four_probes_share_one_call(self, monkeypatch):
+        # the benchmark's triangles bracket y* = -1.59 between -1 and -2
+        evaluator = zeros_module._grid_moments
+        sizes = []
+        monkeypatch.setattr(zeros_module, "_grid_moments", lambda m, z, k: sizes.append(np.size(z)) or evaluator(m, z, k))
+        zeros_module._imaginary_zero(_triangle(64, -0.5))
+        assert sizes[0] == 4 and sizes[1:] == [1] * (len(sizes) - 1)
+
+
+def _dense_reflected_on_grid(measure):
+    """(C >= 0, S >= 0) from every point of the hypothesis grid: the reference for `_reflected_on_grid`."""
+    sig = measure.sigma
+    grid = np.arange(0.0, 20.0 * math.pi * max(1.0, 1.0 / sig), math.pi / (50.0 * sig))
+    values = zeros_module._grid_moments(_reflected(measure), grid, 0)[0][0]
+    slack = HYPOTHESIS_TOL * measure.tol_scale
+    return bool(np.min(values.real) >= -slack), bool(np.min(values[1:].imag) >= -slack)
+
+
+def _scaled_triangle(sigma: float, panels: int, jump: float):
+    """`_triangle` stretched to [0, sigma]: S = (1 - cos sigma x) / (sigma x) >= 0,
+    with tangent zeros, and C = sin(sigma x) / (sigma x) + jump."""
+    return from_pd_profile([sigma * i / panels for i in range(panels + 1)], [1.0 - i / panels for i in range(panels + 1)], jump)
+
+
+def _hypothesis_cases():
+    rng = np.random.default_rng(16)
+    cases = []
+    for sig in (0.5, 1.0, 2.0, 3.0):
+        # C = 1 + e + cos(sigma x): failing, tangent to 0, passing
+        cases += [StieltjesMeasure(sig, ((0.0, 1.0), (sig, 1.0 + e))) for e in (-0.1, 0.0, 0.1)]
+        for _ in range(4):
+            n = int(rng.integers(1, 5))
+            locs = np.sort(rng.choice(np.linspace(0.0, sig, 17), size=n, replace=False))
+            cases.append(StieltjesMeasure(sig, tuple(zip(locs, rng.uniform(-3.0, 3.0, size=n)))))
+        cases += [_scaled_triangle(sig, p, jump) for p in (1, 2, 7, 16, 64) for jump in (-0.5, 0.25)]
+        for _ in range(4):
+            k = int(rng.integers(1, 5))
+            density = PiecewiseLinearDensity.interpolant(np.linspace(0.0, sig, k + 1), rng.uniform(-0.5, 1.5, k + 1))
+            atoms = ((sig, float(rng.uniform(-1.0, 1.0))),) if rng.integers(2) else ()
+            cases.append(StieltjesMeasure(sig, atoms, density))
+        # g = 1: S = (1 - cos sigma x) / x, tangent to 0, and C fails
+        cases.append(StieltjesMeasure(sig, (), PiecewiseLinearDensity.interpolant([0.0, sig], [1.0, 1.0])))
+    cases += [from_fejer(m, lam, delta) for m in (1, 2, 3) for lam, delta in ((1.0, 1.0), (0.5, 2.0))]
+    cases += [cases[2].scaled(1e300), _scaled_triangle(2.0, 16, 0.25).scaled(1e-300)]
+    return cases
+
+
+class TestHypothesisGrid:
+    def test_matches_every_point_of_the_grid(self):
+        verdicts = set()
+        for m in _hypothesis_cases():
+            expected = _dense_reflected_on_grid(m)
+            assert zeros_module._reflected_on_grid(m) == expected, m
+            assert zeros_module.s_nonneg_on_grid(m) == expected[1], m
+            verdicts.add(expected)
+        assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_evaluates_a_fifth_of_the_grid_in_two_calls(self, monkeypatch):
+        # the benchmark's triangle: 126 nodes, then the points near the tangent
+        # zeros of S; C fails at a node and sends none
+        evaluator = zeros_module._grid_moments
+        sizes = []
+        monkeypatch.setattr(zeros_module, "_grid_moments", lambda m, z, k: sizes.append(np.size(z)) or evaluator(m, z, k))
+        m = _triangle(64, -0.5)
+        assert zeros_module._reflected_on_grid(m) == (False, True)
+        assert len(sizes) <= 2 and sum(sizes) <= 200
+
+    @pytest.mark.parametrize("slope_too", [False, True], ids=["unsure_point", "nan_bound"])
+    def test_a_nan_between_nodes_fails_the_check(self, slope_too, monkeypatch):
+        # S of the triangle touches 0 at 2 pi, grid point 100, so the bound
+        # leaves that point to the second call; at pi, grid point 50, S is
+        # near 0.64 and the bound clears it, unless a NaN slope at node 48
+        # makes the bound NaN.  Either NaN value must fail the check.
+        m = _triangle(64, -0.5)
+        step = math.pi / 50.0
+        x0 = 50 * step if slope_too else 100 * step
+        evaluator = zeros_module._grid_moments
+
+        def poisoned(measure, z, order):
+            T, E = evaluator(measure, z, order)
+            T[:, z == x0] = complex(math.nan, math.nan)
+            if slope_too:
+                T[1:, z == 48 * step] = complex(math.nan, math.nan)
+            return T, E
+
+        monkeypatch.setattr(zeros_module, "_grid_moments", poisoned)
+        assert _dense_reflected_on_grid(m) == (False, False)
+        assert zeros_module._reflected_on_grid(m) == (False, False)
 
 
 class TestCompensatedWronskian:
