@@ -17,9 +17,13 @@ contours pass through every level of 2 to 16 cells, and the many-panel
 measures and the 64-panel triangle show the coarse levels of longer
 hierarchies.  `interp` is left out on the monomial measures, since its
 series probes about a million points past every cluster level and takes
-minutes on 2049 panels.  With the four scenario files that makes 188
-invocations: 26 per scenario, 24 per monomial measure, 8 for the 64-panel
-triangle, 18 for the 16-panel one and 10 for the demos.
+minutes on 2049 panels.  Every command also runs on two measures whose total
+variation V is far from 1, so that a threshold that does not scale with V
+shows: `fejer2_ineq.json` with its atoms scaled by 2^-40 (V = 2^-40), and
+the zero measure (V = 0).  With the four scenario files that makes 240
+invocations: 26 per scenario and per measure of V far from 1, 24 per
+monomial measure, 8 for the 64-panel triangle, 18 for the 16-panel one and
+10 for the demos.
 Each invocation's exit code, stdout and stderr go to a file of their own in
 OUTDIR, so that `diff -r` of two snapshots shows every byte that moved:
 
@@ -64,6 +68,8 @@ DEMOS = ("fejer2", "atom-sigma", "triangle-case2", "ramp", "growth-limit")
 #: (mu, nu) of the many-panel measures, and the commands not run on them
 MANY_PANEL = ((1.5, 0.8), (3.0, 2.0))
 MANY_PANEL_SKIP = {"interp"}
+#: the zero measure, V = 0
+ZERO_MEASURE = {"sigma": 1.0, "atoms": [], "density": None}
 #: panels of each borderline triangle, and the commands run on it
 TRIANGLES = (
     (64, {"eval", "posdef", "zeros-classify", "zeros-imag"}),
@@ -112,6 +118,10 @@ def invocations(workdir: Path):
     """(file name, argv) for every invocation of the snapshot."""
     for path in sorted((ROOT / "scenarios").glob("*.json")):
         yield from scenario_runs(path.stem, json.loads(path.read_text(encoding="utf-8")), workdir)
+    fejer2 = json.loads((ROOT / "scenarios" / "fejer2_ineq.json").read_text(encoding="utf-8"))
+    fejer2["atoms"] = [dict(atom, c=atom["c"] * 2.0**-40) for atom in fejer2["atoms"]]
+    yield from scenario_runs("fejer2_ineq-scaled-2^-40", fejer2, workdir)
+    yield from scenario_runs("zero-measure", ZERO_MEASURE, workdir)
     for mu, nu in MANY_PANEL:
         yield from scenario_runs(f"monomial-{mu}-{nu}", monomial_scenario(mu, nu), workdir, MANY_PANEL_SKIP)
     for panels, commands in TRIANGLES:

@@ -32,7 +32,7 @@ from .transforms import _bracketed_newton, _grid_moments, _mirrored_rows, _omega
 
 #: |margin| <= MARGIN_TOL * scale counts as equality at a point
 MARGIN_TOL = 1e-8
-#: |E| <= E_TOL * sqrt(total variation) counts as a vanishing combination
+#: |E| <= E_TOL * V counts as a vanishing combination; the total variation V bounds |E|
 E_TOL = 1e-6
 
 
@@ -118,15 +118,23 @@ def eval_D(cfg: OmegaConfig, x):
 def _margin_pieces(cfg: OmegaConfig, x: np.ndarray, rt=None):
     """(lhs, rhs, scale, E) with margin = lhs - rhs, one formula for every n:
     lhs = 4 sigma x^{2n} Delta and rhs = (Re W' + 2 sigma Im W)^2 for the
-    mirrored W = E + i E~ = x^n e^{i tau} (C + i S), and the margin's scale
-    max(|lhs|, |rhs|, 1).  rt holds the order-1 transforms at x when the
-    caller has them already."""
+    mirrored W = E + i E~ = x^n e^{i tau} (C + i S).  The margin's scale is
+    max(|lhs|, |rhs|) floored at V^2 sigma^(2 - 2n) max(sigma |x|, 1)^(2n),
+    the size of both sides where x^n F and its derivative are as large as
+    |F^(k)| <= sigma^k V allows; it is sigma^2 V^2 for n = 0 and stays
+    nonzero at x = 0 for n = +-1.  Where the scale is 0, lhs = rhs = 0 (the
+    zero measure), so the margin is 0 in any unit and the scale reads 1.
+    rt holds the order-1 transforms at x when the caller has them already."""
     if rt is None:
         rt = real_transforms(cfg.measure, x, order=1)
-    sig = cfg.measure.sigma
-    w, wp = _mirrored_rows(cfg.measure, cfg.tau, cfg.n, x, rt.mirrored)
+    m, n = cfg.measure, cfg.n
+    sig = m.sigma
+    w, wp = _mirrored_rows(m, cfg.tau, n, x, rt.mirrored)
     lhs, rhs = 4.0 * sig * _d_values(cfg, x, rt), (wp.real + 2.0 * sig * w.imag) ** 2
-    return lhs, rhs, np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0), w.real
+    b = m.bound(1 - n)  # b * b overflows to inf, where b ** 2 would raise
+    floor = b * b * np.maximum(sig * np.abs(x), 1.0) ** (2 * n)
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
+    return lhs, rhs, np.where(scale == 0.0, 1.0, scale), w.real
 
 
 def margin_values(cfg: OmegaConfig, x):
@@ -255,8 +263,9 @@ def check_inequality(cfg: OmegaConfig, grid) -> InequalityReport:
     # one order-1 pass serves the margins and, from its mirrored moments, E
     lhs, rhs, scale, e_vals = _margin_pieces(cfg, grid)
     margin = lhs - rhs
-    hypothesis_ok = bool(np.min(e_vals) >= -HYPOTHESIS_TOL * cfg.measure.tol_scale)
-    e_tol = E_TOL * math.sqrt(max(cfg.measure.total_variation, 1e-30))
+    v = cfg.measure.total_variation
+    hypothesis_ok = bool(np.min(e_vals) >= -HYPOTHESIS_TOL * v)
+    e_tol = E_TOL * v
     global_equality = bool(np.max(np.abs(e_vals)) <= e_tol)
     if global_equality:
         points = ()
@@ -296,7 +305,7 @@ def fit_equality_witness(cfg: OmegaConfig, grid) -> EqualityWitness | None:
     m = cfg.measure
     sig = m.sigma
     v = m.total_variation
-    tol = 1e-8 * max(v, 1.0)
+    tol = 1e-8 * v
 
     # one order-1 pass serves E, d and P + i Q = x^n F
     rt = real_transforms(m, grid, order=1)
@@ -323,7 +332,7 @@ def fit_equality_witness(cfg: OmegaConfig, grid) -> EqualityWitness | None:
 
     d_vals = _d_values(cfg, grid, rt)
     d_bar = float(np.mean(d_vals))
-    quad_scale = max(v * v * sig, 1.0)
+    quad_scale = v * v * sig
     if float(np.max(np.abs(d_vals - d_bar))) > 1e-8 * quad_scale or d_bar < -1e-8 * quad_scale:
         return None
     gamma_abs = math.sqrt(max(d_bar, 0.0) / sig)
@@ -340,9 +349,9 @@ def fit_equality_witness(cfg: OmegaConfig, grid) -> EqualityWitness | None:
     # validate both closed forms on the grid before accepting
     P_model = c * math.sin(beta) * np.sin(phase + beta) + gamma * np.sin(phase)
     Q_model = c * math.cos(beta) * np.sin(phase + beta) - gamma * np.cos(phase)
-    if float(np.max(np.abs(P - P_model))) > 1e-6 * max(v, 1.0):
+    if float(np.max(np.abs(P - P_model))) > 1e-6 * v:
         return None
-    if float(np.max(np.abs(Q - Q_model))) > 1e-6 * max(v, 1.0):
+    if float(np.max(np.abs(Q - Q_model))) > 1e-6 * v:
         return None
     return EqualityWitness(c=c, beta=beta, gamma=gamma)
 

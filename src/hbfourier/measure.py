@@ -18,9 +18,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-#: slack of F(0) = 0 and the other mass comparisons, times `StieltjesMeasure.tol_scale`
+#: slack of F(0) = 0 and the other mass comparisons, times the total variation V,
+#: which bounds every mass
 MASS_TOL = 1e-12
-#: slack of the grid hypotheses E, C, S >= 0, times `StieltjesMeasure.tol_scale`
+#: slack of the grid hypotheses E, C, S >= 0, times V, which bounds |E|, |C| and |S|
 HYPOTHESIS_TOL = 1e-9
 
 
@@ -247,15 +248,20 @@ class StieltjesMeasure:
             v += self.density.abs_mass()
         return float(v)
 
-    @property
-    def tol_scale(self) -> float:
-        """max(total variation, 1), the scale of the package's relative tolerances."""
-        return max(self.total_variation, 1.0)
+    def bound(self, k: int = 0) -> float:
+        """sigma^k V, V the total variation: the bound of |F^(k)| on the real axis.
+
+        |F^(k)(x)| = |int (it)^k e^{itx} dmu(t)| <= int t^k |dmu| <= sigma^k V.
+        Every acceptance threshold of the package is a constant times the
+        bound of its quantity, so no verdict changes when mu is scaled by a
+        power of 2, or t by one power of 2 and x by its inverse.
+        """
+        return self.sigma**k * self.total_variation
 
     @property
     def vanishes_at_zero(self) -> bool:
-        """F(0) = 0: |total mass| <= MASS_TOL * tol_scale."""
-        return abs(self.total_mass) <= MASS_TOL * self.tol_scale
+        """F(0) = 0: |total mass| <= MASS_TOL * V."""
+        return abs(self.total_mass) <= MASS_TOL * self.total_variation
 
     @property
     def is_zero(self) -> bool:

@@ -141,7 +141,7 @@ def recover_pd_profile(measure: StieltjesMeasure) -> ProfileReport:
     if verdict:
         f0 = profile.f0
         grid = np.linspace(0.0, measure.sigma, 2001)
-        tol = MASS_TOL * measure.tol_scale
+        tol = MASS_TOL * measure.total_variation
         pd_ok = bool(
             f0 >= -tol and np.max(np.abs(profile.f(grid))) <= f0 + tol and abs(f0 - measure.left_limit_mass) <= tol
         )
@@ -175,7 +175,7 @@ def _moment_signs(measure: StieltjesMeasure) -> MomentSignReport:
     h1 = measure.moment(1)
     f0 = measure.total_mass
     left = measure.left_limit_mass
-    tol = MASS_TOL * measure.tol_scale
+    tol = MASS_TOL * measure.total_variation
     if f0 <= tol:
         expected, ok = "nonpos", bool(h1 <= tol * measure.sigma)
     elif f0 >= left - tol:

@@ -32,7 +32,7 @@ from .transforms import (
 
 #: |target| must exceed this multiple of the total variation on the boundary
 BOUNDARY_MODULUS_FACTOR = 1e-12
-#: |F| or |F^(k)| below this, times `StieltjesMeasure.tol_scale`, counts as a zero
+#: |F^(k)| below this, times its bound `StieltjesMeasure.bound(k)` = sigma^k V, counts as a zero
 ZERO_TOL = 1e-10
 #: boundary samples a contour count may refine to
 _MAX_CONTOUR_POINTS = 400_000
@@ -217,7 +217,8 @@ def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -
     from the count's zero sum, which with one zero inside estimates the zero
     itself, or from the rectangle centre where that estimate lies outside;
     it falls back to quadrant subdivision if Newton leaves the window.  A
-    zero is accepted where the target itself nearly vanishes.
+    zero is accepted where |target| e^{-sigma max(0, -Im z)} <= ZERO_TOL V;
+    below the axis V bounds |F| e^{-sigma |Im z|}.
     """
     if target not in ("F", "zF", "F/z"):
         raise ValueError("locate_zero supports the F-family targets only")
@@ -248,7 +249,7 @@ def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -
         z_star = newton_from(z0, rect)
         if z_star is not None and rect.contains(z_star, pad=1e-9):
             (f,), _ = _target(measure, target, z_star, 0)
-            if abs(f) <= 1e-9 * measure.tol_scale:
+            if abs(f) <= ZERO_TOL * measure.bound():
                 return z_star
         for q in box.quadrants():
             try:
@@ -291,11 +292,11 @@ def _real_minima(measure: StieltjesMeasure, target: str, a: float, b: float):
     of an end is bracketed even where Re w only touches 0.  Neither kind
     alone suffices: two zeros closer than about two grid steps can share one
     grid minimum, while Re w still changes sign at each of them.  Since
-    |w'| <= sigma^(k+1) V, |w| stays above 10 ZERO_TOL tol_scale within a
+    |w'| <= sigma^(k+1) V, |w| stays above 10 ZERO_TOL sigma^k V within a
     step of a grid point above the floor sigma^(k+1) V step + 10 ZERO_TOL
-    tol_scale; a bracket with no grid point below the floor holds no point
-    that any acceptance threshold admits, and is dropped.  One
-    `_bracketed_newton` call solves every bracket left: a sign change for
+    sigma^k V; a bracket with no grid point below the floor holds no point
+    that the acceptance threshold ZERO_TOL sigma^k V admits, and is dropped.
+    One `_bracketed_newton` call solves every bracket left: a sign change for
     the root of Re w it is sure to hold, from the secant root, and a minimum
     for the root of Re(conj(w) w'), where |w| is least, from the grid point.
     The slope would not do for a sign change: a cell that also holds the
@@ -317,7 +318,7 @@ def _real_minima(measure: StieltjesMeasure, target: str, a: float, b: float):
     grid = np.linspace(a, b, n + 1)
     w = _target(measure, target, grid, 0)[0][0]
     real = w.real
-    floor = sig ** (k + 1) * measure.total_variation * step + 10.0 * ZERO_TOL * measure.tol_scale
+    floor = measure.bound(k + 1) * step + 10.0 * ZERO_TOL * measure.bound(k)
     absw2 = real**2 + w.imag**2
     low = absw2 <= floor * floor
     roots = np.flatnonzero((np.sign(real[:-1]) * np.sign(real[1:]) < 0) & (low[:-1] | low[1:]))
@@ -341,10 +342,10 @@ def _real_minima(measure: StieltjesMeasure, target: str, a: float, b: float):
 def find_real_zeros(measure: StieltjesMeasure, interval):
     """Real zeros of F on a bounded interval, as (location, multiplicity) pairs.
 
-    The candidates of `_real_minima` are accepted where |F| <= 1e-10 * total
-    variation.  Where two brackets located the same zero, the candidate of
-    least |F| stands for it: a minimum's solution is conditioned by |F'|, a
-    sign change's by |Re F'| only.  Multiplicity 1 is certified by |F'| away
+    The candidates of `_real_minima` are accepted where |F| <= ZERO_TOL V.
+    Where two brackets located the same zero, the candidate of least |F|
+    stands for it: a minimum's solution is conditioned by |F'|, a sign
+    change's by |Re F'| only.  Multiplicity 1 is certified by |F'| away
     from 0; a double zero is admitted at x = 0 only, and anything deeper
     raises DiagnosticFailure.  Raises ValueError for an interval that is not
     finite with a < b, even for the zero measure, or whose scan would exceed
@@ -354,10 +355,9 @@ def find_real_zeros(measure: StieltjesMeasure, interval):
     a, b = _real_interval(*interval)
     if m.is_zero:
         return []
-    sig, v = m.sigma, m.total_variation
     x = _real_minima(m, "F", a, b)[2]
     f, fp = _target(m, "F", x, 1)[0]
-    keep = np.abs(f) <= 1e-10 * v
+    keep = np.abs(f) <= ZERO_TOL * m.bound()
     x, f_abs, fp_abs = x[keep], np.abs(f[keep]), np.abs(fp[keep])
     picked = []
     for j in np.argsort(x, kind="stable"):
@@ -368,7 +368,7 @@ def find_real_zeros(measure: StieltjesMeasure, interval):
         picked.append(j)
 
     out = []
-    fp_tol = 1e-8 * sig * v
+    fp_tol = 1e-8 * m.bound(1)
     for j in picked:
         x0 = float(x[j])
         if fp_abs[j] > fp_tol:
@@ -377,7 +377,7 @@ def find_real_zeros(measure: StieltjesMeasure, interval):
             if abs(x0) > 1e-8:
                 raise DiagnosticFailure(f"real zero at {x0:.6g} is not simple")
             fpp = abs(_target(m, "F''", 0.0, 0)[0][0])
-            if fpp <= 1e-8 * sig * sig * v:
+            if fpp <= 1e-8 * m.bound(2):
                 raise DiagnosticFailure("zero at the origin is deeper than multiplicity 2")
             mult = 2
         out.append((x0, mult))
@@ -387,10 +387,11 @@ def find_real_zeros(measure: StieltjesMeasure, interval):
 def _reflected_on_grid(measure: StieltjesMeasure, cosine: bool = True):
     """(C >= 0, S >= 0) on the grid [0, 20 pi max(1, 1/sigma)) of step pi / (50 sigma).
 
-    A grid value passes at -HYPOTHESIS_TOL tol_scale, and x = 0 is left out of
-    the sine check, since S(0) = 0.  The verdict is that of evaluating every
-    grid point, from far fewer.  One order-1 pass takes C, S and their
-    derivatives at every 8th grid point and the last.  On a cell [a, b] of
+    A grid value passes at -HYPOTHESIS_TOL V, V the total variation, which
+    bounds |C| and |S|, and x = 0 is left out of the sine check, since
+    S(0) = 0.  The verdict is that of evaluating every grid point, from far
+    fewer.  One order-1 pass takes C, S and their derivatives at every 8th
+    grid point and the last.  On a cell [a, b] of
     these nodes, f = C or S is at least H(x) - sigma^4 V (x - a)^2 (x - b)^2 / 24,
     H the cubic Hermite interpolant of the node values and slopes, since
     |f''''| <= int t^4 |d mu~| <= sigma^4 V for the reflected measure mu~ on
@@ -403,7 +404,7 @@ def _reflected_on_grid(measure: StieltjesMeasure, cosine: bool = True):
     """
     sig = measure.sigma
     grid = np.arange(0.0, 20.0 * math.pi * max(1.0, 1.0 / sig), math.pi / (50.0 * sig))
-    slack = HYPOTHESIS_TOL * measure.tol_scale
+    slack = HYPOTHESIS_TOL * measure.total_variation
     # np.unique would import numpy.ma, which adds about 1.8 MB to the peak memory
     nodes = np.arange(0, grid.size, 8)
     if nodes[-1] != grid.size - 1:
@@ -418,7 +419,7 @@ def _reflected_on_grid(measure: StieltjesMeasure, cosine: bool = True):
     # the cubic Hermite basis in s: h00 f_a + h01 f_b + width (h10 f'_a + h11 f'_b)
     hermite = (1.0 + 2.0 * s) * r * r * f[j] + s * s * (3.0 - 2.0 * s) * f[j + 1]
     hermite += s * r * width * (r * fp[j] - s * fp[j + 1])
-    remainder = sig**4 * measure.total_variation * (s * r * width * width) ** 2 / 24.0
+    remainder = measure.bound(4) * (s * r * width * width) ** 2 / 24.0
     verdicts, unsure = [], []
     for at_nodes, h, wanted in ((f.real, hermite.real, cosine), (f.imag[1:], hermite.imag, True)):
         ok = wanted and bool(np.all(at_nodes >= -slack))
@@ -438,8 +439,8 @@ def s_nonneg_on_grid(measure: StieltjesMeasure) -> bool:
 
 
 def _in_borderline_range(measure: StieltjesMeasure) -> bool:
-    """0 < F(0) < mu(sigma - 0) - mu(0), with a margin of MASS_TOL * tol_scale."""
-    edge = MASS_TOL * measure.tol_scale
+    """0 < F(0) < mu(sigma - 0) - mu(0), with a margin of MASS_TOL * V, V the total variation."""
+    edge = MASS_TOL * measure.total_variation
     return edge < measure.total_mass < measure.left_limit_mass - edge
 
 
@@ -489,7 +490,7 @@ def _imaginary_zero(measure: StieltjesMeasure) -> float:
 
     y0 = y_lo + (y_hi - y_lo) * g_lo / (g_lo - g_hi)  # secant start
     y_star = float(_bracketed_newton(slope, y_lo, y_hi, y0)[0])
-    if abs(g(y_star)) > ZERO_TOL * measure.tol_scale:
+    if abs(g(y_star)) > ZERO_TOL * measure.bound():
         raise DiagnosticFailure("Newton iteration did not drive |F(iy)| e^{sigma y} to zero")
     return y_star
 
@@ -603,9 +604,9 @@ def check_derivative_hb(
     interval's scan grid and the candidates of `_real_minima`: the refined
     minimum of every minimum bracket and the root of Re F^(k) of every
     sign change, elsewhere a grid value, which the scan's floor keeps above
-    the ZERO_TOL threshold.  Raises ValueError for a real interval that is
-    not finite with a < b, even for the zero measure, or whose scan would
-    exceed the grid budget.
+    the threshold ZERO_TOL sigma^k V.  Raises ValueError for a real interval
+    that is not finite with a < b, even for the zero measure, or whose scan
+    would exceed the grid budget.
     """
     if order not in (1, 2):
         raise ValueError("derivative order must be 1 or 2")
@@ -624,7 +625,7 @@ def check_derivative_hb(
     vals = np.abs(w)
     j = int(np.argmin(vals))
     best, best_x = float(vals[j]), float(xs[j])
-    ok = result.count == 0 and best > ZERO_TOL * measure.tol_scale
+    ok = result.count == 0 and best > ZERO_TOL * measure.bound(order)
     if ok:
         note = ""
     elif result.count != 0:

@@ -239,6 +239,41 @@ class TestNonFinite:
         assert docs[0]["violation"]["property"] == "nonfinite"
 
 
+class TestZeroMeasure:
+    """V = 0 makes every threshold 0; the margin's scale must still read 1, not 0 / 0."""
+
+    DOC = {"sigma": 1.0, "atoms": [], "density": None}
+    JSON = {
+        "ineq": '{"equality_points": [], "global_equality": true, "hypothesis_note": "grid-verified hypothesis", '
+        '"hypothesis_ok": true, "min_margin": 0.0, "summary": "global equality", "worst_relative_margin": 0.0}\n',
+        "zeros-classify": '{"c_nonneg": true, "defect": 0.0, "lower_zero": null, "real_zeros": [], '
+        '"s_nonneg": true, "verdict": "identically_zero"}\n',
+        "posdef": '{"expected_sign": "nonpos", "f0": 0.0, "h_prime_zero": 0.0, "note": "grid-verified", '
+        '"pd_bound_ok": true, "s_nonneg": true, "sign_ok": true}\n',
+        "zeros-imag": '{"y_star": null}\n',
+        "identities": '{"linear_scale": 1e-300, "max_linear_residual": 0.0, "max_quadratic_residual": 0.0, '
+        '"quadratic_scale": 1e-300}\n',
+    }
+
+    @pytest.mark.parametrize("command", sorted(JSON))
+    def test_json_output(self, tmp_path, command):
+        assert run_cli([command, write_scenario(tmp_path, self.DOC), "--out", "json"]) == (0, self.JSON[command])
+
+    @pytest.mark.parametrize("command", sorted(JSON))
+    def test_table_output(self, tmp_path, command):
+        code, text = run_cli([command, write_scenario(tmp_path, self.DOC), "--out", "table"])
+        assert code == 0 and text
+        if command == "ineq":
+            assert "worst_relative_margin: 0.0\n" in text
+
+    def test_ineq_csv_scale_reads_one(self, tmp_path):
+        code, text = run_cli(["ineq", write_scenario(tmp_path, self.DOC), "--out", "csv"])
+        assert code == 0
+        rows = text.splitlines()
+        assert rows[0] == "x,margin,E,scale" and len(rows) > 300
+        assert all(row.split(",")[1:] == ["0.0", "0.0", "1.0"] for row in rows[1:])
+
+
 class TestPosdef:
     def test_posdef_verdict_on_triangle(self, tmp_path):
         doc = {k: v for k, v in TRIANGLE_CASE2.items() if k != "task"}

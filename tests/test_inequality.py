@@ -299,8 +299,16 @@ class TestBorderlineGrowth:
 
 class TestMarginScale:
     def test_scale_floors_at_one(self, fejer2):
+        # the floor is sigma^2 V^2 for n = 0: 4 for Fejer-2 (sigma = 2, V = 1)
         cfg = OmegaConfig(fejer2, 0, 0.0)
-        assert np.all(margin_scale(cfg, np.linspace(-5, 5, 11)) >= 1.0)
+        assert np.all(margin_scale(cfg, np.linspace(-5, 5, 11)) >= 4.0)
+
+    @pytest.mark.parametrize("k", [-40, 0, 40])
+    def test_floor_at_the_origin_follows_the_measure(self, ramp_density, k):
+        # for n = 1 both sides vanish at x = 0, where the scale is the floor
+        # V^2 = 1/4 of the ramp (sigma = 1, V = 1/2), times 4^k for mu * 2^k
+        cfg = OmegaConfig(ramp_density.scaled(2.0**k), 1, -math.pi / 2)
+        assert margin_scale(cfg, 0.0) == 0.25 * 4.0**k
 
     def test_margin_values_scalar(self, atom_at_sigma):
         cfg = OmegaConfig(atom_at_sigma, 0, math.pi / 2)
@@ -378,8 +386,8 @@ class TestOriginSeries:
         # the old cut |x| = 1e-4.  Near the origin |w| <= sigma V and
         # |w'| <= sigma^2 V, so d and the margin's two terms are bounded by
         # multiples of sigma^3 V^2 and sigma^4 V^2: the scales below.  Just past
-        # the switch |x| sigma = 1/2 the quotient's rounding reaches 2.6e-15 of
-        # margin_scale, which floors at 1, on the few-panel measure
+        # the switch |x| sigma = 1/2 the quotient's rounding is largest, on the
+        # few-panel measure
         mpmath = pytest.importorskip("mpmath")
         m = self.MEASURES[name]()
         cfg = OmegaConfig(m, -1, -math.pi / 2)

@@ -216,10 +216,10 @@ class TestVanishesAtZero:
     @pytest.mark.parametrize("ratio, accepted", [(0.5, True), (2.0, False)])
     @pytest.mark.parametrize("entry", ["OmegaConfig", "eval_E", "count_zeros"])
     def test_entry_points_agree_at_the_edge(self, ratio, accepted, entry):
-        # |F(0)| = ratio * MASS_TOL * max(V, 1) with V about 4, so a slack
+        # |F(0)| = ratio * MASS_TOL * V with V about 4, so a slack
         # without the scale would refuse ratio 0.5 as well
         m = StieltjesMeasure(1.0, ((0.25, 2.0), (0.75, 4.0 * ratio * MASS_TOL - 2.0)))
-        assert abs(m.total_mass) / (MASS_TOL * m.tol_scale) == pytest.approx(ratio, rel=1e-3)
+        assert abs(m.total_mass) / (MASS_TOL * m.total_variation) == pytest.approx(ratio, rel=1e-3)
         calls = {
             "OmegaConfig": lambda: OmegaConfig(m, -1, -math.pi / 2),
             "eval_E": lambda: eval_E(m, -math.pi / 2, -1, 0.0),
@@ -298,14 +298,14 @@ class TestCachedAggregates:
             monkeypatch.setattr(PiecewiseLinearDensity, name, counted)
         dens = PiecewiseLinearDensity.interpolant([0.0, 0.3, 0.5, 1.0], [1.0, -0.4, 0.8, 0.2])
         m = StieltjesMeasure(1.0, ((0.0, 0.7), (1.0, -0.25)), dens)
-        reads = [(m.total_mass, m.total_variation, m.left_limit_mass, m.tol_scale) for _ in range(4)]
+        reads = [(m.total_mass, m.total_variation, m.left_limit_mass, m.bound()) for _ in range(4)]
         m.vanishes_at_zero, mass_summary(m)
         assert calls == {"mass": 1, "abs_mass": 1}
         assert len(set(reads)) == 1
         fresh_mass = float(0.7 - 0.25 + PiecewiseLinearDensity.mass(dens))
         fresh_variation = float(0.7 + 0.25 + PiecewiseLinearDensity.abs_mass(dens))
         assert reads[0][:2] == (fresh_mass, fresh_variation)
-        assert reads[0][2:] == (fresh_mass - (-0.25), max(fresh_variation, 1.0))
+        assert reads[0][2:] == (fresh_mass - (-0.25), fresh_variation)
 
     def test_cached_measure_still_equals_and_hashes_like_a_fresh_one(self):
         cached = from_monomial_density(1.5, 0.8)

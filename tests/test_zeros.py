@@ -406,7 +406,7 @@ def _dense_reflected_on_grid(measure):
     sig = measure.sigma
     grid = np.arange(0.0, 20.0 * math.pi * max(1.0, 1.0 / sig), math.pi / (50.0 * sig))
     values = zeros_module._grid_moments(_reflected(measure), grid, 0)[0][0]
-    slack = HYPOTHESIS_TOL * measure.tol_scale
+    slack = HYPOTHESIS_TOL * measure.total_variation
     return bool(np.min(values.real) >= -slack), bool(np.min(values[1:].imag) >= -slack)
 
 
