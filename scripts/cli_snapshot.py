@@ -20,10 +20,13 @@ series probes about a million points past every cluster level and takes
 minutes on 2049 panels.  Every command also runs on two measures whose total
 variation V is far from 1, so that a threshold that does not scale with V
 shows: `fejer2_ineq.json` with its atoms scaled by 2^-40 (V = 2^-40), and
-the zero measure (V = 0).  With the four scenario files that makes 240
-invocations: 26 per scenario and per measure of V far from 1, 24 per
-monomial measure, 8 for the 64-panel triangle, 18 for the 16-panel one and
-10 for the demos.
+the zero measure (V = 0); and on two whose type sigma is far from 1, so that
+a length that does not scale with 1 / sigma shows: the sigma twins of
+`fejer2_ineq.json` (t -> 2^k t, sigma = 2^(k+1)) for k = 10 and -10, with
+its task grid and the default rectangle divided by 2^k.  With the four
+scenario files that makes 292 invocations: 26 per scenario and per measure
+of V or sigma far from 1, 24 per monomial measure, 8 for the 64-panel
+triangle, 18 for the 16-panel one and 10 for the demos.
 Each invocation's exit code, stdout and stderr go to a file of their own in
 OUTDIR, so that `diff -r` of two snapshots shows every byte that moved:
 
@@ -45,6 +48,7 @@ from pathlib import Path
 
 from hbfourier.cli import main
 from hbfourier.measure import from_monomial_density
+from hbfourier.zeros import DEFAULT_LOWER_RECT
 
 ROOT = Path(__file__).resolve().parent.parent
 OUTPUTS = ("json", "table")
@@ -70,6 +74,8 @@ MANY_PANEL = ((1.5, 0.8), (3.0, 2.0))
 MANY_PANEL_SKIP = {"interp"}
 #: the zero measure, V = 0
 ZERO_MEASURE = {"sigma": 1.0, "atoms": [], "density": None}
+#: k of the sigma twins of fejer2_ineq.json: sigma = 2048 and 2^-9
+TWINS = (10, -10)
 #: panels of each borderline triangle, and the commands run on it
 TRIANGLES = (
     (64, {"eval", "posdef", "zeros-classify", "zeros-imag"}),
@@ -114,14 +120,24 @@ def scenario_runs(stem: str, doc: dict, workdir: Path, skip=()):
             yield f"{stem}--{tag}--{output}.txt", [command, str(scenario), *flags, "--out", output]
 
 
+def sigma_twin(doc: dict, k: int) -> dict:
+    """The atomic scenario `doc` with t -> 2^k t, and its task's grid and rectangle in x / 2^k."""
+    f = 2.0**k
+    task = dict(doc["task"], rect=[v / f for v in doc["task"].get("rect", DEFAULT_LOWER_RECT)])
+    task["grid"] = {key: v / f for key, v in task["grid"].items()}
+    return dict(doc, sigma=doc["sigma"] * f, atoms=[dict(atom, t=atom["t"] * f) for atom in doc["atoms"]], task=task)
+
+
 def invocations(workdir: Path):
     """(file name, argv) for every invocation of the snapshot."""
     for path in sorted((ROOT / "scenarios").glob("*.json")):
         yield from scenario_runs(path.stem, json.loads(path.read_text(encoding="utf-8")), workdir)
     fejer2 = json.loads((ROOT / "scenarios" / "fejer2_ineq.json").read_text(encoding="utf-8"))
-    fejer2["atoms"] = [dict(atom, c=atom["c"] * 2.0**-40) for atom in fejer2["atoms"]]
-    yield from scenario_runs("fejer2_ineq-scaled-2^-40", fejer2, workdir)
+    scaled = dict(fejer2, atoms=[dict(atom, c=atom["c"] * 2.0**-40) for atom in fejer2["atoms"]])
+    yield from scenario_runs("fejer2_ineq-scaled-2^-40", scaled, workdir)
     yield from scenario_runs("zero-measure", ZERO_MEASURE, workdir)
+    for k in TWINS:
+        yield from scenario_runs(f"fejer2_ineq-twin-2^{k}", sigma_twin(fejer2, k), workdir)
     for mu, nu in MANY_PANEL:
         yield from scenario_runs(f"monomial-{mu}-{nu}", monomial_scenario(mu, nu), workdir, MANY_PANEL_SKIP)
     for panels, commands in TRIANGLES:

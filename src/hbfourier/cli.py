@@ -278,6 +278,8 @@ def _run_interp(measure, task, out) -> int:
     grid = _make_grid(task, measure.sigma)
     probes = grid[:: max(len(grid) // 16, 1)]
     samples = sampling._node_samples(f, measure.sigma, task.alpha, task.terms)
+    # f carries u^n, so sigma f and f' have the scale sigma^(1-n) V of the identity's sides
+    slack = task.resolved_tol() * measure.bound(1 - task.n)
     rows = []
     worst = None
     for x in probes:
@@ -285,8 +287,8 @@ def _run_interp(measure, task, out) -> int:
         rhs = sampling._series_at(samples, measure.sigma, task.alpha, float(x))
         gap = abs(lhs - rhs.value)
         rows.append((float(x), lhs, rhs.value, gap, rhs.tail_bound))
-        if gap > rhs.tail_bound + task.resolved_tol():
-            worst = (float(x), gap, rhs.tail_bound + task.resolved_tol())
+        if gap > rhs.tail_bound + slack:
+            worst = (float(x), gap, rhs.tail_bound + slack)
     if (code := _nonfinite(out, gap=[row[3] for row in rows], tail_bound=[row[4] for row in rows])) is not None:
         return code
     _emit_rows(["x", "lhs", "rhs", "gap", "tail_bound"], rows, task.output if task.output != "table" else "csv", out)

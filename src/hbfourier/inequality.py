@@ -32,7 +32,8 @@ from .transforms import _bracketed_newton, _grid_moments, _mirrored_rows, _omega
 
 #: |margin| <= MARGIN_TOL * scale counts as equality at a point
 MARGIN_TOL = 1e-8
-#: |E| <= E_TOL * V counts as a vanishing combination; the total variation V bounds |E|
+#: |E| <= E_TOL * sigma^-n V counts as a vanishing combination: E carries x^n, so its
+#: scale is `StieltjesMeasure.bound(-n)`, the total variation V for n = 0
 E_TOL = 1e-6
 
 
@@ -214,7 +215,8 @@ def _refine_equality_points(cfg: OmegaConfig, grid, e_vals, e_tol):
     changes sign, possible only where the hypothesis fails, is a root of E.
     All brackets are solved together by `_bracketed_newton`.  For
     n != 0 the factor x^n gives E a structural zero at x = 0, which is not an
-    equality of the transforms; brackets reaching it are not searched.
+    equality of the transforms; brackets reaching within 1e-8 / sigma of it
+    are not searched.  Points closer than 1e-9 max(1 / sigma, |x|) count once.
     """
     e_abs = np.abs(e_vals)
     e_scale = float(np.max(e_abs)) if e_abs.size else 0.0
@@ -223,8 +225,9 @@ def _refine_equality_points(cfg: OmegaConfig, grid, e_vals, e_tol):
     i = np.flatnonzero((e_abs <= padded[:-2]) & (e_abs <= padded[2:]) & (e_abs <= threshold))
     below, above = np.maximum(i - 1, 0), np.minimum(i + 1, len(grid) - 1)
     lo, hi = grid[below], grid[above]
+    sig = cfg.measure.sigma
     if cfg.n != 0:
-        away = (lo > 1e-8) | (hi < -1e-8)
+        away = (sig * lo > 1e-8) | (sig * hi < -1e-8)
         i, below, above, lo, hi = i[away], below[away], above[away], lo[away], hi[away]
     if not i.size:
         return ()
@@ -237,13 +240,13 @@ def _refine_equality_points(cfg: OmegaConfig, grid, e_vals, e_tol):
         e0, e1, e2 = _e_derivatives(cfg, x)
         return sign[k] * np.where(crossing[k], e0, e1), sign[k] * np.where(crossing[k], e1, e2)
 
-    x = _bracketed_newton(target, lo, hi, grid[i])
+    x = _bracketed_newton(target, lo, hi, grid[i], 1.0 / sig)
     lhs, rhs, scale, e_star = _margin_pieces(cfg, x)
     points = []
     for x_star, e, margin, sc in zip(x, np.abs(e_star), lhs - rhs, scale):
         if not (e <= e_tol and abs(margin) <= MARGIN_TOL * sc):
             continue
-        if points and abs(points[-1] - x_star) < 1e-9 * max(1.0, abs(x_star)):
+        if points and abs(points[-1] - x_star) < 1e-9 * max(1.0 / sig, abs(x_star)):
             continue
         points.append(float(x_star))
     return tuple(points)
@@ -263,7 +266,7 @@ def check_inequality(cfg: OmegaConfig, grid) -> InequalityReport:
     # one order-1 pass serves the margins and, from its mirrored moments, E
     lhs, rhs, scale, e_vals = _margin_pieces(cfg, grid)
     margin = lhs - rhs
-    v = cfg.measure.total_variation
+    v = cfg.measure.bound(-cfg.n)  # the scale of E, which carries x^n
     hypothesis_ok = bool(np.min(e_vals) >= -HYPOTHESIS_TOL * v)
     e_tol = E_TOL * v
     global_equality = bool(np.max(np.abs(e_vals)) <= e_tol)
@@ -304,7 +307,7 @@ def fit_equality_witness(cfg: OmegaConfig, grid) -> EqualityWitness | None:
     grid = np.asarray(grid, dtype=float)
     m = cfg.measure
     sig = m.sigma
-    v = m.total_variation
+    v = m.bound(-cfg.n)  # the scale of E, P and Q, which carry x^n
     tol = 1e-8 * v
 
     # one order-1 pass serves E, d and P + i Q = x^n F

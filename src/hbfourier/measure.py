@@ -21,7 +21,8 @@ import numpy as np
 #: slack of F(0) = 0 and the other mass comparisons, times the total variation V,
 #: which bounds every mass
 MASS_TOL = 1e-12
-#: slack of the grid hypotheses E, C, S >= 0, times V, which bounds |E|, |C| and |S|
+#: slack of the grid hypotheses E, C, S >= 0, times the scale of each: V, which bounds
+#: |C| and |S|, and sigma^-n V for E, which carries x^n
 HYPOTHESIS_TOL = 1e-9
 
 

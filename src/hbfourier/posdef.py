@@ -35,7 +35,8 @@ _CHEB5 = np.cos((2 * np.arange(5) + 1) * math.pi / 10)
 #: the most quartic pieces of h that check_h_hat_identity transforms; a density
 #: of P panels has up to 3 P (P + 1) / 2, so about 100 panels fit
 _MAX_HHAT_PIECES = 1 << 14
-#: step pieces count as equidistant when their widths agree to this, times max(width, 1)
+#: step pieces count as equidistant when their widths agree to this, times sigma, the
+#: last node of the density: a t-length, so the test does not depend on the unit of t
 _WIDTH_TOL = 1e-12
 
 
@@ -396,7 +397,7 @@ def _detect_equidistant_steps(g: PiecewiseLinearDensity) -> StepStructure:
         return StepStructure(False, None, None)
     widths = [t1 - t0 for t0, t1, _ in pieces]
     d = widths[0]
-    if any(abs(w - d) > _WIDTH_TOL * max(d, 1.0) for w in widths):
+    if any(abs(w - d) > _WIDTH_TOL * g.nodes[-1] for w in widths):
         return StepStructure(False, None, None)
     return StepStructure(True, d, 2.0 * math.pi / d)
 

@@ -62,8 +62,12 @@ class SampledFunction:
     """A real function of exponential type <= sigma with its derivative.
 
     Both callables must accept numpy arrays.  The constructor cross-checks the
-    derivative against a central difference at a fixed set of probe points, so
-    mismatched (evaluate, derivative) pairs fail fast.
+    derivative against a central difference at a fixed set of probe points in
+    (-3 / sigma, 3 / sigma), with the step 6e-6 / sigma, so mismatched
+    (evaluate, derivative) pairs fail fast.  The check is relative to the
+    larger of the two derivatives and 1e-4 max |f| at the probes, so it does
+    not depend on the units of f or x; the zero function passes, and a NaN
+    fails.
     """
 
     evaluate: Callable
@@ -74,14 +78,17 @@ class SampledFunction:
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         rng = np.random.default_rng(20240917)
-        probes = rng.uniform(-3.0, 3.0, size=10)
-        h = 6e-6
-        f_scale = float(np.max(np.abs(self.evaluate(probes)))) + 1.0
+        probes = rng.uniform(-3.0, 3.0, size=10) / self.sigma
+        h = 6e-6 / self.sigma
+        f_scale = float(np.max(np.abs(self.evaluate(probes))))
         fd = (self.evaluate(probes + h) - self.evaluate(probes - h)) / (2.0 * h)
         an = self.derivative(probes)
         denom = np.maximum(np.maximum(np.abs(an), np.abs(fd)), 1e-4 * f_scale)
-        worst = float(np.max(np.abs(an - fd) / denom))
-        if worst > 1e-6:
+        # |an - fd| <= 2 denom, so denom is positive wherever the error is; a NaN fails
+        err = np.abs(an - fd)
+        bad = ~(err <= 1e-6 * denom)
+        if np.any(bad):
+            worst = float(np.max(err[bad] / denom[bad]))
             raise ValueError(f"derivative disagrees with central difference (rel {worst:.2e})")
 
 

@@ -76,7 +76,7 @@ _MAX_ORDER = 4  # highest moment order any caller needs: the Newton slope of |F'
 _SERIES_OMIT = 2.0**-55 * math.cos(1.0) / math.e
 #: 1 / (m + 1 + j), the divisors of the series, for m up to _MAX_ORDER + 1
 _SERIES_RECIPROCALS = 1.0 / (np.arange(1.0, _MAX_ORDER + 3)[:, None] + np.arange(float(_SERIES_TERMS)))
-#: a Newton iteration stops once its step is below this multiple of max(1, |x|)
+#: a Newton iteration stops once its step is below this multiple of max(unit, |x|)
 _NEWTON_XTOL = 1e-14
 _NEWTON_MAXITER = 100
 # points x panels evaluated together: the temporaries of a 4096 block peak near
@@ -715,7 +715,7 @@ def identity_residuals(
 # -- root finding ----------------------------------------------------------------
 
 
-def _bracketed_newton(fn, lo, hi, x0):
+def _bracketed_newton(fn, lo, hi, x0, unit):
     """Roots of fn in the brackets [lo, hi], one per bracket, from the starts x0.
 
     fn(x, k) returns (f, f') at the points x of the brackets with indices k,
@@ -726,7 +726,9 @@ def _bracketed_newton(fn, lo, hi, x0):
     bisection would reach: lo where f > 0, hi where f < 0, which is the
     minimum when f is the slope of a function minimized on the bracket.  A
     bracket stops at f = 0, or once the step or the bracket width falls below
-    _NEWTON_XTOL * max(1, |x|).  Returns the points as an array.
+    _NEWTON_XTOL * max(unit, |x|), so that near 0 the tolerance is a length
+    of the caller's problem: every caller passes 1 / sigma, the unit in which
+    the transforms of type sigma vary.  Returns the points as an array.
     """
     x = np.array(x0, dtype=float).reshape(-1)
     lo = np.array(np.broadcast_to(lo, x.shape), dtype=float)
@@ -741,7 +743,7 @@ def _bracketed_newton(fn, lo, hi, x0):
         hi[k] = np.where(f > 0.0, xk, hi[k])
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = xk - f / fp
-        tol = _NEWTON_XTOL * np.maximum(1.0, np.abs(xk))
+        tol = _NEWTON_XTOL * np.maximum(unit, np.abs(xk))
         # a step below the tolerance ends the search even where rounding puts
         # it on the bracket's edge; a NaN step fails every comparison
         converged = (f == 0.0) | (np.abs(newton - xk) <= tol)

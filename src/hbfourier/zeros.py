@@ -30,7 +30,7 @@ from .transforms import (
     real_transforms,
 )
 
-#: |target| must exceed this multiple of the total variation on the boundary
+#: |target| must exceed this multiple of its bound on the boundary (see `_boundary_floor`)
 BOUNDARY_MODULUS_FACTOR = 1e-12
 #: |F^(k)| below this, times its bound `StieltjesMeasure.bound(k)` = sigma^k V, counts as a zero
 ZERO_TOL = 1e-10
@@ -168,9 +168,15 @@ def _winding_count(fn, rect: Rectangle, min_log_modulus: float) -> ZeroCountResu
     return ZeroCountResult(count=count, winding_residual=residual, boundary_samples=len(zs), zero_sum=zero_sum)
 
 
-def _boundary_floor(measure: StieltjesMeasure) -> float:
-    """log of the smallest |target| a contour may pass, BOUNDARY_MODULUS_FACTOR * V."""
-    return math.log(BOUNDARY_MODULUS_FACTOR * max(measure.total_variation, 1e-300))
+def _boundary_floor(measure: StieltjesMeasure, target: str) -> float:
+    """log of the smallest |target| a contour may pass, BOUNDARY_MODULUS_FACTOR * sigma^(k-n) V.
+
+    sigma^(k-n) V, `StieltjesMeasure.bound(k - n)`, is the scale of the
+    target z^n F^(k): it carries the unit of x to the power n - k, so the
+    floor follows the target when t and x are rescaled against each other.
+    """
+    k, n = _TARGETS[target]
+    return math.log(BOUNDARY_MODULUS_FACTOR * max(measure.bound(k - n), 1e-300))
 
 
 def _target(measure: StieltjesMeasure, target: str, z, order: int):
@@ -201,13 +207,13 @@ def _target_fn(measure: StieltjesMeasure, target: str):
 
 def count_zeros(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -> ZeroCountResult:
     """Argument-principle zero count of the target inside the rectangle."""
-    return _winding_count(_target_fn(measure, target), rect, _boundary_floor(measure))
+    return _winding_count(_target_fn(measure, target), rect, _boundary_floor(measure, target))
 
 
 def count_h_alpha_zeros(measure: StieltjesMeasure, alpha: float, rect: Rectangle) -> ZeroCountResult:
     """Zero count of h_alpha = G cos(alpha) - H sin(alpha) inside the rectangle."""
     fn = lambda z: eval_h_alpha_scaled(measure, alpha, z)
-    return _winding_count(fn, rect, _boundary_floor(measure))
+    return _winding_count(fn, rect, _boundary_floor(measure, "F"))  # h_alpha has the bound V of F
 
 
 def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -> complex:
@@ -218,13 +224,16 @@ def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -
     itself, or from the rectangle centre where that estimate lies outside;
     it falls back to quadrant subdivision if Newton leaves the window.  A
     zero is accepted where |target| e^{-sigma max(0, -Im z)} <= ZERO_TOL V;
-    below the axis V bounds |F| e^{-sigma |Im z|}.
+    below the axis V bounds |F| e^{-sigma |Im z|}.  Its lengths are in the
+    unit 1 / sigma: Newton stops at a step below 1e-14 (1 / sigma + |z|),
+    may leave the rectangle by 1 / sigma, and its zero by 1e-9 / sigma.
     """
     if target not in ("F", "zF", "F/z"):
         raise ValueError("locate_zero supports the F-family targets only")
     result = count_zeros(measure, rect, target)
     if result.count != 1:
         raise ValueError(f"rectangle holds {result.count} zeros; need exactly 1")
+    unit = 1.0 / measure.sigma
 
     def newton_from(z0: complex, box: Rectangle):
         z = z0
@@ -234,9 +243,9 @@ def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -
                 return None
             step = f / fp
             z_new = z - step
-            if not box.contains(z_new, pad=1.0):
+            if not box.contains(z_new, pad=unit):
                 return None
-            if abs(step) < 1e-14 * (1.0 + abs(z_new)):
+            if abs(step) < 1e-14 * (unit + abs(z_new)):
                 return z_new
             z = z_new
         return None
@@ -247,7 +256,7 @@ def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -
         if not box.contains(z0):
             z0 = complex(0.5 * (box.x_min + box.x_max), 0.5 * (box.y_min + box.y_max))
         z_star = newton_from(z0, rect)
-        if z_star is not None and rect.contains(z_star, pad=1e-9):
+        if z_star is not None and rect.contains(z_star, pad=1e-9 * unit):
             (f,), _ = _target(measure, target, z_star, 0)
             if abs(f) <= ZERO_TOL * measure.bound():
                 return z_star
@@ -336,32 +345,33 @@ def _real_minima(measure: StieltjesMeasure, target: str, a: float, b: float):
         s = orient[j]
         return np.where(s != 0, s * rows[0].real, slope), np.where(s != 0, s * rows[1].real, slope_p)
 
-    return grid, w, _bracketed_newton(solve, lo, hi, np.concatenate([secant, grid[minima]]))
+    return grid, w, _bracketed_newton(solve, lo, hi, np.concatenate([secant, grid[minima]]), 1.0 / sig)
 
 
 def find_real_zeros(measure: StieltjesMeasure, interval):
     """Real zeros of F on a bounded interval, as (location, multiplicity) pairs.
 
     The candidates of `_real_minima` are accepted where |F| <= ZERO_TOL V.
-    Where two brackets located the same zero, the candidate of least |F|
-    stands for it: a minimum's solution is conditioned by |F'|, a sign
-    change's by |Re F'| only.  Multiplicity 1 is certified by |F'| away
-    from 0; a double zero is admitted at x = 0 only, and anything deeper
-    raises DiagnosticFailure.  Raises ValueError for an interval that is not
-    finite with a < b, even for the zero measure, or whose scan would exceed
-    the grid budget.
+    Where two brackets located the same zero, within 1e-6 max(1 / sigma, |x|),
+    the candidate of least |F| stands for it: a minimum's solution is
+    conditioned by |F'|, a sign change's by |Re F'| only.  Multiplicity 1 is
+    certified by |F'| away from 0; a double zero is admitted at the origin
+    only, sigma |x| <= 1e-8, and anything deeper raises DiagnosticFailure.
+    Raises ValueError for an interval that is not finite with a < b, even
+    for the zero measure, or whose scan would exceed the grid budget.
     """
     m = measure
     a, b = _real_interval(*interval)
     if m.is_zero:
         return []
+    sig = m.sigma
     x = _real_minima(m, "F", a, b)[2]
     f, fp = _target(m, "F", x, 1)[0]
     keep = np.abs(f) <= ZERO_TOL * m.bound()
     x, f_abs, fp_abs = x[keep], np.abs(f[keep]), np.abs(fp[keep])
     picked = []
     for j in np.argsort(x, kind="stable"):
-        if picked and abs(x[picked[-1]] - x[j]) < 1e-6 * max(1.0, abs(x[j])):
+        if picked and abs(x[picked[-1]] - x[j]) < 1e-6 * max(1.0 / sig, abs(x[j])):
             if f_abs[j] < f_abs[picked[-1]]:
                 picked[-1] = j
             continue
@@ -374,7 +384,7 @@ def find_real_zeros(measure: StieltjesMeasure, interval):
         if fp_abs[j] > fp_tol:
             mult = 1
         else:
-            if abs(x0) > 1e-8:
+            if sig * abs(x0) > 1e-8:
                 raise DiagnosticFailure(f"real zero at {x0:.6g} is not simple")
             fpp = abs(_target(m, "F''", 0.0, 0)[0][0])
             if fpp <= 1e-8 * m.bound(2):
@@ -385,7 +395,7 @@ def find_real_zeros(measure: StieltjesMeasure, interval):
 
 
 def _reflected_on_grid(measure: StieltjesMeasure, cosine: bool = True):
-    """(C >= 0, S >= 0) on the grid [0, 20 pi max(1, 1/sigma)) of step pi / (50 sigma).
+    """(C >= 0, S >= 0) on the grid [0, 20 pi / sigma) of step pi / (50 sigma): 1000 points for every sigma.
 
     A grid value passes at -HYPOTHESIS_TOL V, V the total variation, which
     bounds |C| and |S|, and x = 0 is left out of the sine check, since
@@ -403,7 +413,7 @@ def _reflected_on_grid(measure: StieltjesMeasure, cosine: bool = True):
     With cosine=False only S is checked, and the first entry is None.
     """
     sig = measure.sigma
-    grid = np.arange(0.0, 20.0 * math.pi * max(1.0, 1.0 / sig), math.pi / (50.0 * sig))
+    grid = np.arange(0.0, 20.0 * math.pi * (1.0 / sig), math.pi / (50.0 * sig))
     slack = HYPOTHESIS_TOL * measure.total_variation
     # np.unique would import numpy.ma, which adds about 1.8 MB to the peak memory
     nodes = np.arange(0, grid.size, 8)
@@ -465,14 +475,16 @@ def _imaginary_zero(measure: StieltjesMeasure) -> float:
     sine hypothesis, with g(0) = F(0) > 0 and g(-inf) = F(0) - left-limit
     mass < 0.  A doubling bracket holds its one root, which Newton steps on
     g'(y) = (sigma F(iy) + i F'(iy)) e^{sigma y} locate.  One call probes
-    y = -1, -2, -4 and -8, where the bracket closes on every measure of the
-    benchmark, and the doubling goes on one probe at a time past -8.
+    y = -1, -2, -4 and -8 in the unit 1 / sigma, where the bracket closes on
+    every measure of the benchmark, and the doubling goes on one probe at a
+    time past -8 / sigma.
     """
 
     def g(y):
         return _target(measure, "F", y * 1j, 0)[0][0].real
 
-    ys = np.array([-1.0, -2.0, -4.0, -8.0])
+    unit = 1.0 / measure.sigma
+    ys = np.array([-1.0, -2.0, -4.0, -8.0]) * unit
     gs = g(ys)
     y_hi, g_hi = 0.0, measure.total_mass
     for k in range(200):
@@ -489,7 +501,7 @@ def _imaginary_zero(measure: StieltjesMeasure) -> float:
         return f.real, measure.sigma * f.real - fp.imag
 
     y0 = y_lo + (y_hi - y_lo) * g_lo / (g_lo - g_hi)  # secant start
-    y_star = float(_bracketed_newton(slope, y_lo, y_hi, y0)[0])
+    y_star = float(_bracketed_newton(slope, y_lo, y_hi, y0, unit)[0])
     if abs(g(y_star)) > ZERO_TOL * measure.bound():
         raise DiagnosticFailure("Newton iteration did not drive |F(iy)| e^{sigma y} to zero")
     return y_star

@@ -22,6 +22,21 @@ def no_large_linspace(monkeypatch):
 
 
 @pytest.fixture
+def no_large_arange(monkeypatch):
+    """np.arange refusing a float grid of more than 1e7 points: a grid whose size
+    follows the unit of x, not the problem, fails here instead of allocating."""
+    arange = np.arange
+
+    def small(*args, **kwargs):
+        if any(isinstance(a, float) for a in args):
+            start, stop, step = {1: (0.0, args[0], 1.0), 2: (*args, 1.0), 3: args}[len(args)]
+            assert (stop - start) / step <= 1e7, "np.arange asked for a float grid over 1e7 points"
+        return arange(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", small)
+
+
+@pytest.fixture
 def fejer2():
     """Atoms {0.5@1, 0.5@2}, sigma = 2: C(x) = (1 + cos x)/2."""
     return from_fejer(2, 1.0, 1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -314,6 +315,24 @@ class TestInterp:
         assert code == 0
         rows = json.loads(text)
         assert all(row["gap"] <= row["tail_bound"] + 1e-9 for row in rows)
+
+    @pytest.mark.parametrize("perturbation, code", [(0.0, 0), (1e-12, 2)])
+    def test_gate_follows_the_scale_of_the_identity(self, tmp_path, monkeypatch, perturbation, code):
+        # Fejer-2 scaled by 2^-40: f and the series are near 1e-12, so a gap of
+        # 1e-12 is as large as the values, and the default tol 1e-9 is relative
+        series = hbfourier.sampling._series_at
+
+        def perturbed(*args):
+            out = series(*args)
+            return dataclasses.replace(out, value=out.value + perturbation)
+
+        monkeypatch.setattr(hbfourier.sampling, "_series_at", perturbed)
+        doc = {
+            "sigma": 2.0,
+            "atoms": [{"t": 1.0, "c": 0.5 * 2.0**-40}, {"t": 2.0, "c": 0.5 * 2.0**-40}],
+            "task": {"command": "interp", "alpha": 0.4, "terms": 2000, "output": "json"},
+        }
+        assert run_cli(["interp", write_scenario(tmp_path, doc), "--grid=-3:3:1.0"])[0] == code
 
 
 class TestBudgets:

@@ -48,6 +48,19 @@ class TestSampledFunction:
                 sigma=1.0,
             )
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-12])
+    def test_mismatched_derivative_rejected_at_any_scale(self, scale):
+        # the check is relative to max |f|, with no absolute floor
+        with pytest.raises(ValueError, match="central difference"):
+            SampledFunction(lambda x: scale * np.sin(x), lambda x: 2.0 * scale * np.cos(x), 1.0)
+
+    def test_zero_function_passes(self):
+        SampledFunction(lambda x: 0.0 * x, lambda x: 0.0 * x, 1.0)
+
+    def test_nan_derivative_rejected(self):
+        with pytest.raises(ValueError, match="central difference"):
+            SampledFunction(np.sin, lambda x: np.full_like(x, np.nan), 1.0)
+
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
             constant_function(sigma=0.0)

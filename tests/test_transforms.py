@@ -531,7 +531,7 @@ class TestBracketedNewton:
             moving.append(len(k))
             return sign[k] * np.cos(x), -sign[k] * np.sin(x)
 
-        roots = _bracketed_newton(fn, [1.0, 4.0, 7.0], [2.0, 5.0, 8.0], [1.0, 5.0, 7.5])
+        roots = _bracketed_newton(fn, [1.0, 4.0, 7.0], [2.0, 5.0, 8.0], [1.0, 5.0, 7.5], 1.0)
         assert np.allclose(roots, [0.5 * math.pi, 1.5 * math.pi, 2.5 * math.pi], rtol=1e-15, atol=0.0)
         assert moving[0] == 3 and len(moving) < 10
 
@@ -539,7 +539,7 @@ class TestBracketedNewton:
         # f > 0 throughout ends at lo, f < 0 throughout at hi: the minimum of
         # the function whose slope f is
         shift = np.array([10.0, -10.0])
-        x = _bracketed_newton(lambda x, k: (x + shift[k], np.ones_like(x)), 0.0, 1.0, [0.5, 0.5])
+        x = _bracketed_newton(lambda x, k: (x + shift[k], np.ones_like(x)), 0.0, 1.0, [0.5, 0.5], 1.0)
         assert x == pytest.approx([0.0, 1.0], abs=1e-13)
 
 

@@ -389,8 +389,8 @@ class TestImaginaryZero:
             zeros_module, "_bracketed_newton", lambda fn, *args: brackets.append(args) or newton(fn, *args)
         )
         y_star = zeros_module._imaginary_zero(m)
-        assert brackets == [(y_lo, y_hi, y0)]
-        assert y_star == float(newton(slope, y_lo, y_hi, y0)[0])
+        assert brackets == [(y_lo, y_hi, y0, 1.0)]
+        assert y_star == float(newton(slope, y_lo, y_hi, y0, 1.0)[0])
 
     def test_first_four_probes_share_one_call(self, monkeypatch):
         # the benchmark's triangles bracket y* = -1.59 between -1 and -2
@@ -404,7 +404,7 @@ class TestImaginaryZero:
 def _dense_reflected_on_grid(measure):
     """(C >= 0, S >= 0) from every point of the hypothesis grid: the reference for `_reflected_on_grid`."""
     sig = measure.sigma
-    grid = np.arange(0.0, 20.0 * math.pi * max(1.0, 1.0 / sig), math.pi / (50.0 * sig))
+    grid = np.arange(0.0, 20.0 * math.pi * (1.0 / sig), math.pi / (50.0 * sig))
     values = zeros_module._grid_moments(_reflected(measure), grid, 0)[0][0]
     slack = HYPOTHESIS_TOL * measure.total_variation
     return bool(np.min(values.real) >= -slack), bool(np.min(values[1:].imag) >= -slack)
