@@ -23,10 +23,14 @@ shows: `fejer2_ineq.json` with its atoms scaled by 2^-40 (V = 2^-40), and
 the zero measure (V = 0); and on two whose type sigma is far from 1, so that
 a length that does not scale with 1 / sigma shows: the sigma twins of
 `fejer2_ineq.json` (t -> 2^k t, sigma = 2^(k+1)) for k = 10 and -10, with
-its task grid and the default rectangle divided by 2^k.  With the four
-scenario files that makes 292 invocations: 26 per scenario and per measure
-of V or sigma far from 1, 24 per monomial measure, 8 for the 64-panel
-triangle, 18 for the 16-panel one and 10 for the demos.
+its task grid and the default rectangle divided by 2^k.  `zeros-count` of F,
+F' and F'' and `zeros-classify` also run on `from_fejer(6)`, sigma = 6, whose
+phase can turn 38 times along a 40-wide edge of the default rectangle, so
+that a contour start that does not scale with 1 / sigma shows.  With the
+four scenario files that makes 300 invocations: 26 per scenario and per
+measure of V or sigma far from 1, 24 per monomial measure, 8 for the
+64-panel triangle, 18 for the 16-panel one, 8 for Fejer-6 and 10 for the
+demos.
 Each invocation's exit code, stdout and stderr go to a file of their own in
 OUTDIR, so that `diff -r` of two snapshots shows every byte that moved:
 
@@ -47,7 +51,7 @@ import tempfile
 from pathlib import Path
 
 from hbfourier.cli import main
-from hbfourier.measure import from_monomial_density
+from hbfourier.measure import from_fejer, from_monomial_density
 from hbfourier.zeros import DEFAULT_LOWER_RECT
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,6 +85,9 @@ TRIANGLES = (
     (64, {"eval", "posdef", "zeros-classify", "zeros-imag"}),
     (16, {"eval", "zeros-count", "zeros-classify", "zeros-imag"}),
 )
+#: the runs of SCENARIO_RUNS, by command or file tag, left out on Fejer-6
+FEJER6_SKIP = {"eval", "identities", "ineq", "interp", "zeros-imag", "posdef"}
+FEJER6_SKIP |= {"zeros-count-zF", "zeros-count-Fz", "zeros-count-Fz-origin"}
 
 
 def run(argv):
@@ -109,9 +116,10 @@ def triangle_scenario(panels: int) -> dict:
 
 
 def scenario_runs(stem: str, doc: dict, workdir: Path, skip=()):
-    """(file name, argv) of every command but `skip` on one scenario document."""
+    """(file name, argv) of every run of SCENARIO_RUNS on one scenario document,
+    but those whose command or file tag is in `skip`."""
     for command, flags, tag in SCENARIO_RUNS:
-        if command in skip:
+        if command in skip or tag in skip:
             continue
         task = dict(doc.get("task") or {}, command=command)
         scenario = workdir / f"{stem}--{command}.json"
@@ -143,6 +151,8 @@ def invocations(workdir: Path):
     for panels, commands in TRIANGLES:
         skip = {command for command, _, _ in SCENARIO_RUNS} - commands
         yield from scenario_runs(f"triangle-{panels}", triangle_scenario(panels), workdir, skip)
+    fejer6 = {"sigma": 6.0, "atoms": [{"t": t, "c": c} for t, c in from_fejer(6).atoms]}
+    yield from scenario_runs("fejer6", fejer6, workdir, FEJER6_SKIP)
     for demo in DEMOS:
         for output in OUTPUTS:
             yield f"demo-{demo}--{output}.txt", ["demo", demo, "--out", output]

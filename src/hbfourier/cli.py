@@ -10,6 +10,7 @@ JSON keys are sorted.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -28,20 +29,6 @@ from .measure import (
     parse_scenario,
 )
 from .transforms import identity_residuals, real_transforms
-
-COMMANDS = (
-    "eval",
-    "identities",
-    "ineq",
-    "interp",
-    "zeros-count",
-    "zeros-classify",
-    "zeros-imag",
-    "posdef",
-    "demo",
-)
-
-_TASK_FIELDS = {"command", "grid", "rect", "tau", "n", "alpha", "tol", "terms", "output", "target"}
 
 _DEFAULT_TOL = {"ineq": 1e-9, "identities": 1e-10, "interp": 1e-9}
 
@@ -110,6 +97,9 @@ class TaskDescriptor:
         return replace(task, **fields)
 
 
+_TASK_FIELDS = {f.name for f in dataclasses.fields(TaskDescriptor)}
+
+
 def _number(value, field: str, whole: bool = False):
     """A task field's number, checked as the measure's are; a `whole` one becomes an int."""
     number = _require_number(value, field)
@@ -127,18 +117,14 @@ def _fmt(value) -> str:
 
 
 def _emit_rows(header, rows, output, out):
-    if output == "csv":
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(_fmt(v) for v in row) + "\n")
-    elif output == "json":
+    """Rows as JSON for json output, as CSV otherwise (table output too)."""
+    if output == "json":
         payload = [dict(zip(header, row)) for row in rows]
         out.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
     else:
-        widths = [max(len(h), 24) for h in header]
-        out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)) + "\n")
+        out.write(",".join(header) + "\n")
         for row in rows:
-            out.write("  ".join(_fmt(v).ljust(w) for v, w in zip(row, widths)) + "\n")
+            out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _emit_doc(doc: dict, output: str, out):
@@ -152,10 +138,6 @@ def _emit_doc(doc: dict, output: str, out):
 def _json_default(obj):
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
@@ -212,7 +194,7 @@ def _run_eval(measure, task, out) -> int:
     if (code := _nonfinite(out, **columns)) is not None:
         return code
     rows = [tuple(float(v) for v in row) for row in zip(*columns.values())]
-    _emit_rows(list(columns), rows, task.output if task.output != "table" else "csv", out)
+    _emit_rows(list(columns), rows, task.output, out)
     return 0
 
 
@@ -291,7 +273,7 @@ def _run_interp(measure, task, out) -> int:
             worst = (float(x), gap, rhs.tail_bound + slack)
     if (code := _nonfinite(out, gap=[row[3] for row in rows], tail_bound=[row[4] for row in rows])) is not None:
         return code
-    _emit_rows(["x", "lhs", "rhs", "gap", "tail_bound"], rows, task.output if task.output != "table" else "csv", out)
+    _emit_rows(["x", "lhs", "rhs", "gap", "tail_bound"], rows, task.output, out)
     if worst is not None:
         return _violation(out, "interpolation_identity", worst[0], worst[1], worst[2])
     return 0
@@ -361,6 +343,8 @@ _RUNNERS = {
     "zeros-imag": _run_zeros_imag,
     "posdef": _run_posdef,
 }
+
+COMMANDS = (*_RUNNERS, "demo")
 
 
 def _demo_fixture(name: str):

@@ -28,7 +28,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measure import HYPOTHESIS_TOL, StieltjesMeasure
-from .transforms import _bracketed_newton, _grid_moments, _mirrored_rows, _omega_rows, _reflected, real_transforms
+from .transforms import (
+    _ORIGIN_RADIUS,
+    _bracketed_newton,
+    _grid_minima,
+    _grid_moments,
+    _mirrored_rows,
+    _omega_rows,
+    _reflected,
+    real_transforms,
+)
 
 #: |margin| <= MARGIN_TOL * scale counts as equality at a point
 MARGIN_TOL = 1e-8
@@ -209,25 +218,23 @@ def _e_derivatives(cfg: OmegaConfig, x):
 def _refine_equality_points(cfg: OmegaConfig, grid, e_vals, e_tol):
     """Refine the grid's local minima of |E| and keep those where E and the margin vanish.
 
-    Both grid ends count as minima, padded as in `zeros._real_minima`, so an
-    equality point in the first or last grid cell is not lost.  A minimum
+    Both grid ends count as minima (`_grid_minima`, as in `zeros._real_minima`),
+    so an equality point in the first or last grid cell is not lost.  A minimum
     where E keeps its sign across the bracket is a root of E'; one where E
     changes sign, possible only where the hypothesis fails, is a root of E.
-    All brackets are solved together by `_bracketed_newton`.  For
-    n != 0 the factor x^n gives E a structural zero at x = 0, which is not an
-    equality of the transforms; brackets reaching within 1e-8 / sigma of it
+    All brackets are solved together by `_bracketed_newton`.  For n != 0 the
+    factor x^n gives E a structural zero at x = 0, which is not an equality of
+    the transforms; brackets reaching within `_ORIGIN_RADIUS` / sigma of it
     are not searched.  Points closer than 1e-9 max(1 / sigma, |x|) count once.
     """
     e_abs = np.abs(e_vals)
     e_scale = float(np.max(e_abs)) if e_abs.size else 0.0
     threshold = max(100.0 * e_tol, 1e-3 * e_scale)
-    padded = np.concatenate([[np.inf], e_abs, [np.inf]])
-    i = np.flatnonzero((e_abs <= padded[:-2]) & (e_abs <= padded[2:]) & (e_abs <= threshold))
-    below, above = np.maximum(i - 1, 0), np.minimum(i + 1, len(grid) - 1)
+    i, below, above = _grid_minima(e_abs, e_abs <= threshold)
     lo, hi = grid[below], grid[above]
     sig = cfg.measure.sigma
     if cfg.n != 0:
-        away = (sig * lo > 1e-8) | (sig * hi < -1e-8)
+        away = (sig * lo > _ORIGIN_RADIUS) | (sig * hi < -_ORIGIN_RADIUS)
         i, below, above, lo, hi = i[away], below[away], above[away], lo[away], hi[away]
     if not i.size:
         return ()

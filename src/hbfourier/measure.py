@@ -292,16 +292,6 @@ class StieltjesMeasure:
         ]
         return atoms, np.array(parts)
 
-    def distribution(self, s):
-        """mu(s) - mu(0), left-continuous (atoms at t count only for s > t)."""
-        s = np.asarray(s, dtype=float)
-        out = np.zeros(s.shape)
-        for t, c in self.atoms:
-            out = out + c * (s > t)
-        if self.density is not None:
-            out = out + self.density.cumulative(np.clip(s, 0.0, self.sigma))
-        return out if out.ndim else float(out)
-
     def reflected(self) -> "StieltjesMeasure":
         """Measure nu with nu-transforms equal to the reflected transforms of mu.
 

@@ -79,6 +79,8 @@ _SERIES_RECIPROCALS = 1.0 / (np.arange(1.0, _MAX_ORDER + 3)[:, None] + np.arange
 #: a Newton iteration stops once its step is below this multiple of max(unit, |x|)
 _NEWTON_XTOL = 1e-14
 _NEWTON_MAXITER = 100
+#: a point within this many units 1 / sigma of 0 is the origin
+_ORIGIN_RADIUS = 1e-8
 # points x panels evaluated together: the temporaries of a 4096 block peak near
 # 1 MB, and larger blocks raise the peak memory in proportion without running faster
 _BLOCK = 4096
@@ -713,6 +715,14 @@ def identity_residuals(
 
 
 # -- root finding ----------------------------------------------------------------
+
+
+def _grid_minima(mod, low):
+    """(i, i - 1, i + 1) for the local minima i of mod on a grid where low holds; mod is
+    padded with +inf, so both grid ends count as minima, and the neighbours are clipped."""
+    padded = np.concatenate([[np.inf], mod, [np.inf]])
+    i = np.flatnonzero((mod <= padded[:-2]) & (mod <= padded[2:]) & low)
+    return i, np.maximum(i - 1, 0), np.minimum(i + 1, len(mod) - 1)
 
 
 def _bracketed_newton(fn, lo, hi, x0, unit):

@@ -1,8 +1,9 @@
 """Zero location and Hermite-Biehler classification for the transforms.
 
 Counting uses the argument principle over axis-avoiding rectangles: the
-boundary is sampled adaptively until consecutive phase increments stay below
-pi/2, and the winding number is the (integer) sum of principal-branch phase
+boundary is sampled from a start spaced at most pi / (4 sigma), then
+adaptively until consecutive phase increments stay below pi/2, and the
+winding number is the (integer) sum of principal-branch phase
 increments.  Scaled function values keep contours far below the real axis
 overflow-free.  Real zeros are found separately on the axis, and the unique
 purely imaginary lower zero of the borderline mass range is bracketed on the
@@ -22,8 +23,12 @@ import numpy as np
 
 from .measure import HYPOTHESIS_TOL, MASS_TOL, StieltjesMeasure
 from .transforms import (
+    _NEWTON_XTOL,
+    _ORIGIN_RADIUS,
     _bracketed_newton,
+    _grid_minima,
     _grid_moments,
+    _mirrored_rows,
     _omega_rows,
     _reflected,
     eval_h_alpha_scaled,
@@ -64,8 +69,8 @@ class Rectangle:
     y_max: float
 
     def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError("rectangle must have positive width and height")
+        _real_interval(self.x_min, self.x_max)
+        _real_interval(self.y_min, self.y_max)
 
     @property
     def corners(self):
@@ -74,13 +79,6 @@ class Rectangle:
             complex(self.x_max, self.y_min),
             complex(self.x_max, self.y_max),
             complex(self.x_min, self.y_max),
-        )
-
-    def split(self):
-        xm = 0.5 * (self.x_min + self.x_max)
-        return (
-            Rectangle(self.x_min, xm, self.y_min, self.y_max),
-            Rectangle(xm, self.x_max, self.y_min, self.y_max),
         )
 
     def quadrants(self):
@@ -110,23 +108,32 @@ class ZeroCountResult:
     zero_sum: complex | None = field(default=None, compare=False)
 
 
-def _winding_count(fn, rect: Rectangle, min_log_modulus: float) -> ZeroCountResult:
+def _winding_count(fn, rect: Rectangle, min_log_modulus: float, unit: float) -> ZeroCountResult:
     """Winding number of fn along the rectangle boundary (counterclockwise).
 
-    fn maps an array of points to (mantissas, log-scales); only the mantissa
-    phase and the total log-modulus are used.  Sampling starts proportional
-    to the perimeter and bisects every interval whose phase increment reaches
-    pi/2, all midpoints of a round in one call of fn, so the final polygonal
-    path cannot wrap the origin undetected unless the true phase moves by
-    >= pi between samples.  The same samples give the zero sum: each segment
-    adds its midpoint times its increment of log w, log q plus the increment
-    of the log-scale for the quotient q of its end mantissas, so that scales
-    near 700 cost the increments no digits.
+    fn maps an array of points to (mantissas, log-scales) of a function of
+    type 1 / unit; only the mantissa phase and the total log-modulus are used.
+    Sampling starts at most pi unit / 4 apart, and at least 64 points per
+    edge, since the phase turns by up to 1 / unit per unit of length: from a
+    coarser start a step over a turn of about 2 pi aliases to no turn, and no
+    round refines it.  A start over _MAX_CONTOUR_POINTS raises ValueError
+    before anything is allocated.  Every interval whose phase increment reaches
+    pi/2 is bisected, all midpoints of a round in one call of fn, so the final
+    polygonal path cannot wrap the origin undetected unless the true phase
+    moves by >= pi between samples.  The same samples give the zero sum: each
+    segment adds its midpoint times its increment of log w, log q plus the
+    increment of the log-scale for the quotient q of its end mantissas, so
+    that scales near 700 cost the increments no digits.
     """
+    spacing = 0.25 * math.pi * unit
+    # floats, so an edge whose length overflows to inf is refused too
+    width, height = (max(side / spacing, 64.0) for side in (rect.x_max - rect.x_min, rect.y_max - rect.y_min))
+    start = 2.0 * (width + height)
+    if not start <= _MAX_CONTOUR_POINTS:
+        raise ValueError(f"contour start needs about {start:.3g} points, over the budget of {_MAX_CONTOUR_POINTS}")
     corners = list(rect.corners)
-    n0 = 64  # initial points per edge; adaptive bisection supplies the rest
-    seg = np.linspace(0.0, 1.0, n0 + 1)[:-1]
-    zs = np.concatenate([a + seg * (b - a) for a, b in zip(corners, corners[1:] + corners[:1])])
+    edges = zip(corners, corners[1:] + corners[:1], (width, height) * 2)
+    zs = np.concatenate([a + np.linspace(0.0, 1.0, math.ceil(n) + 1)[:-1] * (b - a) for a, b, n in edges])
 
     def probe(z):
         mant, scale = fn(z)
@@ -207,13 +214,13 @@ def _target_fn(measure: StieltjesMeasure, target: str):
 
 def count_zeros(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -> ZeroCountResult:
     """Argument-principle zero count of the target inside the rectangle."""
-    return _winding_count(_target_fn(measure, target), rect, _boundary_floor(measure, target))
+    return _winding_count(_target_fn(measure, target), rect, _boundary_floor(measure, target), 1.0 / measure.sigma)
 
 
 def count_h_alpha_zeros(measure: StieltjesMeasure, alpha: float, rect: Rectangle) -> ZeroCountResult:
     """Zero count of h_alpha = G cos(alpha) - H sin(alpha) inside the rectangle."""
     fn = lambda z: eval_h_alpha_scaled(measure, alpha, z)
-    return _winding_count(fn, rect, _boundary_floor(measure, "F"))  # h_alpha has the bound V of F
+    return _winding_count(fn, rect, _boundary_floor(measure, "F"), 1.0 / measure.sigma)  # h_alpha's type and V are F's
 
 
 def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -> complex:
@@ -245,7 +252,7 @@ def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -
             z_new = z - step
             if not box.contains(z_new, pad=unit):
                 return None
-            if abs(step) < 1e-14 * (unit + abs(z_new)):
+            if abs(step) < _NEWTON_XTOL * (unit + abs(z_new)):
                 return z_new
             z = z_new
         return None
@@ -331,10 +338,9 @@ def _real_minima(measure: StieltjesMeasure, target: str, a: float, b: float):
     absw2 = real**2 + w.imag**2
     low = absw2 <= floor * floor
     roots = np.flatnonzero((np.sign(real[:-1]) * np.sign(real[1:]) < 0) & (low[:-1] | low[1:]))
-    padded = np.concatenate([[np.inf], absw2, [np.inf]])
-    minima = np.flatnonzero((absw2 <= padded[:-2]) & (absw2 <= padded[2:]) & low)
-    lo = np.concatenate([grid[roots], grid[np.maximum(minima - 1, 0)]])
-    hi = np.concatenate([grid[roots + 1], grid[np.minimum(minima + 1, n)]])
+    minima, below, above = _grid_minima(absw2, low)
+    lo = np.concatenate([grid[roots], grid[below]])
+    hi = np.concatenate([grid[roots + 1], grid[above]])
     secant = grid[roots] - real[roots] * (grid[roots + 1] - grid[roots]) / (real[roots + 1] - real[roots])
     # +-1 orients Re w to rise through the root of a sign change; 0 marks a minimum
     orient = np.concatenate([np.sign(real[roots + 1]), np.zeros(minima.size)])
@@ -356,7 +362,7 @@ def find_real_zeros(measure: StieltjesMeasure, interval):
     the candidate of least |F| stands for it: a minimum's solution is
     conditioned by |F'|, a sign change's by |Re F'| only.  Multiplicity 1 is
     certified by |F'| away from 0; a double zero is admitted at the origin
-    only, sigma |x| <= 1e-8, and anything deeper raises DiagnosticFailure.
+    only, sigma |x| <= `_ORIGIN_RADIUS`, and anything deeper raises DiagnosticFailure.
     Raises ValueError for an interval that is not finite with a < b, even
     for the zero measure, or whose scan would exceed the grid budget.
     """
@@ -384,7 +390,7 @@ def find_real_zeros(measure: StieltjesMeasure, interval):
         if fp_abs[j] > fp_tol:
             mult = 1
         else:
-            if sig * abs(x0) > 1e-8:
+            if sig * abs(x0) > _ORIGIN_RADIUS:
                 raise DiagnosticFailure(f"real zero at {x0:.6g} is not simple")
             fpp = abs(_target(m, "F''", 0.0, 0)[0][0])
             if fpp <= 1e-8 * m.bound(2):
@@ -420,7 +426,7 @@ def _reflected_on_grid(measure: StieltjesMeasure, cosine: bool = True):
     if nodes[-1] != grid.size - 1:
         nodes = np.append(nodes, grid.size - 1)
     T = _grid_moments(_reflected(measure), grid[nodes], 1)[0]
-    f, fp = T[0], 1j * T[1]  # C + iS and C' + iS' at the nodes
+    f, fp = _mirrored_rows(measure, 0.0, 0, grid[nodes], T)  # C + iS and C' + iS' at the nodes
     inner = np.flatnonzero(np.arange(nodes[-1]) % 8)  # the grid points inside the cells
     j = inner // 8  # and the cell of each
     a, width = grid[nodes[j]], grid[nodes[j + 1]] - grid[nodes[j]]

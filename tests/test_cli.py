@@ -359,6 +359,14 @@ class TestBudgets:
         assert (code, text) == (1, "")
         assert "inf points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rect", ["-1e5,1e5,-1,-0.1", "-1e308,1e308,-1,-0.1"], ids=["over", "overflowing"])
+    @pytest.mark.usefixtures("no_large_linspace")
+    def test_huge_contour(self, tmp_path, capsys, rect):
+        # the start spaces its points at most pi / (4 sigma) apart, about 1e6 of them on the first rectangle
+        code, text = run_cli(["zeros-count", write_scenario(tmp_path, self.FEJER2), f"--rect={rect}"])
+        assert (code, text) == (1, "")
+        assert "contour start" in capsys.readouterr().err
+
     def test_huge_series(self, tmp_path, capsys):
         code, text = run_cli(["interp", write_scenario(tmp_path, self.FEJER2), "--terms", "100000000"])
         assert (code, text) == (1, "")

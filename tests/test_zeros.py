@@ -26,6 +26,32 @@ from hbfourier.zeros import (
 LOWER = Rectangle(-10.0, 10.0, -5.0, -1e-3)
 
 
+def lattice_zeros(coeffs, x_min, x_max):
+    """Zeros of F = sum_k c_k e^{ikz} with x_min - 1 <= Re z <= x_max + 1.
+
+    They are z = -i log w + 2 pi j over the roots w of sum_k c_k w^k.
+    """
+    out = []
+    for w in np.roots(coeffs[::-1]):
+        x0, y = float(np.angle(w)), -math.log(abs(w))
+        j_lo, j_hi = math.floor((x_min - 1.0 - x0) / (2.0 * math.pi)), math.ceil((x_max + 1.0 - x0) / (2.0 * math.pi))
+        out.extend(complex(x0 + 2.0 * math.pi * j, y) for j in range(j_lo, j_hi + 1))
+    return out
+
+
+def inside_and_clearance(zs, x_min, x_max, y_min, y_max):
+    """(zeros strictly inside the rectangle, least distance of a zero from its boundary)."""
+    inside, clearance = 0, math.inf
+    for z in zs:
+        dx, dy = max(x_min - z.real, 0.0, z.real - x_max), max(y_min - z.imag, 0.0, z.imag - y_max)
+        if dx == dy == 0.0:
+            inside += 1
+            clearance = min(clearance, z.real - x_min, x_max - z.real, z.imag - y_min, y_max - z.imag)
+        else:
+            clearance = min(clearance, math.hypot(dx, dy))
+    return inside, clearance
+
+
 class TestCountZeros:
     def test_one_evaluator_call_per_refinement_round(self, triangle_case2):
         fn = _target_fn(triangle_case2, "F'")
@@ -36,10 +62,34 @@ class TestCountZeros:
             return fn(z)
 
         rect = Rectangle(-20.0, 20.0, -6.0, -1e-3)
-        result = _winding_count(counted, rect, math.log(1e-12))
-        assert sizes[0] == 4 * 64 and len(sizes) >= 2  # the start samples, then one call per round
+        result = _winding_count(counted, rect, math.log(1e-12), 1.0 / triangle_case2.sigma)
+        # the start samples, 64 per edge at sigma = 1, then one call per round
+        assert sizes[0] == 4 * 64 and len(sizes) >= 2
         assert sum(sizes) == result.boundary_samples
         assert result == count_zeros(triangle_case2, rect, "F'")
+
+    def test_integer_atoms_match_the_root_oracle(self):
+        # wide rectangles at sigma up to 8: a start of 64 points per edge steps
+        # over whole turns of the phase there, which no refinement round sees
+        rng = np.random.default_rng(20)
+        mismatches, cases = [], 0
+        while cases < 60:
+            degree = int(rng.integers(2, 9))
+            coeffs = rng.integers(-5, 6, size=degree + 1).astype(float)
+            if coeffs[0] == 0.0 or coeffs[-1] == 0.0:
+                continue
+            width, y_min = float(rng.uniform(10.0, 300.0)), float(rng.uniform(-3.0, -0.3))
+            x_min, y_max = float(rng.uniform(-width, 0.0)), float(rng.uniform(y_min + 0.3, 1.5))
+            rect = (x_min, x_min + width, y_min, y_max)
+            expected, clearance = inside_and_clearance(lattice_zeros(coeffs, x_min, x_min + width), *rect)
+            if clearance < 0.15:
+                continue
+            cases += 1
+            m = StieltjesMeasure(float(degree), tuple((float(k), c) for k, c in enumerate(coeffs) if c))
+            counted = count_zeros(m, Rectangle(*rect)).count
+            if counted != expected:
+                mismatches.append((coeffs.tolist(), rect, counted, expected))
+        assert mismatches == []
 
     def test_huge_mantissas_keep_the_refinement(self, two_unit_atoms):
         # neighbouring samples near 1e300 overflow their product, not their quotient,
@@ -69,7 +119,6 @@ class TestCountZeros:
 
     def test_split_additivity(self, sign_breaking_atoms):
         rect = Rectangle(-1.0, 1.0, -2.0, -0.1)
-        left, right = rect.split()
         total = count_zeros(sign_breaking_atoms, rect).count
         # the zero sits at x = 0 on the shared cut; shift the split to avoid it
         left = Rectangle(-1.0, 0.3, -2.0, -0.1)
@@ -524,6 +573,28 @@ class TestClassify:
         result = classify(StieltjesMeasure(1.0, ()))
         assert result.verdict == "identically_zero"
 
+    @pytest.mark.parametrize(
+        "m_count, verdict",
+        [(4, "hb_bar_nontrivial"), (5, "hb"), (6, "hb_bar_nontrivial"), (7, "hb"), (8, "hb_bar_nontrivial")],
+    )
+    def test_fejer_at_large_sigma(self, m_count, verdict):
+        # sigma = m_count: the default rectangle is about 10 sigma / pi wide in
+        # units of the phase's turn, so its contours need the start in 1 / sigma
+        m = from_fejer(m_count)
+        rect = Rectangle(*zeros_module.DEFAULT_LOWER_RECT)
+        assert [count_zeros(m, rect, target).count for target in ("F", "F'", "F''")] == [0, 0, 0]
+        assert classify(m).verdict == verdict
+        assert check_derivative_hb(m, 1).ok and check_derivative_hb(m, 2).ok
+
+    def test_count_rectangle_reaches_down_to_the_lower_zero(self, triangle_case2):
+        # y* = -1.594 lies below the rectangle, which holds no zero itself; the
+        # count runs on the rectangle taken down to 1.5 y*
+        rect = Rectangle(-20.0, 20.0, -1.0, -1e-3)
+        assert count_zeros(triangle_case2, rect).count == 0
+        result = classify(triangle_case2, rect)
+        assert result.verdict == "one_lower_zero" and result.lower_count == 1
+        assert result.lower_zero == pytest.approx(complex(0.0, -1.59362426004004), abs=1e-8)
+
     def test_hypothesis_violation_verdict(self, sign_breaking_atoms):
         result = classify(sign_breaking_atoms)
         assert result.verdict == "hypothesis_violated"
@@ -560,6 +631,14 @@ class TestDerivativeChecks:
     def test_second_derivative_for_fejer(self, fejer2):
         report = check_derivative_hb(fejer2, 2, Rectangle(-10.0, 10.0, -4.0, -1e-3))
         assert report.lower_count == 0
+
+    def test_lower_zeros_of_the_derivative(self):
+        # F = (w - 1)(w - 2) with w = e^{iz}: F' = i w (2 w - 3) vanishes at
+        # -i ln(3/2) + 2 pi j, seven times for |Re z| < 20
+        m = StieltjesMeasure(2.0, ((0.0, 2.0), (1.0, -3.0), (2.0, 1.0)))
+        report = check_derivative_hb(m, 1)
+        assert not report.ok and report.lower_count == 7
+        assert report.note == "lower-half-plane zeros found"
 
     def test_zero_in_an_end_cell(self):
         # F' = i e^{ix} (1 + e^{ix}) vanishes at pi, 0.01 inside the left end
