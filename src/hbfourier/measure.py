@@ -428,7 +428,10 @@ def from_monomial_density(mu_exp: float, nu_exp: float) -> StieltjesMeasure:
         right_nodes = 1.0 - 0.5 * (2.0 * eps) ** u
     else:
         right_nodes = 1.0 - 0.5 * u[::-1] ** 3
-    nodes = np.unique(np.concatenate([left_nodes, right_nodes]))
+    # sorted and deduplicated; np.unique would import numpy.ma, which no other
+    # part of the package needs
+    nodes = np.sort(np.concatenate([left_nodes, right_nodes]))
+    nodes = nodes[np.concatenate([[True], nodes[1:] > nodes[:-1]])]
     values = list(_monomial_g(nodes, mu_exp, nu_exp))
     nodes = list(nodes)
     if singular:

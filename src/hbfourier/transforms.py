@@ -57,8 +57,10 @@ across workers.
 from __future__ import annotations
 
 import cmath
+import collections
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -115,49 +117,67 @@ def _segment_moments(w_powers, a, beta):
     power differs in the last bit); w, `a` and `beta` broadcast together.  The
     caller must arrange Re(a w + beta) <= 0 and Re(beta) <= 0 so that no
     exponential overflows.  Returns an array of shape (len(w_powers),) +
-    broadcast shape.
+    broadcast shape.  Each element takes the power series where |a| w is below
+    _SERIES_CUT, else the closed-form recurrence.  The operands are masked
+    only where one call mixes the two: numpy's array loops give an element
+    the same bits whatever its neighbours and layout, which the tests hold
+    against the masked form for every shape the callers pass.
     """
     w_powers = np.asarray(w_powers, dtype=float)
-    order = len(w_powers) - 1
-    a, beta, *w_powers = np.broadcast_arrays(
-        np.asarray(a, dtype=complex), np.asarray(beta, dtype=complex), *w_powers
-    )
-    w = w_powers[0]
-    out = np.empty((order + 1,) + a.shape, dtype=complex)
-
-    aw_abs = np.abs(a) * w
+    a, beta = np.asarray(a, dtype=complex), np.asarray(beta, dtype=complex)
+    shape = np.broadcast_shapes(a.shape, beta.shape, w_powers.shape[1:])
+    # w_powers[k] aligned with the trailing axes of the broadcast shape
+    w_powers = w_powers.reshape((len(w_powers),) + (1,) * (len(shape) + 1 - w_powers.ndim) + w_powers.shape[1:])
+    aw_abs = np.abs(a) * w_powers[0]
     small = aw_abs < _SERIES_CUT
-    if small.any():
-        aw = a[small] * w[small]
-        # the terms (aw)^j / j! are shared by every m; only the divisors differ,
-        # and numpy divides a complex by a real as a product with its reciprocal
-        recip = _SERIES_RECIPROCALS[: order + 1]
-        term = np.ones_like(aw)
-        acc = term * recip[:, :1]
-        for j in range(1, _series_length(float(np.max(aw_abs[small])))):
-            term = term * aw / j
-            acc += term * recip[:, j : j + 1]
-        acc *= np.exp(beta[small])
-        acc *= np.array([wp[small] for wp in w_powers])
-        out[:, small] = acc
+    if small.all():
+        return _series_moments(w_powers, a, beta, shape, float(np.max(aw_abs)))
+    if not small.any():
+        return _closed_moments(w_powers, a, beta, shape)
+    out = np.empty((len(w_powers),) + shape, dtype=complex)
+    a, beta, small = (np.broadcast_to(v, shape) for v in (a, beta, small))
+    w_powers = np.broadcast_to(w_powers, out.shape)
     big = ~small
-    if big.any():
-        ab = a[big]
-        wb = w[big]
-        e1 = np.exp(ab * wb + beta[big])
-        e0 = np.exp(beta[big])
-        prev = (e1 - e0) / ab
-        out[0][big] = prev
-        wm = 1.0
-        for m in range(1, order + 1):
-            wm = wm * wb
-            prev = (wm * e1 - m * prev) / ab
-            out[m][big] = prev
+    r = float(np.max(np.broadcast_to(aw_abs, shape)[small]))
+    out[:, small] = _series_moments(w_powers[:, small], a[small], beta[small], (int(small.sum()),), r)
+    out[:, big] = _closed_moments(w_powers[:, big], a[big], beta[big], (int(big.sum()),))
+    return out
+
+
+def _series_moments(w_powers, a, beta, shape, r):
+    """`_segment_moments` by the power series, for |a| w <= r < _SERIES_CUT."""
+    aw = a * w_powers[0]
+    # the terms (aw)^j / j! are shared by every m; only the divisors differ,
+    # and numpy divides a complex by a real as a product with its reciprocal
+    recip = _SERIES_RECIPROCALS[: len(w_powers)].reshape((len(w_powers), _SERIES_TERMS) + (1,) * len(shape))
+    term = np.ones(shape, dtype=complex)
+    acc = term * recip[:, 0]
+    for j in range(1, _series_length(r)):
+        term = term * aw / j
+        acc += term * recip[:, j]
+    acc *= np.exp(beta)
+    acc *= w_powers
+    return acc
+
+
+def _closed_moments(w_powers, a, beta, shape):
+    """`_segment_moments` by the closed-form recurrence, for |a| w >= _SERIES_CUT."""
+    out = np.empty((len(w_powers),) + shape, dtype=complex)
+    w = w_powers[0]
+    e1 = np.exp(a * w + beta)
+    e0 = np.exp(beta)
+    prev = (e1 - e0) / a
+    out[0] = prev
+    wm = 1.0
+    for m in range(1, len(out)):
+        wm = wm * w
+        prev = (wm * e1 - m * prev) / a
+        out[m] = prev
     return out
 
 
 class _DensityTables(NamedTuple):
-    """A density laid out for `_grid_moments`; see `_density_tables`."""
+    """A density laid out for `_grid_moments`; see `_lay_out`."""
 
     t0: np.ndarray
     w_powers: np.ndarray
@@ -166,8 +186,7 @@ class _DensityTables(NamedTuple):
     levels: list
 
 
-@functools.lru_cache(maxsize=64)  # an entry of a 2049-panel density is 0.77 MB, 3.4 MB with every level built
-def _density_tables(density: PiecewiseLinearDensity) -> _DensityTables:
+def _lay_out(density: PiecewiseLinearDensity) -> _DensityTables:
     """A density's panels and cluster levels, laid out on its first evaluation.
 
     The panel path: t0 and w_powers[k] = w ** (k + 1) are columns of shape
@@ -181,8 +200,8 @@ def _density_tables(density: PiecewiseLinearDensity) -> _DensityTables:
     half-width h = (hi - lo) / 2^(L+2), from 2 cells up to the most that do
     not outnumber the panels (still 2 for a one-panel density), and
     limits[L] = _CLUSTER_RHO / h is the largest |z| it serves.  levels[L]
-    holds its table (h, centres, B) from `_cluster_level` once a point has
-    needed it, else None: real-axis work on a many-panel density stays on
+    holds its table (h, centres, coeffs) from `_cluster_level` once a point
+    has needed it, else None: real-axis work on a many-panel density stays on
     the coarse levels and never builds the fine ones.
     """
     panels = density.panels
@@ -206,14 +225,87 @@ def _density_tables(density: PiecewiseLinearDensity) -> _DensityTables:
     return _DensityTables(t0, w_powers[:, :, None], tuple(rows), limits, [None] * len(counts))
 
 
+def _nbytes(*parts) -> int:
+    """Bytes held by the arrays among parts, tuples of them included."""
+    return sum(_nbytes(*p) if isinstance(p, (tuple, list)) else getattr(p, "nbytes", 0) for p in parts)
+
+
+class _TableCache:
+    """`_lay_out` tables by density, the least recently used evicted past a byte budget.
+
+    An entry is charged its panel tables when laid out and each cluster level
+    as `level` builds it, so a many-panel density evaluated far off the axis
+    counts for what it holds: 5.8 MB with all 11 levels of 2049 panels, 43 kB
+    with all 4 of 16.  The entry in use is never evicted, even alone past the
+    budget.  A lock keeps the bookkeeping whole under threads; threads that
+    race to build one level each build the same table, and either is kept.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self._entries: collections.OrderedDict = collections.OrderedDict()  # density -> [tables, bytes]
+        self.nbytes = 0  # held by all entries
+        self._lock = threading.Lock()
+
+    def __call__(self, density: PiecewiseLinearDensity) -> _DensityTables:
+        with self._lock:
+            entry = self._entries.get(density)
+            if entry is not None:
+                self._entries.move_to_end(density)
+                return entry[0]
+        tables = _lay_out(density)
+        with self._lock:
+            if density not in self._entries:
+                self._entries[density] = [tables, 0]
+                self._charge(density, tables, _nbytes(tables.t0, tables.w_powers, tables.rows, tables.limits))
+            return self._entries[density][0]
+
+    def level(self, density: PiecewiseLinearDensity, tables: _DensityTables, lv: int) -> tuple:
+        """The table of level lv, built and charged to the density on first use."""
+        table = tables.levels[lv]
+        if table is None:
+            table = _cluster_level(density, 2 << lv)
+            with self._lock:
+                if tables.levels[lv] is None:
+                    tables.levels[lv] = table
+                    self._charge(density, tables, _nbytes(table))
+        return table
+
+    def _charge(self, density, tables, nbytes: int):
+        """Add nbytes to the density's entry and evict past the budget; the caller holds the lock."""
+        entry = self._entries.get(density)
+        if entry is None or entry[0] is not tables:
+            return  # evicted since the caller looked it up
+        self._entries.move_to_end(density)
+        entry[1] += nbytes
+        self.nbytes += nbytes
+        while self.nbytes > self.budget and len(self._entries) > 1:
+            _, (_, freed) = self._entries.popitem(last=False)
+            self.nbytes -= freed
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def cache_clear(self):
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
+
+
+#: the evaluator's tables of every density, within 32 MB
+_density_tables = _TableCache(32 << 20)
+
+
 def _cluster_level(density: PiecewiseLinearDensity, count: int) -> tuple:
-    """The cluster table (h, centres, B) of a density's level of `count` cells.
+    """The cluster table (h, centres, coeffs) of a density's level of `count` cells.
 
     The level cuts the density's span [lo, hi] into cells of half-width
-    h = (hi - lo) / (2 count) and centres c_j, and
+    h = (hi - lo) / (2 count) and centres c_j, a column of shape (count, 1), and
     B[m, k, j] = int_{cell j} g(t) t^m ((t - c_j) / h)^k dt / k!
-    for m <= _MAX_ORDER and k < _CLUSTER_TERMS.  Every panel is cut at the
-    cell edges.  A piece of midpoint p and half-width h_p, on which
+    for m <= _MAX_ORDER and k < _CLUSTER_TERMS; coeffs[k] is B[:, k] as a
+    contiguous complex array of shape (_MAX_ORDER + 1, count, 1), the operand
+    that `_cluster_sum` adds at Horner step k, so that no step converts it
+    again.  Every panel is cut at the cell edges.  A piece of midpoint p and half-width h_p, on which
     g(p + h_p x) = alpha + beta x for x in [-1, 1], has the moments
     int g(t) ((t - p) / h)^i dt = h_p s^i (2 alpha / (i + 1) or 2 beta / (i + 2)),
     even or odd i, with s = h_p / h; the binomial sum
@@ -264,7 +356,8 @@ def _cluster_level(density: PiecewiseLinearDensity, count: int) -> tuple:
     for m in range(_MAX_ORDER + 1):
         for n in range(m + 1):
             B[m] += math.comb(m, n) * h**n * centres ** (m - n) * moments[n : n + _CLUSTER_TERMS]
-    return h, centres, B * inv_fact
+    coeffs = np.ascontiguousarray((B * inv_fact).transpose(1, 0, 2)[..., None], dtype=complex)
+    return h, centres[:, None], coeffs
 
 
 def _panel_sum(out, a, E, tables: _DensityTables):
@@ -289,22 +382,30 @@ def _panel_sum(out, a, E, tables: _DensityTables):
         del M, terms  # free this block's arrays before the next block's
 
 
-def _cluster_sum(out, a, E, h, centres, B):
+def _cluster_sum(out, a, E, h, centres, coeffs):
     """Add every cell of one level at the points a = iz to out, in cell order.
 
     A cell adds e^{izc - E} sum_k (izh)^k B[m, k] to out[m], the Taylor
     series summed by Horner's rule; |z| h <= _CLUSTER_RHO bounds its terms.
+    u = izh is laid out once per block in the shape of the accumulator, and
+    coeffs[k] (see `_cluster_level`) is added as it is stored, so each Horner
+    step is two array operations on contiguous operands, which numpy runs on
+    its fast path.
     """
-    B = B[: len(out), :, :, None]
+    n = len(out)
+    coeffs = coeffs[:, :n]
     step = max(1, _BLOCK // len(centres))
     for lo in range(0, a.size, step):
         blk = slice(lo, lo + step)
-        u = a[blk] * h
-        acc = B[:, -1] * np.ones_like(u)
-        for k in range(_CLUSTER_TERMS - 2, -1, -1):
+        ab = a[blk]
+        acc = np.empty((n, len(centres), ab.size), dtype=complex)
+        acc[...] = coeffs[-1]
+        u = np.empty_like(acc)
+        u[...] = ab * h
+        for c in coeffs[-2::-1]:
             acc *= u
-            acc += B[:, k]
-        acc *= np.exp(centres[:, None] * a[blk] - E[blk])
+            acc += c
+        acc *= np.exp(centres * ab - E[blk])
         terms = np.concatenate([out[:, None, blk], acc], axis=1)
         out[:, blk] = np.cumsum(terms, axis=1)[:, -1]
 
@@ -319,7 +420,9 @@ def _grid_moments(measure: StieltjesMeasure, z, order: int):
     cells of the level that |z| selects, or over all panels where |z| is
     past the finest level; each block of points is evaluated element by
     element, so a point's moments do not depend on the other points of the
-    call.  T has shape (order + 1,) + z.shape.
+    call.  A call whose points all take one level, or all the panel path,
+    sums in place; only a mixed call groups its points.  T has shape
+    (order + 1,) + z.shape.
     """
     z = np.asarray(z)
     E = np.maximum(-measure.sigma * z.imag, 0.0)
@@ -331,24 +434,23 @@ def _grid_moments(measure: StieltjesMeasure, z, order: int):
         for m in range(order + 1):
             T[m] += (c * tm) * phase
             tm *= t
-    if measure.density is not None:
+    if measure.density is not None and z.size:
         tables = _density_tables(measure.density)
         a, E, flat = a.reshape(-1), E.reshape(-1), T.reshape(order + 1, -1)
         # the coarsest level with |z| h <= rho; len(limits) marks the panel path
         level = np.searchsorted(tables.limits, np.abs(a))
-        counts = np.bincount(level)
-        for lv in np.flatnonzero(counts):
-            whole = counts[lv] == a.size
-            pts = slice(None) if whole else np.flatnonzero(level == lv)
-            part = flat[:, pts]  # a view when whole, else a copy written back below
+        first = int(level[0])
+        if a.size == 1 or not np.any(level != first):
+            groups = [(first, slice(None))]
+        else:
+            groups = [(lv, np.flatnonzero(level == lv)) for lv in np.flatnonzero(np.bincount(level))]
+        for lv, pts in groups:
+            part = flat[:, pts]  # a view for a slice, else a copy written back below
             if lv < len(tables.levels):
-                # threads that race here each build the same table; either store is kept
-                if tables.levels[lv] is None:
-                    tables.levels[lv] = _cluster_level(measure.density, 2 << lv)
-                _cluster_sum(part, a[pts], E[pts], *tables.levels[lv])
+                _cluster_sum(part, a[pts], E[pts], *_density_tables.level(measure.density, tables, lv))
             else:
                 _panel_sum(part, a[pts], E[pts], tables)
-            if not whole:
+            if not isinstance(pts, slice):
                 flat[:, pts] = part
     return T, E.reshape(z.shape)[()]  # [()] gives a scalar E for a scalar z
 

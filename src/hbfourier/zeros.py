@@ -39,6 +39,9 @@ from .transforms import (
 BOUNDARY_MODULUS_FACTOR = 1e-12
 #: |F^(k)| below this, times its bound `StieltjesMeasure.bound(k)` = sigma^k V, counts as a zero
 ZERO_TOL = 1e-10
+#: the evaluator's error, relative to the scale of a target, that a certified residual allows for;
+#: the transforms' tests hold it to 1e-14 against 40-digit references
+_ROUNDING = 1e-13
 #: boundary samples a contour count may refine to
 _MAX_CONTOUR_POINTS = 400_000
 #: grid points a real-axis scan may allocate
@@ -120,10 +123,18 @@ def _winding_count(fn, rect: Rectangle, min_log_modulus: float, unit: float) -> 
     before anything is allocated.  Every interval whose phase increment reaches
     pi/2 is bisected, all midpoints of a round in one call of fn, so the final
     polygonal path cannot wrap the origin undetected unless the true phase
-    moves by >= pi between samples.  The same samples give the zero sum: each
-    segment adds its midpoint times its increment of log w, log q plus the
-    increment of the log-scale for the quotient q of its end mantissas, so
-    that scales near 700 cost the increments no digits.
+    moves by >= pi between samples.
+
+    The same samples give the zero sum (Delves & Lyness, Math. Comp. 21,
+    1967): each segment adds its midpoint times its increment of log w, log q
+    plus the increment of the log-scale for the quotient q of its end
+    mantissas, so that scales near 700 cost the increments no digits.  This
+    sum S_h is the midpoint rule on every edge, off by c h^2 + O(h^4) for the
+    spacing h of each edge.  Where the start needed no refinement and every
+    edge holds an even number of samples, every other sample is the same rule
+    at spacing 2h, S_2h, and the zero sum is (4 S_h - S_2h) / 3, in which the
+    h^2 terms cancel; a refined contour keeps S_h, since its spacings are not
+    uniform along an edge and the h^2 terms do not cancel there.
     """
     spacing = 0.25 * math.pi * unit
     # floats, so an edge whose length overflows to inf is refused too
@@ -131,9 +142,13 @@ def _winding_count(fn, rect: Rectangle, min_log_modulus: float, unit: float) -> 
     start = 2.0 * (width + height)
     if not start <= _MAX_CONTOUR_POINTS:
         raise ValueError(f"contour start needs about {start:.3g} points, over the budget of {_MAX_CONTOUR_POINTS}")
-    corners = list(rect.corners)
-    edges = zip(corners, corners[1:] + corners[:1], (width, height) * 2)
-    zs = np.concatenate([a + np.linspace(0.0, 1.0, math.ceil(n) + 1)[:-1] * (b - a) for a, b, n in edges])
+    counts = [math.ceil(n) for n in (width, height) * 2]
+    edge = np.repeat(np.arange(4), counts)  # the edge of each sample
+    first = np.cumsum([0] + counts[:3])
+    corners = np.array(rect.corners)
+    # sample i of an edge of n is at i * (1 / n) along it, as np.linspace(0, 1, n + 1) puts it
+    t = (np.arange(edge.size) - first[edge]) * (1.0 / np.array(counts, dtype=float))[edge]
+    zs = corners[edge] + t * (corners[[1, 2, 3, 0]] - corners)[edge]
 
     def probe(z):
         mant, scale = fn(z)
@@ -147,14 +162,16 @@ def _winding_count(fn, rect: Rectangle, min_log_modulus: float, unit: float) -> 
         return mant, scale
 
     ws, scales = probe(zs)
-    for _ in range(64):
+    for rounds in range(64):
+        nxt = np.arange(1, len(zs) + 1)  # each sample's successor along the boundary
+        nxt[-1] = 0
         # the quotient of neighbouring samples cannot overflow, unlike a product
-        q = np.roll(ws, -1) / ws
+        q = ws[nxt] / ws
         dphi = np.angle(q)
         split = np.flatnonzero(np.abs(dphi) >= 0.5 * math.pi)
         if not split.size:
             break
-        zm = 0.5 * (zs[split] + np.roll(zs, -1)[split])
+        zm = 0.5 * (zs[split] + zs[nxt[split]])
         zs = np.insert(zs, split + 1, zm)
         wm, em = probe(zm)
         ws, scales = np.insert(ws, split + 1, wm), np.insert(scales, split + 1, em)
@@ -170,8 +187,13 @@ def _winding_count(fn, rect: Rectangle, min_log_modulus: float, unit: float) -> 
         raise DiagnosticFailure(f"non-integer winding number {winding:.3f} after refinement")
     if count < 0:
         raise DiagnosticFailure(f"negative winding count {count}; the target is not analytic inside")
-    dlog = np.log(np.abs(q)) + (np.roll(scales, -1) - scales) + 1j * dphi
-    zero_sum = complex(np.sum(0.5 * (zs + np.roll(zs, -1)) * dlog) / (2j * math.pi))
+    dlog = np.log(np.abs(q)) + (scales[nxt] - scales) + 1j * dphi
+    zero_sum = complex(np.sum(0.5 * (zs + zs[nxt]) * dlog) / (2j * math.pi))
+    if rounds == 0 and not any(n % 2 for n in counts):
+        # the start alone, every edge even: its corners are among every other sample
+        ends = np.append(zs[2::2], zs[0])
+        coarse = complex(np.sum(0.5 * (zs[::2] + ends) * (dlog[::2] + dlog[1::2])) / (2j * math.pi))
+        zero_sum = (4.0 * zero_sum - coarse) / 3.0
     return ZeroCountResult(count=count, winding_residual=residual, boundary_samples=len(zs), zero_sum=zero_sum)
 
 
@@ -223,6 +245,17 @@ def count_h_alpha_zeros(measure: StieltjesMeasure, alpha: float, rect: Rectangle
     return _winding_count(fn, rect, _boundary_floor(measure, "F"), 1.0 / measure.sigma)  # h_alpha's type and V are F's
 
 
+def _newton_residual(f, fp, d, m2: float, scale: float) -> float:
+    """A bound on |w(x + d)| from w(x) = f and w'(x) = fp, where |w''| <= m2 between.
+
+    Taylor's theorem gives w(x + d) = f + d fp + R with |R| <= m2 |d|^2 / 2.
+    A Newton step d = -f / fp leaves |f + d fp| at rounding; the evaluator's
+    own error on f and fp, which a fresh evaluation at x + d would show too,
+    is allowed for by _ROUNDING times the scale of w.
+    """
+    return abs(f + d * fp) + 0.5 * m2 * abs(d) ** 2 + _ROUNDING * scale
+
+
 def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -> complex:
     """Locate the unique zero of the target inside the rectangle.
 
@@ -234,15 +267,26 @@ def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -
     below the axis V bounds |F| e^{-sigma |Im z|}.  Its lengths are in the
     unit 1 / sigma: Newton stops at a step below 1e-14 (1 / sigma + |z|),
     may leave the rectangle by 1 / sigma, and its zero by 1e-9 / sigma.
+
+    The acceptance is certified from the last Newton step d, with no
+    evaluation at the zero: `_newton_residual` bounds the mantissa there by
+    |w + d w'| + M |d|^2 / 2 plus a rounding allowance, times e^{2 sigma |d|}
+    for the change of the scale E along the step.  M e^E bounds |w''|: for
+    F, sigma^2 V; for zF = z F'' + 2 F', (|z| + 2 |d|) sigma^2 V + 2 sigma V
+    by Leibniz's rule; for F / z = int_0^1 F'(u z) du, sigma^3 V / 3.  The
+    allowance is _ROUNDING times the scale of w: V, (|z| + |d|) V, sigma V.
     """
     if target not in ("F", "zF", "F/z"):
         raise ValueError("locate_zero supports the F-family targets only")
     result = count_zeros(measure, rect, target)
     if result.count != 1:
         raise ValueError(f"rectangle holds {result.count} zeros; need exactly 1")
-    unit = 1.0 / measure.sigma
+    sig = measure.sigma
+    unit = 1.0 / sig
+    V = measure.bound()
 
     def newton_from(z0: complex, box: Rectangle):
+        """(z*, bound on the mantissa of the target at z*), or None where Newton fails."""
         z = z0
         for _ in range(60):
             (f, fp), _ = _target(measure, target, z, 1)
@@ -253,7 +297,14 @@ def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -
             if not box.contains(z_new, pad=unit):
                 return None
             if abs(step) < _NEWTON_XTOL * (unit + abs(z_new)):
-                return z_new
+                d = abs(z_new - z)
+                if target == "F":
+                    m2, scale = sig * sig * V, V
+                elif target == "zF":
+                    m2, scale = (abs(z_new) + 2.0 * d) * sig * sig * V + 2.0 * sig * V, (abs(z_new) + d) * V
+                else:
+                    m2, scale = sig**3 * V / 3.0, sig * V
+                return z_new, _newton_residual(f, fp, z_new - z, m2, scale) * math.exp(2.0 * sig * d)
             z = z_new
         return None
 
@@ -262,11 +313,9 @@ def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -
         z0 = result.zero_sum
         if not box.contains(z0):
             z0 = complex(0.5 * (box.x_min + box.x_max), 0.5 * (box.y_min + box.y_max))
-        z_star = newton_from(z0, rect)
-        if z_star is not None and rect.contains(z_star, pad=1e-9 * unit):
-            (f,), _ = _target(measure, target, z_star, 0)
-            if abs(f) <= ZERO_TOL * measure.bound():
-                return z_star
+        found = newton_from(z0, rect)
+        if found is not None and rect.contains(found[0], pad=1e-9 * unit) and found[1] <= ZERO_TOL * V:
+            return found[0]
         for q in box.quadrants():
             try:
                 counted = count_zeros(measure, q, target)
@@ -483,7 +532,10 @@ def _imaginary_zero(measure: StieltjesMeasure) -> float:
     g'(y) = (sigma F(iy) + i F'(iy)) e^{sigma y} locate.  One call probes
     y = -1, -2, -4 and -8 in the unit 1 / sigma, where the bracket closes on
     every measure of the benchmark, and the doubling goes on one probe at a
-    time past -8 / sigma.
+    time past -8 / sigma.  The root is accepted without evaluating g there:
+    from the last (y, g, g') that Newton evaluated, `_newton_residual` bounds
+    |g(y*)| with |g''| <= sigma^2 V, since g(y) = int e^{y (sigma - t)} d mu
+    for y <= 0; a bound above ZERO_TOL V raises DiagnosticFailure.
     """
 
     def g(y):
@@ -502,13 +554,21 @@ def _imaginary_zero(measure: StieltjesMeasure) -> float:
     else:
         raise DiagnosticFailure("failed to bracket the imaginary zero")
 
+    last = []  # (y, g, g') of the latest evaluation
+
     def slope(y, _):
         f, fp = _target(measure, "F", 1j * y, 1)[0]
-        return f.real, measure.sigma * f.real - fp.imag
+        g_y, gp_y = f.real, measure.sigma * f.real - fp.imag
+        last[:] = [float(y[0]), float(g_y[0]), float(gp_y[0])]
+        return g_y, gp_y
 
     y0 = y_lo + (y_hi - y_lo) * g_lo / (g_lo - g_hi)  # secant start
     y_star = float(_bracketed_newton(slope, y_lo, y_hi, y0, unit)[0])
-    if abs(g(y_star)) > ZERO_TOL * measure.bound():
+    y, g_y, gp_y = last
+    V = measure.bound()
+    # g'' = int (sigma - t)^2 e^{y (sigma - t)} d mu, at most sigma^2 V for y <= 0;
+    # a NaN bound fails the comparison and raises
+    if not _newton_residual(g_y, gp_y, y_star - y, measure.bound(2), V) <= ZERO_TOL * V:
         raise DiagnosticFailure("Newton iteration did not drive |F(iy)| e^{sigma y} to zero")
     return y_star
 
@@ -583,7 +643,9 @@ def classify(measure: StieltjesMeasure, rect: Rectangle | None = None) -> Classi
 
     count_rect = rect
     if y_star is not None and not rect.contains(complex(0.0, y_star)):
-        count_rect = Rectangle(rect.x_min, rect.x_max, min(rect.y_min, 1.5 * y_star), rect.y_max)
+        # down to 1.5 y* where y* lies below the rectangle, up to y* / 2 where it
+        # lies above: either way half its depth inside the edge that moved
+        count_rect = Rectangle(rect.x_min, rect.x_max, min(rect.y_min, 1.5 * y_star), max(rect.y_max, 0.5 * y_star))
     counted = count_zeros(measure, count_rect, "F").count
     if counted != expected_lower:
         raise DiagnosticFailure(

@@ -12,13 +12,17 @@ from hypothesis import strategies as st
 from hbfourier.measure import PiecewiseLinearDensity, StieltjesMeasure, from_monomial_density, from_pd_profile
 from hbfourier.transforms import (
     _BLOCK,
+    _CLUSTER_TERMS,
     _MAX_ORDER,
     _SERIES_CUT,
+    _SERIES_RECIPROCALS,
     _bracketed_newton,
     _cluster_level,
+    _cluster_sum,
     _density_tables,
     _grid_moments,
     _segment_moments,
+    _series_length,
     eval_CS,
     eval_Delta,
     eval_Delta_reflected,
@@ -463,8 +467,8 @@ class TestLeaf:
     def test_one_panel_is_split_in_two(self):
         density = _one_panel().density
         assert _density_tables(density).limits.tolist() == [0.5 / 0.375]
-        h, centres, B = _cluster_level(density, 2)
-        assert h == 0.375 and list(centres) == [0.375, 1.125] and B.shape[-1] == 2
+        h, centres, coeffs = _cluster_level(density, 2)
+        assert h == 0.375 and centres.ravel().tolist() == [0.375, 1.125] and coeffs.shape[-2:] == (2, 1)
 
     @pytest.mark.parametrize("order", [0, 2])
     @pytest.mark.parametrize("make", [lambda: _triangle(128), _one_panel], ids=["triangle128", "one_panel"])
@@ -520,6 +524,154 @@ class TestLeaf:
         for z, T in zip(np.tile(points, 4), got):
             assert np.array_equal(bits(T), bits(_grid_moments(m, z, 1)[0]))
 
+
+def _cluster_sum_reference(out, a, E, h, centres, B):
+    """`_cluster_sum` as first written: real B[m, k, j], u broadcast over the cells."""
+    B = B[: len(out), :, :, None]
+    step = max(1, _BLOCK // len(centres))
+    for lo in range(0, a.size, step):
+        blk = slice(lo, lo + step)
+        u = a[blk] * h
+        acc = B[:, -1] * np.ones_like(u)
+        for k in range(_CLUSTER_TERMS - 2, -1, -1):
+            acc *= u
+            acc += B[:, k]
+        acc *= np.exp(centres[:, None] * a[blk] - E[blk])
+        terms = np.concatenate([out[:, None, blk], acc], axis=1)
+        out[:, blk] = np.cumsum(terms, axis=1)[:, -1]
+
+
+def _segment_moments_reference(w_powers, a, beta):
+    """`_segment_moments` as first written: every operand broadcast, both branches masked."""
+    w_powers = np.asarray(w_powers, dtype=float)
+    order = len(w_powers) - 1
+    a, beta, *w_powers = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(beta, dtype=complex), *w_powers)
+    w = w_powers[0]
+    out = np.empty((order + 1,) + a.shape, dtype=complex)
+    aw_abs = np.abs(a) * w
+    small = aw_abs < _SERIES_CUT
+    if small.any():
+        aw = a[small] * w[small]
+        recip = _SERIES_RECIPROCALS[: order + 1]
+        term = np.ones_like(aw)
+        acc = term * recip[:, :1]
+        for j in range(1, _series_length(float(np.max(aw_abs[small])))):
+            term = term * aw / j
+            acc += term * recip[:, j : j + 1]
+        acc *= np.exp(beta[small])
+        acc *= np.array([wp[small] for wp in w_powers])
+        out[:, small] = acc
+    big = ~small
+    if big.any():
+        ab, wb = a[big], w[big]
+        e1 = np.exp(ab * wb + beta[big])
+        e0 = np.exp(beta[big])
+        prev = (e1 - e0) / ab
+        out[0][big] = prev
+        wm = 1.0
+        for m in range(1, order + 1):
+            wm = wm * wb
+            prev = (wm * e1 - m * prev) / ab
+            out[m][big] = prev
+    return out
+
+
+class TestSameBits:
+    """The evaluator's kernels against the formulas they replaced, bit for bit:
+    laying operands out differently may not move a single output bit."""
+
+    @pytest.mark.parametrize("cells", [2, 4, 8, 16, 32, 64, 128])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_cluster_sum(self, cells, order):
+        rng = np.random.default_rng(cells + 1000 * order)
+        density = _triangle(128).density
+        h, centres, coeffs = _cluster_level(density, cells)
+        B = coeffs[..., 0].real.transpose(1, 0, 2)  # B[m, k, j]
+        assert np.array_equal(coeffs.imag, np.zeros_like(coeffs.imag))
+        for n in (1, 2, 7, 33, 300):
+            # points the level serves, |z| h <= 1/2, real and complex
+            z = rng.uniform(0.0, 0.5 / h, n) * np.exp(1j * rng.uniform(-math.pi, 0.1, n))
+            z[::3] = z[::3].real
+            a, E = 1j * z, np.maximum(-z.imag, 0.0)
+            start = rng.normal(size=(order + 1, n)) + 1j * rng.normal(size=(order + 1, n))
+            got, want = start.copy(), start.copy()
+            _cluster_sum(got, a, E, h, centres, coeffs)
+            _cluster_sum_reference(want, a, E, h, centres.ravel(), B)
+            assert np.array_equal(bits(got), bits(want)), n
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("mix", ["series", "closed", "mixed"])
+    def test_segment_moments(self, order, mix):
+        # the panel path's shapes, (order + 2, P, 1) powers against P x points,
+        # and posdef's, scalar powers against a row or a grid of points
+        rng = np.random.default_rng(order + 10 * len(mix))
+        for n in (1, 2, 7, 33, 300):
+            w = rng.uniform(1e-3, 0.7, (16, 1))
+            reach = {"series": 0.99, "closed": 50.0, "mixed": 4.0}[mix]
+            lo = {"series": 0.0, "closed": 1.0 / w.min(), "mixed": 0.0}[mix]
+            z = rng.uniform(lo, lo + reach / w.max(), n) * np.exp(1j * rng.uniform(-math.pi, 0.0, n))
+            a = 1j * z
+            w_powers = np.array([[[x**k for x in col] for col in w] for k in range(1, order + 3)])
+            beta = a * np.linspace(0.0, 1.0, 16)[:, None] - np.maximum(-z.imag, 0.0)
+            small = np.abs(a) * w < _SERIES_CUT
+            branches = {"series": small.all(), "closed": not small.any(), "mixed": 0 < small.sum() < small.size}
+            assert branches[mix] or n == 1
+            got = _segment_moments(w_powers, a, beta)
+            assert np.array_equal(bits(got), bits(_segment_moments_reference(w_powers, a, beta)))
+            scalar = [0.3**k for k in range(1, order + 3)]
+            for args in ((scalar, a, 0.3 * a), (np.ones(order + 2), a * w, 0.0)):
+                got = _segment_moments(*args)
+                assert got.shape == _segment_moments_reference(*args).shape
+                assert np.array_equal(bits(got), bits(_segment_moments_reference(*args)))
+
+
+class TestTableCache:
+    def test_many_panel_densities_stay_within_the_budget(self):
+        # seven 2049-panel densities, each evaluated out to its finest level
+        # (5.8 MB of tables each), would hold 40 MB; past the 32 MB budget the
+        # least recently used go first, and the latest stay as they were built
+        _density_tables.cache_clear()
+        held = []
+        try:
+            for mu in (1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5):
+                m = from_monomial_density(mu, 0.8)
+                limits = _density_tables(m.density).limits
+                _grid_moments(m, np.concatenate([0.9 * limits, limits]) * np.exp(-0.3j), 0)
+                held.append((m.density, _density_tables(m.density)))
+                assert all(level is not None for level in held[-1][1].levels)
+                assert _density_tables.nbytes <= _density_tables.budget
+            assert 1 < len(_density_tables) < len(held)
+            live = held[-len(_density_tables) :]
+            assert all(_density_tables(d) is tables for d, tables in live)
+            assert _density_tables.nbytes == sum(
+                t.t0.nbytes + t.w_powers.nbytes + t.limits.nbytes
+                + sum(i.nbytes + q.nbytes for i, q in t.rows)
+                + sum(np.asarray(h).nbytes + c.nbytes + k.nbytes for h, c, k in t.levels)
+                for _, t in live
+            )
+        finally:
+            _density_tables.cache_clear()
+
+    def test_the_zero_workloads_densities_all_stay(self):
+        # twenty small densities of 1 to 128 panels and their reflections, more
+        # than the complex-plane workload holds, each evaluated through every
+        # level and the panel path, as the contour searches do
+        rng = np.random.default_rng(4)
+        ms = []
+        for p in (1, 2, 3, 4, 5, 6, 8, 12, 16, 16, 16, 16, 16, 24, 32, 32, 48, 64, 100, 128):
+            nodes = np.linspace(0.0, 1.0, p + 1)
+            density = PiecewiseLinearDensity.interpolant(nodes, rng.uniform(0.5, 2.0, p + 1))
+            m = StieltjesMeasure(1.0, ((1.0, -0.5),), density)
+            ms += [m, m.reflected()]
+        _density_tables.cache_clear()
+        first = {}
+        for m in ms:
+            limits = _density_tables(m.density).limits
+            _grid_moments(m, np.concatenate([limits, 2.0 * limits[-1:]]) * np.exp(-0.4j), 1)
+            first[m.density] = _density_tables(m.density)
+        assert len(_density_tables) == len(first) == 40
+        assert all(_density_tables(d) is tables for d, tables in first.items())
+        assert _density_tables.nbytes < 0.25 * _density_tables.budget
 
 class TestBracketedNewton:
     def test_roots_of_either_orientation(self):

@@ -7,6 +7,8 @@ import hbfourier.zeros as zeros_module
 from hbfourier.measure import HYPOTHESIS_TOL, PiecewiseLinearDensity, StieltjesMeasure, from_fejer, from_pd_profile
 from hbfourier.transforms import _reflected, eval_Delta, eval_F
 from hbfourier.zeros import (
+    DEFAULT_LOWER_RECT,
+    ZERO_TOL,
     BoundaryZeroError,
     DiagnosticFailure,
     HypothesisViolation,
@@ -187,11 +189,14 @@ def _around(y: float) -> Rectangle:
 class TestNewtonStart:
     @pytest.mark.parametrize("jump", [-0.65, -0.5, -0.35])
     def test_zero_sum_estimates_the_zero(self, jump):
-        m = _triangle(16, jump)
-        y = find_imaginary_zero(m)
-        result = count_zeros(m, _around(y))
-        assert result.count == 1
-        assert abs(result.zero_sum - complex(0.0, y)) <= 1e-4
+        # the benchmark's locate rectangles: 64 samples on every edge, none
+        # refined, so the sum is extrapolated; the plain sum S_h is 2.8e-6 off
+        for panels in (1, 4, 16, 64):
+            m = _triangle(panels, jump)
+            y = find_imaginary_zero(m)
+            result = count_zeros(m, _around(y))
+            assert result.count == 1 and result.boundary_samples == 4 * 64
+            assert abs(result.zero_sum - complex(0.0, y)) <= 1e-9
 
     @pytest.mark.parametrize(
         "x_min,x_max,below,above", [(-30.0, 30.0, 0.01, 0.5), (-0.6, 0.7, 0.45, 1e-4)], ids=["wide", "zero_at_the_top"]
@@ -219,8 +224,9 @@ class TestNewtonStart:
 
     def test_probe_keeps_its_value_with_fewer_evaluations(self, monkeypatch):
         # the benchmark's probe, around the correctly rounded 40-digit zero
-        # -1.593624260040040092i: the contour, three Newton steps and the
-        # acceptance check, where the centre start took two steps more
+        # -1.593624260040040092i: the contour and two Newton steps from its
+        # extrapolated zero sum, the second confirming the first, with the
+        # acceptance certified from the last step instead of a fifth call
         y_ref = -1.59362426004004
         evaluator = zeros_module._grid_moments
         calls = []
@@ -232,7 +238,117 @@ class TestNewtonStart:
         monkeypatch.setattr(zeros_module, "_grid_moments", counted)
         z = locate_zero(_triangle(16, -0.5), _around(y_ref))
         assert abs(z.imag - y_ref) <= math.ulp(y_ref) and abs(z.real) <= 1e-30
-        assert len(calls) == 5
+        assert len(calls) == 3
+
+
+def _zero_sum_reference(fn, rect: Rectangle, unit: float):
+    """(start samples, samples, zero sum) of `_winding_count` as first written:
+    the plain sum S_h, with np.roll for each sample's successor."""
+    spacing = 0.25 * math.pi * unit
+    width, height = (max(side / spacing, 64.0) for side in (rect.x_max - rect.x_min, rect.y_max - rect.y_min))
+    corners = list(rect.corners)
+    edges = zip(corners, corners[1:] + corners[:1], (width, height) * 2)
+    zs = np.concatenate([a + np.linspace(0.0, 1.0, math.ceil(n) + 1)[:-1] * (b - a) for a, b, n in edges])
+    start = len(zs)
+    ws, scales = fn(zs)
+    while True:
+        q = np.roll(ws, -1) / ws
+        dphi = np.angle(q)
+        split = np.flatnonzero(np.abs(dphi) >= 0.5 * math.pi)
+        if not split.size:
+            break
+        zm = 0.5 * (zs[split] + np.roll(zs, -1)[split])
+        zs = np.insert(zs, split + 1, zm)
+        wm, em = fn(zm)
+        ws, scales = np.insert(ws, split + 1, wm), np.insert(scales, split + 1, em)
+    dlog = np.log(np.abs(q)) + (np.roll(scales, -1) - scales) + 1j * dphi
+    return start, len(zs), complex(np.sum(0.5 * (zs + np.roll(zs, -1)) * dlog) / (2j * math.pi))
+
+
+class TestExtrapolatedZeroSum:
+    @pytest.mark.parametrize(
+        "case,target,refined",
+        [("triangle", "F'", True), ("fejer", "F", True), ("two atoms", "F", True), ("atoms 4", "F", True),
+         ("atoms 5", "F", False)],
+    )
+    def test_other_contours_keep_the_plain_sum(self, case, target, refined):
+        # on the default rectangle: contours that refine, and one that does not
+        # but has 255 samples on its long edges, give the plain sum bit for bit
+        rect = Rectangle(*DEFAULT_LOWER_RECT)
+        if case == "triangle":
+            m = _triangle(4, -0.5)
+        elif case == "fejer":
+            m = from_fejer(4)
+        elif case == "two atoms":
+            m = StieltjesMeasure(1.0, ((0.0, 1.0), (1.0, 1.0)))
+        else:
+            n = int(case.split()[1])
+            coeffs = np.random.default_rng(n).integers(-3, 4, n + 1)
+            m = StieltjesMeasure(float(n), tuple((float(k), float(c)) for k, c in enumerate(coeffs)))
+        start, samples, plain = _zero_sum_reference(_target_fn(m, target), rect, 1.0 / m.sigma)
+        result = count_zeros(m, rect, target)
+        assert result.boundary_samples == samples and (samples > start) == refined
+        assert refined or start == 2 * (255 + 64)
+        assert result.zero_sum.real == plain.real and result.zero_sum.imag == plain.imag
+
+
+class TestCertifiedAcceptance:
+    """The zero searches accept their last Newton iterate from a bound, with no
+    evaluation at it; the bound must cover what an evaluation there gives."""
+
+    @staticmethod
+    def record(monkeypatch):
+        events = []
+        evaluator, residual = zeros_module._grid_moments, zeros_module._newton_residual
+
+        def bound(f, fp, d, m2, scale):
+            value = residual(f, fp, d, m2, scale)
+            events.append((value, abs(d)))
+            return value
+
+        monkeypatch.setattr(zeros_module, "_grid_moments", lambda *args: events.append("grid") or evaluator(*args))
+        monkeypatch.setattr(zeros_module, "_newton_residual", bound)
+        return events
+
+    @pytest.mark.parametrize(
+        "case,target",
+        [("atoms", "F"), ("atoms", "zF"), ("atoms", "F/z"), ("triangle 1", "F"), ("triangle 16", "F"),
+         ("triangle 16", "zF"), ("triangle 64", "zF"), ("origin", "zF")],
+    )
+    def test_locate_zero(self, case, target, monkeypatch):
+        if case == "atoms":  # F = (w - 1)(w - 2) with w = e^{iz}, sigma = 2: F(0) = 0
+            m = StieltjesMeasure(2.0, ((0.0, 2.0), (1.0, -3.0), (2.0, 1.0)))
+            rect = Rectangle(-1.0, 1.0, -1.2, -0.2)
+        elif case == "origin":  # the zero z = 0 of zF, where the scale of zF vanishes
+            m, rect = _triangle(4, 0.5), Rectangle(-0.5, 0.6, -0.4, 0.5)
+        else:
+            m = _triangle(int(case.split()[1]), -0.5)
+            rect = _around(find_imaginary_zero(m))
+        events = self.record(monkeypatch)
+        z = locate_zero(m, rect, target)
+        monkeypatch.undo()
+        assert isinstance(events[-1], tuple)  # no evaluator call after the last Newton step
+        value, d = events[-1]
+        (w,), _ = zeros_module._target(m, target, z, 0)
+        assert abs(w) <= value * math.exp(2.0 * m.sigma * d) <= ZERO_TOL * m.bound()
+
+    @pytest.mark.parametrize("panels", [1, 2, 4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("jump", [-0.65, -0.5, -0.35, -0.001])
+    def test_imaginary_zero(self, panels, jump, monkeypatch):
+        m = _triangle(panels, jump)
+        events = self.record(monkeypatch)
+        y = zeros_module._imaginary_zero(m)
+        monkeypatch.undo()
+        assert isinstance(events[-1], tuple)
+        g = zeros_module._target(m, "F", complex(0.0, y), 0)[0][0].real
+        assert abs(g) <= events[-1][0] <= ZERO_TOL * m.bound()
+
+    @pytest.mark.parametrize("bound", [2.0 * ZERO_TOL, math.nan])
+    def test_imaginary_zero_refuses_a_bound_over_the_threshold(self, bound, monkeypatch):
+        # V = 1.5 here, so 2 ZERO_TOL exceeds the threshold ZERO_TOL V; NaN fails every comparison
+        monkeypatch.setattr(zeros_module, "_newton_residual", lambda *args: bound)
+        with pytest.raises(DiagnosticFailure, match="did not drive"):
+            zeros_module._imaginary_zero(_triangle(4, -0.5))
 
 
 CLOSE_STEP = math.pi / 40.0  # the real scan's grid step for sigma = 1
@@ -585,6 +701,17 @@ class TestClassify:
         assert [count_zeros(m, rect, target).count for target in ("F", "F'", "F''")] == [0, 0, 0]
         assert classify(m).verdict == verdict
         assert check_derivative_hb(m, 1).ok and check_derivative_hb(m, 2).ok
+
+    @pytest.mark.parametrize("jump", [-0.9999, -0.99999, -0.999999, -0.9999999])
+    def test_count_rectangle_reaches_up_to_the_lower_zero(self, jump):
+        # y* between -2e-4 and -2e-7 lies above the default rectangle's top edge
+        # at -1e-3; the count runs on the rectangle taken up to y* / 2
+        m = _triangle(4, jump)
+        y = find_imaginary_zero(m)
+        assert DEFAULT_LOWER_RECT[3] < y < 0.0
+        result = classify(m)
+        assert result.verdict == "one_lower_zero" and result.lower_count == 1
+        assert result.lower_zero == complex(0.0, y)
 
     def test_count_rectangle_reaches_down_to_the_lower_zero(self, triangle_case2):
         # y* = -1.594 lies below the rectangle, which holds no zero itself; the
