@@ -26,11 +26,12 @@ a length that does not scale with 1 / sigma shows: the sigma twins of
 its task grid and the default rectangle divided by 2^k.  `zeros-count` of F,
 F' and F'' and `zeros-classify` also run on `from_fejer(6)`, sigma = 6, whose
 phase can turn 38 times along a 40-wide edge of the default rectangle, so
-that a contour start that does not scale with 1 / sigma shows.  With the
-four scenario files that makes 300 invocations: 26 per scenario and per
-measure of V or sigma far from 1, 24 per monomial measure, 8 for the
-64-panel triangle, 18 for the 16-panel one, 8 for Fejer-6 and 10 for the
-demos.
+that a contour start that does not scale with 1 / sigma shows.  The three
+`ineq` demos also run with `--out csv`, which prints the margin of every grid
+point.  With the five scenario files that makes 329 invocations: 26 per
+scenario and per measure of V or sigma far from 1, 24 per monomial measure,
+8 for the 64-panel triangle, 18 for the 16-panel one, 8 for Fejer-6 and 13
+for the demos.
 Each invocation's exit code, stdout and stderr go to a file of their own in
 OUTDIR, so that `diff -r` of two snapshots shows every byte that moved:
 
@@ -73,6 +74,8 @@ SCENARIO_RUNS = (
     ("posdef", [], "posdef"),
 )
 DEMOS = ("fejer2", "atom-sigma", "triangle-case2", "ramp", "growth-limit")
+#: the demos whose command is `ineq`, run with `--out csv` too
+CSV_DEMOS = ("fejer2", "atom-sigma", "ramp")
 #: (mu, nu) of the many-panel measures, and the commands not run on them
 MANY_PANEL = ((1.5, 0.8), (3.0, 2.0))
 MANY_PANEL_SKIP = {"interp"}
@@ -156,6 +159,8 @@ def invocations(workdir: Path):
     for demo in DEMOS:
         for output in OUTPUTS:
             yield f"demo-{demo}--{output}.txt", ["demo", demo, "--out", output]
+    for demo in CSV_DEMOS:
+        yield f"demo-{demo}--csv.txt", ["demo", demo, "--out", "csv"]
 
 
 def main_snapshot(argv=None) -> int:

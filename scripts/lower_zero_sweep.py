@@ -4,16 +4,15 @@ purely imaginary lower zero.
 
 For total mass F(0) strictly between 0 and the left-limit mass the transform
 has exactly one zero below the real axis, purely imaginary; outside that open
-window it has none.  Prints one line per mass value with the located zero and
-the argument-principle count that confirms it.
+window it has none.  Prints one line per mass value with `classify`'s located
+zero and the argument-principle count that confirms it; a field is empty
+where `classify` gives None.
 """
 
 import argparse
 import sys
 
-import numpy as np
-
-from hbfourier import Rectangle, count_zeros, find_imaginary_zero, from_pd_profile
+from hbfourier import classify, from_pd_profile
 
 
 def main() -> int:
@@ -24,11 +23,9 @@ def main() -> int:
 
     sys.stdout.write("F0,y_star,lower_count\n")
     for f0 in masses:
-        m = from_pd_profile([0.0, 1.0], [1.0, 0.0], f0 - 1.0)
-        y_star = find_imaginary_zero(m)
-        y_min = -6.0 if y_star is None else min(-6.0, 1.5 * y_star)
-        count = count_zeros(m, Rectangle(-20.0, 20.0, y_min, -1e-3)).count
-        sys.stdout.write(f"{f0!r},{'' if y_star is None else repr(y_star)},{count}\n")
+        c = classify(from_pd_profile([0.0, 1.0], [1.0, 0.0], f0 - 1.0))
+        fields = (f0, None if c.lower_zero is None else c.lower_zero.imag, c.lower_count)
+        sys.stdout.write(",".join("" if v is None else repr(v) for v in fields) + "\n")
     return 0
 
 

@@ -43,7 +43,7 @@ _MAX_TERMS = 100_000
 @dataclass(frozen=True)
 class TaskDescriptor:
     command: str
-    grid: tuple = (-10.0, 10.0, None)  # (start, stop, step); None step = pi/(50 sigma)
+    grid: tuple = (-10.0, 10.0, None)  # (start, stop, step); None step = the measure's check_step
     rect: tuple = zeros.DEFAULT_LOWER_RECT
     tau: float = 0.0
     n: int = 0
@@ -160,10 +160,10 @@ def _nonfinite(out, **gate_inputs) -> int | None:
     return None
 
 
-def _make_grid(task: TaskDescriptor, sigma: float) -> np.ndarray:
+def _make_grid(task: TaskDescriptor, measure: StieltjesMeasure) -> np.ndarray:
     start, stop, step = task.grid
     if step is None:
-        step = math.pi / (50.0 * sigma)
+        step = measure.check_step
     if not (stop > start and step > 0):
         raise ValueError("grid needs stop > start and step > 0")
     # a float, so a span that overflows to inf is refused too
@@ -174,7 +174,7 @@ def _make_grid(task: TaskDescriptor, sigma: float) -> np.ndarray:
 
 
 def _run_eval(measure, task, out) -> int:
-    grid = _make_grid(task, measure.sigma)
+    grid = _make_grid(task, measure)
     rt = real_transforms(measure, grid, order=1)
     cfg = inequality.OmegaConfig(measure, task.n, task.tau)
     # the one order-1 pass serves the margins and, from its mirrored moments, E
@@ -199,7 +199,7 @@ def _run_eval(measure, task, out) -> int:
 
 
 def _run_identities(measure, task, out) -> int:
-    grid = _make_grid(task, measure.sigma)
+    grid = _make_grid(task, measure)
     res = identity_residuals(measure, grid)
     tol = task.resolved_tol()
     doc = {
@@ -220,7 +220,7 @@ def _run_identities(measure, task, out) -> int:
 
 def _run_ineq(measure, task, out) -> int:
     cfg = inequality.OmegaConfig(measure, task.n, task.tau)
-    grid = _make_grid(task, measure.sigma)
+    grid = _make_grid(task, measure)
     report = inequality.check_inequality(cfg, grid)
     tol = task.resolved_tol()
     if (code := _nonfinite(out, E=report.e_values, margin=report.margin, scale=report.scale)) is not None:
@@ -257,7 +257,7 @@ def _run_ineq(measure, task, out) -> int:
 def _run_interp(measure, task, out) -> int:
     cfg = inequality.OmegaConfig(measure, task.n, task.tau)
     f = sampling.from_omega_config(cfg, task.alpha)
-    grid = _make_grid(task, measure.sigma)
+    grid = _make_grid(task, measure)
     probes = grid[:: max(len(grid) // 16, 1)]
     samples = sampling._node_samples(f, measure.sigma, task.alpha, task.terms)
     # f carries u^n, so sigma f and f' have the scale sigma^(1-n) V of the identity's sides

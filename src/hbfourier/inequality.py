@@ -75,17 +75,15 @@ class OmegaConfig:
         tau = float(self.tau)
         if self.n == 0:
             kind = HypothesisKind.COSINE_NONNEG if tau == 0.0 else HypothesisKind.ROTATED_NONNEG
+        elif not math.isclose(tau, -math.pi / 2, rel_tol=0.0, abs_tol=1e-12):
+            raise ValueError(f"n = {self.n} requires tau = -pi/2")
         elif self.n == 1:
-            if not math.isclose(tau, -math.pi / 2, rel_tol=0.0, abs_tol=1e-12):
-                raise ValueError("n = 1 requires tau = -pi/2")
             if self.measure.atoms:
                 raise ValueError(
                     "n = 1 requires F vanishing at infinity; atomic parts never decay"
                 )
             kind = HypothesisKind.SINE_NONNEG_DECAY
         else:
-            if not math.isclose(tau, -math.pi / 2, rel_tol=0.0, abs_tol=1e-12):
-                raise ValueError("n = -1 requires tau = -pi/2")
             if not self.measure.vanishes_at_zero:
                 raise ValueError("n = -1 requires F(0) = 0")
             kind = HypothesisKind.SINE_NONNEG_ROOT
@@ -94,8 +92,8 @@ class OmegaConfig:
 
 
 def default_grid(cfg: OmegaConfig, x_min: float, x_max: float) -> np.ndarray:
-    """Uniform grid with step pi / (50 sigma): >= 100 points per oscillation."""
-    step = math.pi / (50.0 * cfg.measure.sigma)
+    """Uniform grid on [x_min, x_max] with step `StieltjesMeasure.check_step`."""
+    step = cfg.measure.check_step
     return np.arange(x_min, x_max + 0.5 * step, step)
 
 

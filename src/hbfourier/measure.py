@@ -22,7 +22,8 @@ import numpy as np
 #: which bounds every mass
 MASS_TOL = 1e-12
 #: slack of the grid hypotheses E, C, S >= 0, times the scale of each: V, which bounds
-#: |C| and |S|, and sigma^-n V for E, which carries x^n
+#: |C| and |S|, and sigma^-n V for E, which carries x^n; their grids are spaced
+#: `StieltjesMeasure.check_step`
 HYPOTHESIS_TOL = 1e-9
 
 
@@ -105,19 +106,17 @@ class PiecewiseLinearDensity:
     def is_continuous(self) -> bool:
         return all(abs(r - l2) == 0.0 for r, l2 in zip(self.right[:-1], self.left[1:]))
 
+    def _panel_of(self, t):
+        """(index, t0, t1, v0, v1) of the panel holding each t; the first or last panel outside the nodes."""
+        nodes = np.asarray(self.nodes)
+        idx = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, len(nodes) - 2)
+        return idx, nodes[idx], nodes[idx + 1], np.asarray(self.left)[idx], np.asarray(self.right)[idx]
+
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        nodes = np.asarray(self.nodes)
-        idx = np.searchsorted(nodes, t, side="right") - 1
-        idx = np.clip(idx, 0, len(nodes) - 2)
-        inside = (t >= nodes[0]) & (t <= nodes[-1])
-        t0 = nodes[idx]
-        t1 = nodes[idx + 1]
-        v0 = np.asarray(self.left)[idx]
-        v1 = np.asarray(self.right)[idx]
-        frac = np.where(t1 > t0, (t - t0) / np.where(t1 > t0, t1 - t0, 1.0), 0.0)
-        out = np.where(inside, v0 + (v1 - v0) * frac, 0.0)
+        _, t0, t1, v0, v1 = self._panel_of(t)
+        inside = (t >= self.nodes[0]) & (t <= self.nodes[-1])
+        out = np.where(inside, v0 + (v1 - v0) * ((t - t0) / (t1 - t0)), 0.0)
         return out if out.ndim else float(out)
 
     def mass(self) -> float:
@@ -139,18 +138,13 @@ class PiecewiseLinearDensity:
     def cumulative(self, s):
         """Vectorized int_0^s g(u) du for s within [0, nodes[-1]]."""
         s = np.asarray(s, dtype=float)
-        nodes = np.asarray(self.nodes)
         panel_mass = np.array([(v0 + v1) * 0.5 * (t1 - t0) for t0, t1, v0, v1 in self.panels])
         cum = np.concatenate([[0.0], np.cumsum(panel_mass)])
-        idx = np.clip(np.searchsorted(nodes, s, side="right") - 1, 0, len(nodes) - 2)
-        t0 = nodes[idx]
-        t1 = nodes[idx + 1]
-        v0 = np.asarray(self.left)[idx]
-        v1 = np.asarray(self.right)[idx]
+        idx, t0, t1, v0, v1 = self._panel_of(s)
         u = np.clip(s - t0, 0.0, t1 - t0)
         slope = (v1 - v0) / (t1 - t0)
         partial = v0 * u + 0.5 * slope * u * u
-        out = np.where(s <= nodes[0], 0.0, np.where(s >= nodes[-1], cum[-1], cum[idx] + partial))
+        out = np.where(s <= self.nodes[0], 0.0, np.where(s >= self.nodes[-1], cum[-1], cum[idx] + partial))
         return out if out.ndim else float(out)
 
     def support(self) -> tuple[float, float] | None:
@@ -248,6 +242,11 @@ class StieltjesMeasure:
         if self.density is not None:
             v += self.density.abs_mass()
         return float(v)
+
+    @property
+    def check_step(self) -> float:
+        """pi / (50 sigma), the step of every default check grid: 100 points per period of e^{i sigma x}."""
+        return math.pi / (50.0 * self.sigma)
 
     def bound(self, k: int = 0) -> float:
         """sigma^k V, V the total variation: the bound of |F^(k)| on the real axis.

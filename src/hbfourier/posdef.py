@@ -26,7 +26,7 @@ import numpy as np
 
 from .measure import MASS_TOL, PiecewiseLinearDensity, StieltjesMeasure
 from .transforms import _BLOCK, _segment_moments, eval_F, real_transforms
-from .zeros import HypothesisViolation, s_nonneg_on_grid
+from .zeros import HypothesisViolation, _in_borderline_range, s_nonneg_on_grid
 
 _GL3_NODES = (-math.sqrt(0.6), 0.0, math.sqrt(0.6))
 _GL3_WEIGHTS = (5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0)
@@ -106,12 +106,11 @@ def _profile_pieces(measure: StieltjesMeasure):
     if dens is not None:
         D0 = D0 + dens.cumulative(b0)
         # g(b0) = v0 + slope (b0 - t0) on the panel holding the midpoint, with no intercept to cancel
-        nodes, left, right = np.array(dens.nodes), np.array(dens.left), np.array(dens.right)
         mid = 0.5 * (b0 + b1)
-        inside = (mid > nodes[0]) & (mid < nodes[-1])
-        i = np.clip(np.searchsorted(nodes, mid, side="right") - 1, 0, len(left) - 1)
-        slope = np.where(inside, (right[i] - left[i]) / (nodes[i + 1] - nodes[i]), 0.0)
-        g_b0 = np.where(inside, left[i] + slope * (b0 - nodes[i]), 0.0)
+        inside = (mid > dens.nodes[0]) & (mid < dens.nodes[-1])
+        _, t0, t1, v0, v1 = dens._panel_of(mid)
+        slope = np.where(inside, (v1 - v0) / (t1 - t0), 0.0)
+        g_b0 = np.where(inside, v0 + slope * (b0 - t0), 0.0)
     # D(s) = D0 + g(b0) u + slope/2 u^2 on (b0, b1], u = s - b0; the
     # reflected piece is t in [sig - b1, sig - b0], f(t) = D(sig - t)
     c0 = D0 + g_b0 * w + 0.5 * slope * w * w
@@ -177,12 +176,12 @@ def _moment_signs(measure: StieltjesMeasure) -> MomentSignReport:
     f0 = measure.total_mass
     left = measure.left_limit_mass
     tol = MASS_TOL * measure.total_variation
-    if f0 <= tol:
-        expected, ok = "nonpos", bool(h1 <= tol * measure.sigma)
-    elif f0 >= left - tol:
-        expected, ok = "nonneg", bool(h1 >= -tol * measure.sigma)
-    else:
+    if _in_borderline_range(measure):
         expected, ok = "indeterminate", None
+    elif f0 <= tol:
+        expected, ok = "nonpos", bool(h1 <= tol * measure.sigma)
+    else:
+        expected, ok = "nonneg", bool(h1 >= -tol * measure.sigma)
     triple = None
     if not measure.atoms and not measure.is_zero:
         delta0 = float(real_transforms(measure, np.array([0.0]), order=1).Delta[0])

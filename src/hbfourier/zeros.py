@@ -37,7 +37,7 @@ from .transforms import (
 
 #: |target| must exceed this multiple of its bound on the boundary (see `_boundary_floor`)
 BOUNDARY_MODULUS_FACTOR = 1e-12
-#: |F^(k)| below this, times its bound `StieltjesMeasure.bound(k)` = sigma^k V, counts as a zero
+#: |z^n F^(k)| below this, times its scale sigma^(k-n) V (`_target_scale`), counts as a zero
 ZERO_TOL = 1e-10
 #: the evaluator's error, relative to the scale of a target, that a certified residual allows for;
 #: the transforms' tests hold it to 1e-14 against 40-digit references
@@ -197,15 +197,20 @@ def _winding_count(fn, rect: Rectangle, min_log_modulus: float, unit: float) -> 
     return ZeroCountResult(count=count, winding_residual=residual, boundary_samples=len(zs), zero_sum=zero_sum)
 
 
-def _boundary_floor(measure: StieltjesMeasure, target: str) -> float:
-    """log of the smallest |target| a contour may pass, BOUNDARY_MODULUS_FACTOR * sigma^(k-n) V.
+def _target_scale(measure: StieltjesMeasure, target: str) -> float:
+    """sigma^(k-n) V, `StieltjesMeasure.bound(k - n)`: the scale of the target z^n F^(k).
 
-    sigma^(k-n) V, `StieltjesMeasure.bound(k - n)`, is the scale of the
-    target z^n F^(k): it carries the unit of x to the power n - k, so the
-    floor follows the target when t and x are rescaled against each other.
+    It carries the unit of x to the power n - k, so a threshold that is a
+    constant times it follows the target when t and x are rescaled against
+    each other.
     """
     k, n = _TARGETS[target]
-    return math.log(BOUNDARY_MODULUS_FACTOR * max(measure.bound(k - n), 1e-300))
+    return measure.bound(k - n)
+
+
+def _boundary_floor(measure: StieltjesMeasure, target: str) -> float:
+    """log of the smallest |target| a contour may pass, BOUNDARY_MODULUS_FACTOR times `_target_scale`."""
+    return math.log(BOUNDARY_MODULUS_FACTOR * max(_target_scale(measure, target), 1e-300))
 
 
 def _target(measure: StieltjesMeasure, target: str, z, order: int):
@@ -263,10 +268,12 @@ def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -
     from the count's zero sum, which with one zero inside estimates the zero
     itself, or from the rectangle centre where that estimate lies outside;
     it falls back to quadrant subdivision if Newton leaves the window.  A
-    zero is accepted where |target| e^{-sigma max(0, -Im z)} <= ZERO_TOL V;
-    below the axis V bounds |F| e^{-sigma |Im z|}.  Its lengths are in the
-    unit 1 / sigma: Newton stops at a step below 1e-14 (1 / sigma + |z|),
-    may leave the rectangle by 1 / sigma, and its zero by 1e-9 / sigma.
+    zero is accepted where |target| e^{-sigma max(0, -Im z)} <= ZERO_TOL
+    sigma^(k-n) V, the target's scale (`_target_scale`): V for F, V / sigma
+    for zF, sigma V for F/z; below the axis V bounds |F| e^{-sigma |Im z|}.
+    Its lengths are in the unit 1 / sigma: Newton stops at a step below
+    1e-14 (1 / sigma + |z|), may leave the rectangle by 1 / sigma, and its
+    zero by 1e-9 / sigma.
 
     The acceptance is certified from the last Newton step d, with no
     evaluation at the zero: `_newton_residual` bounds the mantissa there by
@@ -284,6 +291,7 @@ def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -
     sig = measure.sigma
     unit = 1.0 / sig
     V = measure.bound()
+    accept = _target_scale(measure, target)
 
     def newton_from(z0: complex, box: Rectangle):
         """(z*, bound on the mantissa of the target at z*), or None where Newton fails."""
@@ -314,7 +322,7 @@ def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -
         if not box.contains(z0):
             z0 = complex(0.5 * (box.x_min + box.x_max), 0.5 * (box.y_min + box.y_max))
         found = newton_from(z0, rect)
-        if found is not None and rect.contains(found[0], pad=1e-9 * unit) and found[1] <= ZERO_TOL * V:
+        if found is not None and rect.contains(found[0], pad=1e-9 * unit) and found[1] <= ZERO_TOL * accept:
             return found[0]
         for q in box.quadrants():
             try:
@@ -450,7 +458,7 @@ def find_real_zeros(measure: StieltjesMeasure, interval):
 
 
 def _reflected_on_grid(measure: StieltjesMeasure, cosine: bool = True):
-    """(C >= 0, S >= 0) on the grid [0, 20 pi / sigma) of step pi / (50 sigma): 1000 points for every sigma.
+    """(C >= 0, S >= 0) on the grid [0, 20 pi / sigma) of step `StieltjesMeasure.check_step`: 1000 points for every sigma.
 
     A grid value passes at -HYPOTHESIS_TOL V, V the total variation, which
     bounds |C| and |S|, and x = 0 is left out of the sine check, since
@@ -468,7 +476,7 @@ def _reflected_on_grid(measure: StieltjesMeasure, cosine: bool = True):
     With cosine=False only S is checked, and the first entry is None.
     """
     sig = measure.sigma
-    grid = np.arange(0.0, 20.0 * math.pi * (1.0 / sig), math.pi / (50.0 * sig))
+    grid = np.arange(0.0, 20.0 * math.pi * (1.0 / sig), measure.check_step)
     slack = HYPOTHESIS_TOL * measure.total_variation
     # np.unique would import numpy.ma, which adds about 1.8 MB to the peak memory
     nodes = np.arange(0, grid.size, 8)

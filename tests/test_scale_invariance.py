@@ -194,6 +194,18 @@ class TestLengthUnit:
         got = locate_zero(_twin(TRIANGLE, k), _rect(box, 2.0**k))
         assert got * 2.0**k == locate_zero(TRIANGLE, _rect(box))
 
+    @pytest.mark.parametrize("k", [-12, -10, 10, 12])
+    @pytest.mark.parametrize("target", ["F", "zF", "F/z"])
+    def test_locate_zero_accepts_at_the_scale_of_its_target(self, target, k):
+        # F(0) = 0, so F/z is defined; the zero near 5 pi is that of F, zF and
+        # F/z alike.  Accepting zF and F/z at V instead of sigma^(k-n) V failed
+        # zF for k < 0 and F/z for k > 0
+        m = StieltjesMeasure(1.0, ((0.0, -1.0), (0.6, 2.5), (1.0, -1.5)))
+        box = (14.0, 16.0, -6.0, -1e-3)
+        want = locate_zero(m, _rect(box), target)
+        assert want == pytest.approx(15.707963267949 - 1.62782037517807j, abs=1e-12)
+        assert locate_zero(_twin(m, k), _rect(box, 2.0**k), target) * 2.0**k == want
+
     def test_sampled_function_probes_in_the_unit_of_x(self):
         # f = Re F for Fejer-2's twin at sigma = 2048
         f = from_omega_config(OmegaConfig(_twin(from_fejer(2, 1.0, 1.0), 10), 0, 0.0), 0.0)

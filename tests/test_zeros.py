@@ -423,6 +423,16 @@ class TestRealZeros:
         with pytest.raises(DiagnosticFailure, match="not simple"):
             find_real_zeros(m, (5.0, 8.0))
 
+    def test_triple_zero_is_not_reported_as_a_double_zero(self):
+        # F(z) = (1 - e^{iz})^3 has triple zeros at 2 pi k.  It is so flat
+        # there that a candidate about 1e-5 off passes |F| <= ZERO_TOL V, and
+        # |F''| at that candidate clears the double-zero test; until the
+        # multiplicity comes from a count, the zero must be refused, not
+        # returned as a double zero off by about 1e-5
+        m = StieltjesMeasure(3.0, ((0.0, 1.0), (1.0, -3.0), (2.0, 3.0), (3.0, -1.0)))
+        with pytest.raises(DiagnosticFailure):
+            find_real_zeros(m, (5.0, 8.0))
+
     def test_one_evaluator_call_per_newton_iteration(self, fejer2, monkeypatch):
         # every candidate of a search moves in the same call, so the number of
         # calls does not grow with the number of zeros
