@@ -14,9 +14,11 @@ Re W for the mirrored W (`transforms._mirrored_rows`, which `eval_E` shares).
 alone, so no removable power is ever divided out; near the origin it sums
 n = -1's F / x as a series.
 
-Equality on the whole line or at isolated points is detected, and the
-closed-form witness (c, beta, gamma) of the equality family is fitted when the
-nonnegative combination E matches c sin^2(sigma x + tau + beta).
+Equality on the whole line or at isolated points is detected.  The equality
+family's witness (c, beta, gamma) has E = c sin^2(sigma x + tau + beta); E is
+built from transforms of a measure on [0, sigma], so its frequencies lie in
+[0, sigma], and c sin^2, of frequency 2 sigma, fits it only with c = 0: the
+witness is (0, 0, gamma), found where E vanishes and d is constant.
 """
 
 from __future__ import annotations
@@ -298,8 +300,9 @@ class EqualityWitness:
     P(x) = c sin(beta) sin(sigma x + tau + beta) + gamma sin(sigma x + tau)
     Q(x) = c cos(beta) sin(sigma x + tau + beta) - gamma cos(sigma x + tau)
 
-    and d identically gamma^2 sigma.  beta is normalized to [0, pi); the sign
-    of gamma is fixed by matching P at a sample point.
+    and d identically gamma^2 sigma, where P + i Q = x^n F.  E's frequencies
+    lie in [0, sigma] and c sin^2 has frequency 2 sigma, so every witness has
+    c = beta = 0; the sign of gamma is fixed by matching P at a sample point.
     """
 
     c: float
@@ -308,35 +311,17 @@ class EqualityWitness:
 
 
 def fit_equality_witness(cfg: OmegaConfig, grid) -> EqualityWitness | None:
-    """Fit (c, beta, gamma) if E matches the equality family on the grid."""
+    """The witness (0, 0, gamma) if E vanishes, d is constant and P, Q match the family on the grid."""
     grid = np.asarray(grid, dtype=float)
     m = cfg.measure
     sig = m.sigma
     v = m.bound(-cfg.n)  # the scale of E, P and Q, which carry x^n
-    tol = 1e-8 * v
 
     # one order-1 pass serves E, d and P + i Q = x^n F
     rt = real_transforms(m, grid, order=1)
     e_vals = _mirrored_rows(m, cfg.tau, cfg.n, grid, rt.mirrored[:1])[0].real
-    # E = A + B cos(2 sigma x + 2 tau) + C sin(2 sigma x + 2 tau) with
-    # A = c/2, B = -(c/2) cos(2 beta), C = (c/2) sin(2 beta)
-    theta = 2.0 * sig * grid + 2.0 * cfg.tau
-    design = np.column_stack([np.ones_like(grid), np.cos(theta), np.sin(theta)])
-    coef, *_ = np.linalg.lstsq(design, e_vals, rcond=None)
-    resid = e_vals - design @ coef
-    if float(np.max(np.abs(resid))) > tol:
+    if float(np.max(np.abs(e_vals))) > 1e-8 * v:
         return None
-    A, B, C = (float(c) for c in coef)
-    amp = math.hypot(B, C)
-    if abs(A - amp) > tol or A < -tol:
-        return None
-    c = max(2.0 * A, 0.0)
-    if c <= tol:
-        c = 0.0
-        beta = 0.0
-    else:
-        beta = 0.5 * math.atan2(C, -B)
-        beta %= math.pi
 
     d_vals = _d_values(cfg, grid, rt)
     d_bar = float(np.mean(d_vals))
@@ -350,18 +335,14 @@ def fit_equality_witness(cfg: OmegaConfig, grid) -> EqualityWitness | None:
     P, Q = pq.real, pq.imag
     phase = sig * grid + cfg.tau
     i_star = int(np.argmax(np.abs(np.sin(phase))))
-    denom = math.sin(phase[i_star])
-    gamma_est = (P[i_star] - c * math.sin(beta) * math.sin(phase[i_star] + beta)) / denom
-    gamma = math.copysign(gamma_abs, gamma_est) if gamma_abs > 0.0 else 0.0
+    gamma = math.copysign(gamma_abs, P[i_star] / math.sin(phase[i_star])) if gamma_abs > 0.0 else 0.0
 
     # validate both closed forms on the grid before accepting
-    P_model = c * math.sin(beta) * np.sin(phase + beta) + gamma * np.sin(phase)
-    Q_model = c * math.cos(beta) * np.sin(phase + beta) - gamma * np.cos(phase)
-    if float(np.max(np.abs(P - P_model))) > 1e-6 * v:
+    if float(np.max(np.abs(P - gamma * np.sin(phase)))) > 1e-6 * v:
         return None
-    if float(np.max(np.abs(Q - Q_model))) > 1e-6 * v:
+    if float(np.max(np.abs(Q + gamma * np.cos(phase)))) > 1e-6 * v:
         return None
-    return EqualityWitness(c=c, beta=beta, gamma=gamma)
+    return EqualityWitness(c=0.0, beta=0.0, gamma=gamma)
 
 
 def borderline_growth_d(a: float, x):

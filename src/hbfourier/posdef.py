@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import MASS_TOL, PiecewiseLinearDensity, StieltjesMeasure
-from .transforms import _BLOCK, _segment_moments, eval_F, real_transforms
+from .transforms import _BLOCK, _segment_moments, eval_Delta, eval_F, real_transforms
 from .zeros import HypothesisViolation, _in_borderline_range, s_nonneg_on_grid
 
 _GL3_NODES = (-math.sqrt(0.6), 0.0, math.sqrt(0.6))
@@ -184,7 +184,7 @@ def _moment_signs(measure: StieltjesMeasure) -> MomentSignReport:
         expected, ok = "nonneg", bool(h1 >= -tol * measure.sigma)
     triple = None
     if not measure.atoms and not measure.is_zero:
-        delta0 = float(real_transforms(measure, np.array([0.0]), order=1).Delta[0])
+        delta0 = float(eval_Delta(measure, np.array([0.0]))[0])
         triple = (bool(f0 > 0.0), bool(h1 > 0.0), bool(delta0 > 0.0))
     return MomentSignReport(
         h_prime_zero=float(h1),
@@ -341,7 +341,7 @@ def check_h_hat_identity(g: PiecewiseLinearDensity, x_samples) -> Autocorrelatio
     if measure.is_zero:
         two_delta = np.zeros_like(x)
     else:
-        two_delta = 2.0 * real_transforms(measure, x, order=1).Delta
+        two_delta = 2.0 * eval_Delta(measure, x)
     return AutocorrelationReport(
         x=x,
         h_hat=hhat,

@@ -51,16 +51,17 @@ safeguarded by bisection, moving all brackets of a search with one evaluator
 call per iteration.
 
 All functions are pure; measures are immutable, so grid sweeps may share them
-across workers.
+across workers.  What the evaluator derives from a density or a measure (its
+tables, its reflection, its origin series) is kept in weak maps keyed by that
+object, and lives exactly as long as it.
 """
 
 from __future__ import annotations
 
 import cmath
-import collections
 import functools
 import math
-import threading
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -225,75 +226,27 @@ def _lay_out(density: PiecewiseLinearDensity) -> _DensityTables:
     return _DensityTables(t0, w_powers[:, :, None], tuple(rows), limits, [None] * len(counts))
 
 
-def _nbytes(*parts) -> int:
-    """Bytes held by the arrays among parts, tuples of them included."""
-    return sum(_nbytes(*p) if isinstance(p, (tuple, list)) else getattr(p, "nbytes", 0) for p in parts)
+# What the evaluator derives from an immutable object, keyed by that object:
+# each entry lives exactly as long as its key, and no value references its key,
+# or the entry would keep the key alive and never die.
+_TABLES = weakref.WeakKeyDictionary()  # density -> its `_lay_out` tables
+_MIRRORS = weakref.WeakKeyDictionary()  # density -> {sigma: its reflection about sigma / 2}
+_REFLECTED = weakref.WeakKeyDictionary()  # measure -> the measure reflected about sigma / 2
+_ORIGIN = weakref.WeakKeyDictionary()  # measure -> its `_origin_series`
 
 
-class _TableCache:
-    """`_lay_out` tables by density, the least recently used evicted past a byte budget.
-
-    An entry is charged its panel tables when laid out and each cluster level
-    as `level` builds it, so a many-panel density evaluated far off the axis
-    counts for what it holds: 5.8 MB with all 11 levels of 2049 panels, 43 kB
-    with all 4 of 16.  The entry in use is never evicted, even alone past the
-    budget.  A lock keeps the bookkeeping whole under threads; threads that
-    race to build one level each build the same table, and either is kept.
-    """
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self._entries: collections.OrderedDict = collections.OrderedDict()  # density -> [tables, bytes]
-        self.nbytes = 0  # held by all entries
-        self._lock = threading.Lock()
-
-    def __call__(self, density: PiecewiseLinearDensity) -> _DensityTables:
-        with self._lock:
-            entry = self._entries.get(density)
-            if entry is not None:
-                self._entries.move_to_end(density)
-                return entry[0]
-        tables = _lay_out(density)
-        with self._lock:
-            if density not in self._entries:
-                self._entries[density] = [tables, 0]
-                self._charge(density, tables, _nbytes(tables.t0, tables.w_powers, tables.rows, tables.limits))
-            return self._entries[density][0]
-
-    def level(self, density: PiecewiseLinearDensity, tables: _DensityTables, lv: int) -> tuple:
-        """The table of level lv, built and charged to the density on first use."""
-        table = tables.levels[lv]
-        if table is None:
-            table = _cluster_level(density, 2 << lv)
-            with self._lock:
-                if tables.levels[lv] is None:
-                    tables.levels[lv] = table
-                    self._charge(density, tables, _nbytes(table))
-        return table
-
-    def _charge(self, density, tables, nbytes: int):
-        """Add nbytes to the density's entry and evict past the budget; the caller holds the lock."""
-        entry = self._entries.get(density)
-        if entry is None or entry[0] is not tables:
-            return  # evicted since the caller looked it up
-        self._entries.move_to_end(density)
-        entry[1] += nbytes
-        self.nbytes += nbytes
-        while self.nbytes > self.budget and len(self._entries) > 1:
-            _, (_, freed) = self._entries.popitem(last=False)
-            self.nbytes -= freed
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def cache_clear(self):
-        with self._lock:
-            self._entries.clear()
-            self.nbytes = 0
+def _derived(derived, key, build):
+    """derived[key], built by build() on the first call; threads that race to
+    build one entry each build the same value, and the first stored is kept."""
+    try:
+        return derived[key]
+    except KeyError:
+        return derived.setdefault(key, build())
 
 
-#: the evaluator's tables of every density, within 32 MB
-_density_tables = _TableCache(32 << 20)
+def _density_tables(density: PiecewiseLinearDensity) -> _DensityTables:
+    """The density's `_lay_out` tables, built on its first evaluation."""
+    return _derived(_TABLES, density, lambda: _lay_out(density))
 
 
 def _cluster_level(density: PiecewiseLinearDensity, count: int) -> tuple:
@@ -447,7 +400,9 @@ def _grid_moments(measure: StieltjesMeasure, z, order: int):
         for lv, pts in groups:
             part = flat[:, pts]  # a view for a slice, else a copy written back below
             if lv < len(tables.levels):
-                _cluster_sum(part, a[pts], E[pts], *_density_tables.level(measure.density, tables, lv))
+                if tables.levels[lv] is None:  # threads that race here build the same table
+                    tables.levels[lv] = _cluster_level(measure.density, 2 << lv)
+                _cluster_sum(part, a[pts], E[pts], *tables.levels[lv])
             else:
                 _panel_sum(part, a[pts], E[pts], tables)
             if not isinstance(pts, slice):
@@ -455,9 +410,19 @@ def _grid_moments(measure: StieltjesMeasure, z, order: int):
     return T, E.reshape(z.shape)[()]  # [()] gives a scalar E for a scalar z
 
 
-@functools.lru_cache(maxsize=512)
 def _reflected(measure: StieltjesMeasure) -> StieltjesMeasure:
-    return measure.reflected()
+    """`measure.reflected()`, built once per measure; measures over one density
+    and sigma share the reflected density, and so its tables."""
+
+    def build():
+        atoms = StieltjesMeasure(measure.sigma, measure.atoms).reflected().atoms
+        density = measure.density
+        if density is not None:
+            mirrors = _derived(_MIRRORS, density, dict)
+            density = _derived(mirrors, measure.sigma, lambda: measure.density.reflected(measure.sigma))
+        return StieltjesMeasure(measure.sigma, atoms, density)
+
+    return _derived(_REFLECTED, measure, build)
 
 
 def _fold(value, scale):
@@ -523,7 +488,12 @@ class RealTransforms:
 
     @property
     def Delta(self):
-        return self.G * self.Hp - self.Gp * self.H
+        return _wronskian(self.direct)
+
+
+def _wronskian(T):
+    """Delta = G H' - G' H from the direct moments T of order 1 or more."""
+    return T[0].real * T[1].real - (-T[1].imag) * T[0].imag
 
 
 def real_transforms(measure: StieltjesMeasure, x, order: int = 1) -> RealTransforms:
@@ -644,8 +614,8 @@ def eval_h_alpha_scaled(measure: StieltjesMeasure, alpha: float, z):
 
 
 def eval_Delta(measure: StieltjesMeasure, x):
-    """Delta = G H' - G' H on the real axis (vectorized)."""
-    return real_transforms(measure, x, order=1).Delta
+    """Delta = G H' - G' H on the real axis (vectorized), from the direct moments alone."""
+    return _wronskian(_grid_moments(measure, np.asarray(x, dtype=float), 1)[0])
 
 
 def eval_Delta_reflected(measure: StieltjesMeasure, x):
@@ -671,13 +641,12 @@ def _mirrored_rows(measure: StieltjesMeasure, tau: float, n: int, x, T):
     return _omega_rows(_reflected(measure), x, T, n=n, phase=cmath.exp(1j * tau))
 
 
-@functools.lru_cache(maxsize=64)
 def _origin_series(measure: StieltjesMeasure) -> np.ndarray:
     """a[k] = i^(k+1) m_(k+1) / (k+1)!, so F(x) / x = sum_k a[k] x^k when F(0) = 0.
 
     At |x| sigma <= 1/2 the terms fall as fast as the cluster path's.  Each panel's
     `_moment_terms` are added in numpy before one exact sum: about 30 ms on 2049
-    panels, where 20 calls of `moment` take 0.2 s.
+    panels, where 20 calls of `moment` take 0.2 s, so `_omega_rows` keeps it per measure.
     """
     a = []
     for j in range(1, _CLUSTER_TERMS + _MAX_ORDER + 1):
@@ -713,7 +682,8 @@ def _omega_rows(measure: StieltjesMeasure, x, T, E=0.0, n: int = 0, k: int = 0, 
         return e
     if not measure.vanishes_at_zero:
         raise ValueError("n = -1 near x = 0 requires F(0) = 0")
-    a, xs, factor = _origin_series(measure), np.where(near, x, 0.0), phase * np.exp(-E)
+    a = _derived(_ORIGIN, measure, lambda: _origin_series(measure))
+    xs, factor = np.where(near, x, 0.0), phase * np.exp(-E)
     for j in range(len(d)):
         w = 0.0
         for i in range(len(a) - 1, j - 1, -1):

@@ -86,6 +86,13 @@ class TestZeros:
         assert code == 0
         assert json.loads(text)["count"] == 0
 
+    def test_unknown_target_from_a_scenario_is_input_error(self, tmp_path, capsys):
+        # the scenario's task target reaches count_zeros unchecked, which refuses it
+        doc = {"sigma": 1.0, "atoms": [{"t": 1.0, "c": 2.0}], "task": {"target": "G"}}
+        code, text = run_cli(["zeros-count", write_scenario(tmp_path, doc)])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == "error: unknown target 'G'\n"
+
     def test_imag_command(self, tmp_path):
         doc = {k: v for k, v in TRIANGLE_CASE2.items() if k != "task"}
         code, text = run_cli(["zeros-imag", write_scenario(tmp_path, doc), "--out", "json"])

@@ -117,6 +117,16 @@ class TestEvalBigD:
 
 
 class TestCheckInequality:
+    @pytest.mark.parametrize("grid", [[], [0.5], [[0.0, 1.0]]])
+    def test_refuses_a_grid_of_fewer_than_two_points(self, atom_at_sigma, grid):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            check_inequality(OmegaConfig(atom_at_sigma, 0, 0.0), grid)
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.0, 1.0], [1.0, 0.5]])
+    def test_refuses_a_grid_that_does_not_increase(self, atom_at_sigma, grid):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            check_inequality(OmegaConfig(atom_at_sigma, 0, 0.0), grid)
+
     def test_global_equality_for_atom_at_sigma(self, atom_at_sigma):
         cfg = OmegaConfig(atom_at_sigma, 0, math.pi / 2)
         rep = check_inequality(cfg, default_grid(cfg, -10.0, 10.0))
@@ -267,6 +277,39 @@ class TestWitness:
         cfg = OmegaConfig(fejer2, 0, 0.0)
         grid = np.arange(-20.0, 20.0, math.pi / 100.0)
         assert fit_equality_witness(cfg, grid) is None
+
+    @pytest.mark.parametrize("tau", [math.pi / 2, -math.pi / 2])
+    @pytest.mark.parametrize("sig, mass", [(1.0, 2.0), (0.3, -0.7), (5.0, 1e-3)])
+    def test_an_atom_at_sigma_has_gamma_the_mass(self, sig, mass, tau):
+        cfg = OmegaConfig(StieltjesMeasure(sig, ((sig, mass),)), 0, tau)
+        w = fit_equality_witness(cfg, default_grid(cfg, -10.0 / sig, 10.0 / sig))
+        assert (w.c, w.beta) == (0.0, 0.0)
+        assert w.gamma == pytest.approx(mass * math.sin(tau), rel=1e-12)
+
+    def test_every_witness_has_c_zero(self):
+        # E's frequencies lie in [0, sigma], so c sin^2(sigma x + tau + beta), of
+        # frequency 2 sigma, never fits it with c != 0: each config gives None or c = 0
+        rng = np.random.default_rng(7)
+        witnesses = 0
+        for _ in range(60):
+            sig = float(rng.choice([0.5, 1.0, 3.0]))
+            locs = sorted({0.0, sig, *rng.uniform(0.0, sig, size=int(rng.integers(0, 3))).tolist()})
+            atoms = tuple((t, float(c)) for t, c in zip(locs, rng.uniform(-2.0, 2.0, len(locs))))
+            density = PiecewiseLinearDensity.interpolant([0.0, 0.4 * sig, sig], rng.uniform(0.0, 2.0, 3))
+            n = int(rng.integers(-1, 2))
+            if n == 1:
+                m = StieltjesMeasure(sig, (), density)
+            elif n == -1:
+                m = StieltjesMeasure(sig, ((sig, -density.mass()),), density)
+            else:
+                m = StieltjesMeasure(sig, atoms[-int(rng.integers(1, len(atoms) + 1)) :])
+            tau = -math.pi / 2 if n else float(rng.choice([0.0, math.pi / 2, -math.pi / 2, rng.uniform(-3.0, 3.0)]))
+            cfg = OmegaConfig(m, n, tau)
+            w = fit_equality_witness(cfg, default_grid(cfg, -8.0 / sig, 8.0 / sig))
+            if w is not None:
+                witnesses += 1
+                assert (w.c, w.beta) == (0.0, 0.0)
+        assert witnesses >= 3
 
     def test_zero_measure_witness(self):
         cfg = OmegaConfig(StieltjesMeasure(1.0, ()), 0, 0.0)

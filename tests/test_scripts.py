@@ -46,3 +46,10 @@ def test_ineq_demo_csv_prints_plain_numbers(demo):
         assert len(fields) == 4
         for field in fields:
             float(field)
+
+
+def test_paired_rounds_compares_a_tree_with_itself():
+    # the tool imports perfbench/workloads.py by path, so this keeps the two in step
+    pytest.importorskip("mpmath")
+    lines = _run(str(ROOT / "scripts" / "paired_rounds.py"), str(ROOT), str(ROOT), "--workload", "zeros", "--seconds", "0.3")
+    assert any(line.startswith("B / A:") for line in lines)

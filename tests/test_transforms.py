@@ -1,21 +1,28 @@
 import cmath
 import concurrent.futures
 import functools
+import gc
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hbfourier import transforms
 from hbfourier.measure import PiecewiseLinearDensity, StieltjesMeasure, from_monomial_density, from_pd_profile
 from hbfourier.transforms import (
     _BLOCK,
     _CLUSTER_TERMS,
     _MAX_ORDER,
+    _MIRRORS,
+    _ORIGIN,
+    _REFLECTED,
     _SERIES_CUT,
     _SERIES_RECIPROCALS,
+    _TABLES,
     _bracketed_newton,
     _cluster_level,
     _cluster_sum,
@@ -142,6 +149,24 @@ class TestDelta:
         x = np.linspace(-6.0, 6.0, 61)
         expected = sig * c1 * (c0 * np.cos(sig * x) + c1)
         assert np.allclose(eval_Delta(m, x), expected, atol=1e-12)
+
+    def test_direct_moments_alone_give_the_bits_of_the_bundle(self, fejer2, monkeypatch):
+        m = from_monomial_density(1.5, 0.8)
+        x = np.linspace(-40.0, 40.0, 301)
+        for measure in (m, fejer2):
+            want = real_transforms(measure, x, 1).Delta
+            calls = []
+            grid_moments = transforms._grid_moments
+
+            def counted(*args):
+                calls.append(args[0])
+                return grid_moments(*args)
+
+            monkeypatch.setattr(transforms, "_grid_moments", counted)
+            got = eval_Delta(measure, x)
+            monkeypatch.undo()
+            assert calls == [measure]
+            assert np.array_equal(bits(got), bits(want))
 
     def test_reflected_form_agrees(self, unit_density, fejer2):
         x = np.linspace(-15.0, 15.0, 101)
@@ -498,7 +523,7 @@ class TestLeaf:
         # do, builds no level finer than 64 cells; a farther point builds its
         # own level and no other
         m = from_monomial_density(2.5, 1.5)
-        _density_tables.cache_clear()
+        _TABLES.clear()
         levels = _density_tables(m.density).levels
         assert len(levels) == 11 and not any(levels)
         real_transforms(m, np.linspace(-60.0, 60.0, 301), order=2)
@@ -512,7 +537,7 @@ class TestLeaf:
         # thread switches forced often; every point keeps its lone bits
         m = from_monomial_density(2.0, 1.5)
         points = np.geomspace(1.0, 3000.0, 40) * np.exp(-0.3j)
-        _density_tables.cache_clear()
+        _TABLES.clear()
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -520,7 +545,7 @@ class TestLeaf:
                 got = list(pool.map(lambda z: _grid_moments(m, z, 1)[0], np.tile(points, 4), timeout=120))
         finally:
             sys.setswitchinterval(switch)
-        _density_tables.cache_clear()
+        _TABLES.clear()
         for z, T in zip(np.tile(points, 4), got):
             assert np.array_equal(bits(T), bits(_grid_moments(m, z, 1)[0]))
 
@@ -626,32 +651,6 @@ class TestSameBits:
 
 
 class TestTableCache:
-    def test_many_panel_densities_stay_within_the_budget(self):
-        # seven 2049-panel densities, each evaluated out to its finest level
-        # (5.8 MB of tables each), would hold 40 MB; past the 32 MB budget the
-        # least recently used go first, and the latest stay as they were built
-        _density_tables.cache_clear()
-        held = []
-        try:
-            for mu in (1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5):
-                m = from_monomial_density(mu, 0.8)
-                limits = _density_tables(m.density).limits
-                _grid_moments(m, np.concatenate([0.9 * limits, limits]) * np.exp(-0.3j), 0)
-                held.append((m.density, _density_tables(m.density)))
-                assert all(level is not None for level in held[-1][1].levels)
-                assert _density_tables.nbytes <= _density_tables.budget
-            assert 1 < len(_density_tables) < len(held)
-            live = held[-len(_density_tables) :]
-            assert all(_density_tables(d) is tables for d, tables in live)
-            assert _density_tables.nbytes == sum(
-                t.t0.nbytes + t.w_powers.nbytes + t.limits.nbytes
-                + sum(i.nbytes + q.nbytes for i, q in t.rows)
-                + sum(np.asarray(h).nbytes + c.nbytes + k.nbytes for h, c, k in t.levels)
-                for _, t in live
-            )
-        finally:
-            _density_tables.cache_clear()
-
     def test_the_zero_workloads_densities_all_stay(self):
         # twenty small densities of 1 to 128 panels and their reflections, more
         # than the complex-plane workload holds, each evaluated through every
@@ -663,15 +662,59 @@ class TestTableCache:
             density = PiecewiseLinearDensity.interpolant(nodes, rng.uniform(0.5, 2.0, p + 1))
             m = StieltjesMeasure(1.0, ((1.0, -0.5),), density)
             ms += [m, m.reflected()]
-        _density_tables.cache_clear()
+        _TABLES.clear()
         first = {}
         for m in ms:
             limits = _density_tables(m.density).limits
             _grid_moments(m, np.concatenate([limits, 2.0 * limits[-1:]]) * np.exp(-0.4j), 1)
             first[m.density] = _density_tables(m.density)
-        assert len(_density_tables) == len(first) == 40
+        assert len(_TABLES) == len(first) == 40
         assert all(_density_tables(d) is tables for d, tables in first.items())
-        assert _density_tables.nbytes < 0.25 * _density_tables.budget
+
+    def test_derived_data_dies_with_its_measure(self):
+        # C and a far complex point use every map: the reflection, its density
+        # and origin series, and the tables of both densities out to the panel
+        # path; once the measure and its density are dropped, nothing stays
+        for derived in (_TABLES, _MIRRORS, _REFLECTED, _ORIGIN):
+            derived.clear()
+        density = PiecewiseLinearDensity.interpolant([0.0, 0.4, 1.3], [1.0, 2.5, 0.5])
+        m = StieltjesMeasure(1.3, ((1.3, -density.mass()),), density)
+        eval_CS(m, np.linspace(-5.0, 5.0, 11))
+        eval_E(m, -math.pi / 2, -1, 0.0)
+        eval_F(m, 900.0 - 300.0j)
+        assert all(len(derived) for derived in (_TABLES, _MIRRORS, _REFLECTED, _ORIGIN))
+        refs = weakref.ref(m), weakref.ref(density)
+        del m, density
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        assert [len(derived) for derived in (_TABLES, _MIRRORS, _REFLECTED, _ORIGIN)] == [0, 0, 0, 0]
+
+    def test_a_fresh_measure_over_a_held_density_finds_its_tables(self, monkeypatch):
+        # monotone_density_S builds a new measure on every call; the density's
+        # tables, its reflection and the reflection's tables are built once
+        from hbfourier.posdef import monotone_density_S
+
+        g = PiecewiseLinearDensity.step([0.0, 0.35, 0.9, 1.7], [0.5, 1.25, 2.0])
+        laid_out, reflections = [], []
+        lay_out, reflect = transforms._lay_out, PiecewiseLinearDensity.reflected
+
+        def counted_lay_out(density):
+            laid_out.append(density)
+            return lay_out(density)
+
+        def counted_reflect(density, sigma):
+            reflections.append(density)
+            return reflect(density, sigma)
+
+        monkeypatch.setattr(transforms, "_lay_out", counted_lay_out)
+        monkeypatch.setattr(PiecewiseLinearDensity, "reflected", counted_reflect)
+        seen = []
+        for _ in range(2):
+            monotone_density_S(g, np.linspace(0.5, 30.0, 60))
+            mirror = _MIRRORS[g][1.7]
+            seen.append((_TABLES[g], mirror, _TABLES[mirror]))
+        assert all(first is second for first, second in zip(*seen))
+        assert laid_out == [g, seen[0][1]] and reflections == [g]
 
 class TestBracketedNewton:
     def test_roots_of_either_orientation(self):

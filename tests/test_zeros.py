@@ -163,6 +163,11 @@ class TestLocate:
         z = locate_zero(m, Rectangle(-1.0, 1.0, -1.2, -0.2), target)
         assert abs(z - complex(0.0, -math.log(2.0))) <= 1e-12
 
+    @pytest.mark.parametrize("target", ["F'", "F''", "G"])
+    def test_refuses_targets_outside_the_f_family(self, sign_breaking_atoms, target):
+        with pytest.raises(ValueError, match="F-family targets only"):
+            locate_zero(sign_breaking_atoms, Rectangle(-1.0, 1.0, -2.0, -0.1), target)
+
     def test_requires_exactly_one_zero(self, two_unit_atoms):
         with pytest.raises(ValueError, match="exactly 1"):
             locate_zero(two_unit_atoms, LOWER)
@@ -372,6 +377,9 @@ class TestRealZeros:
     def test_pure_phase_has_no_zeros(self):
         m = StieltjesMeasure(1.0, ((1.0, 0.7),))
         assert find_real_zeros(m, (-20.0, 20.0)) == []
+
+    def test_zero_measure_has_no_real_zeros(self):
+        assert find_real_zeros(StieltjesMeasure(1.0, ()), (-20.0, 20.0)) == []
 
     def test_monotone_density_has_no_real_zeros(self, ramp_density):
         assert find_real_zeros(ramp_density, (-30.0, 30.0)) == []
