@@ -37,6 +37,7 @@ from .transforms import (
     _grid_moments,
     _mirrored_rows,
     _omega_rows,
+    _one_side,
     _reflected,
     real_transforms,
 )
@@ -108,14 +109,14 @@ def _d_values(cfg: OmegaConfig, x: np.ndarray, rt):
 def eval_d(cfg: OmegaConfig, x):
     """d(x) = x^{2n} Delta(x); removable at 0 for n = -1."""
     x = np.asarray(x, dtype=float)
-    out = _d_values(cfg, x, real_transforms(cfg.measure, x, order=1))
+    out = _d_values(cfg, x, _one_side(cfg.measure, x, 1, mirrored=False))
     return out if out.ndim else float(out)
 
 
 def eval_D(cfg: OmegaConfig, x):
     """The squared bracket D(x) exactly as printed (x-powers not cancelled)."""
     x = np.asarray(x, dtype=float)
-    rt = real_transforms(cfg.measure, x, order=1)
+    rt = _one_side(cfg.measure, x, 1, mirrored=True)
     n, tau = cfg.n, cfg.tau
     sig = cfg.measure.sigma
     bracket = (2.0 * sig * x * rt.S + x * rt.Cp + n * rt.C) * math.cos(tau) + (
@@ -167,7 +168,7 @@ def squared_bracket_direct(cfg: OmegaConfig, x):
     right-hand side (valid away from x = 0 for n != 0).
     """
     x = np.asarray(x, dtype=float)
-    rt = real_transforms(cfg.measure, x, order=1)
+    rt = _one_side(cfg.measure, x, 1, mirrored=False)
     sig = cfg.measure.sigma
     n = cfg.n
     xn = x.astype(float) ** n if n != 0 else np.ones_like(x)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import MASS_TOL, PiecewiseLinearDensity, StieltjesMeasure
-from .transforms import _BLOCK, _segment_moments, eval_Delta, eval_F, real_transforms
+from .transforms import _one_side, _piece_sums, eval_Delta, eval_F
 from .zeros import HypothesisViolation, _in_borderline_range, s_nonneg_on_grid
 
 _GL3_NODES = (-math.sqrt(0.6), 0.0, math.sqrt(0.6))
@@ -65,18 +65,9 @@ class PosDefProfile:
     def K(self, x):
         """K(x) = int_0^sigma f(t) cos(xt) dt, closed form per piece."""
         x = np.asarray(x, dtype=float)
-        total = np.zeros(x.shape if x.ndim else (1,), dtype=float)
-        xv = x if x.ndim else x.reshape(1)
-        a = 1j * xv
-        for t0, t1, coeffs in self.pieces:
-            w = t1 - t0
-            if w <= 0.0:
-                continue
-            M = _segment_moments([w**k for k in range(1, 4)], a, 1j * xv * t0)
-            for j, cj in enumerate(coeffs):
-                if cj != 0.0:
-                    total += cj * M[j].real
-        return total if x.ndim else float(total[0])
+        starts, ends, coeffs = zip(*self.pieces)
+        out = _piece_sums(starts, np.subtract(ends, starts), coeffs, 1j * x.reshape(-1)).real
+        return out.reshape(x.shape) if x.ndim else float(out[0])
 
     @property
     def f0(self) -> float:
@@ -222,19 +213,12 @@ def damped_kernel_integral(profile: PosDefProfile, alpha: float, beta: float) ->
         raise ValueError("|beta| must not exceed alpha")
     if profile.is_zero:
         raise ValueError("profile must not vanish identically")
-    total = 0.0
-    a = np.array([-alpha + 0.0j])
-    for t0, t1, coeffs in profile.pieces:
-        w = t1 - t0
-        if w <= 0.0:
-            continue
-        # (1 - beta t) * (c0 + c1 u + c2 u^2) as a cubic in u = t - t0
-        c0, c1, c2 = coeffs
-        k0 = 1.0 - beta * t0
-        q = (k0 * c0, k0 * c1 - beta * c0, k0 * c2 - beta * c1, -beta * c2)
-        M = _segment_moments([w**k for k in range(1, 5)], a, np.array([-alpha * t0 + 0.0j]))
-        total += sum(qj * M[j][0].real for j, qj in enumerate(q) if qj != 0.0)
-    return 2.0 * total
+    starts, ends, coeffs = (np.array(v) for v in zip(*profile.pieces))
+    # (1 - beta t) * (c0 + c1 u + c2 u^2) as a cubic in u = t - t0
+    c0, c1, c2 = coeffs.T
+    k0 = 1.0 - beta * starts
+    q = np.stack([k0 * c0, k0 * c1 - beta * c0, k0 * c2 - beta * c1, -beta * c2], axis=1)
+    return 2.0 * float(_piece_sums(starts, ends - starts, q, np.array([-alpha + 0.0j]))[0].real)
 
 
 def _pair_h(g: PiecewiseLinearDensity, x, i, j):
@@ -323,20 +307,12 @@ def check_h_hat_identity(g: PiecewiseLinearDensity, x_samples) -> Autocorrelatio
     sigma = g.nodes[-1]
     x = np.asarray(x_samples, dtype=float)
     mid, half, coeffs = _h_quartics(g)
-    flat = x.reshape(-1)
-    hhat = np.empty(flat.shape)
-    step = max(1, _BLOCK // len(mid))
-    for lo in range(0, flat.size, step):
-        xb = flat[lo : lo + step]
-        # with N_k = int_0^1 t^k e^{i x half t} dt, int_{-1}^{1} t^k e^{i x half t} dt
-        # is 2 Re N_k for even k and 2i Im N_k for odd k; a piece adds
-        # 2 half Re(e^{i x mid} sum_k c_k int_{-1}^{1} ...) to h-hat
-        N = _segment_moments(np.ones(5), 1j * half[:, None] * xb, 0.0)
-        N[0::2] = N[0::2].real
-        N[1::2] = 1j * N[1::2].imag
-        pieces = np.exp(1j * mid[:, None] * xb) * np.einsum("kpm,pk->pm", N, coeffs)
-        hhat[lo : lo + step] = 4.0 * (half @ pieces.real)
-    hhat = hhat.reshape(x.shape)
+    # a piece adds 2 Re int h(t) e^{ixt} dt over its halves t = mid +- u, u in [0, half], where
+    # h = sum_k c_k (+-u / half)^k is real, so the half t = mid - u may be conjugated into t = -mid + u
+    right = coeffs / half[:, None] ** np.arange(5)
+    left = right * (-1.0) ** np.arange(5)
+    halves = np.concatenate([mid, -mid]), np.concatenate([half, half]), np.concatenate([right, left])
+    hhat = 2.0 * _piece_sums(*halves, 1j * x.reshape(-1)).real.reshape(x.shape)
     measure = StieltjesMeasure(sigma, (), g if g.support() is not None else None)
     if measure.is_zero:
         two_delta = np.zeros_like(x)
@@ -420,7 +396,7 @@ def monotone_density_S(g: PiecewiseLinearDensity, x):
             raise ValueError("density must be nondecreasing across panel boundaries")
     sigma = g.nodes[-1]
     measure = StieltjesMeasure(sigma, (), g)
-    s_vals = real_transforms(measure, np.asarray(x, dtype=float), order=0).S
+    s_vals = _one_side(measure, x, 0, mirrored=True).S
     return s_vals, _detect_equidistant_steps(g)
 
 

@@ -190,12 +190,10 @@ class _DensityTables(NamedTuple):
 def _lay_out(density: PiecewiseLinearDensity) -> _DensityTables:
     """A density's panels and cluster levels, laid out on its first evaluation.
 
-    The panel path: t0 and w_powers[k] = w ** (k + 1) are columns of shape
+    The panel path: t0 and w_powers (`_width_powers`) are columns of shape
     (P, 1).  For a panel p, q_j are the coefficients of t^m (v0 + slope u) as
-    a polynomial in u = t - t0, so the panel adds sum_j q_j N_j to T_m.
-    rows[m] = (index, q) lists the nonzero q_j, panel by panel, with
-    index = j * P + p locating N_j of panel p in the moments flattened to
-    shape ((order + 2) * P, points).
+    a polynomial in u = t - t0, so the panel adds sum_j q_j N_j to T_m, and
+    rows[m] holds its `_piece_rows`.
 
     The cluster path: level L cuts the span [lo, hi] into 2^(L+1) cells of
     half-width h = (hi - lo) / 2^(L+2), from 2 cells up to the most that do
@@ -207,7 +205,6 @@ def _lay_out(density: PiecewiseLinearDensity) -> _DensityTables:
     """
     panels = density.panels
     widths = [t1 - t0 for t0, t1, _, _ in panels]
-    w_powers = np.array([[w**k for w in widths] for k in range(1, _MAX_ORDER + 3)])
     rows = []
     for m in range(_MAX_ORDER + 1):
         q = np.zeros((len(panels), m + 2))
@@ -217,13 +214,24 @@ def _lay_out(density: PiecewiseLinearDensity) -> _DensityTables:
                 b = math.comb(m, j) * t0 ** (m - j)
                 q[p, j] += b * v0
                 q[p, j + 1] += b * slope
-        panel, j = np.nonzero(q)
-        rows.append((j * len(panels) + panel, q[panel, j][:, None]))
+        rows.append(_piece_rows(q))
     t0 = np.array([p[0] for p in panels])[:, None]
     span = density.nodes[-1] - density.nodes[0]
     counts = 2 ** np.arange(1, max(2, len(panels)).bit_length())
     limits = _CLUSTER_RHO / (span / (2 * counts))
-    return _DensityTables(t0, w_powers[:, :, None], tuple(rows), limits, [None] * len(counts))
+    return _DensityTables(t0, _width_powers(widths, _MAX_ORDER + 2), tuple(rows), limits, [None] * len(counts))
+
+
+def _width_powers(widths: list, count: int) -> np.ndarray:
+    """w_powers[k] = w ** (k + 1) for k < count, by Python's float pow, as columns (count, P, 1)."""
+    return np.array([[w**k for w in widths] for k in range(1, count + 1)])[:, :, None]
+
+
+def _piece_rows(q):
+    """The rows (index, q) of `_panel_sum` for the coefficients q[p, j] of P pieces: the nonzero
+    q_j, piece by piece, index = j * P + p locating N_j of piece p in the moments of shape (J * P, points)."""
+    piece, j = np.nonzero(q)
+    return j * len(q) + piece, q[piece, j][:, None]
 
 
 # What the evaluator derives from an immutable object, keyed by that object:
@@ -313,26 +321,34 @@ def _cluster_level(density: PiecewiseLinearDensity, count: int) -> tuple:
     return h, centres[:, None], coeffs
 
 
-def _panel_sum(out, a, E, tables: _DensityTables):
-    """Add every panel's moments at the points a = iz to out, in panel order.
+def _panel_sum(out, a, E, t0, w_powers, rows):
+    """Add every piece's moments at the points a = iz to out, in piece order.
 
-    out has shape (order + 1, points) and holds the points' sums so far.
+    out has shape (len(rows), points) and holds the points' sums so far.  rows[m]
+    (`_piece_rows`) adds sum_j q_j int_0^w u^j e^{a (t0 + u) - E} du of every piece to out[m].
     """
-    order = len(out) - 1
-    step = max(1, _BLOCK // len(tables.t0))
+    step = max(1, _BLOCK // len(t0))
     for lo in range(0, a.size, step):
         blk = slice(lo, lo + step)
-        M = _segment_moments(tables.w_powers[: order + 2], a[blk], a[blk] * tables.t0 - E[blk])
+        M = _segment_moments(w_powers, a[blk], a[blk] * t0 - E[blk])
         M = M.reshape(-1, M.shape[-1])
-        for m in range(order + 1):
-            rows_m, q = tables.rows[m]
+        for m, (rows_m, q) in enumerate(rows):
             terms = np.empty((len(q) + 1, M.shape[-1]), dtype=complex)
             terms[0] = out[m, blk]
             np.take(M, rows_m, axis=0, out=terms[1:])
             terms[1:] *= q
-            # cumulative sum down the rows adds the panel terms in order
+            # cumulative sum down the rows adds the piece terms in order
             out[m, blk] = np.cumsum(terms, axis=0)[-1]
         del M, terms  # free this block's arrays before the next block's
+
+
+def _piece_sums(starts, widths, coeffs, a):
+    """sum_p sum_j coeffs[p, j] int_0^{w_p} u^j e^{a (t_p + u)} du at the 1-d points a, Re(a t) <= 0,
+    for pieces from t_p of width w_p, by the panel path."""
+    t0, coeffs = np.asarray(starts, dtype=float)[:, None], np.asarray(coeffs, dtype=float)
+    out, w_powers = np.zeros((1, a.size), dtype=complex), _width_powers(np.asarray(widths).tolist(), coeffs.shape[1])
+    _panel_sum(out, a, np.zeros(a.size), t0, w_powers, (_piece_rows(coeffs),))
+    return out[0]
 
 
 def _cluster_sum(out, a, E, h, centres, coeffs):
@@ -404,7 +420,7 @@ def _grid_moments(measure: StieltjesMeasure, z, order: int):
                     tables.levels[lv] = _cluster_level(measure.density, 2 << lv)
                 _cluster_sum(part, a[pts], E[pts], *tables.levels[lv])
             else:
-                _panel_sum(part, a[pts], E[pts], tables)
+                _panel_sum(part, a[pts], E[pts], tables.t0, tables.w_powers[: order + 2], tables.rows[: order + 1])
             if not isinstance(pts, slice):
                 flat[:, pts] = part
     return T, E.reshape(z.shape)[()]  # [()] gives a scalar E for a scalar z
@@ -504,6 +520,14 @@ def real_transforms(measure: StieltjesMeasure, x, order: int = 1) -> RealTransfo
         direct=_grid_moments(measure, x, order)[0],
         mirrored=_grid_moments(_reflected(measure), x, order)[0],
     )
+
+
+def _one_side(measure: StieltjesMeasure, x, order: int, mirrored: bool) -> RealTransforms:
+    """`real_transforms` with one evaluator pass, for a reader of one side: the
+    mirrored moments (C, S and their derivatives) or the direct ones, the other None."""
+    x = np.asarray(x, dtype=float)
+    T = _grid_moments(_reflected(measure) if mirrored else measure, x, order)[0]
+    return RealTransforms(x=x, direct=None if mirrored else T, mirrored=T if mirrored else None)
 
 
 @dataclass(frozen=True)
@@ -621,7 +645,7 @@ def eval_Delta(measure: StieltjesMeasure, x):
 def eval_Delta_reflected(measure: StieltjesMeasure, x):
     """The same Wronskian assembled from the reflected components:
     C'S - C S' + sigma (C^2 + S^2).  Independent of eval_Delta; cross-check."""
-    rt = real_transforms(measure, x, order=1)
+    rt = _one_side(measure, x, 1, mirrored=True)
     return rt.Cp * rt.S - rt.C * rt.Sp + measure.sigma * (rt.C**2 + rt.S**2)
 
 
@@ -699,14 +723,15 @@ def _omega_rows(measure: StieltjesMeasure, x, T, E=0.0, n: int = 0, k: int = 0, 
 class IdentityResiduals:
     """Absolute residuals of the structural identities, with natural scales.
 
-    Each residual compares two independently computed sides (direct moments
-    versus reflected moments), so these are genuine cross-checks of the
-    numerics.  `linear_scale` bounds the single-transform identities,
+    Every residual but `wronskian_pair` compares a side from the direct
+    moments with one from the reflected moments, two independent evaluator
+    passes, so these are genuine cross-checks of the numerics;
+    `wronskian_pair` checks the direct moments' h_alpha against their own
+    Wronskian.  `linear_scale` bounds the single-transform identities,
     `quadratic_scale` the Wronskian-type ones.
     """
 
     x: np.ndarray
-    euler_split: np.ndarray
     modulation: np.ndarray
     g_recombination: np.ndarray
     h_recombination: np.ndarray
@@ -720,8 +745,7 @@ class IdentityResiduals:
     # np.max, unlike the builtin max, passes a NaN residual on to the caller
 
     def max_linear(self) -> float:
-        parts = (self.euler_split, self.modulation, self.g_recombination)
-        parts += (self.h_recombination, self.phase_mix, self.rotation)
+        parts = (self.modulation, self.g_recombination, self.h_recombination, self.phase_mix, self.rotation)
         return float(np.max([np.max(part) for part in parts]))
 
     def max_quadratic(self) -> float:
@@ -737,8 +761,9 @@ def identity_residuals(
 ) -> IdentityResiduals:
     """Residuals of the structural identities at real points x.
 
-    Checked identities (LHS from direct moments, RHS from reflected ones):
-      * F = G + i H and F e^{-i sigma x} = C - i S
+    Checked identities (LHS from direct moments, RHS from reflected ones, but
+    the h_alpha Wronskian, whose sides both come from the direct moments):
+      * F e^{-i sigma x} = C - i S
       * G = C cos(sigma x) + S sin(sigma x), H = C sin(sigma x) - S cos(sigma x)
       * G cos(sigma x + tau) + H sin(sigma x + tau) = C cos(tau) - S sin(tau)
       * h_alpha = C cos(sigma x + alpha) + S sin(sigma x + alpha)
@@ -753,7 +778,6 @@ def identity_residuals(
     cos_s = np.cos(sig * x)
     sin_s = np.sin(sig * x)
 
-    euler = np.abs(rt.F - (G + 1j * H))
     modulation = np.abs(rt.F * np.exp(-1j * sig * x) - (C - 1j * S))
     g_rec = np.abs(G - (C * cos_s + S * sin_s))
     h_rec = np.abs(H - (C * sin_s - S * cos_s))
@@ -773,7 +797,6 @@ def identity_residuals(
     moment_bound = sig * v
     return IdentityResiduals(
         x=x,
-        euler_split=euler,
         modulation=modulation,
         g_recombination=g_rec,
         h_recombination=h_rec,

@@ -30,9 +30,9 @@ from .transforms import (
     _grid_moments,
     _mirrored_rows,
     _omega_rows,
+    _one_side,
     _reflected,
     eval_h_alpha_scaled,
-    real_transforms,
 )
 
 #: |target| must exceed this multiple of its bound on the boundary (see `_boundary_floor`)
@@ -458,7 +458,7 @@ def find_real_zeros(measure: StieltjesMeasure, interval):
 
 
 def _reflected_on_grid(measure: StieltjesMeasure, cosine: bool = True):
-    """(C >= 0, S >= 0) on the grid [0, 20 pi / sigma) of step `StieltjesMeasure.check_step`: 1000 points for every sigma.
+    """(C >= 0, S >= 0) on the grid k `StieltjesMeasure.check_step`, k < 1000, of [0, 20 pi / sigma), for every sigma.
 
     A grid value passes at -HYPOTHESIS_TOL V, V the total variation, which
     bounds |C| and |S|, and x = 0 is left out of the sine check, since
@@ -475,13 +475,9 @@ def _reflected_on_grid(measure: StieltjesMeasure, cosine: bool = True):
     yet decided send points, so a component that fails at a node sends none.
     With cosine=False only S is checked, and the first entry is None.
     """
-    sig = measure.sigma
-    grid = np.arange(0.0, 20.0 * math.pi * (1.0 / sig), measure.check_step)
+    grid = np.arange(1000) * measure.check_step
     slack = HYPOTHESIS_TOL * measure.total_variation
-    # np.unique would import numpy.ma, which adds about 1.8 MB to the peak memory
-    nodes = np.arange(0, grid.size, 8)
-    if nodes[-1] != grid.size - 1:
-        nodes = np.append(nodes, grid.size - 1)
+    nodes = np.append(np.arange(0, grid.size, 8), grid.size - 1)
     T = _grid_moments(_reflected(measure), grid[nodes], 1)[0]
     f, fp = _mirrored_rows(measure, 0.0, 0, grid[nodes], T)  # C + iS and C' + iS' at the nodes
     inner = np.flatnonzero(np.arange(nodes[-1]) % 8)  # the grid points inside the cells
@@ -585,7 +581,7 @@ def delta_xi(measure: StieltjesMeasure, xi: float, x):
     """Delta(x) + xi (G^2 + H^2) / (xi^2 + x^2), the compensated Wronskian
     that stays nonnegative when the single lower zero -i xi is divided out."""
     x = np.asarray(x, dtype=float)
-    rt = real_transforms(measure, x, order=1)
+    rt = _one_side(measure, x, 1, mirrored=False)
     out = rt.Delta + xi * (rt.G**2 + rt.H**2) / (xi * xi + x * x)
     return out if out.ndim else float(out)
 

@@ -203,11 +203,64 @@ class TestInputErrors:
         assert (code, text) == (1, "")
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "task, flags, message",
+        [
+            ({"grid": [0, 1]}, [], "task.grid: grid must be {start, stop, step?}"),
+            ({}, ["--rect=1,2,3"], "task.rect: rect must be [x0, x1, y0, y1]"),
+            ({"output": "xml"}, [], "task.output: output must be csv, json, or table"),
+            ({}, ["--grid=1:2"], "--grid expects a:b:step"),
+            ({}, ["--rect=1,2,x"], "--rect expects x0,x1,y0,y1"),
+            ({}, ["--grid=2:1:0.5"], "grid needs stop > start"),
+        ],
+        ids=["grid_not_an_object", "rect_of_three", "unknown_output", "grid_of_two", "rect_not_a_number", "grid_reversed"],
+    )
+    def test_refused_task_prints_its_message_on_stderr_only(self, tmp_path, capsys, task, flags, message):
+        doc = {"sigma": 1.0, "atoms": [{"t": 1.0, "c": 2.0}], "task": task}
+        code, text = run_cli(["eval", write_scenario(tmp_path, doc), *flags])
+        assert (code, text) == (1, "")
+        assert message in capsys.readouterr().err
+
+    def test_demo_without_a_name(self, capsys):
+        code, text = run_cli(["demo"])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err.startswith("error: demo needs a name: fejer2,")
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
         assert "usage: hbf" in capsys.readouterr().out
+
+
+class TestViolationRecords:
+    """Each failed gate ends its output with one exit-2 record naming its property."""
+
+    def test_identity_residual_linear(self, tmp_path):
+        doc = {"sigma": 1.0, "atoms": [{"t": 1.0, "c": -0.5}], "density": {"nodes": [0.0, 0.5, 1.0], "values": [1.0, 1.0, 1.0]}}
+        code, text = run_cli(["identities", write_scenario(tmp_path, doc), "--tol", "1e-300", "--out", "json"])
+        assert code == 2
+        summary, record = strict_json_lines(text)
+        violation = record["violation"]
+        assert violation["property"] == "identity_residual_linear"
+        assert violation["observed"] == summary["max_linear_residual"] > violation["bound"]
+
+    def test_min_margin(self):
+        code, text = run_cli(["demo", "fejer2", "--tol=-0.5", "--out", "json"])
+        assert code == 2
+        violation = strict_json_lines(text)[-1]["violation"]
+        assert violation["property"] == "min_margin"
+        assert violation["observed"] < violation["bound"]
+
+    def test_diagnostic(self, tmp_path, capsys):
+        # Fejer-2's atoms without the scenario's ineq task: S changes sign
+        doc = {"sigma": 2.0, "atoms": [{"t": 1.0, "c": 0.5}, {"t": 2.0, "c": 0.5}]}
+        code, text = run_cli(["zeros-imag", write_scenario(tmp_path, doc), "--out", "json"])
+        assert code == 2
+        assert strict_json_lines(text) == [
+            {"violation": {"bound": None, "location": None, "observed": "S(x) >= 0 failed on the grid", "property": "diagnostic"}}
+        ]
+        assert capsys.readouterr().err == ""
 
 
 def strict_json_lines(text):

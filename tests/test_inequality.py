@@ -311,6 +311,18 @@ class TestWitness:
                 assert (w.c, w.beta) == (0.0, 0.0)
         assert witnesses >= 3
 
+    def test_vanishing_E_with_a_varying_d_has_no_witness(self):
+        # a tiny atom at 1/2 leaves E within the 1e-8 V gate, but d varies by
+        # more than 1e-8 sigma V^2, so the equality family does not fit
+        m = StieltjesMeasure(1.0, ((0.5, 9e-9), (1.0, 1.0)))
+        cfg = OmegaConfig(m, 0, math.pi / 2)
+        grid = default_grid(cfg, -20.0, 20.0)
+        v = m.total_variation
+        assert np.max(np.abs(eval_E(m, cfg.tau, 0, grid))) <= 1e-8 * v
+        d = eval_d(cfg, grid)
+        assert np.max(np.abs(d - np.mean(d))) > 1e-8 * m.sigma * v * v
+        assert fit_equality_witness(cfg, grid) is None
+
     def test_zero_measure_witness(self):
         cfg = OmegaConfig(StieltjesMeasure(1.0, ()), 0, 0.0)
         w = fit_equality_witness(cfg, np.linspace(-5.0, 5.0, 201))

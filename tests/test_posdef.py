@@ -23,7 +23,7 @@ from hbfourier.posdef import (
     monotone_density_S,
     recover_pd_profile,
 )
-from hbfourier.transforms import real_transforms
+from hbfourier.transforms import _segment_moments, real_transforms
 
 
 @pytest.fixture
@@ -167,6 +167,83 @@ class TestDampedKernel:
             alpha = float(rng.uniform(0.1, 4.0))
             beta = float(rng.uniform(-alpha, alpha))
             assert damped_kernel_integral(profile, alpha, beta) > 0.0
+
+
+def _K_per_piece(profile, x):
+    """K summed piece by piece, one `_segment_moments` call per piece: the reference for `PosDefProfile.K`."""
+    x = np.asarray(x, dtype=float)
+    total = np.zeros(x.shape if x.ndim else (1,), dtype=float)
+    xv = x if x.ndim else x.reshape(1)
+    a = 1j * xv
+    for t0, t1, coeffs in profile.pieces:
+        w = t1 - t0
+        if w <= 0.0:
+            continue
+        M = _segment_moments([w**k for k in range(1, 4)], a, 1j * xv * t0)
+        for j, cj in enumerate(coeffs):
+            if cj != 0.0:
+                total += cj * M[j].real
+    return total if x.ndim else float(total[0])
+
+
+def _damped_per_piece(profile, alpha, beta):
+    """`damped_kernel_integral` summed piece by piece: its reference formula."""
+    total = 0.0
+    a = np.array([-alpha + 0.0j])
+    for t0, t1, (c0, c1, c2) in profile.pieces:
+        w = t1 - t0
+        if w <= 0.0:
+            continue
+        k0 = 1.0 - beta * t0
+        q = (k0 * c0, k0 * c1 - beta * c0, k0 * c2 - beta * c1, -beta * c2)
+        M = _segment_moments([w**k for k in range(1, 5)], a, np.array([-alpha * t0 + 0.0j]))
+        total += sum(qj * M[j][0].real for j, qj in enumerate(q) if qj != 0.0)
+    return 2.0 * total
+
+
+def _random_profile_measure(seed):
+    rng = np.random.default_rng(seed)
+    sig = float(rng.uniform(0.5, 3.0))
+    panels = int(rng.integers(1, 9))
+    density = PiecewiseLinearDensity.interpolant(np.linspace(0.0, sig, panels + 1), rng.uniform(-1.0, 2.0, panels + 1))
+    atoms = ((float(rng.uniform(0.0, sig)), float(rng.uniform(-1.0, 1.0))), (sig, float(rng.uniform(-1.0, 1.0))))
+    return StieltjesMeasure(sig, atoms if seed % 2 else (), density)
+
+
+class TestPieceSums:
+    """K, the damped integral and h-hat are summed by the evaluator's panel path."""
+
+    @pytest.fixture(params=["monomial", "triangle", "ramp", "random0", "random1", "random2", "random3"])
+    def profile(self, request, triangle_case2, ramp_density):
+        from hbfourier.measure import from_monomial_density
+
+        if request.param == "monomial":
+            m = from_monomial_density(1.5, 0.8)
+        elif request.param in ("triangle", "ramp"):
+            m = triangle_case2 if request.param == "triangle" else ramp_density
+        else:
+            m = _random_profile_measure(int(request.param[-1]))
+        return recover_pd_profile(m).profile
+
+    def test_K_is_the_per_piece_sum_bit_for_bit(self, profile):
+        rng = np.random.default_rng(4)
+        xs = [0.0, 1.3, -250.0, np.array([0.0]), np.array([0.0, 0.5, -2.0]), np.linspace(-40.0, 40.0, 161)]
+        xs += [rng.uniform(-300.0, 300.0, 40), np.geomspace(1e-6, 1e3, 30).reshape(5, 6)]
+        for x in xs:
+            got, want = profile.K(x), _K_per_piece(profile, x)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), x
+
+    def test_damped_integral_is_the_per_piece_formula(self, profile):
+        for alpha, beta in ((1.0, 1.0), (0.3, -0.2), (4.0, 0.0), (100.0, 50.0)):
+            want = _damped_per_piece(profile, alpha, beta)
+            assert damped_kernel_integral(profile, alpha, beta) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_posdef_keeps_no_summation_loop_of_its_own(self):
+        import hbfourier.posdef as posdef
+
+        assert not hasattr(posdef, "_segment_moments") and not hasattr(posdef, "_BLOCK")
 
 
 class TestAutocorrelation:

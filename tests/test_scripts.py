@@ -1,5 +1,6 @@
 """The scripts, and the CLI commands that replaced a script, print what the library computes."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -46,6 +47,17 @@ def test_ineq_demo_csv_prints_plain_numbers(demo):
         assert len(fields) == 4
         for field in fields:
             float(field)
+
+
+def test_cli_snapshot_has_its_documented_size(tmp_path):
+    # the README and the script's docstring state the size of the byte-identity gate
+    spec = importlib.util.spec_from_file_location("cli_snapshot", ROOT / "scripts" / "cli_snapshot.py")
+    snapshot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snapshot)
+    names = [name for name, _ in snapshot.invocations(tmp_path)]
+    assert len(names) == len(set(names)) == 329
+    assert "With the five scenario files that makes 329 invocations" in snapshot.__doc__
+    assert "CLI output of 329 fixed invocations" in (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def test_paired_rounds_compares_a_tree_with_itself():

@@ -690,8 +690,9 @@ class TestTableCache:
         assert [len(derived) for derived in (_TABLES, _MIRRORS, _REFLECTED, _ORIGIN)] == [0, 0, 0, 0]
 
     def test_a_fresh_measure_over_a_held_density_finds_its_tables(self, monkeypatch):
-        # monotone_density_S builds a new measure on every call; the density's
-        # tables, its reflection and the reflection's tables are built once
+        # monotone_density_S builds a new measure on every call; it reads S
+        # alone, so the density's reflection and the reflection's tables are
+        # built once, and the density's own tables never
         from hbfourier.posdef import monotone_density_S
 
         g = PiecewiseLinearDensity.step([0.0, 0.35, 0.9, 1.7], [0.5, 1.25, 2.0])
@@ -712,9 +713,44 @@ class TestTableCache:
         for _ in range(2):
             monotone_density_S(g, np.linspace(0.5, 30.0, 60))
             mirror = _MIRRORS[g][1.7]
-            seen.append((_TABLES[g], mirror, _TABLES[mirror]))
+            seen.append((mirror, _TABLES[mirror]))
         assert all(first is second for first, second in zip(*seen))
-        assert laid_out == [g, seen[0][1]] and reflections == [g]
+        assert laid_out == [seen[0][0]] and reflections == [g]
+
+def _one_side_readers():
+    """(module, reader) for every reader of one side of `real_transforms`."""
+    from hbfourier import inequality, posdef, zeros
+
+    g = PiecewiseLinearDensity.interpolant([0.0, 0.3, 1.0, 1.7], [0.2, 0.5, 0.5, 1.4])
+    decaying, mixed = StieltjesMeasure(1.7, (), g), mixed_measure()
+    cfgs = (inequality.OmegaConfig(decaying, 1, -math.pi / 2), inequality.OmegaConfig(mixed, 0, 0.4))
+    return {
+        "monotone_density_S": (posdef, lambda x: posdef.monotone_density_S(g, x)[0]),
+        "eval_Delta_reflected": (transforms, lambda x: (eval_Delta_reflected(decaying, x), eval_Delta_reflected(mixed, x))),
+        "eval_D": (inequality, lambda x: [inequality.eval_D(cfg, x) for cfg in cfgs]),
+        "eval_d": (inequality, lambda x: [inequality.eval_d(cfg, x) for cfg in cfgs]),
+        "squared_bracket_direct": (inequality, lambda x: [inequality.squared_bracket_direct(cfg, x) for cfg in cfgs]),
+        "delta_xi": (zeros, lambda x: (zeros.delta_xi(decaying, 0.7, x), zeros.delta_xi(mixed, 1.3, x))),
+    }
+
+
+class TestOneSide:
+    """A reader of one side of the real-axis transforms makes that side's
+    evaluator pass alone, and reads the bits that both passes give."""
+
+    @pytest.mark.parametrize("name", list(_one_side_readers()))
+    def test_one_pass_with_the_bits_of_both(self, name, monkeypatch):
+        module, reader = _one_side_readers()[name]
+        x = np.linspace(-12.0, 12.0, 241)
+        evaluator, calls = transforms._grid_moments, []
+        monkeypatch.setattr(transforms, "_grid_moments", lambda *args: calls.append(args[0]) or evaluator(*args))
+        got = reader(x)
+        assert len(calls) == (1 if name == "monotone_density_S" else 2)  # one per measure read
+        # both sides, as `real_transforms` gives them
+        monkeypatch.setattr(module, "_one_side", lambda measure, x, order, mirrored: real_transforms(measure, x, order))
+        want = reader(x)
+        assert np.array_equal(bits(got), bits(want))
+
 
 class TestBracketedNewton:
     def test_roots_of_either_orientation(self):

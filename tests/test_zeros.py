@@ -587,7 +587,7 @@ class TestImaginaryZero:
 def _dense_reflected_on_grid(measure):
     """(C >= 0, S >= 0) from every point of the hypothesis grid: the reference for `_reflected_on_grid`."""
     sig = measure.sigma
-    grid = np.arange(0.0, 20.0 * math.pi * (1.0 / sig), math.pi / (50.0 * sig))
+    grid = np.arange(1000) * (math.pi / (50.0 * sig))
     values = zeros_module._grid_moments(_reflected(measure), grid, 0)[0][0]
     slack = HYPOTHESIS_TOL * measure.total_variation
     return bool(np.min(values.real) >= -slack), bool(np.min(values[1:].imag) >= -slack)
@@ -631,6 +631,18 @@ class TestHypothesisGrid:
             assert zeros_module.s_nonneg_on_grid(m) == expected[1], m
             verdicts.add(expected)
         assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_the_grid_has_1000_points_for_every_sigma(self, monkeypatch):
+        # np.arange(0, 20 pi / sigma, check_step) had 1001 points for about a
+        # quarter of sigma, by rounding; the grid is k check_step, k < 1000
+        evaluator = zeros_module._grid_moments
+        points = []
+        monkeypatch.setattr(zeros_module, "_grid_moments", lambda m, z, k: points.append(z) or evaluator(m, z, k))
+        for sig in np.random.default_rng(25).uniform(0.01, 100.0, 200):
+            m = StieltjesMeasure(float(sig), ((0.0, 1.0), (float(sig), 1.0)))
+            points.clear()
+            zeros_module._reflected_on_grid(m)
+            assert np.max(np.concatenate(points)) == 999 * m.check_step
 
     def test_evaluates_a_fifth_of_the_grid_in_two_calls(self, monkeypatch):
         # the benchmark's triangle: 126 nodes, then the points near the tangent
