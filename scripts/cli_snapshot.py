@@ -41,12 +41,26 @@ OUTDIR, so that `diff -r` of two snapshots shows every byte that moved:
 For a command other than the scenario's own, the scenario is rewritten with
 that command in its task; the task's other fields are kept.  The script exits
 1 when any invocation ended in an exception instead of an exit code.
+
+`--compare OLD NEW` compares two snapshots field by field instead:
+
+    PYTHONPATH=src python scripts/cli_snapshot.py --compare /tmp/snap_old /tmp/snap_new
+
+For every file that moved it prints each numeric field that moved (a JSON
+key or a csv column, list indices dropped) with its largest |change|
+relative to the field's largest |value| in the file, old or new, and then
+each field's largest relative move over all files.  It exits 1 if a file is
+missing from either side, or any exit code, stderr, string, boolean,
+integer, None, key, list length or `equality_points` entry moved: those
+are verdicts, not last bits.
 """
 
 import argparse
+import ast
 import contextlib
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -163,10 +177,110 @@ def invocations(workdir: Path):
         yield f"demo-{demo}--csv.txt", ["demo", demo, "--out", "csv"]
 
 
+def _parse_value(text: str):
+    """A csv or table value as the CLI printed it: a Python literal, or else the string itself."""
+    try:
+        return ast.literal_eval(text)
+    except (ValueError, SyntaxError):
+        return text
+
+
+def _stdout_leaves(stdout: str) -> list:
+    """(path, value) of every leaf of a CLI stdout: json lines, csv with a
+    header row, or `key: value` table lines; a path is a tuple of keys and
+    list indices."""
+    lines = stdout.splitlines()
+    try:
+        docs = [json.loads(line) for line in lines]
+    except ValueError:
+        docs = None
+    if docs is None and lines and "," in lines[0] and ": " not in lines[0]:
+        header = lines[0].split(",")
+        docs = [[dict(zip(header, map(_parse_value, line.split(",")))) for line in lines[1:]]]
+    if docs is None:
+        docs = [{key: _parse_value(value) for key, _, value in (line.partition(": ") for line in lines)}]
+    leaves = []
+
+    def walk(path, value):
+        if isinstance(value, dict):
+            for key in value:
+                walk(path + (key,), value[key])
+        elif isinstance(value, (list, tuple)):
+            leaves.append((path + ("len",), len(value)))
+            for i, item in enumerate(value):
+                walk(path + (i,), item)
+        else:
+            leaves.append((path, value))
+
+    walk((), docs)
+    return leaves
+
+
+def _snapshot_file(path: Path) -> tuple:
+    """(exit line, stdout, stderr) of one snapshot file."""
+    text = path.read_text(encoding="utf-8")
+    head, rest = text.split("\n--- stdout\n", 1)
+    stdout, stderr = rest.rsplit("--- stderr\n", 1)
+    return head, stdout, stderr
+
+
+def compare_snapshots(old: Path, new: Path, out=sys.stdout) -> int:
+    """Print the fields that moved between two snapshots; 1 if a verdict moved."""
+    names = sorted({p.name for p in old.glob("*.txt")} | {p.name for p in new.glob("*.txt")})
+    fatal = []
+    worst = {}  # field -> (relative move, file)
+    moved = 0
+    for name in names:
+        if not (old / name).exists() or not (new / name).exists():
+            fatal.append(f"{name}: present on one side only")
+            continue
+        a, b = _snapshot_file(old / name), _snapshot_file(new / name)
+        if a == b:
+            continue
+        moved += 1
+        print(name, file=out)
+        if a[0] != b[0] or a[2] != b[2]:
+            fatal.append(f"{name}: exit code or stderr moved")
+            continue
+        la, lb = _stdout_leaves(a[1]), _stdout_leaves(b[1])
+        if [p for p, _ in la] != [p for p, _ in lb]:
+            fatal.append(f"{name}: keys or list lengths moved")
+            continue
+        delta, size = {}, {}
+        for (path, va), (_, vb) in zip(la, lb):
+            field = ".".join(str(k) for k in path if not isinstance(k, int))
+            if not (isinstance(va, (float, complex)) and isinstance(vb, (float, complex))):
+                if va != vb or type(va) is not type(vb):
+                    fatal.append(f"{name}: {field} moved from {va!r} to {vb!r}")
+                continue
+            if "equality_points" in path and va != vb:
+                fatal.append(f"{name}: an equality point moved from {va!r} to {vb!r}")
+            delta[field] = max(delta.get(field, 0.0), abs(vb - va))
+            size[field] = max(size.get(field, 0.0), abs(va), abs(vb))
+        for field, d in delta.items():
+            if d == 0.0:
+                continue
+            rel = d / size[field] if size[field] else math.inf
+            print(f"  {field}: max |change| {d:.3g}, {rel:.3g} of its largest |value| {size[field]:.3g}", file=out)
+            if rel > worst.get(field, (-1.0, ""))[0]:
+                worst[field] = (rel, name)
+    print(f"{moved} of {len(names)} files moved", file=out)
+    for field, (rel, name) in sorted(worst.items()):
+        print(f"largest move of {field}: {rel:.3g} of its largest |value|, in {name}", file=out)
+    for line in fatal:
+        print(f"FATAL {line}", file=out)
+    return 1 if fatal else 0
+
+
 def main_snapshot(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("outdir", type=Path)
+    parser.add_argument("outdir", type=Path, nargs="?")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"))
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare_snapshots(*args.compare)
+    if args.outdir is None:
+        parser.error("give OUTDIR, or --compare OLD NEW")
     args.outdir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         count = 0

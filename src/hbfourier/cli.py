@@ -177,8 +177,8 @@ def _run_eval(measure, task, out) -> int:
     grid = _make_grid(task, measure)
     rt = real_transforms(measure, grid, order=1)
     cfg = inequality.OmegaConfig(measure, task.n, task.tau)
-    # the one order-1 pass serves the margins and, from its mirrored moments, E
-    lhs, rhs, _, e_vals = inequality._margin_pieces(cfg, grid, rt)
+    # the mirrored moments serve the margins and E; the direct ones only G, H and Delta
+    margin, _, _, e_vals = inequality._margin_pieces(cfg, grid, rt.mirrored)
     columns = {
         "x": grid,
         "F_re": rt.G,
@@ -189,7 +189,7 @@ def _run_eval(measure, task, out) -> int:
         "S": rt.S,
         "Delta": rt.Delta,
         "E": e_vals,
-        "margin": lhs - rhs,
+        "margin": margin,
     }
     if (code := _nonfinite(out, **columns)) is not None:
         return code

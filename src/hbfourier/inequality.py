@@ -8,8 +8,17 @@ E + i E~ = x^n e^{i tau} (C + i S), so the margin is
 
   4 sigma x^{2n} Delta - (E' + 2 sigma E~)^2.
 
-Both sides come from omega's rows: d = Im(conj(w) w') for w = x^n F, and E is
-Re W for the mirrored W (`transforms._mirrored_rows`, which `eval_E` shares).
+Every measure here is real, so the reflected Wronskian identity
+Delta = C'S - C S' + sigma (C^2 + S^2) holds, and with it
+x^{2n} Delta = sigma |W|^2 - Im(conj(W) W') for W = E + i E~.  The margin
+then reduces exactly to
+
+  4 sigma^2 E^2 - 4 sigma E E~' - E'^2,
+
+which `check_inequality` reads from the mirrored rows alone
+(`transforms._mirrored_rows`, which `eval_E` shares): one evaluator pass, on
+the reflected measure.  The direct route, d = Im(conj(w) w') for w = x^n F
+(`eval_d`), stays as the independent cross-check of the margin.
 `transforms._omega_rows` forms w, W and their derivatives from the moments
 alone, so no removable power is ever divided out; near the origin it sums
 n = -1's F / x as a series.
@@ -126,32 +135,39 @@ def eval_D(cfg: OmegaConfig, x):
     return out if out.ndim else float(out)
 
 
-def _margin_pieces(cfg: OmegaConfig, x: np.ndarray, rt=None):
-    """(lhs, rhs, scale, E) with margin = lhs - rhs, one formula for every n:
-    lhs = 4 sigma x^{2n} Delta and rhs = (Re W' + 2 sigma Im W)^2 for the
-    mirrored W = E + i E~ = x^n e^{i tau} (C + i S).  The margin's scale is
-    max(|lhs|, |rhs|) floored at V^2 sigma^(2 - 2n) max(sigma |x|, 1)^(2n),
-    the size of both sides where x^n F and its derivative are as large as
-    |F^(k)| <= sigma^k V allows; it is sigma^2 V^2 for n = 0 and stays
-    nonzero at x = 0 for n = +-1.  Where the scale is 0, lhs = rhs = 0 (the
-    zero measure), so the margin is 0 in any unit and the scale reads 1.
-    rt holds the order-1 transforms at x when the caller has them already."""
-    if rt is None:
-        rt = real_transforms(cfg.measure, x, order=1)
+def _margin_pieces(cfg: OmegaConfig, x: np.ndarray, mirrored=None):
+    """(margin, rhs, scale, E) at x from the mirrored W = E + i E~ = x^n e^{i tau} (C + i S)
+    alone, one formula for every n.  With x^{2n} Delta = sigma |W|^2 - Im(conj(W) W')
+    (the reflected Wronskian identity, which holds for every real measure),
+    the margin 4 sigma x^{2n} Delta - (E' + 2 sigma E~)^2 is exactly
+    4 sigma^2 E^2 - 4 sigma E E~' - E'^2: its E~^2 and E' E~ terms cancel in
+    the algebra, not in rounding, and it is 0 wherever E = E' = 0.  rhs is
+    (E' + 2 sigma E~)^2.  The margin's scale is max(|lhs|, rhs) with
+    lhs = margin + rhs = 4 sigma (sigma |W|^2 - Im(conj(W) W')), floored at
+    V^2 sigma^(2 - 2n) max(sigma |x|, 1)^(2n), the size of both sides where
+    x^n F and its derivative are as large as |F^(k)| <= sigma^k V allows; it
+    is sigma^2 V^2 for n = 0 and stays nonzero at x = 0 for n = +-1.  Where
+    the scale is 0, lhs = rhs = 0 (the zero measure), so the margin is 0 in
+    any unit and the scale reads 1.  mirrored holds the reflected measure's
+    order-1 moments at x when the caller has them already; else they take
+    one evaluator pass."""
     m, n = cfg.measure, cfg.n
+    if mirrored is None:
+        mirrored = _grid_moments(_reflected(m), x, 1)[0]
     sig = m.sigma
-    w, wp = _mirrored_rows(m, cfg.tau, n, x, rt.mirrored)
-    lhs, rhs = 4.0 * sig * _d_values(cfg, x, rt), (wp.real + 2.0 * sig * w.imag) ** 2
+    w, wp = _mirrored_rows(m, cfg.tau, n, x, mirrored)
+    e, ep = w.real, wp.real
+    margin = 4.0 * sig * e * (sig * e - wp.imag) - ep * ep
+    rhs = (ep + 2.0 * sig * w.imag) ** 2
+    lhs = margin + rhs
     b = m.bound(1 - n)  # b * b overflows to inf, where b ** 2 would raise
-    floor = b * b * np.maximum(sig * np.abs(x), 1.0) ** (2 * n)
-    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
-    return lhs, rhs, np.where(scale == 0.0, 1.0, scale), w.real
+    floor = b * b * np.maximum(sig * np.abs(x), 1.0) ** (2 * n) if n else b * b
+    scale = np.maximum(np.maximum(np.abs(lhs), rhs), floor)
+    return margin, rhs, np.where(scale == 0.0, 1.0, scale), e
 
 
 def margin_values(cfg: OmegaConfig, x):
-    x = np.asarray(x, dtype=float)
-    lhs, rhs, _, _ = _margin_pieces(cfg, x)
-    out = lhs - rhs
+    out = _margin_pieces(cfg, np.asarray(x, dtype=float))[0]
     return out if out.ndim else float(out)
 
 
@@ -190,6 +206,9 @@ def squared_bracket_direct(cfg: OmegaConfig, x):
 class InequalityReport:
     """Grid margins of the sharp inequality plus equality diagnostics.
 
+    margin is 4 sigma^2 E^2 - 4 sigma E E~' - E'^2, the printed margin
+    4 sigma x^{2n} Delta - (E' + 2 sigma E~)^2 read from the mirrored W alone,
+    and scale its per-point scale (`_margin_pieces`); e_values is E.
     hypothesis_ok records only that E >= 0 held on the grid ("grid-verified",
     never "verified").  equality_points are refined locations where both E and
     the margin vanish within tolerance; for a globally vanishing E the flag
@@ -249,31 +268,33 @@ def _refine_equality_points(cfg: OmegaConfig, grid, e_vals, e_tol):
         return sign[k] * np.where(crossing[k], e0, e1), sign[k] * np.where(crossing[k], e1, e2)
 
     x = _bracketed_newton(target, lo, hi, grid[i], 1.0 / sig)
-    lhs, rhs, scale, e_star = _margin_pieces(cfg, x)
+    margin, _, scale, e_star = _margin_pieces(cfg, x)
     points = []
-    for x_star, e, margin, sc in zip(x, np.abs(e_star), lhs - rhs, scale):
-        if not (e <= e_tol and abs(margin) <= MARGIN_TOL * sc):
+    for x_star, e, mg, sc in zip(x.tolist(), np.abs(e_star).tolist(), margin.tolist(), scale.tolist()):
+        if not (e <= e_tol and abs(mg) <= MARGIN_TOL * sc):
             continue
         if points and abs(points[-1] - x_star) < 1e-9 * max(1.0 / sig, abs(x_star)):
             continue
-        points.append(float(x_star))
+        points.append(x_star)
     return tuple(points)
 
 
 def check_inequality(cfg: OmegaConfig, grid) -> InequalityReport:
     """Margins of the inequality on a sorted finite grid.
 
-    A hypothesis violation (E < 0 somewhere) is reported, not raised; margins
-    are still computed so the caller can inspect the failure.
+    The margins, their scales and E come from one order-1 evaluator pass of
+    the reflected measure (`_margin_pieces`); the refinement of equality
+    points evaluates only its brackets.  A hypothesis violation (E < 0
+    somewhere) is reported, not raised; margins are still computed so the
+    caller can inspect the failure.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be a 1-d array with at least 2 points")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
-    # one order-1 pass serves the margins and, from its mirrored moments, E
-    lhs, rhs, scale, e_vals = _margin_pieces(cfg, grid)
-    margin = lhs - rhs
+    # one order-1 pass of the reflected measure serves the margins and E
+    margin, _, scale, e_vals = _margin_pieces(cfg, grid)
     v = cfg.measure.bound(-cfg.n)  # the scale of E, which carries x^n
     hypothesis_ok = bool(np.min(e_vals) >= -HYPOTHESIS_TOL * v)
     e_tol = E_TOL * v

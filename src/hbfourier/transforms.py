@@ -385,20 +385,25 @@ def _grid_moments(measure: StieltjesMeasure, z, order: int):
     z is a real or complex scalar or array; E = max(0, -Im z * sigma), which
     is 0 on real input, and every exponential evaluated has a nonpositive
     real part, so points far below the real axis cannot overflow.  Atoms are
-    added one by one.  The density is summed, in a fixed order, over the
-    cells of the level that |z| selects, or over all panels where |z| is
-    past the finest level; each block of points is evaluated element by
-    element, so a point's moments do not depend on the other points of the
-    call.  A call whose points all take one level, or all the panel path,
-    sums in place; only a mixed call groups its points.  T has shape
-    (order + 1,) + z.shape.
+    added one by one; on a finite real z an atom at t = 0 adds its mass to
+    T[0] without an exponential, with the same bits.  The density is summed,
+    in a fixed order, over the cells of the level that |z| selects, or over
+    all panels where |z| is past the finest level; each block of points is
+    evaluated element by element, so a point's moments do not depend on the
+    other points of the call.  A call whose points all take one level, or all
+    the panel path, sums in place; only a mixed call groups its points.  T
+    has shape (order + 1,) + z.shape.
     """
     z = np.asarray(z)
-    E = np.maximum(-measure.sigma * z.imag, 0.0)
+    real = not np.iscomplexobj(z)
+    E = np.zeros(z.shape) if real else np.maximum(-measure.sigma * z.imag, 0.0)
     a = 1j * z
     T = np.zeros((order + 1,) + z.shape, dtype=complex)
     for t, c in measure.atoms:
-        phase = np.exp(a * t - E)
+        if real and t == 0.0 and np.all(np.isfinite(z)):  # the phase is exactly 1
+            T[0] += c
+            continue
+        phase = np.exp(a * t) if real else np.exp(a * t - E)
         tm = 1.0
         for m in range(order + 1):
             T[m] += (c * tm) * phase
@@ -692,15 +697,15 @@ def _omega_rows(measure: StieltjesMeasure, x, T, E=0.0, n: int = 0, k: int = 0, 
     the reference `inequality.squared_bracket_direct`.
     """
     d = [(1j) ** j * T[j] * phase for j in range(k, len(T))]
+    if n == 0:
+        return d
     e = []
     with np.errstate(divide="ignore", invalid="ignore"):  # x = 0 takes the series
         for j, dj in enumerate(d):
             if n == 1:
                 e.append(x * dj + j * d[j - 1] if j else x * dj)
-            elif n == -1:
-                e.append((dj - j * e[j - 1]) / x if j else dj / x)
             else:
-                e.append(dj)
+                e.append((dj - j * e[j - 1]) / x if j else dj / x)
     near = n == -1 and np.abs(x) * measure.sigma <= _CLUSTER_RHO
     if not np.any(near):
         return e

@@ -184,7 +184,29 @@ class TestCheckInequality:
         grid = default_grid(cfg, -10.0, 10.0)  # the grid of `hbf demo ramp`
         rep = check_inequality(cfg, grid)
         assert rep.equality_points == ()
-        assert sizes == [grid.size] * 2  # direct and mirrored moments; E reads the mirrored ones
+        assert sizes == [grid.size]  # the mirrored moments serve the margin and E
+
+    @pytest.mark.parametrize("route", ["check_inequality", "margin_values", "margin_scale"])
+    def test_one_reflected_pass_on_the_grid(self, fejer2, monkeypatch, route):
+        # the margin, its scale and E come from the reflected measure's order-1
+        # moments alone; the refinement's passes are on its brackets, not the grid
+        calls = []
+        evaluator = transforms._grid_moments
+
+        def counted(measure, z, order):
+            calls.append((measure, np.size(z)))
+            return evaluator(measure, z, order)
+
+        monkeypatch.setattr(transforms, "_grid_moments", counted)
+        monkeypatch.setattr(inequality, "_grid_moments", counted)
+        cfg = OmegaConfig(fejer2, 0, 0.0)
+        grid = default_grid(cfg, -10.0, 10.0)
+        result = getattr(inequality, route)(cfg, grid)
+        if route == "check_inequality":
+            assert result.equality_points  # the refinement ran
+        on_grid = [measure for measure, size in calls if size == grid.size]
+        assert len(on_grid) == 1
+        assert on_grid[0] is transforms._reflected(fejer2)
 
     def test_ramp_density_positive_margin_no_equalities(self, ramp_density):
         cfg = OmegaConfig(ramp_density, 1, -math.pi / 2)
@@ -405,23 +427,75 @@ class TestOneE:
             assert np.count_nonzero(b != bits["eval_E"]) == 0, route
 
 
+def _mp_transform(measure, x, k):
+    """int t^k e^{ixt} dmu at the working precision, by mpmath quadrature of the stored representation."""
+    mpmath = pytest.importorskip("mpmath")
+    x = mpmath.mpf(x)
+    value = sum(mpmath.mpf(c) * mpmath.mpf(t) ** k * mpmath.expj(x * t) for t, c in measure.atoms)
+    for t0, t1, v0, v1 in measure.density.panels if measure.density is not None else ():
+        t0, t1, v0, v1 = (mpmath.mpf(v) for v in (t0, t1, v0, v1))
+        g = lambda t: v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+        value += mpmath.quad(lambda t: g(t) * t**k * mpmath.expj(x * t), [t0, t1], method="gauss-legendre")
+    return value
+
+
 def _mp_omega(measure, x, phase=1):
     """(w, w') for w = phase (F(x) - F(0)) / x, from mpmath quadrature of the
     stored representation; subtracting F(0) drops the rounding-level mass
     that makes the stored F / x a genuine pole."""
     mpmath = pytest.importorskip("mpmath")
     x = mpmath.mpf(x)
+    w = (_mp_transform(measure, x, 0) - _mp_transform(measure, 0, 0)) / x
+    return phase * w, phase * (1j * _mp_transform(measure, x, 1) - w) / x
 
-    def transform(x, k):  # int t^k e^{ixt} dmu
-        value = sum(mpmath.mpf(c) * mpmath.mpf(t) ** k * mpmath.expj(x * t) for t, c in measure.atoms)
-        for t0, t1, v0, v1 in measure.density.panels:
-            t0, t1, v0, v1 = (mpmath.mpf(v) for v in (t0, t1, v0, v1))
-            g = lambda t: v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-            value += mpmath.quad(lambda t: g(t) * t**k * mpmath.expj(x * t), [t0, t1], method="gauss-legendre")
-        return value
 
-    w = (transform(x, 0) - transform(0, 0)) / x
-    return phase * w, phase * (1j * transform(x, 1) - w) / x
+def _mp_margin(cfg, x):
+    """4 sigma x^{2n} Delta - (E' + 2 sigma E~)^2 as printed, at the working
+    precision: Delta from the direct moments, and C + i S = e^{i sigma x} conj(F)."""
+    mpmath = pytest.importorskip("mpmath")
+    x, sig, n = mpmath.mpf(x), mpmath.mpf(cfg.measure.sigma), cfg.n
+    f, f1 = _mp_transform(cfg.measure, x, 0), _mp_transform(cfg.measure, x, 1)
+    delta = f.real * f1.real + f1.imag * f.imag  # G H' - G' H with G' = -Im T_1, H' = Re T_1
+    rot = mpmath.expj(cfg.tau + sig * x)
+    v, vp = rot * mpmath.conj(f), rot * (1j * sig * mpmath.conj(f) + mpmath.conj(1j * f1))
+    w, wp = x**n * v, n * x ** (n - 1) * v + x**n * vp
+    return 4 * sig * x ** (2 * n) * delta - (wp.real + 2 * sig * w.imag) ** 2
+
+
+#: configs whose margin is checked against mpmath; root-at-zero is scenarios/root_at_zero.json
+MARGIN_CASES = {
+    "fejer2": lambda: OmegaConfig(from_fejer(2, 1.0, 1.0), 0, 0.0),
+    "fejer4": lambda: OmegaConfig(from_fejer(4, 1.0, 2.0), 0, 0.0),  # scenarios/fejer4_ineq.json
+    "ramp": BRACKET_CASES["decay-ramp"],
+    "few-panel": BRACKET_CASES["rotated-few-panel"],
+    "root-at-zero": E_CASES["root-at-zero"],
+}
+
+
+class TestMarginRoutes:
+    """The margin read from the reflected moments alone against routes that do not share them."""
+
+    @pytest.mark.parametrize("name", sorted(set(BRACKET_CASES) | set(E_CASES)))
+    def test_direct_route_cross_checks_the_margin(self, name):
+        # 4 sigma d from the direct moments, and the bracket through P, Q = x^n (G, H);
+        # the direct bracket divides by x, so |x| sigma stays above 1/2
+        cfg = {**BRACKET_CASES, **E_CASES}[name]()
+        x = np.linspace(-30.0, 30.0, 1001) / cfg.measure.sigma
+        x = x[np.abs(x) * cfg.measure.sigma > 0.5]
+        direct = 4.0 * cfg.measure.sigma * eval_d(cfg, x) - squared_bracket_direct(cfg, x)
+        assert np.max(np.abs(margin_values(cfg, x) - direct) / margin_scale(cfg, x)) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(MARGIN_CASES))
+    def test_check_inequality_margin_against_mpmath(self, name):
+        # a grid through the origin's neighbourhood, where n = -1 takes the series,
+        # and out to |x| sigma of about 50
+        mpmath = pytest.importorskip("mpmath")
+        cfg = MARGIN_CASES[name]()
+        grid = np.linspace(-12.0, 12.0, 96)
+        rep = check_inequality(cfg, grid)
+        with mpmath.workdps(40):
+            exact = np.array([float(_mp_margin(cfg, x)) for x in grid])
+        assert np.max(np.abs(rep.margin - exact) / rep.scale) <= 1e-14
 
 
 def _few_panel_root():

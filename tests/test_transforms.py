@@ -12,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbfourier import transforms
-from hbfourier.measure import PiecewiseLinearDensity, StieltjesMeasure, from_monomial_density, from_pd_profile
+from hbfourier.measure import (
+    PiecewiseLinearDensity,
+    StieltjesMeasure,
+    from_fejer,
+    from_monomial_density,
+    from_pd_profile,
+)
 from hbfourier.transforms import (
     _BLOCK,
     _CLUSTER_TERMS,
@@ -28,6 +34,7 @@ from hbfourier.transforms import (
     _cluster_sum,
     _density_tables,
     _grid_moments,
+    _reflected,
     _segment_moments,
     _series_length,
     eval_CS,
@@ -601,9 +608,56 @@ def _segment_moments_reference(w_powers, a, beta):
     return out
 
 
+def _atom_loop_reference(measure, z, order):
+    """The atom loop of `_grid_moments` as first written, and its scale: one
+    exponential per atom, E subtracted."""
+    z = np.asarray(z)
+    E = np.maximum(-measure.sigma * z.imag, 0.0)
+    a = 1j * z
+    T = np.zeros((order + 1,) + z.shape, dtype=complex)
+    for t, c in measure.atoms:
+        phase = np.exp(a * t - E)
+        tm = 1.0
+        for m in range(order + 1):
+            T[m] += (c * tm) * phase
+            tm *= t
+    return T, E
+
+
+#: measures whose atoms, or their reflections', sit at t = 0 and at sigma
+ATOM_MEASURES = {
+    **{f"fejer{k}": functools.partial(from_fejer, k) for k in range(1, 7)},
+    "triangle": lambda: _triangle(16),
+    "atom-sigma-eq": lambda: StieltjesMeasure(1.0, ((1.0, 2.0),)),  # scenarios/atom_sigma_eq.json
+}
+
+
 class TestSameBits:
     """The evaluator's kernels against the formulas they replaced, bit for bit:
     laying operands out differently may not move a single output bit."""
+
+    @pytest.mark.parametrize("name", sorted(ATOM_MEASURES))
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_real_axis_atom_loop(self, name, order):
+        # on a real z the evaluator takes no exponential for an atom at t = 0,
+        # subtracts no E and makes E as zeros; a density's sum starts from the
+        # atoms' rows and reads E, so these two decide whether the moments keep
+        # their bits
+        m = ATOM_MEASURES[name]()
+        grid = np.concatenate([[-0.0, 0.0], np.linspace(-40.0, 40.0, 201), [1e-300, -5e-324]])
+        for measure in (m, _reflected(m)):
+            atoms = StieltjesMeasure(measure.sigma, measure.atoms)
+            for z in (grid, 0.0, -0.0, 1.3, np.float64(-2.5)):
+                want, scale = _atom_loop_reference(atoms, z, order)
+                assert np.array_equal(bits(_grid_moments(atoms, z, order)[0]), bits(want)), z
+                got = np.asarray(_grid_moments(measure, z, order)[1])
+                assert got.shape == scale.shape and np.array_equal(got.view(np.uint64), scale.view(np.uint64)), z
+            # a point that is not finite keeps its NaN
+            z = np.array([0.5, math.nan, math.inf, -math.inf])
+            with np.errstate(invalid="ignore"):
+                got, want = _grid_moments(atoms, z, order)[0], _atom_loop_reference(atoms, z, order)[0]
+            assert np.array_equal(got, want, equal_nan=True)
+        assert any(t == 0.0 for t, _ in _reflected(m).atoms)
 
     @pytest.mark.parametrize("cells", [2, 4, 8, 16, 32, 64, 128])
     @pytest.mark.parametrize("order", [0, 1, 2])
