@@ -11,7 +11,7 @@ transform identity h-hat = 2 Delta (h-hat is exact, from the piecewise-quartic
 h, for densities within a budget on the number of panels), nonnegative cosine
 polynomials from sampled profiles, monotone-density sine transforms with the
 equidistant-step equality detector, and an alternating-sign finite-difference
-test of complete monotonicity.
+test of complete monotonicity.  The evaluator sums the pieces of f and of h.
 
 Positive definiteness is always reported as grid-verified; nothing here is a
 proof.
@@ -25,16 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import MASS_TOL, PiecewiseLinearDensity, StieltjesMeasure
-from .transforms import _one_side, _piece_sums, eval_Delta, eval_F
+from .transforms import _H_TABLES, _TABLES, _derived, _lay_out, _one_side, _piece_moments, _polynomial_pieces
+from .transforms import eval_Delta, eval_F
 from .zeros import HypothesisViolation, _in_borderline_range, s_nonneg_on_grid
 
 _GL3_NODES = (-math.sqrt(0.6), 0.0, math.sqrt(0.6))
 _GL3_WEIGHTS = (5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0)
-#: Chebyshev points in (-1, 1) at which each quartic piece of h is sampled
-_CHEB5 = np.cos((2 * np.arange(5) + 1) * math.pi / 10)
+#: Chebyshev points in (0, 1) at which each quartic piece of h is sampled, in units of its width from its start
+_CHEB5 = 0.5 + 0.5 * np.cos((2 * np.arange(5) + 1) * math.pi / 10)
 #: the most quartic pieces of h that check_h_hat_identity transforms; a density
-#: of P panels has up to 3 P (P + 1) / 2, so about 100 panels fit
-_MAX_HHAT_PIECES = 1 << 14
+#: of P panels has up to 3 P (P + 1) / 2, so 208 panels fit
+_MAX_HHAT_PIECES = 1 << 16
 #: step pieces count as equidistant when their widths agree to this, times sigma, the
 #: last node of the density: a t-length, so the test does not depend on the unit of t
 _WIDTH_TOL = 1e-12
@@ -47,11 +48,20 @@ class PosDefProfile:
     pieces are (t_start, t_end, (c0, c1, c2)) with f = c0 + c1 u + c2 u^2 in
     u = t - t_start on [t_start, t_end]; quadratic pieces arise from linear
     density panels, jumps from interior atoms.  K is the finite cosine
-    transform of f, evaluated panel-exactly; S(x) = x K(x) holds identically.
+    transform of f, summed by the evaluator; S(x) = x K(x) holds identically.
     """
 
     sigma: float
     pieces: tuple
+
+    def __post_init__(self):  # the dataclass hash, computed once: the profile keys its tables
+        object.__setattr__(self, "_hash", hash((self.sigma, self.pieces)))
+
+    def __hash__(self):
+        return self._hash
+
+    def _tables(self):
+        return _derived(_TABLES, self, lambda: _lay_out(_polynomial_pieces(*zip(*self.pieces))))
 
     def f(self, t):
         t = np.abs(np.asarray(t, dtype=float))
@@ -63,10 +73,10 @@ class PosDefProfile:
         return out if out.ndim else float(out)
 
     def K(self, x):
-        """K(x) = int_0^sigma f(t) cos(xt) dt, closed form per piece."""
+        """K(x) = int_0^sigma f(t) cos(xt) dt."""
         x = np.asarray(x, dtype=float)
-        starts, ends, coeffs = zip(*self.pieces)
-        out = _piece_sums(starts, np.subtract(ends, starts), coeffs, 1j * x.reshape(-1)).real
+        out = _piece_moments(np.zeros((1, x.size), complex), self._tables(), 1j * x.reshape(-1), np.zeros(x.size))
+        out = out[0].real
         return out.reshape(x.shape) if x.ndim else float(out[0])
 
     @property
@@ -195,30 +205,26 @@ def laplace_limit_check(measure: StieltjesMeasure, t_max: float | None = None):
     """
     if t_max is None:
         t_max = 200.0 / measure.sigma
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not 0.0 < t_max < math.inf:  # NaN fails too
+        raise ValueError("t_max must be positive and finite")
     estimate = float(np.real(eval_F(measure, complex(0.0, t_max))))
     return estimate, measure.jump_at_zero
 
 
 def damped_kernel_integral(profile: PosDefProfile, alpha: float, beta: float) -> float:
-    """int e^{-alpha |x|} (1 - beta |x|) f(x) dx over [-sigma, sigma], exact.
+    """int e^{-alpha |x|} (1 - beta |x|) f(x) dx over [-sigma, sigma], exact: 2 (T_0 - beta T_1) at z = i alpha.
 
     Strictly positive for every nonzero grid-verified profile when
     |beta| <= alpha; the kernel's cosine transform is nonnegative there.
     """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    if abs(beta) > alpha:
+    if not 0.0 < alpha < math.inf:  # NaN fails these tests too
+        raise ValueError("alpha must be positive and finite")
+    if not abs(beta) <= alpha:
         raise ValueError("|beta| must not exceed alpha")
     if profile.is_zero:
         raise ValueError("profile must not vanish identically")
-    starts, ends, coeffs = (np.array(v) for v in zip(*profile.pieces))
-    # (1 - beta t) * (c0 + c1 u + c2 u^2) as a cubic in u = t - t0
-    c0, c1, c2 = coeffs.T
-    k0 = 1.0 - beta * starts
-    q = np.stack([k0 * c0, k0 * c1 - beta * c0, k0 * c2 - beta * c1, -beta * c2], axis=1)
-    return 2.0 * float(_piece_sums(starts, ends - starts, q, np.array([-alpha + 0.0j]))[0].real)
+    T = _piece_moments(np.zeros((2, 1), complex), profile._tables(), np.array([-alpha + 0.0j]), np.zeros(1))[:, 0]
+    return 2.0 * float((T[0] - beta * T[1]).real)
 
 
 def _pair_h(g: PiecewiseLinearDensity, x, i, j):
@@ -255,13 +261,13 @@ def autocorr_h(g: PiecewiseLinearDensity, x: float) -> float:
     return float(np.sum(_pair_h(g, a, i, j)))
 
 
-def _h_quartics(g: PiecewiseLinearDensity):
-    """h on [0, sigma] as quartic pieces (mid, half, coefficients).
+def _h_pieces(g: PiecewiseLinearDensity):
+    """h on [0, sigma] as quartic pieces in x - lo on [lo, hi], refused past the budget before any work.
 
     The part of h from a pair of panels i >= j is a quartic in x between the
     shifts where an end of one panel passes an end of the other, so each pair
-    gives at most three pieces.  Each quartic, in the local coordinate
-    t = (x - mid) / half in [-1, 1], is interpolated from five exact values.
+    gives at most three pieces, which overlap those of other pairs.  Each
+    quartic is interpolated from five exact values.
     """
     panels = len(g.nodes) - 1
     bound = 3 * panels * (panels + 1) // 2
@@ -280,10 +286,10 @@ def _h_quartics(g: PiecewiseLinearDensity):
     live = edges[:, 1:] > edges[:, :-1]
     pair = np.nonzero(live)[0]
     lo, hi = edges[:, :-1][live], edges[:, 1:][live]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    values = _pair_h(g, mid[:, None] + half[:, None] * _CHEB5, i[pair][:, None], j[pair][:, None])
-    # the piece's monomial coefficients in t
-    return mid, half, np.linalg.solve(np.vander(_CHEB5, 5, increasing=True), values.T).T
+    values = _pair_h(g, lo[:, None] + (hi - lo)[:, None] * _CHEB5, i[pair][:, None], j[pair][:, None])
+    # the piece's monomial coefficients in (x - lo) / (hi - lo), then in x - lo
+    coeffs = np.linalg.solve(np.vander(_CHEB5, 5, increasing=True), values.T).T
+    return _polynomial_pieces(lo, hi, coeffs / (hi - lo)[:, None] ** np.arange(5))
 
 
 @dataclass(frozen=True)
@@ -292,27 +298,24 @@ class AutocorrelationReport:
     h_hat: np.ndarray
     two_delta: np.ndarray
     residuals: np.ndarray
-    samples: int  # exact evaluations of h's pair parts, five per quartic piece
+    samples: int  # exact evaluations of h's pair parts that its tables were built from, five per quartic piece
 
 
 def check_h_hat_identity(g: PiecewiseLinearDensity, x_samples) -> AutocorrelationReport:
     """Residuals of h-hat(x) = 2 Delta(x) for the autocorrelation profile of g.
 
     h-hat(x) = 2 int_0^sigma h(u) cos(xu) du is exact up to rounding: h is
-    piecewise quartic (`_h_quartics`), and each piece is transformed in closed
-    form.  A density of P panels has up to 3 P (P + 1) / 2 pieces; past
+    piecewise quartic (`_h_pieces`), and the evaluator sums its pieces.  A
+    density of P panels has up to 3 P (P + 1) / 2 pieces; past
     _MAX_HHAT_PIECES the check raises ValueError before any work.  Delta
     comes from the transform side, so the two routes are independent.
     """
     sigma = g.nodes[-1]
     x = np.asarray(x_samples, dtype=float)
-    mid, half, coeffs = _h_quartics(g)
-    # a piece adds 2 Re int h(t) e^{ixt} dt over its halves t = mid +- u, u in [0, half], where
-    # h = sum_k c_k (+-u / half)^k is real, so the half t = mid - u may be conjugated into t = -mid + u
-    right = coeffs / half[:, None] ** np.arange(5)
-    left = right * (-1.0) ** np.arange(5)
-    halves = np.concatenate([mid, -mid]), np.concatenate([half, half]), np.concatenate([right, left])
-    hhat = 2.0 * _piece_sums(*halves, 1j * x.reshape(-1)).real.reshape(x.shape)
+    # h-hat(x) = 2 Re int_0^sigma h(t) e^{ixt} dt, as h is real
+    tables = _derived(_H_TABLES, g, lambda: _lay_out(_h_pieces(g)))
+    hhat = _piece_moments(np.zeros((1, x.size), complex), tables, 1j * x.reshape(-1), np.zeros(x.size))[0]
+    hhat = 2.0 * hhat.real.reshape(x.shape)
     measure = StieltjesMeasure(sigma, (), g if g.support() is not None else None)
     if measure.is_zero:
         two_delta = np.zeros_like(x)
@@ -323,7 +326,7 @@ def check_h_hat_identity(g: PiecewiseLinearDensity, x_samples) -> Autocorrelatio
         h_hat=hhat,
         two_delta=two_delta,
         residuals=np.abs(hhat - two_delta),
-        samples=5 * len(mid),
+        samples=5 * len(tables.pieces[0]),
     )
 
 
@@ -408,25 +411,24 @@ class MonotonicityReport:
 
 
 def alternating_sign_table(f, x_grid, step: float, max_order: int) -> MonotonicityReport:
-    """Check (-1)^n Delta_step^n f(x) >= -tol for n <= max_order (forward differences)."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+    """Check (-1)^n Delta_step^n f(x) >= -tol for n <= max_order (forward differences) at x > 0; NaN fails."""
+    x_grid = np.asarray(x_grid, dtype=float)
+    if not 0.0 < step < math.inf or not np.all((x_grid > 0.0) & (x_grid < math.inf)):  # NaN fails too
+        raise ValueError("step and x_grid must be positive and finite")
     if max_order > 10:
         raise ValueError("orders beyond 10 drown in cancellation at double precision")
-    failures = []
-    worst = math.inf
-    for x in np.asarray(x_grid, dtype=float):
-        fv = np.asarray(f(x + step * np.arange(max_order + 1)), dtype=float)
-        scale = float(np.max(np.abs(fv)))
-        d = fv
+    failures, margins = [], [math.inf]
+    for x in x_grid:
+        d = np.asarray(f(x + step * np.arange(max_order + 1)), dtype=float)
+        scale = float(np.max(np.abs(d)))
         for n in range(1, max_order + 1):
             d = np.diff(d)
             signed = (-1.0) ** n * d[0]
             tol = 1e-11 * (2.0**n) * scale
-            worst = min(worst, signed + tol)
-            if signed < -tol:
+            margins.append(signed + tol)
+            if not signed >= -tol:
                 failures.append((float(x), n, float(signed)))
-    return MonotonicityReport(ok=not failures, worst_margin=float(worst), failures=tuple(failures))
+    return MonotonicityReport(ok=not failures, worst_margin=float(np.min(margins)), failures=tuple(failures))
 
 
 def cm_finite_difference_check(
@@ -443,9 +445,6 @@ def cm_finite_difference_check(
     """
     if mu_exp < 1.0 or not (0.0 < nu_exp <= 1.0):
         raise ValueError("need mu_exp >= 1 and 0 < nu_exp <= 1")
-    x_grid = np.asarray(x_grid, dtype=float)
-    if np.any(x_grid <= 0.0):
-        raise ValueError("x_grid must be positive")
 
     def f(x):
         x = np.asarray(x, dtype=float)

@@ -19,23 +19,17 @@ evaluates has a nonpositive real exponent, so contour sweeps far below the
 real axis cannot overflow; the public functions fold the scale back in, or
 hand the pair on, as `eval_F_scaled` does.
 
-The evaluator sums a density in one of two ways.  The cluster path is the
-far-field expansion of the fast multipole method and the type-3 nonuniform
-FFT (Greengard & Rokhlin, J. Comput. Phys. 73, 1987; Barnett, Magland &
-af Klinteberg, SIAM J. Sci. Comput. 41, 2019).  Cells of half-width h and
-centre c contribute e^{izc - E} sum_k (izh)^k / k! int g(t) t^m ((t - c) / h)^k dt,
-with the moments tabulated per density.  There is one hierarchy of levels:
-dyadic cuts of the density's span into 2, 4, 8, ... cells, down to about
-one cell per panel.  A cell's moments are sums over the pieces that its
-edges cut from the panels, each expanded about its own midpoint and moved
-to the cell's centre; a piece inside its cell lies within |d| + s <= 1 of
-it in units of h (d its offset, s its half-width), so the binomial weights
-of the move add up to at most 1 and its rounding stays a few ulps of the
-piece's integral of |g|, however the cells cut the panels.  A point takes the
-coarsest level with |z| h <= 1/2, chosen from |z| alone, so 16 terms reach
-rounding and none cancel.  A level's table is built on the first point
-that needs it.  A point past the finest level takes the panel path, which
-integrates every panel exactly: a closed-form recurrence, or a power series
+The evaluator sums polynomial pieces of degree 1 to 4 (a density's panels
+or, in `posdef`, the pieces of the positive definite profile and of the
+autocorrelation h) in one of two ways chosen by `_piece_moments`.  The
+cluster path is the far-field expansion of the fast multipole method and
+the type-3 nonuniform FFT (Greengard & Rokhlin, J. Comput. Phys. 73, 1987;
+Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput. 41, 2019) over the
+cells of one dyadic hierarchy of levels (`_cluster_level`), tabulated per
+owner of the pieces and built on the first point that needs them; a point
+takes the coarsest level with |z| h <= 1/2, so 16 terms reach rounding and
+none cancel.  A point past the finest level takes the panel path, which
+integrates every piece exactly: a closed-form recurrence, or a power series
 whose length follows the largest |z| w of the block and is cut where the
 omitted terms could not change a bit.
 
@@ -51,9 +45,9 @@ safeguarded by bisection, moving all brackets of a search with one evaluator
 call per iteration.
 
 All functions are pure; measures are immutable, so grid sweeps may share them
-across workers.  What the evaluator derives from a density or a measure (its
-tables, its reflection, its origin series) is kept in weak maps keyed by that
-object, and lives exactly as long as it.
+across workers.  What the evaluator derives from an object (a density's or a
+profile's tables, a measure's reflection and origin series) is kept in weak
+maps keyed by that object, and lives exactly as long as it.
 """
 
 from __future__ import annotations
@@ -75,10 +69,11 @@ _SERIES_CUT = 1.0
 _SERIES_TERMS = 30
 _FOLD_LIMIT = 700.0  # log threshold beyond which a scaled value cannot be folded
 _MAX_ORDER = 4  # highest moment order any caller needs: the Newton slope of |F''|^2
+_MAX_DEGREE = 4  # highest degree of a piece: the quartics of posdef's autocorrelation profile
 #: a series term below this bound relative to its sum's parts is dropped (see _series_length)
 _SERIES_OMIT = 2.0**-55 * math.cos(1.0) / math.e
-#: 1 / (m + 1 + j), the divisors of the series, for m up to _MAX_ORDER + 1
-_SERIES_RECIPROCALS = 1.0 / (np.arange(1.0, _MAX_ORDER + 3)[:, None] + np.arange(float(_SERIES_TERMS)))
+#: 1 / (m + 1 + j), the divisors of the series, for m up to _MAX_ORDER + _MAX_DEGREE
+_SERIES_RECIPROCALS = 1.0 / (np.arange(1.0, _MAX_ORDER + _MAX_DEGREE + 2)[:, None] + np.arange(float(_SERIES_TERMS)))
 #: a Newton iteration stops once its step is below this multiple of max(unit, |x|)
 _NEWTON_XTOL = 1e-14
 _NEWTON_MAXITER = 100
@@ -177,67 +172,65 @@ def _closed_moments(w_powers, a, beta, shape):
     return out
 
 
-class _DensityTables(NamedTuple):
-    """A density laid out for `_grid_moments`; see `_lay_out`."""
+def _polynomial_pieces(start, end, poly):
+    """The pieces (see `_lay_out`) of coefficients poly[i], all but those of no width."""
+    start, end, poly = (np.asarray(v, dtype=float) for v in (start, end, poly))
+    start, end, poly = start[end > start], end[end > start], poly[end > start]
+    return start, end, poly[:, 0] + poly[:, 1] * (end - start), poly
 
-    t0: np.ndarray
-    w_powers: np.ndarray
-    rows: tuple
+
+class _PieceTables(NamedTuple):
+    """Pieces laid out for `_piece_moments`; see `_lay_out`."""
+
+    pieces: tuple
     limits: np.ndarray
     levels: list
 
 
-def _lay_out(density: PiecewiseLinearDensity) -> _DensityTables:
-    """A density's panels and cluster levels, laid out on its first evaluation.
+def _lay_out(pieces: tuple) -> _PieceTables:
+    """The cluster levels and the panel path of the pieces (start, end, right, poly), the polynomials
+    p(t) = sum_k poly[i, k] (t - start[i])^k on [start[i], end[i]] of degree 1 to _MAX_DEGREE, whose
+    linear parts run from poly[i, 0] to right[i], laid out on their first evaluation.
 
-    The panel path: t0 and w_powers (`_width_powers`) are columns of shape
-    (P, 1).  For a panel p, q_j are the coefficients of t^m (v0 + slope u) as
-    a polynomial in u = t - t0, so the panel adds sum_j q_j N_j to T_m, and
-    rows[m] holds its `_piece_rows`.
-
-    The cluster path: level L cuts the span [lo, hi] into 2^(L+1) cells of
-    half-width h = (hi - lo) / 2^(L+2), from 2 cells up to the most that do
-    not outnumber the panels (still 2 for a one-panel density), and
-    limits[L] = _CLUSTER_RHO / h is the largest |z| it serves.  levels[L]
-    holds its table (h, centres, coeffs) from `_cluster_level` once a point
-    has needed it, else None: real-axis work on a many-panel density stays on
-    the coarse levels and never builds the fine ones.
+    Level L cuts the pieces' span [lo, hi] into 2^(L+1) cells of half-width h = (hi - lo) / 2^(L+2),
+    from 2 cells up to the most that do not outnumber the pieces; limits[L] = _CLUSTER_RHO / h is the
+    largest |z| it serves.  levels[L] holds its `_cluster_level` table, and levels[len(limits)] the
+    `_panel_layout` of the panel path past the finest level, once a point has needed it, else None:
+    real-axis work builds only the coarse levels.
     """
-    panels = density.panels
-    widths = [t1 - t0 for t0, t1, _, _ in panels]
+    counts = 2 ** np.arange(1, max(2, len(pieces[0])).bit_length())
+    limits = _CLUSTER_RHO / ((pieces[1].max() - pieces[0].min()) / (2 * counts))
+    return _PieceTables(pieces, limits, [None] * (len(counts) + 1))
+
+
+def _panel_layout(pieces: tuple) -> tuple:
+    """The operands (t0, w_powers, rows) of `_panel_sum` for the pieces.
+
+    t0 and w_powers[k] = w ** (k + 1), by Python's float pow as t0's powers are, are columns (P, 1).
+    For a piece p, q_j are the coefficients of t^m p(t) in u = t - t0, so the piece adds
+    sum_j q_j N_j to T_m; rows[m] holds (index, q) for the nonzero q_j, index = j * P + p.
+    """
+    start, end, _, poly = pieces
+    starts, widths, degree = start.tolist(), (end - start).tolist(), poly.shape[1] - 1
+    t0_powers = [np.array([t**e for t in starts]) for e in range(_MAX_ORDER + 1)]
     rows = []
     for m in range(_MAX_ORDER + 1):
-        q = np.zeros((len(panels), m + 2))
-        for p, ((t0, _, v0, v1), w) in enumerate(zip(panels, widths)):
-            slope = (v1 - v0) / w
-            for j in range(m + 1):
-                b = math.comb(m, j) * t0 ** (m - j)
-                q[p, j] += b * v0
-                q[p, j + 1] += b * slope
-        rows.append(_piece_rows(q))
-    t0 = np.array([p[0] for p in panels])[:, None]
-    span = density.nodes[-1] - density.nodes[0]
-    counts = 2 ** np.arange(1, max(2, len(panels)).bit_length())
-    limits = _CLUSTER_RHO / (span / (2 * counts))
-    return _DensityTables(t0, _width_powers(widths, _MAX_ORDER + 2), tuple(rows), limits, [None] * len(counts))
-
-
-def _width_powers(widths: list, count: int) -> np.ndarray:
-    """w_powers[k] = w ** (k + 1) for k < count, by Python's float pow, as columns (count, P, 1)."""
-    return np.array([[w**k for w in widths] for k in range(1, count + 1)])[:, :, None]
-
-
-def _piece_rows(q):
-    """The rows (index, q) of `_panel_sum` for the coefficients q[p, j] of P pieces: the nonzero
-    q_j, piece by piece, index = j * P + p locating N_j of piece p in the moments of shape (J * P, points)."""
-    piece, j = np.nonzero(q)
-    return j * len(q) + piece, q[piece, j][:, None]
+        q = np.zeros((len(starts), m + degree + 1))
+        for j in range(m + 1):
+            b = math.comb(m, j) * t0_powers[m - j]
+            for k in range(degree + 1):
+                q[:, j + k] += b * poly[:, k]
+        piece, j = np.nonzero(q)
+        rows.append((j * len(q) + piece, q[piece, j][:, None]))
+    w_powers = np.array([[w**k for w in widths] for k in range(1, _MAX_ORDER + degree + 2)])[:, :, None]
+    return start[:, None], w_powers, tuple(rows)
 
 
 # What the evaluator derives from an immutable object, keyed by that object:
 # each entry lives exactly as long as its key, and no value references its key,
 # or the entry would keep the key alive and never die.
-_TABLES = weakref.WeakKeyDictionary()  # density -> its `_lay_out` tables
+_TABLES = weakref.WeakKeyDictionary()  # density, or posdef's profile -> the `_lay_out` tables of its pieces
+_H_TABLES = weakref.WeakKeyDictionary()  # density g -> the tables of the pieces of posdef's autocorrelation h
 _MIRRORS = weakref.WeakKeyDictionary()  # density -> {sigma: its reflection about sigma / 2}
 _REFLECTED = weakref.WeakKeyDictionary()  # measure -> the measure reflected about sigma / 2
 _ORIGIN = weakref.WeakKeyDictionary()  # measure -> its `_origin_series`
@@ -252,29 +245,36 @@ def _derived(derived, key, build):
         return derived.setdefault(key, build())
 
 
-def _density_tables(density: PiecewiseLinearDensity) -> _DensityTables:
-    """The density's `_lay_out` tables, built on its first evaluation."""
-    return _derived(_TABLES, density, lambda: _lay_out(density))
+def _density_tables(density: PiecewiseLinearDensity) -> _PieceTables:
+    """The tables of a density's panels, with its stored values at the ends."""
+
+    def pieces():
+        nodes, left, right = (np.array(v) for v in (density.nodes, density.left, density.right))
+        return nodes[:-1], nodes[1:], right, np.stack([left, (right - left) / np.diff(nodes)], axis=1)
+
+    return _derived(_TABLES, density, lambda: _lay_out(pieces()))
 
 
-def _cluster_level(density: PiecewiseLinearDensity, count: int) -> tuple:
-    """The cluster table (h, centres, coeffs) of a density's level of `count` cells.
+def _cluster_level(pieces: tuple, count: int) -> tuple:
+    """The cluster table (h, centres, coeffs) of the pieces' level of `count` cells.
 
-    The level cuts the density's span [lo, hi] into cells of half-width
+    The level cuts the pieces' span [lo, hi] into cells of half-width
     h = (hi - lo) / (2 count) and centres c_j, a column of shape (count, 1), and
-    B[m, k, j] = int_{cell j} g(t) t^m ((t - c_j) / h)^k dt / k!
-    for m <= _MAX_ORDER and k < _CLUSTER_TERMS; coeffs[k] is B[:, k] as a
-    contiguous complex array of shape (_MAX_ORDER + 1, count, 1), the operand
-    that `_cluster_sum` adds at Horner step k, so that no step converts it
-    again.  Every panel is cut at the cell edges.  A piece of midpoint p and half-width h_p, on which
-    g(p + h_p x) = alpha + beta x for x in [-1, 1], has the moments
-    int g(t) ((t - p) / h)^i dt = h_p s^i (2 alpha / (i + 1) or 2 beta / (i + 2)),
-    even or odd i, with s = h_p / h; the binomial sum
-    sum_i C(k, i) d^(k-i) (...)_i with d = (p - c_j) / h moves them to the
-    cell's centre.  A piece inside its cell has |d| + s <= 1, so the
+    B[m, k, j] = int_{cell j} p(t) t^m ((t - c_j) / h)^k dt / k!, summed over
+    the pieces, for m <= _MAX_ORDER and k < _CLUSTER_TERMS; coeffs[k] is B[:, k]
+    as a contiguous complex array of shape (_MAX_ORDER + 1, count, 1), the
+    operand that `_cluster_sum` adds at Horner step k, so that no step converts
+    it again.  Each piece, which may overlap others, is cut at the edges of the
+    cells it crosses.  On a cut of midpoint q and half-width h_q, t = q + h_q x
+    for x in [-1, 1], the piece's linear part, interpolated from its end values,
+    is alpha + beta x and its terms of degree 2 or more (none on a density's
+    panel) sum_l r_l x^l, so int p(t) ((t - q) / h)^i dt = h_q s^i (2 alpha / (i + 1)
+    or 2 beta / (i + 2), even or odd i, + sum of 2 r_l / (i + l + 1) over even
+    i + l) with s = h_q / h; the binomial sum sum_i C(k, i) d^(k-i) (...)_i with
+    d = (q - c_j) / h moves them to the cell's centre.  A cut inside its cell has |d| + s <= 1, so the
     weights C(k, i) |d|^(k-i) s^i add up to (|d| + s)^k <= 1 and the move
-    costs a few ulps of the piece's integral of |g| (the well-conditioned
-    translation of Greengard and Rokhlin).  About the piece's start, with
+    costs a few ulps of the cut's integral of |p| (the well-conditioned
+    translation of Greengard and Rokhlin).  About the cut's start, with
     d = (start - c_j) / h, they could reach 3^k, which the Taylor factors
     rho^k / k! of `_cluster_sum` damp to at most e^(3 rho), about 4.5.  A level
     needs two cells, not one: with one cell, order 0 and one point, every
@@ -282,28 +282,32 @@ def _cluster_level(density: PiecewiseLinearDensity, count: int) -> tuple:
     multiplies without the fused multiply-add of its array loops, and the
     point's bits would depend on its batch.
     """
-    nodes = np.array(density.nodes)
-    left, right = np.array(density.left), np.array(density.right)
-    lo, hi = nodes[0], nodes[-1]
+    starts, ends, right, poly = pieces
+    lo, hi = starts.min(), ends.max()
     h = (hi - lo) / (2 * count)
     edges = lo + 2.0 * h * np.arange(count + 1)
     edges[-1] = hi
     centres = lo + h * (2.0 * np.arange(count) + 1.0)
-    # the sorted union of nodes and edges; np.union1d would import numpy.ma,
-    # which adds about 1.8 MB to the peak memory of a process without it
-    cuts = np.sort(np.concatenate([nodes, edges]))
-    cuts = cuts[np.concatenate([[True], cuts[1:] > cuts[:-1]])]
-    start, end = cuts[:-1], cuts[1:]
-    p = np.searchsorted(nodes, start, side="right") - 1
-    j = np.minimum(np.searchsorted(edges, start, side="right") - 1, count - 1)
-    t0, t1, v0, v1 = nodes[p], nodes[p + 1], left[p], right[p]
+    # piece i crosses the n[i] cells from first[i]; cut number c lies in piece p[c] and cell j[c]
+    first = np.minimum(np.searchsorted(edges, starts, side="right") - 1, count - 1)
+    n = np.searchsorted(edges, ends, side="left") - first
+    p = np.repeat(np.arange(len(n)), n)
+    j = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - first, n)
+    t0, t1, v0, v1 = starts[p], ends[p], poly[p, 0], right[p]
+    start, end = np.maximum(t0, edges[j]), np.minimum(t1, edges[j + 1])
     va = np.where(start == t0, v0, v0 + (v1 - v0) * ((start - t0) / (t1 - t0)))
     vb = np.where(end == t1, v1, v0 + (v1 - v0) * ((end - t0) / (t1 - t0)))
     half = 0.5 * (end - start)
     d, s = (0.5 * (start + end) - centres[j]) / h, half / h
+    # the terms of degree 2 or more, in u = t - t0, as sum_l r_l x^l about the cut's midpoint u = um
+    um, degree = 0.5 * (start + end) - t0, poly.shape[1] - 1
+    r = [sum(math.comb(k, l) * poly[p, k] * um ** (k - l) for k in range(max(2, l), degree + 1)) * half**l
+         for l in range(degree + 1)]
     n_moments = _CLUSTER_TERMS + _MAX_ORDER
     # only the even powers of x integrate to nonzero against alpha, the odd ones against beta x
-    own = [half * s**i * ((va + vb) / (i + 1) if i % 2 == 0 else (vb - va) / (i + 2)) for i in range(n_moments)]
+    line = [(va + vb) / (i + 1) if i % 2 == 0 else (vb - va) / (i + 2) for i in range(n_moments)]
+    own = [half * s**i * (line[i] + sum(2.0 / (i + l + 1) * r[l] for l in range(i % 2, degree + 1, 2)))
+           for i in range(n_moments)]
     d_pow = [np.ones_like(d)]
     for _ in range(1, n_moments):
         d_pow.append(d_pow[-1] * d)
@@ -325,7 +329,7 @@ def _panel_sum(out, a, E, t0, w_powers, rows):
     """Add every piece's moments at the points a = iz to out, in piece order.
 
     out has shape (len(rows), points) and holds the points' sums so far.  rows[m]
-    (`_piece_rows`) adds sum_j q_j int_0^w u^j e^{a (t0 + u) - E} du of every piece to out[m].
+    (see `_lay_out`) adds sum_j q_j int_0^w u^j e^{a (t0 + u) - E} du of every piece to out[m].
     """
     step = max(1, _BLOCK // len(t0))
     for lo in range(0, a.size, step):
@@ -340,15 +344,6 @@ def _panel_sum(out, a, E, t0, w_powers, rows):
             # cumulative sum down the rows adds the piece terms in order
             out[m, blk] = np.cumsum(terms, axis=0)[-1]
         del M, terms  # free this block's arrays before the next block's
-
-
-def _piece_sums(starts, widths, coeffs, a):
-    """sum_p sum_j coeffs[p, j] int_0^{w_p} u^j e^{a (t_p + u)} du at the 1-d points a, Re(a t) <= 0,
-    for pieces from t_p of width w_p, by the panel path."""
-    t0, coeffs = np.asarray(starts, dtype=float)[:, None], np.asarray(coeffs, dtype=float)
-    out, w_powers = np.zeros((1, a.size), dtype=complex), _width_powers(np.asarray(widths).tolist(), coeffs.shape[1])
-    _panel_sum(out, a, np.zeros(a.size), t0, w_powers, (_piece_rows(coeffs),))
-    return out[0]
 
 
 def _cluster_sum(out, a, E, h, centres, coeffs):
@@ -379,6 +374,34 @@ def _cluster_sum(out, a, E, h, centres, coeffs):
         out[:, blk] = np.cumsum(terms, axis=1)[:, -1]
 
 
+def _piece_moments(out, tables: _PieceTables, a, E):
+    """Add int t^m p(t) e^{at - E} dt over the pieces to out[m], m < len(out), at the 1-d points a = iz
+    with Re(a t) <= E on the pieces, and return out.  A point takes the cells of the level that |z| selects
+    or, past the finest level, every piece, in a fixed order and alone, so its moments do not depend on the
+    other points of the call; only a call whose points take more than one path groups them."""
+    # the coarsest level with |z| h <= rho; len(limits) marks the panel path
+    level = np.searchsorted(tables.limits, np.abs(a))
+    first = int(level[0])
+    if a.size == 1 or not np.any(level != first):
+        groups = [(first, slice(None))]
+    else:
+        groups = [(lv, np.flatnonzero(level == lv)) for lv in np.flatnonzero(np.bincount(level))]
+    for lv, pts in groups:
+        part = out[:, pts]  # a view for a slice, else a copy written back below
+        cluster = lv < len(tables.limits)
+        if tables.levels[lv] is None:  # threads that race here build the same table
+            tables.levels[lv] = _cluster_level(tables.pieces, 2 << lv) if cluster else _panel_layout(tables.pieces)
+        if cluster:
+            _cluster_sum(part, a[pts], E[pts], *tables.levels[lv])
+        else:
+            t0, w_powers, rows = tables.levels[lv]
+            # N_j for j up to the order plus the pieces' degree
+            _panel_sum(part, a[pts], E[pts], t0, w_powers[: len(out) + tables.pieces[3].shape[1] - 1], rows[: len(out)])
+        if not isinstance(pts, slice):
+            out[:, pts] = part
+    return out
+
+
 def _grid_moments(measure: StieltjesMeasure, z, order: int):
     """Scaled moments (T, E) with int t^m e^{izt} dmu(t) = T[m] e^E, m = 0..order.
 
@@ -386,13 +409,8 @@ def _grid_moments(measure: StieltjesMeasure, z, order: int):
     is 0 on real input, and every exponential evaluated has a nonpositive
     real part, so points far below the real axis cannot overflow.  Atoms are
     added one by one; on a finite real z an atom at t = 0 adds its mass to
-    T[0] without an exponential, with the same bits.  The density is summed,
-    in a fixed order, over the cells of the level that |z| selects, or over
-    all panels where |z| is past the finest level; each block of points is
-    evaluated element by element, so a point's moments do not depend on the
-    other points of the call.  A call whose points all take one level, or all
-    the panel path, sums in place; only a mixed call groups its points.  T
-    has shape (order + 1,) + z.shape.
+    T[0] without an exponential, with the same bits.  `_piece_moments` adds
+    the density's panels.  T has shape (order + 1,) + z.shape.
     """
     z = np.asarray(z)
     real = not np.iscomplexobj(z)
@@ -409,25 +427,7 @@ def _grid_moments(measure: StieltjesMeasure, z, order: int):
             T[m] += (c * tm) * phase
             tm *= t
     if measure.density is not None and z.size:
-        tables = _density_tables(measure.density)
-        a, E, flat = a.reshape(-1), E.reshape(-1), T.reshape(order + 1, -1)
-        # the coarsest level with |z| h <= rho; len(limits) marks the panel path
-        level = np.searchsorted(tables.limits, np.abs(a))
-        first = int(level[0])
-        if a.size == 1 or not np.any(level != first):
-            groups = [(first, slice(None))]
-        else:
-            groups = [(lv, np.flatnonzero(level == lv)) for lv in np.flatnonzero(np.bincount(level))]
-        for lv, pts in groups:
-            part = flat[:, pts]  # a view for a slice, else a copy written back below
-            if lv < len(tables.levels):
-                if tables.levels[lv] is None:  # threads that race here build the same table
-                    tables.levels[lv] = _cluster_level(measure.density, 2 << lv)
-                _cluster_sum(part, a[pts], E[pts], *tables.levels[lv])
-            else:
-                _panel_sum(part, a[pts], E[pts], tables.t0, tables.w_powers[: order + 2], tables.rows[: order + 1])
-            if not isinstance(pts, slice):
-                flat[:, pts] = part
+        _piece_moments(T.reshape(order + 1, -1), _density_tables(measure.density), a.reshape(-1), E.reshape(-1))
     return T, E.reshape(z.shape)[()]  # [()] gives a scalar E for a scalar z
 
 

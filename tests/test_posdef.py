@@ -9,6 +9,7 @@ from hbfourier.measure import (
     StieltjesMeasure,
     fejer_profile,
     from_fejer,
+    from_monomial_density,
     from_pd_profile,
 )
 from hbfourier.posdef import (
@@ -23,6 +24,7 @@ from hbfourier.posdef import (
     monotone_density_S,
     recover_pd_profile,
 )
+from hbfourier.posdef import _H_TABLES
 from hbfourier.transforms import _segment_moments, real_transforms
 
 
@@ -137,6 +139,11 @@ class TestLaplaceLimit:
         assert target == 0.5
         assert abs(estimate - target) <= 1.0 / 200.0 * m.total_variation
 
+    @pytest.mark.parametrize("t_max", [0.0, -1.0, math.nan, math.inf])
+    def test_refuses_a_t_max_that_is_not_finite_and_positive(self, unit_g, t_max):
+        with pytest.raises(ValueError, match="t_max"):
+            laplace_limit_check(StieltjesMeasure(1.0, (), unit_g), t_max)
+
 
 class TestDampedKernel:
     def test_triangle_value_against_quadrature(self, triangle_case2):
@@ -156,6 +163,10 @@ class TestDampedKernel:
             damped_kernel_integral(profile, 1.0, 1.5)
         with pytest.raises(ValueError):
             damped_kernel_integral(profile, -1.0, 0.0)
+        # NaN and inf fail the guards instead of passing as NaN
+        for alpha, beta in ((math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (math.nan, math.nan)):
+            with pytest.raises(ValueError):
+                damped_kernel_integral(profile, alpha, beta)
         zero_profile = recover_pd_profile(StieltjesMeasure(1.0, ((1.0, 1.0),))).profile
         with pytest.raises(ValueError, match="vanish"):
             damped_kernel_integral(zero_profile, 1.0, 0.0)
@@ -201,6 +212,51 @@ def _damped_per_piece(profile, alpha, beta):
     return 2.0 * total
 
 
+def _abs_integral(profile):
+    """int_0^sigma |f|, by the trapezoid rule on 20001 points: the scale of K and the damped integral."""
+    t = np.linspace(0.0, profile.sigma, 20001)
+    y = np.abs(profile.f(t))
+    return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(t)))
+
+
+def _mp_moments(pieces, order):
+    """lam -> [int t^m p(t) e^{lam t} dt summed over pieces (t0, t1, c), p = sum_k c_k (t - t0)^k, for
+    m = 0..order] at 50 digits.  The antiderivative of q e^{lam t} is e^{lam t} sum_k (-1)^k q^(k) / lam^(k+1),
+    so the sum runs over the piece ends, each with the jumps there of q^(k) for q = t^m p, found once."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        ends, at_zero = {}, [mpmath.mpf(0)] * (order + 1)
+        for t0, t1, c in pieces:
+            start, w = mpmath.mpf(t0), mpmath.mpf(t1) - mpmath.mpf(t0)
+            q = [mpmath.mpf(v) for v in c]
+            for m in range(order + 1):
+                at_zero[m] += sum(qk * w ** (k + 1) / (k + 1) for k, qk in enumerate(q))
+                for t, u, sign in ((t1, w, 1), (t0, 0, -1)):
+                    jumps = ends.setdefault(t, [[0] * (len(c) + order) for _ in range(order + 1)])[m]
+                    for k in range(len(q)):
+                        jumps[k] += sign * sum(math.perm(j, k) * q[j] * u ** (j - k) for j in range(k, len(q)))
+                q = [start * qk + (q[k - 1] if k else 0) for k, qk in enumerate(q + [0])]  # times t = t0 + u
+        nodes = [mpmath.mpf(t) for t in sorted(ends)]
+        jumps = [[[ends[t][m][k] for t in sorted(ends)] for k in range(len(c) + order)] for m in range(order + 1)]
+
+    def moments(lam):
+        with mpmath.workdps(50):
+            lam = mpmath.mpmathify(lam)
+            if lam == 0:
+                return at_zero
+            e = [mpmath.expj(lam.imag * t) for t in nodes] if lam.real == 0 else [mpmath.exp(lam * t) for t in nodes]
+            return [sum((-1) ** k * mpmath.fdot(e, jk) / lam ** (k + 1) for k, jk in enumerate(jm)) for jm in jumps]
+
+    return moments
+
+
+def _oracle_points(limits):
+    """A point inside every cluster level, one ulp either side of every switch, and two on the panel path."""
+    inner = np.concatenate([[0.0], limits[:-1]])
+    edges = np.concatenate([np.nextafter(limits, 0.0), np.nextafter(limits, np.inf)])
+    return np.concatenate([0.5 * (inner + limits), edges, [1.5 * limits[-1], 7.0 * limits[-1]]])
+
+
 def _random_profile_measure(seed):
     rng = np.random.default_rng(seed)
     sig = float(rng.uniform(0.5, 3.0))
@@ -226,14 +282,23 @@ class TestPieceSums:
         return recover_pd_profile(m).profile
 
     def test_K_is_the_per_piece_sum_bit_for_bit(self, profile):
+        # bit for bit where K takes the panel path, past the finest cluster
+        # level; the points that the levels serve hold the oracle bound
         rng = np.random.default_rng(4)
         xs = [0.0, 1.3, -250.0, np.array([0.0]), np.array([0.0, 0.5, -2.0]), np.linspace(-40.0, 40.0, 161)]
         xs += [rng.uniform(-300.0, 300.0, 40), np.geomspace(1e-6, 1e3, 30).reshape(5, 6)]
+        xs += [np.array([-2.5, 2.5, 1e4]) * profile._tables().limits[-1]]
+        finest, scale = profile._tables().limits[-1], _abs_integral(profile)
+        panel_points = 0
         for x in xs:
             got, want = profile.K(x), _K_per_piece(profile, x)
             assert type(got) is type(want)
             assert np.shape(got) == np.shape(want)
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), x
+            past = np.abs(x) > finest
+            panel_points += int(np.sum(past))
+            assert np.asarray(got)[past].tobytes() == np.asarray(want)[past].tobytes(), x
+            assert np.all(np.abs(np.asarray(got) - want)[~past] <= 1e-14 * scale), x
+        assert panel_points >= 3
 
     def test_damped_integral_is_the_per_piece_formula(self, profile):
         for alpha, beta in ((1.0, 1.0), (0.3, -0.2), (4.0, 0.0), (100.0, 50.0)):
@@ -244,6 +309,64 @@ class TestPieceSums:
         import hbfourier.posdef as posdef
 
         assert not hasattr(posdef, "_segment_moments") and not hasattr(posdef, "_BLOCK")
+
+
+#: measures whose profiles the oracle tests transform; on "zero_width" the
+#: profile has a piece of no width, [1, 1], from the density's node at 1e-17
+ORACLE_PROFILES = {
+    "monomial": lambda: from_monomial_density(1.5, 0.8),
+    "triangle": lambda: from_pd_profile([0.0, 1.0], [1.0, 0.0], -0.5),
+    "random1": lambda: _random_profile_measure(1),
+    "random3": lambda: _random_profile_measure(3),
+    "zero_width": lambda: StieltjesMeasure(
+        1.0, ((0.5, 0.25),), PiecewiseLinearDensity.interpolant([0.0, 1e-17, 1.0], [1.0, 1.5, 2.0])
+    ),
+}
+
+
+class TestAgainstMpmath:
+    """K, the damped integral and h-hat against 80-digit closed forms: a point
+    inside every cluster level of their pieces, one ulp either side of every
+    switch, and the panel path past the finest level."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_PROFILES))
+    def test_K(self, name):
+        profile = recover_pd_profile(ORACLE_PROFILES[name]()).profile
+        xs = _oracle_points(profile._tables().limits)
+        xs = np.concatenate([xs, -xs[:3], [0.0]])
+        got, scale, moments = profile.K(xs), _abs_integral(profile), _mp_moments(profile.pieces, 0)
+        for x, k in zip(xs, got):
+            assert abs(k - float(moments(1j * x)[0].real)) <= 1e-14 * scale, x
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_PROFILES))
+    def test_damped_integral(self, name):
+        profile = recover_pd_profile(ORACLE_PROFILES[name]()).profile
+        scale, moments = 2.0 * _abs_integral(profile), _mp_moments(profile.pieces, 1)
+        for alpha in _oracle_points(profile._tables().limits):
+            T0, T1 = moments(-alpha)
+            for beta in (alpha, -alpha, alpha / 3.0):
+                exact = float(2 * (T0 - beta * T1))
+                assert abs(damped_kernel_integral(profile, alpha, beta) - exact) <= 1e-14 * scale, (alpha, beta)
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_h_hat(self, seed):
+        # h-hat = 2 Delta exactly; Delta from the density's own moments at 80 digits
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(seed)
+        panels = int(rng.integers(8, 25))
+        nodes = np.sort(rng.uniform(0.0, 3.0, panels + 1))
+        g = PiecewiseLinearDensity(tuple(nodes), tuple(rng.uniform(-2, 2, panels)), tuple(rng.uniform(-2, 2, panels)))
+        check_h_hat_identity(g, [1.0])
+        xs = _oracle_points(_H_TABLES[g].limits)
+        report = check_h_hat_identity(g, xs)
+        moments = _mp_moments([(t0, t1, (v0, (v1 - v0) / (t1 - t0))) for t0, t1, v0, v1 in g.panels], 1)
+        measure = StieltjesMeasure(g.nodes[-1], (), g)
+        scale = 2.0 * measure.sigma * measure.total_variation**2
+        for x, h_hat in zip(xs, report.h_hat):
+            with mpmath.workdps(50):
+                T0, T1 = moments(1j * x)
+                two_delta = 2 * (T0.real * T1.real + T1.imag * T0.imag)
+            assert abs(h_hat - float(two_delta)) <= 1e-14 * scale, x
 
 
 class TestAutocorrelation:
@@ -316,9 +439,9 @@ class TestExactHHat:
         assert check_h_hat_identity(unit_g, [0.0]).h_hat[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_over_budget_is_refused_by_panel_count(self):
-        nodes = np.linspace(0.0, 1.0, 106)  # 105 panels: up to 16695 pieces
+        nodes = np.linspace(0.0, 1.0, 210)  # 209 panels: up to 65835 pieces
         g = PiecewiseLinearDensity.interpolant(nodes, np.ones_like(nodes))
-        with pytest.raises(ValueError, match="105-panel"):
+        with pytest.raises(ValueError, match="209-panel"):
             check_h_hat_identity(g, [1.0])
 
 
@@ -416,6 +539,20 @@ class TestCompleteMonotonicity:
             cm_finite_difference_check(0.5, 0.5, [1.0], 0.05, 4)
         with pytest.raises(ValueError):
             cm_finite_difference_check(1.0, 1.5, [1.0], 0.05, 4)
+
+    def test_refuses_a_step_or_grid_point_that_is_not_finite_and_positive(self):
+        with pytest.raises(ValueError, match="positive and finite"):
+            alternating_sign_table(lambda x: np.exp(-np.asarray(x)), [1.0], math.nan, 3)
+        with pytest.raises(ValueError, match="positive and finite"):
+            cm_finite_difference_check(1.0, 0.5, [math.nan], 0.1, 3)
+        for step, grid in ((math.inf, [1.0]), (0.1, [1.0, math.inf]), (0.1, [0.0]), (-0.1, [1.0])):
+            with pytest.raises(ValueError):
+                alternating_sign_table(lambda x: np.exp(-np.asarray(x)), grid, step, 3)
+
+    def test_a_nan_difference_fails(self):
+        report = alternating_sign_table(lambda x: np.where(np.asarray(x) > 1.1, math.nan, 1.0), [1.0], 0.1, 3)
+        assert not report.ok and math.isnan(report.worst_margin)
+        assert [n for _, n, _ in report.failures] == [1, 2, 3]
 
     def test_detects_non_monotone_function(self):
         report = alternating_sign_table(lambda x: np.sin(np.asarray(x, dtype=float)), np.linspace(0.5, 5.0, 10), 0.3, 4)

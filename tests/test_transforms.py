@@ -5,6 +5,7 @@ import gc
 import math
 import sys
 import weakref
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hbfourier.measure import (
 )
 from hbfourier.transforms import (
     _BLOCK,
+    _CLUSTER_RHO,
     _CLUSTER_TERMS,
     _MAX_ORDER,
     _MIRRORS,
@@ -499,7 +501,7 @@ class TestLeaf:
     def test_one_panel_is_split_in_two(self):
         density = _one_panel().density
         assert _density_tables(density).limits.tolist() == [0.5 / 0.375]
-        h, centres, coeffs = _cluster_level(density, 2)
+        h, centres, coeffs = _cluster_level(_density_tables(density).pieces, 2)
         assert h == 0.375 and centres.ravel().tolist() == [0.375, 1.125] and coeffs.shape[-2:] == (2, 1)
 
     @pytest.mark.parametrize("order", [0, 2])
@@ -527,17 +529,19 @@ class TestLeaf:
 
     def test_built_only_for_the_points_it_serves(self):
         # a 2049-panel density evaluated at |x| <= 60, as the real-axis checks
-        # do, builds no level finer than 64 cells; a farther point builds its
-        # own level and no other
+        # do, builds no level finer than 64 cells, nor the panel path's table,
+        # the last; a farther point builds its own level and no other
         m = from_monomial_density(2.5, 1.5)
         _TABLES.clear()
         levels = _density_tables(m.density).levels
-        assert len(levels) == 11 and not any(levels)
+        assert len(levels) == 12 and not any(levels)
         real_transforms(m, np.linspace(-60.0, 60.0, 301), order=2)
         eval_F(m, 60.0 * cmath.exp(-1j))
-        assert [level is not None for level in levels] == [True] * 6 + [False] * 5
+        assert [level is not None for level in levels] == [True] * 6 + [False] * 6
         eval_F(m, np.array([700.0, 650.0 - 100.0j]))
-        assert [level is not None for level in levels] == [True] * 6 + [False, False, False, True, False]
+        assert [level is not None for level in levels] == [True] * 6 + [False, False, False, True, False, False]
+        eval_F(m, 3000.0)
+        assert levels[-1] is not None and levels[-2] is None
 
     def test_threads_that_build_levels_together_agree(self):
         # eight threads race to build the levels of one fresh density, with
@@ -624,6 +628,125 @@ def _atom_loop_reference(measure, z, order):
     return T, E
 
 
+class _DensityTablesReference(NamedTuple):
+    t0: np.ndarray
+    w_powers: np.ndarray
+    rows: tuple
+    limits: np.ndarray
+    levels: list
+
+
+def _lay_out_reference(density):
+    """`_lay_out` as it was before pieces: a density's panels and cluster levels."""
+    panels = density.panels
+    widths = [t1 - t0 for t0, t1, _, _ in panels]
+    rows = []
+    for m in range(_MAX_ORDER + 1):
+        q = np.zeros((len(panels), m + 2))
+        for p, ((t0, _, v0, v1), w) in enumerate(zip(panels, widths)):
+            slope = (v1 - v0) / w
+            for j in range(m + 1):
+                b = math.comb(m, j) * t0 ** (m - j)
+                q[p, j] += b * v0
+                q[p, j + 1] += b * slope
+        piece, j = np.nonzero(q)
+        rows.append((j * len(q) + piece, q[piece, j][:, None]))
+    t0 = np.array([p[0] for p in panels])[:, None]
+    span = density.nodes[-1] - density.nodes[0]
+    counts = 2 ** np.arange(1, max(2, len(panels)).bit_length())
+    limits = _CLUSTER_RHO / (span / (2 * counts))
+    w_powers = np.array([[w**k for w in widths] for k in range(1, _MAX_ORDER + 3)])[:, :, None]
+    return _DensityTablesReference(t0, w_powers, tuple(rows), limits, [None] * len(counts))
+
+
+def _cluster_level_reference(density, count):
+    """`_cluster_level` as it was before pieces: the panels cut at the union of nodes and cell edges."""
+    nodes = np.array(density.nodes)
+    left, right = np.array(density.left), np.array(density.right)
+    lo, hi = nodes[0], nodes[-1]
+    h = (hi - lo) / (2 * count)
+    edges = lo + 2.0 * h * np.arange(count + 1)
+    edges[-1] = hi
+    centres = lo + h * (2.0 * np.arange(count) + 1.0)
+    cuts = np.sort(np.concatenate([nodes, edges]))
+    cuts = cuts[np.concatenate([[True], cuts[1:] > cuts[:-1]])]
+    start, end = cuts[:-1], cuts[1:]
+    p = np.searchsorted(nodes, start, side="right") - 1
+    j = np.minimum(np.searchsorted(edges, start, side="right") - 1, count - 1)
+    t0, t1, v0, v1 = nodes[p], nodes[p + 1], left[p], right[p]
+    va = np.where(start == t0, v0, v0 + (v1 - v0) * ((start - t0) / (t1 - t0)))
+    vb = np.where(end == t1, v1, v0 + (v1 - v0) * ((end - t0) / (t1 - t0)))
+    half = 0.5 * (end - start)
+    d, s = (0.5 * (start + end) - centres[j]) / h, half / h
+    n_moments = _CLUSTER_TERMS + _MAX_ORDER
+    own = [half * s**i * ((va + vb) / (i + 1) if i % 2 == 0 else (vb - va) / (i + 2)) for i in range(n_moments)]
+    d_pow = [np.ones_like(d)]
+    for _ in range(1, n_moments):
+        d_pow.append(d_pow[-1] * d)
+    moments = np.empty((n_moments, count))
+    for k in range(n_moments):
+        piece = sum(math.comb(k, n) * d_pow[k - n] * own[n] for n in range(k + 1))
+        moments[k] = np.bincount(j, weights=piece, minlength=count)
+    inv_fact = np.array([1.0 / math.factorial(k) for k in range(_CLUSTER_TERMS)])[:, None]
+    B = np.zeros((_MAX_ORDER + 1, _CLUSTER_TERMS, count))
+    for m in range(_MAX_ORDER + 1):
+        for n in range(m + 1):
+            B[m] += math.comb(m, n) * h**n * centres ** (m - n) * moments[n : n + _CLUSTER_TERMS]
+    coeffs = np.ascontiguousarray((B * inv_fact).transpose(1, 0, 2)[..., None], dtype=complex)
+    return h, centres[:, None], coeffs
+
+
+def _panel_sum_reference(out, a, E, t0, w_powers, rows):
+    """`_panel_sum` as it was before pieces, taking the density's panel operands."""
+    step = max(1, _BLOCK // len(t0))
+    for lo in range(0, a.size, step):
+        blk = slice(lo, lo + step)
+        M = _segment_moments(w_powers, a[blk], a[blk] * t0 - E[blk])
+        M = M.reshape(-1, M.shape[-1])
+        for m, (rows_m, q) in enumerate(rows):
+            terms = np.empty((len(q) + 1, M.shape[-1]), dtype=complex)
+            terms[0] = out[m, blk]
+            np.take(M, rows_m, axis=0, out=terms[1:])
+            terms[1:] *= q
+            out[m, blk] = np.cumsum(terms, axis=0)[-1]
+
+
+def _grid_moments_reference(measure, z, order, tables):
+    """`_grid_moments` as it was before pieces: the atoms' rows, then the density's
+    level dispatch inline, over the reference tables (whose levels it fills)."""
+    T, E = _grid_moments(StieltjesMeasure(measure.sigma, measure.atoms), z, order)
+    z, E = np.asarray(z), np.asarray(E)
+    a = 1j * z
+    a, E, flat = a.reshape(-1), E.reshape(-1), T.reshape(order + 1, -1)
+    level = np.searchsorted(tables.limits, np.abs(a))
+    first = int(level[0])
+    if a.size == 1 or not np.any(level != first):
+        groups = [(first, slice(None))]
+    else:
+        groups = [(lv, np.flatnonzero(level == lv)) for lv in np.flatnonzero(np.bincount(level))]
+    for lv, pts in groups:
+        part = flat[:, pts]
+        if lv < len(tables.levels):
+            if tables.levels[lv] is None:
+                tables.levels[lv] = _cluster_level_reference(measure.density, 2 << lv)
+            _cluster_sum(part, a[pts], E[pts], *tables.levels[lv])
+        else:
+            _panel_sum_reference(part, a[pts], E[pts], tables.t0, tables.w_powers[: order + 2], tables.rows[: order + 1])
+        if not isinstance(pts, slice):
+            flat[:, pts] = part
+    return T
+
+
+#: the densities of the bit test of `_grid_moments` against its reference before pieces
+DENSITY_MEASURES = {
+    "monomial_1.5_0.8": lambda: from_monomial_density(1.5, 0.8),
+    "monomial_3_2": lambda: from_monomial_density(3.0, 2.0),
+    "triangle128": lambda: _triangle(128),
+    "jump_mesh": _jump_mesh,
+    "one_panel": _one_panel,
+}
+
+
 #: measures whose atoms, or their reflections', sit at t = 0 and at sigma
 ATOM_MEASURES = {
     **{f"fejer{k}": functools.partial(from_fejer, k) for k in range(1, 7)},
@@ -659,12 +782,33 @@ class TestSameBits:
             assert np.array_equal(got, want, equal_nan=True)
         assert any(t == 0.0 for t, _ in _reflected(m).atoms)
 
+    @pytest.mark.parametrize("name", sorted(DENSITY_MEASURES))
+    def test_density_moments_before_pieces(self, name):
+        # the evaluator's density sums against a copy of its layout, its
+        # levels and its dispatch from before they took pieces: real and
+        # complex points inside every level, one ulp either side of every
+        # switch, and on the panel path, alone and in one batch, orders 0-2
+        m = DENSITY_MEASURES[name]()
+        tables = _lay_out_reference(m.density)
+        limits = tables.limits
+        assert np.array_equal(limits, _density_tables(m.density).limits)
+        inner = np.concatenate([[0.0], limits[:-1]])
+        radius = np.concatenate([0.5 * (inner + limits), limits, np.nextafter(limits, 0.0), np.nextafter(limits, np.inf)])
+        radius = np.concatenate([radius, [1.7 * limits[-1], 40.0 * limits[-1]]])
+        zs = np.concatenate([radius, -radius, radius * np.exp(-0.7j), radius * np.exp(-2.9j), [3.3 - 400.0j]])
+        for order in (0, 1, 2):
+            want = _grid_moments_reference(m, zs, order, tables)
+            assert np.array_equal(bits(_grid_moments(m, zs, order)[0]), bits(want)), order
+            for i in range(0, zs.size, 5):
+                z = zs[i] if zs[i].imag else float(zs[i].real)
+                assert np.array_equal(bits(_grid_moments(m, z, order)[0]), bits(want[:, i])), (order, z)
+
     @pytest.mark.parametrize("cells", [2, 4, 8, 16, 32, 64, 128])
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_cluster_sum(self, cells, order):
         rng = np.random.default_rng(cells + 1000 * order)
         density = _triangle(128).density
-        h, centres, coeffs = _cluster_level(density, cells)
+        h, centres, coeffs = _cluster_level(_density_tables(density).pieces, cells)
         B = coeffs[..., 0].real.transpose(1, 0, 2)  # B[m, k, j]
         assert np.array_equal(coeffs.imag, np.zeros_like(coeffs.imag))
         for n in (1, 2, 7, 33, 300):
@@ -753,9 +897,9 @@ class TestTableCache:
         laid_out, reflections = [], []
         lay_out, reflect = transforms._lay_out, PiecewiseLinearDensity.reflected
 
-        def counted_lay_out(density):
-            laid_out.append(density)
-            return lay_out(density)
+        def counted_lay_out(pieces):
+            laid_out.append(pieces)
+            return lay_out(pieces)
 
         def counted_reflect(density, sigma):
             reflections.append(density)
@@ -769,7 +913,9 @@ class TestTableCache:
             mirror = _MIRRORS[g][1.7]
             seen.append((mirror, _TABLES[mirror]))
         assert all(first is second for first, second in zip(*seen))
-        assert laid_out == [seen[0][0]] and reflections == [g]
+        # one layout, of the reflection's panels, whose tables hold the very pieces laid out
+        assert len(laid_out) == 1 and laid_out[0] is seen[0][1].pieces and reflections == [g]
+        assert laid_out[0][0].tolist() == list(seen[0][0].nodes[:-1]) and g not in _TABLES
 
 def _one_side_readers():
     """(module, reader) for every reader of one side of `real_transforms`."""
