@@ -5,7 +5,7 @@ Runs every command on the measure of each `scenarios/*.json` file, with
 `zeros-count` once per target (F, F', F'', zF and F/z) and once more for F/z
 on the rectangle [-1, 1] x [-1, 0], whose top edge passes through z = 0, plus
 the five demos, in json and table form, in-process through `hbfourier.cli.main`.
-It also runs every command but `interp` on the two 2049-panel
+It also runs every command on the two 2049-panel
 `from_monomial_density` measures, (1.5, 0.8) and (3.0, 2.0), `eval`,
 `posdef`, `zeros-classify` and `zeros-imag` on the borderline triangle of 64
 panels (density 1 on [0, 1], an atom of -1/2 at 1), and `eval`, every
@@ -15,9 +15,8 @@ scenarios have one to a few panels, so the evaluator serves them from its
 levels of two or four cells or its panel path; the 16-panel triangle's
 contours pass through every level of 2 to 16 cells, and the many-panel
 measures and the 64-panel triangle show the coarse levels of longer
-hierarchies.  `interp` is left out on the monomial measures, since its
-series probes about a million points past every cluster level and takes
-minutes on 2049 panels.  Every command also runs on two measures whose total
+hierarchies, and `interp` on them evaluates 20001 nodes past every
+cluster level.  Every command also runs on two measures whose total
 variation V is far from 1, so that a threshold that does not scale with V
 shows: `fejer2_ineq.json` with its atoms scaled by 2^-40 (V = 2^-40), and
 the zero measure (V = 0); and on two whose type sigma is far from 1, so that
@@ -28,8 +27,8 @@ F' and F'' and `zeros-classify` also run on `from_fejer(6)`, sigma = 6, whose
 phase can turn 38 times along a 40-wide edge of the default rectangle, so
 that a contour start that does not scale with 1 / sigma shows.  The three
 `ineq` demos also run with `--out csv`, which prints the margin of every grid
-point.  With the five scenario files that makes 329 invocations: 26 per
-scenario and per measure of V or sigma far from 1, 24 per monomial measure,
+point.  With the five scenario files that makes 333 invocations: 26 per
+scenario, per measure of V or sigma far from 1 and per monomial measure,
 8 for the 64-panel triangle, 18 for the 16-panel one, 8 for Fejer-6 and 13
 for the demos.
 Each invocation's exit code, stdout and stderr go to a file of their own in
@@ -90,9 +89,8 @@ SCENARIO_RUNS = (
 DEMOS = ("fejer2", "atom-sigma", "triangle-case2", "ramp", "growth-limit")
 #: the demos whose command is `ineq`, run with `--out csv` too
 CSV_DEMOS = ("fejer2", "atom-sigma", "ramp")
-#: (mu, nu) of the many-panel measures, and the commands not run on them
+#: (mu, nu) of the many-panel measures
 MANY_PANEL = ((1.5, 0.8), (3.0, 2.0))
-MANY_PANEL_SKIP = {"interp"}
 #: the zero measure, V = 0
 ZERO_MEASURE = {"sigma": 1.0, "atoms": [], "density": None}
 #: k of the sigma twins of fejer2_ineq.json: sigma = 2048 and 2^-9
@@ -164,7 +162,7 @@ def invocations(workdir: Path):
     for k in TWINS:
         yield from scenario_runs(f"fejer2_ineq-twin-2^{k}", sigma_twin(fejer2, k), workdir)
     for mu, nu in MANY_PANEL:
-        yield from scenario_runs(f"monomial-{mu}-{nu}", monomial_scenario(mu, nu), workdir, MANY_PANEL_SKIP)
+        yield from scenario_runs(f"monomial-{mu}-{nu}", monomial_scenario(mu, nu), workdir)
     for panels, commands in TRIANGLES:
         skip = {command for command, _, _ in SCENARIO_RUNS} - commands
         yield from scenario_runs(f"triangle-{panels}", triangle_scenario(panels), workdir, skip)

@@ -36,7 +36,7 @@ _DEFAULT_TOL = {"ineq": 1e-9, "identities": 1e-10, "interp": 1e-9}
 # could exhaust memory before printing anything, so it exits 1 instead
 #: points of an evaluation grid (the scenarios and demos use a few thousand)
 _MAX_GRID_POINTS = 100_000
-#: terms on each side of the interpolation series; its tail probes 4x as many points
+#: terms on each side of the interpolation series, which evaluates 2 terms + 1 nodes
 _MAX_TERMS = 100_000
 
 

@@ -40,6 +40,26 @@ class Atom(NamedTuple):
     c: float
 
 
+def _exact_running_sums(values) -> list:
+    """[fsum(values[:1]), fsum(values[:2]), ...]: Shewchuk's partials of the
+    running sum, which add up to it exactly, updated per value and rounded once."""
+    partials, out = [], []
+    for x in values:
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+        out.append(math.fsum(partials))
+    return out
+
+
 @dataclass(frozen=True)
 class PiecewiseLinearDensity:
     """Piecewise-linear density, zero outside [nodes[0], nodes[-1]].
@@ -119,8 +139,19 @@ class PiecewiseLinearDensity:
         out = np.where(inside, v0 + (v1 - v0) * ((t - t0) / (t1 - t0)), 0.0)
         return out if out.ndim else float(out)
 
+    def _panel_masses(self) -> list:
+        return [(v0 + v1) * 0.5 * (t1 - t0) for t0, t1, v0, v1 in self.panels]
+
     def mass(self) -> float:
-        return float(sum((v0 + v1) * 0.5 * (t1 - t0) for t0, t1, v0, v1 in self.panels))
+        """int g, the panel masses summed exactly and rounded once."""
+        return math.fsum(self._panel_masses())
+
+    def variation(self) -> float:
+        """Total variation of g on the real line: its jumps from and to 0 at the
+        ends, the jumps between panels and the rise or fall within each panel."""
+        ends = [abs(self.left[0]), abs(self.right[-1])]
+        inner = [abs(b - a) for a, b in zip(self.right[:-1], self.left[1:])]
+        return math.fsum(ends + inner + [abs(v1 - v0) for v0, v1 in zip(self.left, self.right)])
 
     def abs_mass(self) -> float:
         """Exact integral of |g|; used as the density's variation contribution."""
@@ -136,10 +167,14 @@ class PiecewiseLinearDensity:
         return total
 
     def cumulative(self, s):
-        """Vectorized int_0^s g(u) du for s within [0, nodes[-1]]."""
+        """Vectorized int_0^s g(u) du for s within [0, nodes[-1]].
+
+        The masses before each panel are running sums kept exact, as the
+        partials of `math.fsum`, and rounded once, so each equals `math.fsum`
+        of its panels and cumulative(nodes[-1]) == mass().
+        """
         s = np.asarray(s, dtype=float)
-        panel_mass = np.array([(v0 + v1) * 0.5 * (t1 - t0) for t0, t1, v0, v1 in self.panels])
-        cum = np.concatenate([[0.0], np.cumsum(panel_mass)])
+        cum = np.array([0.0] + _exact_running_sums(self._panel_masses()))
         idx, t0, t1, v0, v1 = self._panel_of(s)
         u = np.clip(s - t0, 0.0, t1 - t0)
         slope = (v1 - v0) / (t1 - t0)
@@ -213,10 +248,9 @@ class StieltjesMeasure:
 
     @functools.cached_property
     def total_mass(self) -> float:
-        m = sum(c for _, c in self.atoms)
-        if self.density is not None:
-            m += self.density.mass()
-        return float(m)
+        """The atoms' jumps and the density's mass, summed exactly and rounded once."""
+        density = [self.density.mass()] if self.density is not None else []
+        return math.fsum([c for _, c in self.atoms] + density)
 
     @property
     def jump_at_sigma(self) -> float:

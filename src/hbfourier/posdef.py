@@ -99,22 +99,23 @@ def _profile_pieces(measure: StieltjesMeasure):
     s_breaks = np.array(sorted(breaks))
     b0, b1 = s_breaks[:-1], s_breaks[1:]
     w = b1 - b0
-    # D0: the atoms at t <= b0 plus the density's mass up to b0
+    # D1 = D(b1-): the atoms at t <= b0 plus the density's mass up to b1
     atom_t = np.array([t for t, _ in measure.atoms])
     atom_cum = np.concatenate([[0.0], np.cumsum([c for _, c in measure.atoms])])
-    D0 = atom_cum[np.searchsorted(atom_t, b0, side="right")]
+    D1 = atom_cum[np.searchsorted(atom_t, b0, side="right")]
     slope, g_b0 = np.zeros(b0.shape), np.zeros(b0.shape)
     if dens is not None:
-        D0 = D0 + dens.cumulative(b0)
+        D1 = D1 + dens.cumulative(b1)
         # g(b0) = v0 + slope (b0 - t0) on the panel holding the midpoint, with no intercept to cancel
         mid = 0.5 * (b0 + b1)
         inside = (mid > dens.nodes[0]) & (mid < dens.nodes[-1])
         _, t0, t1, v0, v1 = dens._panel_of(mid)
         slope = np.where(inside, (v1 - v0) / (t1 - t0), 0.0)
         g_b0 = np.where(inside, v0 + slope * (b0 - t0), 0.0)
-    # D(s) = D0 + g(b0) u + slope/2 u^2 on (b0, b1], u = s - b0; the
-    # reflected piece is t in [sig - b1, sig - b0], f(t) = D(sig - t)
-    c0 = D0 + g_b0 * w + 0.5 * slope * w * w
+    # D(s) = D1 - g(b0) (w - u) - slope/2 (w^2 - u^2) on (b0, b1], u = s - b0; the
+    # reflected piece is t in [sig - b1, sig - b0], f(t) = D(sig - t), which starts
+    # at D1, so f(0) is the density's exact mass plus the atoms below sigma
+    c0 = D1
     c1 = -(g_b0 + slope * w)
     c2 = 0.5 * slope
     order = np.argsort(sig - b1, kind="stable")

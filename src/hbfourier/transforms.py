@@ -33,6 +33,12 @@ integrates every piece exactly: a closed-form recurrence, or a power series
 whose length follows the largest |z| w of the block and is cut where the
 omitted terms could not change a bit.
 
+Equispaced real nodes, those of the sine-kernel series in `sampling`, have
+an entry point of their own, `_equispaced_moments`: blocks of nodes share
+their phases through matrix products, pieces wide against 1 / |x| integrate
+by parts and narrow ones take their series, so a value there depends on its
+block, while `_grid_moments` keeps a point's value independent of its batch.
+
 Values of omega = z^n F for n = -1, 0, 1, turned by a phase e^{i tau} or
 taken of a derivative F^(k), come from the moments through one helper,
 `_omega_rows`: F^(j) = i^j T_j, Leibniz's rule or its quotient for z^n, and,
@@ -52,6 +58,7 @@ maps keyed by that object, and lives exactly as long as it.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
@@ -211,19 +218,29 @@ def _panel_layout(pieces: tuple) -> tuple:
     sum_j q_j N_j to T_m; rows[m] holds (index, q) for the nonzero q_j, index = j * P + p.
     """
     start, end, _, poly = pieces
-    starts, widths, degree = start.tolist(), (end - start).tolist(), poly.shape[1] - 1
-    t0_powers = [np.array([t**e for t in starts]) for e in range(_MAX_ORDER + 1)]
+    widths, degree = (end - start).tolist(), poly.shape[1] - 1
     rows = []
-    for m in range(_MAX_ORDER + 1):
+    for q in _shifted_polynomials(start, poly, _MAX_ORDER):
+        piece, j = np.nonzero(q)
+        rows.append((j * len(q) + piece, q[piece, j][:, None]))
+    w_powers = np.array([[w**k for w in widths] for k in range(1, _MAX_ORDER + degree + 2)])[:, :, None]
+    return start[:, None], w_powers, tuple(rows)
+
+
+def _shifted_polynomials(start, poly, order: int) -> list:
+    """[q_0, ..., q_order]: q_m[p, j] is the coefficient of u^j in t^m p(t), u = t - start[p],
+    for the pieces' polynomials p(t) = sum_k poly[p, k] u^k; start's powers by Python's float pow."""
+    starts, degree = start.tolist(), poly.shape[1] - 1
+    t0_powers = [np.array([t**e for t in starts]) for e in range(order + 1)]
+    out = []
+    for m in range(order + 1):
         q = np.zeros((len(starts), m + degree + 1))
         for j in range(m + 1):
             b = math.comb(m, j) * t0_powers[m - j]
             for k in range(degree + 1):
                 q[:, j + k] += b * poly[:, k]
-        piece, j = np.nonzero(q)
-        rows.append((j * len(q) + piece, q[piece, j][:, None]))
-    w_powers = np.array([[w**k for w in widths] for k in range(1, _MAX_ORDER + degree + 2)])[:, :, None]
-    return start[:, None], w_powers, tuple(rows)
+        out.append(q)
+    return out
 
 
 # What the evaluator derives from an immutable object, keyed by that object:
@@ -234,6 +251,7 @@ _H_TABLES = weakref.WeakKeyDictionary()  # density g -> the tables of the pieces
 _MIRRORS = weakref.WeakKeyDictionary()  # density -> {sigma: its reflection about sigma / 2}
 _REFLECTED = weakref.WeakKeyDictionary()  # measure -> the measure reflected about sigma / 2
 _ORIGIN = weakref.WeakKeyDictionary()  # measure -> its `_origin_series`
+_EQUISPACED = weakref.WeakKeyDictionary()  # measure -> {order: its `_equispaced_tables`}
 
 
 def _derived(derived, key, build):
@@ -429,6 +447,182 @@ def _grid_moments(measure: StieltjesMeasure, z, order: int):
     if measure.density is not None and z.size:
         _piece_moments(T.reshape(order + 1, -1), _density_tables(measure.density), a.reshape(-1), E.reshape(-1))
     return T, E.reshape(z.shape)[()]  # [()] gives a scalar E for a scalar z
+
+
+# -- equispaced real nodes -----------------------------------------------------
+
+#: the most nodes in a block of `_equispaced_moments`
+_EQUI_BLOCK = 128
+#: its narrow pieces, rho = |x| w < 2, are summed in tiers of rho <= _TIER_RHO[l], each by
+#: the series terms its largest rho needs (`_series_length`), at most _NARROW_TERMS
+_TIER_RHO = 2.0 * 16.0 ** -np.arange(9.0)
+_NARROW_TERMS = _series_length(2.0)
+
+
+class _EquispacedTables(NamedTuple):
+    """A measure's atoms and pieces laid out for `_equispaced_moments`; pieces in order of width."""
+
+    width: np.ndarray  # (P,)
+    points: np.ndarray  # (2 P + atoms,): start and end of each piece in turn, then the atoms
+    parts: np.ndarray  # (2 P + atoms, columns, order + 1): the terms of y^c at each point, by (c, m)
+    series: np.ndarray  # (P, _NARROW_TERMS, order + 1): i^j s_j of each piece's series, by (j, m)
+
+
+def _equispaced_tables(measure: StieltjesMeasure, order: int) -> _EquispacedTables:
+    """The tables of the measure's atoms and density panels for the moments of order <= `order`.
+
+    With y = s / x for a block's scale s, an atom c at t adds c t^m e^{ixt} y^0.  On a
+    piece, with P_m(t) = t^m p(t) = sum_i q_i u^i in u = t - start (`_shifted_polynomials`),
+    int P_m e^{ixt} dt = sum_j (-1)^j [P_m^(j)(t) e^{ixt}]_start^end (-i / x)^(j+1), where
+    P_m^(j)(start) = j! q_j, so its ends add (-i / s)^(j+1) times that to y^(j+1).  Its
+    series is e^{ix start} sum_j i^j s_j (xw)^j, with s_j = sum_i q_i w^(i+1) / ((i + j + 1) j!).
+    """
+    t, c = (np.array(v, dtype=float) for v in zip(*measure.atoms)) if measure.atoms else np.zeros((2, 0))
+    atoms = (c[:, None] * t[:, None] ** np.arange(order + 1.0))[:, None]
+    no_pieces = (np.zeros(0), np.zeros(0), None, np.zeros((0, 2)))
+    start, end, _, poly = _density_tables(measure.density).pieces if measure.density is not None else no_pieces
+    by_width = np.argsort(end - start, kind="stable")
+    start, end, poly = start[by_width], end[by_width], poly[by_width]
+    w = end - start
+    qs = _shifted_polynomials(start, poly, order)
+    parts = np.zeros((len(w), 2, qs[-1].shape[1] + 1, order + 1), dtype=complex)
+    series = np.zeros((len(w), _NARROW_TERMS, order + 1), dtype=complex)
+    for m, q in enumerate(qs):
+        for j in range(q.shape[1]):
+            sign = (-1.0) ** j * (-1j) ** (j + 1)
+            parts[:, 0, j + 1, m] = -sign * math.factorial(j) * q[:, j]
+            parts[:, 1, j + 1, m] = sign * sum(math.perm(i, j) * q[:, i] * w ** (i - j) for i in range(j, q.shape[1]))
+        for j in range(_NARROW_TERMS):
+            series[:, j, m] = 1j**j / math.factorial(j) * sum(q[:, i] * w ** (i + 1) / (i + j + 1) for i in range(q.shape[1]))
+    parts = parts.reshape((2 * len(w),) + parts.shape[2:])
+    atoms = np.concatenate([atoms, np.zeros((len(t), parts.shape[1] - 1, order + 1))], axis=1)
+    points = np.concatenate([np.stack([start, end], axis=1).reshape(-1), t])
+    return _EquispacedTables(w, points, np.concatenate([parts, atoms]), series)
+
+
+def _equispaced_moments(measure: StieltjesMeasure, step: float, shift: float, first: int, count: int, order: int = 0):
+    """T[m] = int t^m e^{i x_k t} dmu at the nodes x_k = k step + shift, first <= k < first + count,
+    for m <= order and step > 0.
+
+    The moments `_grid_moments` gives at real points, for equispaced nodes,
+    different in rounding only; k step + shift keeps the nodes near 0 as
+    accurate as a small shift allows.  The measure is real, so T(-x) = conj T(x),
+    and each side of the origin is cut, outward, into blocks of at most
+    _EQUI_BLOCK nodes a + r step.  On a block e^{ixt} = e^{iat} e^{i r step t},
+    so every sum over atoms or piece ends is a matrix product of the block's
+    phases with the phases e^{i r step t} that all blocks share, and no other
+    exponential is taken.  A piece of width w is wide on a block whose least
+    |x| has |x| w > 1, and integrates by parts (`_equispaced_tables`); a narrow
+    piece takes its series, whose terms fall as rho^j / j! with rho = |x| w,
+    grouped in the tiers of `_TIER_RHO`.  A block where pieces are narrow ends
+    before rho reaches 2 on any of them (`_equispaced_head`).  A narrow piece
+    never takes the by-parts form, whose end terms, of size |p| / |x|, would
+    cancel to the integral's |p| w.  Every power of x is scaled by the block's
+    largest |x|, so none overflows.  A node's value depends on its block,
+    which the nodes fix, and not on a batch.
+    """
+    x = step * np.arange(first, first + count) + shift
+    neg = int(np.searchsorted(x, 0.0))
+    tables = _derived(_derived(_EQUISPACED, measure, dict), order, lambda: _equispaced_tables(measure, order))
+    widths = tables.width.tolist()
+    # the blocks from the origin outward, on x < 0, then on x >= 0, grouped by their cuts
+    nodes, lengths, most, groups = [], [], [], {}
+    for k, size, sign in ((neg - 1, neg, -1), (neg, count - neg, 1)):
+        inner = abs(float(x[k])) if size else 0.0
+        head, rest = _equispaced_head(inner, step, size, widths)
+        for start, length, last, cuts in head:
+            groups.setdefault(cuts, []).append(len(most))
+            nodes.append([k + sign * start])
+            lengths.append([length])
+            most.append(last)
+        # past the head every piece is wide, and a block takes _EQUI_BLOCK nodes
+        starts = np.arange(rest, size, _EQUI_BLOCK)
+        if starts.size:
+            groups.setdefault((0,) * len(_TIER_RHO), []).extend(range(len(most), len(most) + len(starts)))
+        nodes.append(k + sign * starts)
+        lengths.append(np.minimum(size - starts, _EQUI_BLOCK))
+        most.extend((inner + step * (starts + lengths[-1] - 1)).tolist())
+    lengths = np.concatenate(lengths)
+    least = np.abs(x[np.concatenate(nodes)])
+    out = _equispaced_sums(tables, least, step * np.arange(_EQUI_BLOCK), np.array(most), lengths.tolist(), groups, order + 1)
+    # the rows within each block's length, in node order from the origin outward
+    rows = np.repeat(_EQUI_BLOCK * np.arange(len(least)) - np.cumsum(lengths) + lengths, lengths) + np.arange(count)
+    values = out.reshape(order + 1, -1)[:, rows]
+    return np.concatenate([values[:, neg - 1 :: -1].conj() if neg else values[:, :0], values[:, neg:]], axis=1)
+
+
+def _equispaced_head(inner: float, step: float, size: int, widths: list):
+    """([(first node, length, largest |x|, cuts), ...], first node past them) of the blocks of
+    the nodes |x| = inner + k step, k < size, up to the first node at which every piece of
+    the sorted `widths` is wide (see `_equispaced_moments`).
+
+    The pieces with a w <= 1 are narrow on a block from |x| = a, and its largest |x|
+    stays below 2 / w for the widest of them, so that rho = |x| w < 2 on every narrow
+    piece; it holds at most _EQUI_BLOCK nodes.  cuts[0] is the number of narrow
+    pieces, cuts[l] that of the pieces in tiers l and above (rho <= _TIER_RHO[l]).
+    A lone node at 0 takes the scale 1 / w of the widest piece for its rho; its terms
+    past the first vanish.
+    """
+    head, k = [], 0
+    while k < size:
+        a = inner + k * step
+        narrow = bisect.bisect_right(widths, 1.0 / a) if a > 0.0 else len(widths)
+        if not narrow:
+            break
+        length = max(1, min(_EQUI_BLOCK, size - k, math.ceil((2.0 / widths[narrow - 1] - a) / step)))
+        last = a + (length - 1) * step
+        scale = last if last > 0.0 else 1.0 / widths[-1]
+        head.append((k, length, last, (narrow, *(bisect.bisect_right(widths, rho / scale, 0, narrow) for rho in _TIER_RHO[1:]))))
+        k += length
+    return head, k
+
+
+def _block_sums(R, t, a, coef, powers):
+    """sum_p e^{i a_b t_p} coef[p, j, m] powers[p, j, ., b] R[p, r], by (j, m, block b, row r)."""
+    D = np.exp(1j * np.outer(t, a))[:, None, None] * coef[..., None] * powers
+    return (D.reshape(len(t), -1).T @ R).reshape(D.shape[1:] + (R.shape[1],))
+
+
+def _power_sum(A, y):
+    """sum_j A[j] y^j for A by (j, m, block, row) and y by (block, row)."""
+    return (A * y ** np.arange(float(len(A)))[:, None, None, None]).sum(axis=0)
+
+
+def _equispaced_sums(tables: _EquispacedTables, least, offsets, most, lengths: list, groups: dict, n: int):
+    """The moments (m, block, row) of order < n at the blocks of nodes least + offsets, whose
+    largest |x| within their lengths is `most`, summed per group of blocks of equal cuts (see
+    `_equispaced_head`), at most _BLOCK * 16 products of a phase and a coefficient at once; the
+    rows of a group past its longest block are left 0, and the rows of a block past its length
+    are computed and dropped."""
+    w, xk = tables.width, least[:, None] + offsets
+    scale = np.where(most > 0.0, most, 1.0 / w[-1] if len(w) else 1.0)  # see `_equispaced_head`
+    R = np.exp(1j * np.outer(tables.points, offsets))
+    out = np.zeros((n,) + xk.shape, dtype=complex)
+    chunk = max(1, _BLOCK * 16 // max(1, tables.parts[:, :, :n].size, tables.series[:, :, :n].size))
+    for cut, group in groups.items():
+        for i in range(0, len(group), chunk):
+            blocks = group[i : i + chunk]
+            rows = slice(max(lengths[b] for b in blocks))
+            if blocks[-1] - blocks[0] == len(blocks) - 1:
+                blocks = slice(blocks[0], blocks[-1] + 1)
+            s, a, x = scale[blocks], least[blocks], xk[blocks, rows]
+            if 2 * cut[0] < len(R):  # the atoms, and the wide pieces' ends by parts
+                wide = slice(2 * cut[0], None)
+                if cut[0] < len(w):
+                    inv = s ** -np.arange(float(tables.parts.shape[1]))[:, None, None]
+                    A = _block_sums(R[wide, rows], tables.points[wide], a, tables.parts[wide, :, :n], inv)
+                    out[:, blocks, rows] += _power_sum(A, s[:, None] / x)
+                else:  # the atoms alone, at y^0
+                    out[:, blocks, rows] += _block_sums(R[wide, rows], tables.points[wide], a, tables.parts[wide, :1, :n], 1.0)[0]
+            bounds = [*cut, 0]
+            for lo, hi in zip(bounds[1:], bounds):  # the narrow pieces by tier, from the widest
+                if lo < hi:  # the terms past these fall below 2^-55 |p| w on every piece
+                    terms = _series_length(float(np.max(s)) * w[hi - 1])
+                    rho = (w[lo:hi, None] * s)[:, None, None] ** np.arange(float(terms))[:, None, None]
+                    starts = slice(2 * lo, 2 * hi, 2)
+                    A = _block_sums(R[starts, rows], tables.points[starts], a, tables.series[lo:hi, :terms, :n], rho)
+                    out[:, blocks, rows] += _power_sum(A, x / s[:, None])
+    return out
 
 
 def _reflected(measure: StieltjesMeasure) -> StieltjesMeasure:

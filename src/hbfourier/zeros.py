@@ -414,7 +414,8 @@ def _real_minima(measure: StieltjesMeasure, target: str, a: float, b: float):
 def find_real_zeros(measure: StieltjesMeasure, interval):
     """Real zeros of F on a bounded interval, as (location, multiplicity) pairs.
 
-    The candidates of `_real_minima` are accepted where |F| <= ZERO_TOL V.
+    The candidates of `_real_minima` are accepted where |F| <= ZERO_TOL V;
+    without a candidate there is no further evaluator call.
     Where two brackets located the same zero, within 1e-6 max(1 / sigma, |x|),
     the candidate of least |F| stands for it: a minimum's solution is
     conditioned by |F'|, a sign change's by |Re F'| only.  Multiplicity 1 is
@@ -429,6 +430,8 @@ def find_real_zeros(measure: StieltjesMeasure, interval):
         return []
     sig = m.sigma
     x = _real_minima(m, "F", a, b)[2]
+    if not x.size:
+        return []
     f, fp = _target(m, "F", x, 1)[0]
     keep = np.abs(f) <= ZERO_TOL * m.bound()
     x, f_abs, fp_abs = x[keep], np.abs(f[keep]), np.abs(fp[keep])

@@ -151,6 +151,7 @@ def test_criterion_6_interpolation():
             evaluate=lambda t, s=sigma, a=alpha: np.cos(s * np.asarray(t, dtype=float) + a),
             derivative=lambda t, s=sigma, a=alpha: -s * np.sin(s * np.asarray(t, dtype=float) + a),
             sigma=sigma,
+            envelope=lambda r: 1.0,
         )
         res = interp_rhs(f, sigma, alpha, x, 10_000)
         assert abs(res.value - sigma) <= 1e-3

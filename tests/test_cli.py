@@ -376,6 +376,18 @@ class TestInterp:
         rows = json.loads(text)
         assert all(row["gap"] <= row["tail_bound"] + 1e-9 for row in rows)
 
+    def test_interp_on_a_many_panel_density(self, tmp_path):
+        # 20001 series nodes of the 2049-panel monomial density, past every
+        # cluster level, at the default 10000 terms
+        from hbfourier.measure import from_monomial_density
+
+        dens = from_monomial_density(1.5, 0.8).density
+        doc = {"sigma": 1.0, "density": {"nodes": list(dens.nodes), "values": [*dens.left, dens.right[-1]]}}
+        code, text = run_cli(["interp", write_scenario(tmp_path, doc), "--out", "json"])
+        assert code == 0
+        rows = json.loads(text)
+        assert len(rows) == 17 and all(row["gap"] <= row["tail_bound"] for row in rows)
+
     @pytest.mark.parametrize("perturbation, code", [(0.0, 0), (1e-12, 2)])
     def test_gate_follows_the_scale_of_the_identity(self, tmp_path, monkeypatch, perturbation, code):
         # Fejer-2 scaled by 2^-40: f and the series are near 1e-12, so a gap of

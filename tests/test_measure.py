@@ -306,6 +306,28 @@ class TestDensityRepresentation:
         assert np.allclose(r(ts), g(1.0 - ts))
 
 
+class TestExactSums:
+    @pytest.mark.parametrize("mu, nu", [(1.5, 0.8), (3.0, 2.0), (2.0, 0.5)])
+    def test_masses_are_exact_sums_rounded_once(self, mu, nu):
+        g = from_monomial_density(mu, nu).density
+        masses = [(v0 + v1) * 0.5 * (t1 - t0) for t0, t1, v0, v1 in g.panels]
+        assert g.mass() == math.fsum(masses)
+        cum = g.cumulative(np.array(g.nodes))
+        assert cum.tolist() == [math.fsum(masses[:i]) for i in range(len(g.nodes))]
+        assert g.cumulative(g.nodes[-1]) == g.mass()
+
+    def test_total_mass_is_one_exact_sum(self):
+        g = PiecewiseLinearDensity.interpolant([0.0, 0.3, 0.5, 1.0], [1.0, -0.4, 0.8, 0.2])
+        m = StieltjesMeasure(1.0, ((0.0, 0.1), (0.5, 1e16), (1.0, -1e16)), g)
+        assert m.total_mass == math.fsum([0.1, 1e16, -1e16, g.mass()])
+
+    def test_variation_counts_every_jump(self):
+        # g on the line: from 0 up to 1 and back to 0 at the ends, 1.4 + 1.2 + 0.6 within
+        assert PiecewiseLinearDensity.interpolant([0.0, 0.3, 0.5, 1.0], [1.0, -0.4, 0.8, 0.2]).variation() == pytest.approx(4.4)
+        # a step: 1 and 2 at the ends, 3 at the jump between its panels
+        assert PiecewiseLinearDensity.step([0.0, 0.5, 1.0], [1.0, -2.0]).variation() == 6.0
+
+
 class TestCachedAggregates:
     def test_panel_sums_run_once_and_match_a_fresh_sum(self, monkeypatch):
         calls = {"mass": 0, "abs_mass": 0}

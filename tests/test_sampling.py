@@ -20,6 +20,7 @@ def cosine_function(sigma, alpha):
         evaluate=lambda x: np.cos(sigma * np.asarray(x, dtype=float) + alpha),
         derivative=lambda x: -sigma * np.sin(sigma * np.asarray(x, dtype=float) + alpha),
         sigma=sigma,
+        envelope=lambda r: 1.0,
     )
 
 
@@ -28,6 +29,7 @@ def sine_function(sigma, alpha):
         evaluate=lambda x: np.sin(sigma * np.asarray(x, dtype=float) + alpha),
         derivative=lambda x: sigma * np.cos(sigma * np.asarray(x, dtype=float) + alpha),
         sigma=sigma,
+        envelope=lambda r: 1.0,
     )
 
 
@@ -36,6 +38,7 @@ def constant_function(sigma=1.0):
         evaluate=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         derivative=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         sigma=sigma,
+        envelope=lambda r: 1.0,
     )
 
 
@@ -46,24 +49,31 @@ class TestSampledFunction:
                 evaluate=lambda x: np.sin(np.asarray(x, dtype=float)),
                 derivative=lambda x: 2.0 * np.cos(np.asarray(x, dtype=float)),
                 sigma=1.0,
+                envelope=lambda r: 1.0,
             )
 
     @pytest.mark.parametrize("scale", [1.0, 1e-12])
     def test_mismatched_derivative_rejected_at_any_scale(self, scale):
         # the check is relative to max |f|, with no absolute floor
         with pytest.raises(ValueError, match="central difference"):
-            SampledFunction(lambda x: scale * np.sin(x), lambda x: 2.0 * scale * np.cos(x), 1.0)
+            SampledFunction(lambda x: scale * np.sin(x), lambda x: 2.0 * scale * np.cos(x), 1.0, lambda r: scale)
 
     def test_zero_function_passes(self):
-        SampledFunction(lambda x: 0.0 * x, lambda x: 0.0 * x, 1.0)
+        SampledFunction(lambda x: 0.0 * x, lambda x: 0.0 * x, 1.0, lambda r: 0.0)
 
     def test_nan_derivative_rejected(self):
         with pytest.raises(ValueError, match="central difference"):
-            SampledFunction(np.sin, lambda x: np.full_like(x, np.nan), 1.0)
+            SampledFunction(np.sin, lambda x: np.full_like(x, np.nan), 1.0, lambda r: 1.0)
 
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
             constant_function(sigma=0.0)
+
+    def test_probes_take_one_evaluation(self):
+        # the probes and both neighbours in one call, which a batch does not change
+        sizes = []
+        SampledFunction(lambda x: sizes.append(np.size(x)) or np.sin(x), np.cos, 1.0, lambda r: 1.0)
+        assert sizes == [30]
 
 
 class TestLhs:
@@ -112,6 +122,16 @@ class TestRhs:
         x0 = (5.0 * math.pi - alpha) / sigma  # theta lands exactly on a node
         res = interp_rhs(f, sigma, alpha, x0, 2000)
         assert res.value == pytest.approx(sigma, abs=1e-6)
+
+    def test_series_evaluates_only_its_nodes(self):
+        # the tail bound comes from the envelope, with no node past the series
+        f = cosine_function(1.3, 0.4)
+        sizes = []
+        counted = SampledFunction(lambda x: sizes.append(np.size(x)) or f.evaluate(x), f.derivative, 1.3, f.envelope)
+        sizes.clear()
+        res = interp_rhs(counted, 1.3, 0.4, 0.7, 500)
+        assert sizes == [1001]
+        assert res.tail_bound == interp_rhs(f, 1.3, 0.4, 0.7, 500).tail_bound
 
     def test_tail_bound_decreases_with_more_terms(self):
         f = cosine_function(1.0, 0.25)
@@ -227,6 +247,25 @@ class TestOmegaConfigFunctions:
                 assert abs(slope[1] - slope[0]) <= rounding / switch
 
     @pytest.mark.parametrize("n", [0, 1, -1])
+    def test_series_nodes_take_the_equispaced_kernel(self, n, monkeypatch):
+        measure = {
+            0: from_fejer(2, 1.0, 1.0),
+            1: StieltjesMeasure(1.0, (), PiecewiseLinearDensity.interpolant([0.0, 1.0], [1.0, 0.0])),
+            -1: from_pd_profile([0.0, 1.0], [1.0, 0.0], -1.0),
+        }[n]
+        f = from_omega_config(OmegaConfig(measure, n, 0.0 if n == 0 else -math.pi / 2), 0.4)
+        calls = []
+        grid, kernel = sampling._grid_moments, sampling._equispaced_moments
+        monkeypatch.setattr(sampling, "_grid_moments", lambda *args: calls.append("grid") or grid(*args))
+        monkeypatch.setattr(sampling, "_equispaced_moments", lambda *args: calls.append("kernel") or kernel(*args))
+        k_pi, signed, _ = sampling._node_samples(f, measure.sigma, 0.4, 300)
+        assert calls == ["kernel"]
+        nodes = (np.arange(-300, 301) * math.pi - 0.4) / measure.sigma
+        values = np.where(np.arange(-300, 301) % 2 == 0, 1.0, -1.0) * f.evaluate(nodes)
+        assert np.array_equal(k_pi, np.arange(-300, 301) * math.pi)
+        assert np.max(np.abs(signed - values)) <= 1e-14 * measure.bound(-n) * (1.0 + 300 * math.pi)
+
+    @pytest.mark.parametrize("n", [0, 1, -1])
     def test_one_evaluator_pass_per_evaluation(self, n, monkeypatch):
         measure = {
             0: from_fejer(2, 1.0, 1.0),
@@ -242,3 +281,61 @@ class TestOmegaConfigFunctions:
         assert len(calls) == 1
         f.derivative(x)
         assert len(calls) == 2
+
+
+def _envelope_measure(rng, n):
+    """A measure for `from_omega_config` with n: a random density, with atoms unless n = 1,
+    and for n = -1 an atom at sigma that makes F(0) = 0."""
+    sigma = float(rng.uniform(0.5, 3.0))
+    nodes = np.sort(np.concatenate([[0.0, sigma], rng.uniform(0.0, sigma, int(rng.integers(1, 8)))]))
+    density = PiecewiseLinearDensity.interpolant(nodes, rng.uniform(-1.0, 2.0, len(nodes)))
+    atoms = () if n == 1 else tuple(zip(rng.uniform(0.0, 0.9 * sigma, 3), rng.uniform(-1.0, 1.0, 3)))
+    m = StieltjesMeasure(sigma, atoms, density)
+    return StieltjesMeasure(sigma, atoms + ((sigma, -m.total_mass),), density) if n == -1 else m
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bounds_the_tail(self, n, seed):
+        rng = np.random.default_rng([seed, n + 1])
+        m = _envelope_measure(rng, n)
+        cfg = OmegaConfig(m, n, float(rng.uniform(-math.pi, math.pi)) if n == 0 else -math.pi / 2)
+        alpha = float(rng.uniform(0.0, math.pi))
+        f = from_omega_config(cfg, alpha)
+        n_terms = 40
+        r = ((n_terms + 1) * math.pi - alpha) / m.sigma
+        envelope = f.envelope(r)
+        # 10^4 dense nodes of |x| >= r
+        dense = r + np.linspace(0.0, 300.0 / m.sigma, 5000)
+        assert envelope >= np.max(np.abs(f.evaluate(np.concatenate([dense, -dense]))))
+        # and at the next 2 n_terms series nodes on each side, a sampled maximum
+        k = np.arange(n_terms + 1, 3 * n_terms + 1)
+        far = np.concatenate([(k * math.pi - alpha) / m.sigma, (-k * math.pi - alpha) / m.sigma])
+        assert envelope >= np.max(np.abs(f.evaluate(far)))
+
+    def test_the_kernel_near_u_0_for_the_root_family(self):
+        # f = Re(e^{i alpha} F(u) / u) on nodes through u = 1e-9, against 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        m = StieltjesMeasure(1.0, ((0.3, 0.4), (1.0, -1.65)), PiecewiseLinearDensity.interpolant([0.0, 0.5, 1.0], [1.0, 2.0, 0.0]))
+        cfg = OmegaConfig(m, -1, -math.pi / 2)
+        alpha, shift = 0.7, cfg.tau / m.sigma
+        f = from_omega_config(cfg, alpha)
+        step, first, count = 0.05, -200, 401
+        values = f.on_nodes(step, shift + 1e-9, first, count)
+        u = step * np.arange(first, first + count) + (shift + 1e-9 - shift)
+        assert abs(u[200]) < 2e-9
+        scale = m.bound(1)
+        assert np.max(np.abs(values - f.evaluate(u + shift))) <= 1e-14 * scale
+        with mpmath.workdps(50):
+            def exact(x):
+                x = mpmath.mpf(x)
+                w = mpmath.fsum(mpmath.mpf(c) * (mpmath.expj(x * t) - 1) for t, c in m.atoms)
+                for panel in m.density.panels:
+                    t0, t1, v0, v1 = (mpmath.mpf(v) for v in panel)
+                    g = lambda t: v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+                    w += mpmath.quad(lambda t: g(t) * (mpmath.expj(x * t) - 1), [t0, t1])
+                return float((mpmath.expj(alpha) * w / x).real)
+
+            for i in [*range(190, 211), 0, 100, 300, count - 1]:
+                assert abs(values[i] - exact(u[i])) <= 1e-14 * scale, u[i]

@@ -61,9 +61,9 @@ def test_cli_snapshot_has_its_documented_size(tmp_path):
     # the README and the script's docstring state the size of the byte-identity gate
     snapshot = _cli_snapshot()
     names = [name for name, _ in snapshot.invocations(tmp_path)]
-    assert len(names) == len(set(names)) == 329
-    assert "With the five scenario files that makes 329 invocations" in snapshot.__doc__
-    assert "CLI output of 329 fixed invocations" in (ROOT / "README.md").read_text(encoding="utf-8")
+    assert len(names) == len(set(names)) == 333
+    assert "With the five scenario files that makes 333 invocations" in snapshot.__doc__
+    assert "CLI output of 333 fixed invocations" in (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def test_paired_rounds_compares_a_tree_with_itself():

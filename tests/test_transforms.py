@@ -24,6 +24,8 @@ from hbfourier.transforms import (
     _BLOCK,
     _CLUSTER_RHO,
     _CLUSTER_TERMS,
+    _EQUI_BLOCK,
+    _EQUISPACED,
     _MAX_ORDER,
     _MIRRORS,
     _ORIGIN,
@@ -35,6 +37,8 @@ from hbfourier.transforms import (
     _cluster_level,
     _cluster_sum,
     _density_tables,
+    _equispaced_head,
+    _equispaced_moments,
     _grid_moments,
     _reflected,
     _segment_moments,
@@ -424,6 +428,107 @@ class TestClusterPath:
             T1, E1 = _grid_moments(m, z, order)
             assert np.array_equal(bits(T[:, i]), bits(T1))
             assert E[i] == E1
+
+
+def _mp_moments(measure, x, order):
+    """int t^m e^{ixt} dmu for m = 0..order at a real x != 0, at 50 digits: the atoms, and
+    each panel's polynomial P = t^m g by parts, sum_k (-1)^k [P^(k) e^{ixt}] / (ix)^(k+1)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        lam = 1j * x
+        out = []
+        for m in range(order + 1):
+            value = mpmath.fsum(mpmath.mpf(c) * mpmath.mpf(t) ** m * mpmath.expj(x * t) for t, c in measure.atoms)
+            for panel in measure.density.panels if measure.density is not None else ():
+                t0, t1, v0, v1 = (mpmath.mpf(v) for v in panel)
+                slope = (v1 - v0) / (t1 - t0)
+                # P = slope t^(m+1) + (v0 - slope t0) t^m
+                terms = [(slope, m + 1), (v0 - slope * t0, m)]
+                for k in range(m + 2):
+                    at = [sum(c * mpmath.ff(e, k) * t ** (e - k) for c, e in terms if e >= k) for t in (t0, t1)]
+                    value += (-1) ** k * (at[1] * mpmath.expj(x * t1) - at[0] * mpmath.expj(x * t0)) / lam ** (k + 1)
+            out.append(complex(value))
+        return out
+
+
+def _equispaced_cases():
+    """Measures for the equispaced kernel on the nodes of [-40, 40] in steps of 1/8."""
+    rng = np.random.default_rng(12)
+    atoms = tuple(zip(rng.uniform(0.0, 1.0, 5), rng.uniform(-1.0, 1.0, 5)))
+    widths = 10.0 ** rng.uniform(-4.0, -1.0, 60)
+    graded = np.concatenate([[0.0], np.cumsum(widths) / np.sum(widths)])
+    return {
+        # the atoms alone, every block by one product
+        "atoms": StieltjesMeasure(1.0, atoms),
+        # panels of width 1/4: narrow within |x| <= 4, wide, by parts, past it
+        "wide": StieltjesMeasure(1.0, atoms[:2], PiecewiseLinearDensity.interpolant(np.linspace(0.0, 1.0, 5), rng.uniform(-1.0, 2.0, 5))),
+        # panels of width 1/64: narrow on every node, |x| w <= 0.63
+        "narrow": StieltjesMeasure(1.0, (), PiecewiseLinearDensity.interpolant(np.linspace(0.0, 1.0, 65), rng.uniform(-1.0, 2.0, 65))),
+        # widths over three decades: every tier, and wide and narrow pieces on one block
+        "graded": StieltjesMeasure(1.0, atoms, PiecewiseLinearDensity.interpolant(graded, rng.uniform(-1.0, 2.0, 61))),
+    }
+
+
+class TestEquispaced:
+    @pytest.mark.parametrize("case", ["atoms", "wide", "narrow", "graded"])
+    def test_against_grid_moments_and_mpmath(self, case):
+        m = _equispaced_cases()[case]
+        step, shift, first, count, order = 0.125, 0.0301, -320, 641, 2
+        T = _equispaced_moments(m, step, shift, first, count, order)
+        x = step * np.arange(first, first + count) + shift
+        G = _grid_moments(m, x, order)[0]
+        scale = m.total_variation * m.sigma ** np.arange(order + 1.0)
+        assert np.all(np.abs(T - G).max(axis=1) <= 1e-14 * scale)
+        for i in [*range(0, count, 40), 319, 320, 321, count - 1]:
+            exact = _mp_moments(m, x[i], order)
+            assert all(abs(T[k, i] - exact[k]) <= 1e-14 * scale[k] for k in range(order + 1)), (case, x[i])
+
+    def test_the_cases_take_both_forms(self):
+        # the kernel's blocks as the cases above lay them out, from the origin to |x| = 40
+        cases = _equispaced_cases()
+        heads = {}
+        for case in ("wide", "narrow", "graded"):
+            widths = sorted(np.diff(cases[case].density.nodes).tolist())
+            heads[case] = _equispaced_head(0.0301, 0.125, 321, widths)
+        assert heads["wide"][1] < 321 and heads["narrow"][1] == 321
+        # on the graded density one block holds wide and narrow pieces
+        assert any(0 < cuts[0] < 60 for _, _, _, cuts in heads["graded"][0])
+
+    @pytest.mark.parametrize("measure", [mixed_measure(), from_monomial_density(1.5, 0.8)], ids=["mixed", "monomial"])
+    def test_far_nodes_match_grid_moments(self, measure):
+        # the nodes of `hbf interp` at 2000 terms, past the cluster levels; the
+        # phases of both routes carry the rounding of x t, eps |x| sigma at most
+        step, count = math.pi / measure.sigma, 4001
+        T = _equispaced_moments(measure, step, -0.3 / measure.sigma, -2000, count, 1)
+        x = step * np.arange(-2000, 2001) - 0.3 / measure.sigma
+        picks = np.arange(0, count, 17)
+        G = _grid_moments(measure, x[picks], 1)[0]
+        for k in range(2):
+            bound = 4 * np.finfo(float).eps * (1.0 + np.abs(x[picks]) * measure.sigma) * measure.bound(k)
+            assert np.all(np.abs(T[k, picks] - G[k]) <= bound)
+
+    def test_a_node_at_the_origin(self):
+        # a block of its own, where every series term but the first vanishes,
+        # also where a piece is wider than 2 / step
+        wide = StieltjesMeasure(2048.0, ((5.0, 0.3),), PiecewiseLinearDensity.interpolant([0.0, 1000.0, 2048.0], [1.0, -0.5, 2.0]))
+        for m, step in ((_equispaced_cases()["graded"], 0.25), (wide, 0.01)):
+            T = _equispaced_moments(m, step, 0.0, -4, 9, 1)
+            assert np.all(T[:, 4].imag == 0.0)
+            assert all(abs(T[k, 4].real - m.moment(k)) <= 1e-15 * m.bound(k) for k in range(2))
+            G = _grid_moments(m, step * np.arange(-4.0, 5.0), 1)[0]
+            assert all(np.max(np.abs(T[k] - G[k])) <= 1e-14 * m.bound(k) for k in range(2))
+
+    def test_a_long_grid_of_wide_pieces(self):
+        # 2049 panels of one width are wide past |x| = 2049 on every block of a long
+        # grid; the products are taken a few blocks at a time
+        g = PiecewiseLinearDensity.interpolant(np.linspace(0.0, 1.0, 2050), np.linspace(1.0, 0.0, 2050))
+        m = StieltjesMeasure(1.0, (), g)
+        T = _equispaced_moments(m, math.pi, -0.4, -20000, 40001)
+        x = math.pi * np.arange(-20000, 20001) - 0.4
+        picks = np.arange(0, 40001, 999)
+        G = _grid_moments(m, x[picks], 0)[0]
+        assert np.all(np.abs(T[0, picks] - G[0]) <= 4 * np.finfo(float).eps * (1.0 + np.abs(x[picks])) * m.total_variation)
 
 
 def _triangle(panels: int):
@@ -873,19 +978,20 @@ class TestTableCache:
         # C and a far complex point use every map: the reflection, its density
         # and origin series, and the tables of both densities out to the panel
         # path; once the measure and its density are dropped, nothing stays
-        for derived in (_TABLES, _MIRRORS, _REFLECTED, _ORIGIN):
+        for derived in (_TABLES, _MIRRORS, _REFLECTED, _ORIGIN, _EQUISPACED):
             derived.clear()
         density = PiecewiseLinearDensity.interpolant([0.0, 0.4, 1.3], [1.0, 2.5, 0.5])
         m = StieltjesMeasure(1.3, ((1.3, -density.mass()),), density)
         eval_CS(m, np.linspace(-5.0, 5.0, 11))
         eval_E(m, -math.pi / 2, -1, 0.0)
         eval_F(m, 900.0 - 300.0j)
-        assert all(len(derived) for derived in (_TABLES, _MIRRORS, _REFLECTED, _ORIGIN))
+        _equispaced_moments(m, 0.5, 0.1, -10, 21)
+        assert all(len(derived) for derived in (_TABLES, _MIRRORS, _REFLECTED, _ORIGIN, _EQUISPACED))
         refs = weakref.ref(m), weakref.ref(density)
         del m, density
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
-        assert [len(derived) for derived in (_TABLES, _MIRRORS, _REFLECTED, _ORIGIN)] == [0, 0, 0, 0]
+        assert [len(derived) for derived in (_TABLES, _MIRRORS, _REFLECTED, _ORIGIN, _EQUISPACED)] == [0] * 5
 
     def test_a_fresh_measure_over_a_held_density_finds_its_tables(self, monkeypatch):
         # monotone_density_S builds a new measure on every call; it reads S
