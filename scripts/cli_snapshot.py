@@ -51,7 +51,9 @@ relative to the field's largest |value| in the file, old or new, and then
 each field's largest relative move over all files.  It exits 1 if a file is
 missing from either side, or any exit code, stderr, string, boolean,
 integer, None, key, list length or `equality_points` entry moved: those
-are verdicts, not last bits.
+are verdicts, not last bits.  The `violation` line that follows a table or
+csv form is read as the JSON it is, so its `observed` and `bound` compare
+as numbers there as in the json form.
 """
 
 import argparse
@@ -185,18 +187,21 @@ def _parse_value(text: str):
 
 def _stdout_leaves(stdout: str) -> list:
     """(path, value) of every leaf of a CLI stdout: json lines, csv with a
-    header row, or `key: value` table lines; a path is a tuple of keys and
-    list indices."""
+    header row, or `key: value` table lines, each of the last two followed by
+    the JSON line of a `violation` record where there is one; a path is a
+    tuple of keys and list indices."""
     lines = stdout.splitlines()
     try:
         docs = [json.loads(line) for line in lines]
     except ValueError:
-        docs = None
-    if docs is None and lines and "," in lines[0] and ": " not in lines[0]:
-        header = lines[0].split(",")
-        docs = [[dict(zip(header, map(_parse_value, line.split(",")))) for line in lines[1:]]]
-    if docs is None:
-        docs = [{key: _parse_value(value) for key, _, value in (line.partition(": ") for line in lines)}]
+        # csv or table lines, then the JSON line of a violation record, read as JSON
+        docs = [json.loads(line) for line in lines if line.startswith("{")]
+        lines = [line for line in lines if not line.startswith("{")]
+        if lines and "," in lines[0] and ": " not in lines[0]:
+            header = lines[0].split(",")
+            docs.insert(0, [dict(zip(header, map(_parse_value, line.split(",")))) for line in lines[1:]])
+        else:
+            docs.insert(0, {key: _parse_value(value) for key, _, value in (line.partition(": ") for line in lines)})
     leaves = []
 
     def walk(path, value):

@@ -178,7 +178,7 @@ def _run_eval(measure, task, out) -> int:
     rt = real_transforms(measure, grid, order=1)
     cfg = inequality.OmegaConfig(measure, task.n, task.tau)
     # the mirrored moments serve the margins and E; the direct ones only G, H and Delta
-    margin, _, _, e_vals = inequality._margin_pieces(cfg, grid, rt.mirrored)
+    margin, _, _, e_vals, _ = inequality._margin_pieces(cfg, grid, rt.mirrored)
     columns = {
         "x": grid,
         "F_re": rt.G,

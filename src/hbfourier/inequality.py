@@ -41,10 +41,12 @@ import numpy as np
 from .measure import HYPOTHESIS_TOL, StieltjesMeasure
 from .transforms import (
     _ORIGIN_RADIUS,
+    _ROUNDING,
     _bracketed_newton,
     _grid_minima,
     _grid_moments,
     _mirrored_rows,
+    _newton_residual,
     _omega_rows,
     _one_side,
     _reflected,
@@ -135,8 +137,21 @@ def eval_D(cfg: OmegaConfig, x):
     return out if out.ndim else float(out)
 
 
+def _margin_terms(sig: float, w, wp):
+    """(margin, rhs) from the mirrored rows W and W' (see `_margin_pieces`)."""
+    e, ep = w.real, wp.real
+    margin = 4.0 * sig * e * (sig * e - wp.imag) - ep * ep
+    return margin, (ep + 2.0 * sig * w.imag) ** 2
+
+
+def _margin_floor(measure: StieltjesMeasure, n: int, x):
+    """V^2 sigma^(2 - 2n) max(sigma |x|, 1)^(2n), the floor of the margin's scale (see `_margin_pieces`)."""
+    b = measure.bound(1 - n)  # b * b overflows to inf, where b ** 2 would raise
+    return b * b * np.maximum(measure.sigma * np.abs(x), 1.0) ** (2 * n) if n else b * b
+
+
 def _margin_pieces(cfg: OmegaConfig, x: np.ndarray, mirrored=None):
-    """(margin, rhs, scale, E) at x from the mirrored W = E + i E~ = x^n e^{i tau} (C + i S)
+    """(margin, rhs, scale, E, E') at x from the mirrored W = E + i E~ = x^n e^{i tau} (C + i S)
     alone, one formula for every n.  With x^{2n} Delta = sigma |W|^2 - Im(conj(W) W')
     (the reflected Wronskian identity, which holds for every real measure),
     the margin 4 sigma x^{2n} Delta - (E' + 2 sigma E~)^2 is exactly
@@ -154,16 +169,13 @@ def _margin_pieces(cfg: OmegaConfig, x: np.ndarray, mirrored=None):
     m, n = cfg.measure, cfg.n
     if mirrored is None:
         mirrored = _grid_moments(_reflected(m), x, 1)[0]
-    sig = m.sigma
     w, wp = _mirrored_rows(m, cfg.tau, n, x, mirrored)
-    e, ep = w.real, wp.real
-    margin = 4.0 * sig * e * (sig * e - wp.imag) - ep * ep
-    rhs = (ep + 2.0 * sig * w.imag) ** 2
-    lhs = margin + rhs
-    b = m.bound(1 - n)  # b * b overflows to inf, where b ** 2 would raise
-    floor = b * b * np.maximum(sig * np.abs(x), 1.0) ** (2 * n) if n else b * b
-    scale = np.maximum(np.maximum(np.abs(lhs), rhs), floor)
-    return margin, rhs, np.where(scale == 0.0, 1.0, scale), e
+    margin, rhs = _margin_terms(m.sigma, w, wp)
+    scale = np.maximum(np.maximum(np.abs(margin + rhs), rhs), _margin_floor(m, n, x))
+    b = m.bound(1 - n)
+    if n < 0 or not b * b > 0.0:  # else the floor, at least b^2, keeps every scale above 0
+        scale = np.where(scale == 0.0, 1.0, scale)
+    return margin, rhs, scale, w.real, wp.real
 
 
 def margin_values(cfg: OmegaConfig, x):
@@ -229,26 +241,59 @@ class InequalityReport:
         return float(np.min(self.margin / self.scale))
 
 
-def _e_derivatives(cfg: OmegaConfig, x):
-    """E, E' and E'' at x, the real parts of W, W' and W'' (see `transforms._mirrored_rows`)."""
-    T = _grid_moments(_reflected(cfg.measure), x, 2)[0]
-    return [w.real for w in _mirrored_rows(cfg.measure, cfg.tau, cfg.n, x, T)]
+def _accepted(cfg: OmegaConfig, x, at, rows, e_tol):
+    """Where |E| <= e_tol and |margin| <= MARGIN_TOL scale are certified at x, from the
+    rows W, W', W'' that Newton evaluated at the nearby points `at`.
+
+    W = x^n W0 with |W0^(j)| <= sigma^j V (Bernstein), so between `at` and x
+    |W^(j)| <= b_j: sigma^j V for n = 0; r sigma^j V + j sigma^(j-1) V for
+    n = 1, r = |at| + |x - at|, by Leibniz's rule; sigma^(j+1) V / (j + 1)
+    for n = -1, where W0(0) = F(0) = 0 gives W = int_0^1 W0'(u x) du.
+    `_newton_residual` bounds |E(x)| with |E''| <= b_2.  The margin, lhs and
+    rhs (`_margin_pieces`) are quadratic in W and W', with slopes at most
+    8 sigma^2 b0 b1 + 4 sigma (b1^2 + b0 b2) + 2 b1 b2,
+    4 sigma (2 sigma b0 b1 + b0 b2) and 2 (b1 + 2 sigma b0)(b2 + 2 sigma b1),
+    so each moves by at most its slope times |x - at| along the step, and the
+    scale at x is at least max(|lhs|, rhs) at `at` less the larger move, or
+    its floor at x.  As in `_newton_residual`, _ROUNDING times the scale
+    allows for the evaluator's own error.
+    """
+    m, n, sig = cfg.measure, cfg.n, cfg.measure.sigma
+    d = x - at
+    step = np.abs(d)
+    if n == 0:
+        b0, b1, b2 = m.bound(0), m.bound(1), m.bound(2)
+    elif n == 1:
+        r = np.abs(at) + step
+        b0, b1, b2 = r * m.bound(0), r * m.bound(1) + m.bound(0), r * m.bound(2) + 2.0 * m.bound(1)
+    else:
+        b0, b1, b2 = m.bound(1), m.bound(2) / 2.0, m.bound(3) / 3.0
+    w, wp, _ = rows
+    margin, rhs = _margin_terms(sig, w, wp)
+    margin_slope = 8.0 * sig * sig * b0 * b1 + 4.0 * sig * (b1 * b1 + b0 * b2) + 2.0 * b1 * b2
+    scale_slope = np.maximum(4.0 * sig * (2.0 * sig * b0 * b1 + b0 * b2), 2.0 * (b1 + 2.0 * sig * b0) * (b2 + 2.0 * sig * b1))
+    scale = np.maximum(np.maximum(np.abs(margin + rhs), rhs) - scale_slope * step, _margin_floor(m, n, x))
+    e_ok = _newton_residual(w.real, wp.real, d, b2, b0) <= e_tol
+    return e_ok & (np.abs(margin) + margin_slope * step + _ROUNDING * scale <= MARGIN_TOL * scale)
 
 
-def _refine_equality_points(cfg: OmegaConfig, grid, e_vals, e_tol):
+def _refine_equality_points(cfg: OmegaConfig, grid, e_vals, ep_vals, e_abs, e_scale, e_tol):
     """Refine the grid's local minima of |E| and keep those where E and the margin vanish.
 
     Both grid ends count as minima (`_grid_minima`, as in `zeros._real_minima`),
     so an equality point in the first or last grid cell is not lost.  A minimum
     where E keeps its sign across the bracket is a root of E'; one where E
     changes sign, possible only where the hypothesis fails, is a root of E.
-    All brackets are solved together by `_bracketed_newton`.  For n != 0 the
+    Each search starts at the secant root of its target between the bracket's
+    ends, from the grid pass's E and E', or at the grid point where that root
+    is not strictly inside.  All brackets are solved together by
+    `_bracketed_newton`, and the acceptance reads the rows of each bracket's
+    last Newton pass (`_accepted`), so the refined points take no pass of
+    their own.  For n != 0 the
     factor x^n gives E a structural zero at x = 0, which is not an equality of
     the transforms; brackets reaching within `_ORIGIN_RADIUS` / sigma of it
     are not searched.  Points closer than 1e-9 max(1 / sigma, |x|) count once.
     """
-    e_abs = np.abs(e_vals)
-    e_scale = float(np.max(e_abs)) if e_abs.size else 0.0
     threshold = max(100.0 * e_tol, 1e-3 * e_scale)
     i, below, above = _grid_minima(e_abs, e_abs <= threshold)
     lo, hi = grid[below], grid[above]
@@ -258,21 +303,27 @@ def _refine_equality_points(cfg: OmegaConfig, grid, e_vals, e_tol):
         i, below, above, lo, hi = i[away], below[away], above[away], lo[away], hi[away]
     if not i.size:
         return ()
-    crossing = np.sign(e_vals[below]) * np.sign(e_vals[above]) < 0
+    e_lo, e_hi = e_vals[below], e_vals[above]
+    sign_hi = np.sign(e_hi)
+    crossing = np.sign(e_lo) * sign_hi < 0
     # orient each target to rise; E' rises through a minimum of an E that is
     # positive at the bracket's ends, whatever the sign of the rounding near 0
-    sign = np.where(crossing, np.sign(e_vals[above]), np.sign(e_vals[below] + e_vals[above]))
+    sign = np.where(crossing, sign_hi, np.sign(e_lo + e_hi))
+    f_lo = np.where(crossing, e_lo, ep_vals[below])
+    f_hi = np.where(crossing, e_hi, ep_vals[above])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        secant = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    at, rows = np.empty(i.size), np.empty((3, i.size), dtype=complex)
+    m, reflected = cfg.measure, _reflected(cfg.measure)
 
-    def target(x, k):
-        e0, e1, e2 = _e_derivatives(cfg, x)
-        return sign[k] * np.where(crossing[k], e0, e1), sign[k] * np.where(crossing[k], e1, e2)
+    def target(x, k):  # (E, E') across a sign change, else (E', E''), oriented to rise
+        w = np.array(_mirrored_rows(m, cfg.tau, cfg.n, x, _grid_moments(reflected, x, 2)[0]))  # W, W', W''
+        at[k], rows[:, k] = x, w
+        return sign[k] * np.where(crossing[k], w[:2].real, w[1:].real)
 
-    x = _bracketed_newton(target, lo, hi, grid[i], 1.0 / sig)
-    margin, _, scale, e_star = _margin_pieces(cfg, x)
+    x = _bracketed_newton(target, lo, hi, np.where((secant > lo) & (secant < hi), secant, grid[i]), 1.0 / sig)
     points = []
-    for x_star, e, mg, sc in zip(x.tolist(), np.abs(e_star).tolist(), margin.tolist(), scale.tolist()):
-        if not (e <= e_tol and abs(mg) <= MARGIN_TOL * sc):
-            continue
+    for x_star in x[_accepted(cfg, x, at, rows, e_tol)].tolist():
         if points and abs(points[-1] - x_star) < 1e-9 * max(1.0 / sig, abs(x_star)):
             continue
         points.append(x_star)
@@ -282,27 +333,32 @@ def _refine_equality_points(cfg: OmegaConfig, grid, e_vals, e_tol):
 def check_inequality(cfg: OmegaConfig, grid) -> InequalityReport:
     """Margins of the inequality on a sorted finite grid.
 
-    The margins, their scales and E come from one order-1 evaluator pass of
-    the reflected measure (`_margin_pieces`); the refinement of equality
+    The margins, their scales, E and E' come from one order-1 evaluator pass
+    of the reflected measure (`_margin_pieces`); the refinement of equality
     points evaluates only its brackets.  A hypothesis violation (E < 0
     somewhere) is reported, not raised; margins are still computed so the
-    caller can inspect the failure.
+    caller can inspect the failure.  Raises ValueError for a grid that is
+    not 1-d, has fewer than 2 points, or is not finite and strictly
+    increasing.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be a 1-d array with at least 2 points")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    # one order-1 pass of the reflected measure serves the margins and E
-    margin, _, scale, e_vals = _margin_pieces(cfg, grid)
+    # a NaN fails every comparison; with the order held, only the ends can be infinite
+    if not (np.all(grid[1:] > grid[:-1]) and math.isfinite(grid[0]) and math.isfinite(grid[-1])):
+        raise ValueError("grid must be finite and strictly increasing")
+    # one order-1 pass of the reflected measure serves the margins, E and E'
+    margin, _, scale, e_vals, ep_vals = _margin_pieces(cfg, grid)
     v = cfg.measure.bound(-cfg.n)  # the scale of E, which carries x^n
     hypothesis_ok = bool(np.min(e_vals) >= -HYPOTHESIS_TOL * v)
     e_tol = E_TOL * v
-    global_equality = bool(np.max(np.abs(e_vals)) <= e_tol)
+    e_abs = np.abs(e_vals)
+    e_scale = float(np.max(e_abs))
+    global_equality = e_scale <= e_tol
     if global_equality:
         points = ()
     else:
-        points = _refine_equality_points(cfg, grid, e_vals, e_tol)
+        points = _refine_equality_points(cfg, grid, e_vals, ep_vals, e_abs, e_scale, e_tol)
     return InequalityReport(
         grid=grid,
         margin=margin,

@@ -33,6 +33,13 @@ NODE_COINCIDENCE = 1e-8
 # omitted term, B_18 / x^19, is then below 1e-16 of the value
 _TRIGAMMA_CUT = 10.0
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)  # B_2 .. B_16
+#: the derivative check's probe points in the unit 1 / sigma, the draws of
+#: np.random.default_rng(20240917).uniform(-3.0, 3.0, size=10) written out, so that
+#: importing the package does not import numpy.random (about 10 ms a process)
+_PROBES = np.array([
+    2.2498373690195637, -2.106656521906717, 0.05150336244899112, -2.114440354863138, -2.7010418881793594,
+    -2.5264138420967224, -1.8444673574887926, -0.3881850996060279, 0.3979697227475443, -1.0143417457527568,
+])
 
 
 def _trigamma(x: float) -> float:
@@ -67,13 +74,16 @@ class SampledFunction:
     certified bound on |f(x)| over |x| >= r: the series' tail bound rests on
     it.  `on_nodes(step, offset, first, count)`, if given, returns f at the
     nodes k step + offset, first <= k < first + count, as `evaluate` would up
-    to rounding; without it the nodes are passed to `evaluate`.  The
+    to rounding; without it the nodes are passed to `evaluate`.  `joint(x)`,
+    if given, returns (f(x), f'(x)) with the bits of `evaluate` and
+    `derivative` from one pass; `values` takes it where it is given.  The
     constructor cross-checks the derivative against a central difference at
     a fixed set of probe points in (-3 / sigma, 3 / sigma), with the step
     6e-6 / sigma, so mismatched (evaluate, derivative) pairs fail fast.  The check is relative to the
     larger of the two derivatives and 1e-4 max |f| at the probes, so it does
     not depend on the units of f or x; the zero function passes, and a NaN
-    fails.  f is evaluated once at the probes and both neighbours.
+    fails.  f and f' are evaluated once, by `values`, at the probes and both
+    neighbours.
     """
 
     evaluate: Callable
@@ -81,17 +91,18 @@ class SampledFunction:
     sigma: float
     envelope: Callable
     on_nodes: Callable | None = None
+    joint: Callable | None = None
 
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        rng = np.random.default_rng(20240917)
-        probes = rng.uniform(-3.0, 3.0, size=10) / self.sigma
+        probes = _PROBES / self.sigma
         h = 6e-6 / self.sigma
-        values, up, down = np.reshape(self.evaluate(np.concatenate([probes, probes + h, probes - h])), (3, -1))
+        f, fp = self.values(np.concatenate([probes, probes + h, probes - h]))
+        values, up, down = np.reshape(f, (3, -1))
         f_scale = float(np.max(np.abs(values)))
         fd = (up - down) / (2.0 * h)
-        an = self.derivative(probes)
+        an = np.asarray(fp)[: probes.size]
         denom = np.maximum(np.maximum(np.abs(an), np.abs(fd)), 1e-4 * f_scale)
         # |an - fd| <= 2 denom, so denom is positive wherever the error is; a NaN fails
         err = np.abs(an - fd)
@@ -100,6 +111,12 @@ class SampledFunction:
             worst = float(np.max(err[bad] / denom[bad]))
             raise ValueError(f"derivative disagrees with central difference (rel {worst:.2e})")
 
+    def values(self, x):
+        """(f(x), f'(x)): one call of `joint` where it is given, else `evaluate` and `derivative`."""
+        if self.joint is not None:
+            return self.joint(x)
+        return self.evaluate(x), self.derivative(x)
+
 
 def from_omega_config(cfg: OmegaConfig, alpha: float) -> SampledFunction:
     """f(x) = Re(e^{i alpha} u^n F(u)) = P(u) cos(alpha) - Q(u) sin(alpha) at u = x - tau/sigma.
@@ -107,7 +124,9 @@ def from_omega_config(cfg: OmegaConfig, alpha: float) -> SampledFunction:
     P = x^n G and Q = x^n H for the config's measure; such f has exponential
     type <= sigma and is o(x), so the interpolation identity applies to it.
     f and f' each take one pass of the evaluator over the direct moments,
-    which `transforms._omega_rows` turns into (u^n F)^(j); for n = -1 it
+    and both together one order-1 pass (`joint`), whose row 0 has the bits
+    of an order-0 pass; `transforms._omega_rows` turns them into
+    (u^n F)^(j); for n = -1 it
     forms F(u) / u near u = 0 from its Taylor series.  Equispaced nodes take
     `transforms._equispaced_moments`.
 
@@ -124,17 +143,16 @@ def from_omega_config(cfg: OmegaConfig, alpha: float) -> SampledFunction:
     shift = cfg.tau / sig
     ca, sa = math.cos(alpha), math.sin(alpha)
 
-    def rows(u, T, j):  # f^(j) at u + shift from the moments T at u
-        pq = _omega_rows(m, u, T, n=cfg.n)[j]
-        return pq.real * ca - pq.imag * sa
+    def rows(u, T):  # [f, f', ...] at u + shift from the moments T at u
+        return [pq.real * ca - pq.imag * sa for pq in _omega_rows(m, u, T, n=cfg.n)]
 
-    def derivative(x, j):  # f^(j)(x) for j = 0 or 1
+    def derivatives(x, order):  # [f, ..., f^(order)] at x
         u = np.asarray(x, dtype=float) - shift
-        return rows(u, _grid_moments(m, u, j)[0], j)
+        return rows(u, _grid_moments(m, u, order)[0])
 
     def on_nodes(step, offset, first, count):
         u = step * np.arange(first, first + count) + (offset - shift)
-        return rows(u, _equispaced_moments(m, step, offset - shift, first, count), 0)
+        return rows(u, _equispaced_moments(m, step, offset - shift, first, count))[0]
 
     def envelope(r):
         v_g, b_1 = (m.density.abs_mass(), m.density.variation()) if m.density is not None else (0.0, 0.0)
@@ -146,7 +164,14 @@ def from_omega_config(cfg: OmegaConfig, alpha: float) -> SampledFunction:
             return bound
         return min(m.bound(1), bound / rho) if rho > 0.0 else m.bound(1)
 
-    return SampledFunction(lambda x: derivative(x, 0), lambda x: derivative(x, 1), sig, envelope, on_nodes)
+    return SampledFunction(
+        lambda x: derivatives(x, 0)[0],
+        lambda x: derivatives(x, 1)[1],
+        sig,
+        envelope,
+        on_nodes,
+        lambda x: derivatives(x, 1),
+    )
 
 
 @dataclass(frozen=True)
@@ -161,8 +186,7 @@ def interp_lhs(f: SampledFunction, sigma: float, alpha: float, x: float) -> floa
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     phase = sigma * x + alpha
-    fx = float(np.asarray(f.evaluate(np.array([x])))[0])
-    fpx = float(np.asarray(f.derivative(np.array([x])))[0])
+    fx, fpx = (float(np.asarray(v)[0]) for v in f.values(np.array([x])))
     return sigma * fx * math.cos(phase) - fpx * math.sin(phase)
 
 

@@ -84,6 +84,9 @@ _SERIES_RECIPROCALS = 1.0 / (np.arange(1.0, _MAX_ORDER + _MAX_DEGREE + 2)[:, Non
 #: a Newton iteration stops once its step is below this multiple of max(unit, |x|)
 _NEWTON_XTOL = 1e-14
 _NEWTON_MAXITER = 100
+#: the evaluator's error, relative to the scale of a target, that a certified residual allows for;
+#: the transforms' tests hold it to 1e-14 against 40-digit references
+_ROUNDING = 1e-13
 #: a point within this many units 1 / sigma of 0 is the origin
 _ORIGIN_RADIUS = 1e-8
 # points x panels evaluated together: the temporaries of a 4096 block peak near
@@ -1012,11 +1015,15 @@ def identity_residuals(
 
 
 def _grid_minima(mod, low):
-    """(i, i - 1, i + 1) for the local minima i of mod on a grid where low holds; mod is
-    padded with +inf, so both grid ends count as minima, and the neighbours are clipped."""
-    padded = np.concatenate([[np.inf], mod, [np.inf]])
-    i = np.flatnonzero((mod <= padded[:-2]) & (mod <= padded[2:]) & low)
-    return i, np.maximum(i - 1, 0), np.minimum(i + 1, len(mod) - 1)
+    """(i, i - 1, i + 1) for the local minima i of mod on a grid where low holds; both grid
+    ends count as minima, and the neighbours are clipped.  A clipped neighbour is the
+    point itself, which mod[i] <= mod[i] admits unless it is NaN; only the points
+    where low holds are compared."""
+    i = np.flatnonzero(low)
+    below, above = np.maximum(i - 1, 0), np.minimum(i + 1, len(mod) - 1)
+    here = mod[i]
+    keep = (here <= mod[below]) & (here <= mod[above])
+    return i[keep], below[keep], above[keep]
 
 
 def _bracketed_newton(fn, lo, hi, x0, unit):
@@ -1024,7 +1031,9 @@ def _bracketed_newton(fn, lo, hi, x0, unit):
 
     fn(x, k) returns (f, f') at the points x of the brackets with indices k,
     oriented so that f rises through the root: f(lo) <= 0 <= f(hi).  Every
-    bracket still moving is evaluated in one call per iteration.  A Newton
+    bracket still moving is evaluated in one call per iteration; the moving
+    brackets' points and ends are carried as compacted arrays, and a bracket
+    that stops leaves its point in the result.  A Newton
     step that leaves its bracket, or is not finite, becomes a bisection step.
     Where f does not change sign, the iteration runs into the end that
     bisection would reach: lo where f > 0, hi where f < 0, which is the
@@ -1032,26 +1041,43 @@ def _bracketed_newton(fn, lo, hi, x0, unit):
     bracket stops at f = 0, or once the step or the bracket width falls below
     _NEWTON_XTOL * max(unit, |x|), so that near 0 the tolerance is a length
     of the caller's problem: every caller passes 1 / sigma, the unit in which
-    the transforms of type sigma vary.  Returns the points as an array.
+    the transforms of type sigma vary.  The last call for a bracket is at a
+    point within that tolerance of its result, or as far as the last step
+    where _NEWTON_MAXITER iterations end the search.  Returns the points as
+    an array.
     """
     x = np.array(x0, dtype=float).reshape(-1)
     lo = np.array(np.broadcast_to(lo, x.shape), dtype=float)
     hi = np.array(np.broadcast_to(hi, x.shape), dtype=float)
-    k = np.arange(x.size)
+    k, xk = np.arange(x.size), x.copy()
     for _ in range(_NEWTON_MAXITER):
         if not k.size:
             break
-        xk = x[k]
         f, fp = fn(xk, k)
-        lo[k] = np.where(f < 0.0, xk, lo[k])
-        hi[k] = np.where(f > 0.0, xk, hi[k])
+        lo = np.where(f < 0.0, xk, lo)
+        hi = np.where(f > 0.0, xk, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = xk - f / fp
         tol = _NEWTON_XTOL * np.maximum(unit, np.abs(xk))
         # a step below the tolerance ends the search even where rounding puts
         # it on the bracket's edge; a NaN step fails every comparison
-        converged = (f == 0.0) | (np.abs(newton - xk) <= tol)
-        inside = (newton > lo[k]) & (newton < hi[k])
-        x[k] = np.where(f == 0.0, xk, np.where(converged | inside, newton, 0.5 * (lo[k] + hi[k])))
-        k = k[~(converged | (hi[k] - lo[k] <= tol))]
+        zero = f == 0.0
+        converged = zero | (np.abs(newton - xk) <= tol)
+        inside = (newton > lo) & (newton < hi)
+        xk = np.where(zero, xk, np.where(converged | inside, newton, 0.5 * (lo + hi)))
+        x[k] = xk
+        moving = ~(converged | (hi - lo <= tol))
+        k, xk, lo, hi = k[moving], xk[moving], lo[moving], hi[moving]
     return x
+
+
+def _newton_residual(f, fp, d, m2, scale):
+    """A bound on |w(x + d)| from w(x) = f and w'(x) = fp, where |w''| <= m2 between.
+
+    Taylor's theorem gives w(x + d) = f + d fp + R with |R| <= m2 |d|^2 / 2.
+    A Newton step d = -f / fp leaves |f + d fp| at rounding; the evaluator's
+    own error on f and fp, which a fresh evaluation at x + d would show too,
+    is allowed for by _ROUNDING times the scale of w.  The arguments may be
+    arrays.
+    """
+    return np.abs(f + d * fp) + 0.5 * m2 * np.abs(d) ** 2 + _ROUNDING * scale

@@ -29,6 +29,7 @@ from .transforms import (
     _grid_minima,
     _grid_moments,
     _mirrored_rows,
+    _newton_residual,
     _omega_rows,
     _one_side,
     _reflected,
@@ -39,9 +40,6 @@ from .transforms import (
 BOUNDARY_MODULUS_FACTOR = 1e-12
 #: |z^n F^(k)| below this, times its scale sigma^(k-n) V (`_target_scale`), counts as a zero
 ZERO_TOL = 1e-10
-#: the evaluator's error, relative to the scale of a target, that a certified residual allows for;
-#: the transforms' tests hold it to 1e-14 against 40-digit references
-_ROUNDING = 1e-13
 #: boundary samples a contour count may refine to
 _MAX_CONTOUR_POINTS = 400_000
 #: grid points a real-axis scan may allocate
@@ -248,17 +246,6 @@ def count_h_alpha_zeros(measure: StieltjesMeasure, alpha: float, rect: Rectangle
     """Zero count of h_alpha = G cos(alpha) - H sin(alpha) inside the rectangle."""
     fn = lambda z: eval_h_alpha_scaled(measure, alpha, z)
     return _winding_count(fn, rect, _boundary_floor(measure, "F"), 1.0 / measure.sigma)  # h_alpha's type and V are F's
-
-
-def _newton_residual(f, fp, d, m2: float, scale: float) -> float:
-    """A bound on |w(x + d)| from w(x) = f and w'(x) = fp, where |w''| <= m2 between.
-
-    Taylor's theorem gives w(x + d) = f + d fp + R with |R| <= m2 |d|^2 / 2.
-    A Newton step d = -f / fp leaves |f + d fp| at rounding; the evaluator's
-    own error on f and fp, which a fresh evaluation at x + d would show too,
-    is allowed for by _ROUNDING times the scale of w.
-    """
-    return abs(f + d * fp) + 0.5 * m2 * abs(d) ** 2 + _ROUNDING * scale
 
 
 def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -> complex:

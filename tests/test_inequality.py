@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from hbfourier.inequality import (
 from hbfourier.measure import PiecewiseLinearDensity, StieltjesMeasure, from_fejer, from_pd_profile
 from hbfourier.sampling import from_omega_config
 from hbfourier.transforms import eval_E
+
+from . import reference_refinement as reference
 
 
 @pytest.fixture
@@ -126,6 +130,31 @@ class TestCheckInequality:
     def test_refuses_a_grid_that_does_not_increase(self, atom_at_sigma, grid):
         with pytest.raises(ValueError, match="strictly increasing"):
             check_inequality(OmegaConfig(atom_at_sigma, 0, 0.0), grid)
+
+    @pytest.mark.parametrize(
+        "grid", [[0.0, math.nan, 1.0], [math.nan, 0.0], [0.0, 1.0, math.nan], [-math.inf, 0.0, 1.0], [0.0, math.inf]]
+    )
+    def test_refuses_a_grid_that_is_not_finite(self, atom_at_sigma, grid):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            check_inequality(OmegaConfig(atom_at_sigma, 0, 0.0), grid)
+
+    def test_fejer_check_takes_three_passes(self, fejer2, monkeypatch):
+        # the grid pass, then two Newton passes on the 20 brackets: each starts
+        # at the secant root of E' from the grid pass, and the acceptance reads
+        # the last Newton pass, so the refined points take no pass of their own
+        sizes = []
+        evaluator = transforms._grid_moments
+
+        def counted(measure, z, order):
+            sizes.append(np.size(z))
+            return evaluator(measure, z, order)
+
+        monkeypatch.setattr(transforms, "_grid_moments", counted)
+        monkeypatch.setattr(inequality, "_grid_moments", counted)
+        grid = np.arange(-20.0 * math.pi + 0.37, 20.0 * math.pi + 0.37, math.pi / 100.0)
+        rep = check_inequality(OmegaConfig(fejer2, 0, 0.0), grid)
+        assert len(rep.equality_points) == 20
+        assert sizes == [grid.size, 20, 20]
 
     def test_global_equality_for_atom_at_sigma(self, atom_at_sigma):
         cfg = OmegaConfig(atom_at_sigma, 0, math.pi / 2)
@@ -254,7 +283,7 @@ class TestCheckInequality:
             x = x[np.abs(x) > 0.5]  # the direct route divides by x
         from hbfourier.inequality import _margin_pieces
 
-        _, rhs, _, _ = _margin_pieces(cfg, x)
+        rhs = _margin_pieces(cfg, x)[1]
         direct = squared_bracket_direct(cfg, x)
         scale = np.maximum(np.abs(rhs), 1.0)
         assert np.max(np.abs(rhs - direct) / scale) <= 1e-9
@@ -419,7 +448,9 @@ class TestOneE:
         routes = {
             "check_inequality": check_inequality(cfg, x).e_values,
             "eval_E": eval_E(cfg.measure, cfg.tau, cfg.n, x),
-            "_e_derivatives": inequality._e_derivatives(cfg, x)[0],
+            "the Newton passes": transforms._mirrored_rows(
+                cfg.measure, cfg.tau, cfg.n, x, transforms._grid_moments(transforms._reflected(cfg.measure), x, 2)[0]
+            )[0].real,
             "_margin_pieces": inequality._margin_pieces(cfg, x)[3],
         }
         bits = {route: np.asarray(e, dtype=float).view(np.uint64) for route, e in routes.items()}
@@ -539,3 +570,87 @@ class TestOriginSeries:
                 wu, wup = _mp_omega(m, float(u[0] - shift))
                 assert abs(f.evaluate(u)[0] - (e_alpha * wu).real) <= 1e-15 * sig * v, x
                 assert abs(f.derivative(u)[0] - (e_alpha * wup).real) <= 1e-15 * sig * sig * v, x
+
+
+def _scenario_config(name):
+    doc = json.loads((Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.json").read_text(encoding="utf-8"))
+    atoms = tuple((a["t"], a["c"]) for a in doc["atoms"])
+    density = doc["density"] and PiecewiseLinearDensity.interpolant(doc["density"]["nodes"], doc["density"]["values"])
+    cfg = OmegaConfig(StieltjesMeasure(doc["sigma"], atoms, density or None), doc["task"]["n"], doc["task"]["tau"])
+    grid = doc["task"].get("grid")
+    return cfg, (default_grid(cfg, grid["start"], grid["stop"]) if grid else default_grid(cfg, -40.0, 40.0))
+
+
+#: a measure whose E changes sign: C = 0.3 + the transform of a density that dips below 0
+_SIGN_CHANGE = StieltjesMeasure(1.0, ((0.0, 0.3),), PiecewiseLinearDensity.interpolant([0.0, 0.5, 1.0], [1.0, -0.5, 1.0]))
+_BENCH_STEP = math.pi / 100.0
+
+#: (config, grid) on which the refinement gives the reference's bits
+SAME_BITS = {
+    "fejer2-scenario": lambda: _scenario_config("fejer2_ineq"),
+    "fejer2-bench": lambda: (OmegaConfig(from_fejer(2, 1.0, 1.0), 0, 0.0), np.arange(-63.4, -63.4 + 40.0 * math.pi, _BENCH_STEP)),
+    "fejer4-scenario": lambda: _scenario_config("fejer4_ineq"),
+    "ramp-demo": lambda: (BRACKET_CASES["decay-ramp"](), default_grid(BRACKET_CASES["decay-ramp"](), -10.0, 10.0)),
+    "root-at-zero": lambda: _scenario_config("root_at_zero"),
+    "sign-change": lambda: (OmegaConfig(_SIGN_CHANGE, 0, 0.0), np.linspace(-20.0, 20.0, 40001)),
+}
+#: (config, grid) on which Newton's last step, from another point, moves a root by a few ulps
+NEAR_BITS = {
+    "fejer4": lambda: (OmegaConfig(from_fejer(4, 1.0, 1.0), 0, 0.0), np.arange(-40.0, 40.0, _BENCH_STEP)),
+    "fejer6": lambda: (OmegaConfig(from_fejer(6, 1.0, 1.0), 0, 0.0), np.arange(-40.0, 40.0, 0.013)),
+    "rotated-sign-change": lambda: (
+        OmegaConfig(StieltjesMeasure(1.0, ((0.0, 1.0), (1.0, 1.0))), 0, 0.2),
+        np.linspace(-9.0 * math.pi, 9.0 * math.pi, 1801) - 0.4,
+    ),
+}
+
+
+def _refined(cfg, grid, monkeypatch):
+    """(report, Newton roots) of check_inequality, and (points, Newton roots) of the reference."""
+    roots, ref_roots = [], []
+    newton = inequality._bracketed_newton
+    monkeypatch.setattr(inequality, "_bracketed_newton", lambda *args: roots.append(newton(*args)) or roots[-1])
+    rep = check_inequality(cfg, grid)
+    e_vals = inequality._margin_pieces(cfg, rep.grid)[3]
+    points = reference.refine_equality_points(cfg, rep.grid, e_vals, inequality.E_TOL * cfg.measure.bound(-cfg.n), ref_roots)
+    return rep, roots, points, ref_roots
+
+
+class TestRefinementAgainstReference:
+    """The refinement's start and acceptance come from the passes the check already makes;
+    the equality points and the Newton roots keep the bits of the reference copy."""
+
+    @pytest.mark.parametrize("name", sorted(SAME_BITS))
+    def test_same_bits(self, name, monkeypatch):
+        cfg, grid = SAME_BITS[name]()
+        rep, roots, points, ref_roots = _refined(cfg, grid, monkeypatch)
+        assert rep.equality_points == points
+        assert len(roots) == len(ref_roots)
+        for got, want in zip(roots, ref_roots):
+            assert got.tobytes() == want.tobytes()
+        if name == "sign-change":  # its brackets hold sign changes of E, roots of E itself
+            assert not rep.hypothesis_ok and roots[0].size
+        if name in ("fejer2-scenario", "fejer2-bench", "root-at-zero"):
+            assert points
+
+    @pytest.mark.parametrize("name", sorted(NEAR_BITS))
+    def test_same_points_to_newtons_tolerance(self, name, monkeypatch):
+        cfg, grid = NEAR_BITS[name]()
+        rep, roots, points, ref_roots = _refined(cfg, grid, monkeypatch)
+        unit = 1.0 / cfg.measure.sigma
+        assert len(rep.equality_points) == len(points)
+        assert len(roots) == len(ref_roots) == 1
+        tol = transforms._NEWTON_XTOL * np.maximum(unit, np.abs(ref_roots[0]))
+        assert np.all(np.abs(roots[0] - ref_roots[0]) <= tol)
+        got, want = np.array(rep.equality_points), np.array(points)
+        assert np.all(np.abs(got - want) <= transforms._NEWTON_XTOL * np.maximum(unit, np.abs(want)))
+
+    @pytest.mark.parametrize("name", ["fejer2-bench", "root-at-zero"])
+    def test_acceptance_is_certified_at_the_refined_points(self, name):
+        # a fresh pass at the refined points shows what the Taylor allowance covers
+        cfg, grid = SAME_BITS[name]()
+        rep = check_inequality(cfg, grid)
+        x = np.array(rep.equality_points)
+        margin, _, scale, e_vals, _ = inequality._margin_pieces(cfg, x)
+        assert np.all(np.abs(e_vals) <= inequality.E_TOL * cfg.measure.bound(-cfg.n))
+        assert np.all(np.abs(margin) <= inequality.MARGIN_TOL * scale)

@@ -282,6 +282,35 @@ class TestOmegaConfigFunctions:
         f.derivative(x)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("n", [0, 1, -1])
+    def test_joint_pass_gives_the_bits_of_both(self, n, monkeypatch):
+        # row 0 of an order-1 pass has the bits of an order-0 pass, so the probe
+        # check and interp_lhs take one pass each and print what they printed
+        measure = {
+            0: from_fejer(2, 1.0, 1.0),
+            1: StieltjesMeasure(1.0, (), PiecewiseLinearDensity.interpolant([0.0, 1.0], [1.0, 0.0])),
+            -1: from_pd_profile([0.0, 1.0], [1.0, 0.0], -1.0),
+        }[n]
+        cfg = OmegaConfig(measure, n, 0.0 if n == 0 else -math.pi / 2)
+        calls = []
+        original = sampling._grid_moments
+        monkeypatch.setattr(sampling, "_grid_moments", lambda m, z, order: calls.append((np.size(z), order)) or original(m, z, order))
+        f = from_omega_config(cfg, 0.4)
+        assert calls == [(30, 1)]  # the probes and both neighbours
+        x = np.array([-3.0, -math.pi / 2, -math.pi / 2 + 1e-7, 0.0, 1.3])  # u = 0 at the second point for n = -1
+        value, slope = f.joint(x)
+        assert value.tobytes() == f.evaluate(x).tobytes()
+        assert slope.tobytes() == f.derivative(x).tobytes()
+        calls.clear()
+        lhs = interp_lhs(f, measure.sigma, 0.4, 1.3)
+        assert calls == [(1, 1)]
+        phase = measure.sigma * 1.3 + 0.4
+        assert lhs == measure.sigma * float(value[-1]) * math.cos(phase) - float(slope[-1]) * math.sin(phase)
+
+    def test_probes_are_the_generators_draws(self):
+        # written out once, the same ten points in the unit 1 / sigma as the generator gives
+        assert sampling._PROBES.tolist() == np.random.default_rng(20240917).uniform(-3.0, 3.0, size=10).tolist()
+
 
 def _envelope_measure(rng, n):
     """A measure for `from_omega_config` with n: a random density, with atoms unless n = 1,

@@ -136,3 +136,41 @@ def test_snapshot_compare_refuses_a_moved_exit_or_a_missing_file(tmp_path):
     code, report = _compare(tmp_path / "missing", files)
     assert code == 1
     assert "FATAL c--table.txt: present on one side only" in report
+
+
+#: a table form that ends in a violation record, as `hbf ineq --out table` prints one
+VIOLATION_TABLE = (
+    "hypothesis_ok: False\nmin_margin: -0.0011553853895031256\n"
+    '{"violation": {"bound": 0.0, "location": -6.669911787194838, "observed": -0.03605764273551924, '
+    '"property": "grid_hypothesis_E_nonneg"}}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "before, after, fatal",
+    [
+        ("-0.03605764273551924", "-0.036057642735519244", False),  # observed, a last digit
+        ("grid_hypothesis_E_nonneg", "min_margin", True),  # property
+        ("-6.669911787194838", "-6.6", False),  # location, a number like any other
+    ],
+)
+def test_snapshot_compare_reads_a_table_forms_violation_as_json(tmp_path, before, after, fatal):
+    old = _write_snapshot(tmp_path / "old", {"v--table.txt": VIOLATION_TABLE})
+    new = _write_snapshot(tmp_path / "new", {"v--table.txt": VIOLATION_TABLE.replace(before, after)})
+    out = io.StringIO()
+    code = _cli_snapshot().compare_snapshots(old, new, out=out)
+    lines = out.getvalue().splitlines()
+    assert code == int(fatal), lines
+    if fatal:
+        assert lines[-1] == "FATAL v--table.txt: violation.property moved from 'grid_hypothesis_E_nonneg' to 'min_margin'"
+    else:
+        assert any(line.startswith("  violation.") for line in lines), lines
+
+
+def test_snapshot_compare_reads_a_csv_forms_violation_as_json(tmp_path):
+    stdout = 'x,lhs\n0.5,1.0\n{"violation": {"bound": 1e-10, "location": 0.5, "observed": 2e-10, "property": "p"}}\n'
+    old = _write_snapshot(tmp_path / "old", {"w--csv.txt": stdout})
+    new = _write_snapshot(tmp_path / "new", {"w--csv.txt": stdout.replace("2e-10", "2.0000000000000003e-10")})
+    out = io.StringIO()
+    assert _cli_snapshot().compare_snapshots(old, new, out=out) == 0, out.getvalue()
+    assert "  violation.observed: max |change| 2.58e-26, 1.29e-16 of its largest |value| 2e-10" in out.getvalue().splitlines()

@@ -34,6 +34,7 @@ from hbfourier.transforms import (
     _SERIES_RECIPROCALS,
     _TABLES,
     _bracketed_newton,
+    _grid_minima,
     _cluster_level,
     _cluster_sum,
     _density_tables,
@@ -58,6 +59,7 @@ from hbfourier.transforms import (
     transform_sample,
 )
 
+from . import reference_refinement as reference
 from .conftest import random_atomic_measure
 from .strategies import atomic_measures, measures_with_density
 
@@ -1078,6 +1080,56 @@ class TestBracketedNewton:
         shift = np.array([10.0, -10.0])
         x = _bracketed_newton(lambda x, k: (x + shift[k], np.ones_like(x)), 0.0, 1.0, [0.5, 0.5], 1.0)
         assert x == pytest.approx([0.0, 1.0], abs=1e-13)
+
+    def test_matches_the_reference_loop_bit_for_bit(self):
+        # the moving brackets are carried as compacted arrays with the same
+        # arithmetic: every call and every root keep the reference's bits.
+        # Bracket 0 starts on the root of cos's shifted copy and stops at once
+        # on f = 0; 1 and 2 start near and far from their roots, so they stop
+        # at different iterations; 3 takes a NaN step at its start; 4 has no
+        # sign change and runs into its end
+        lo = np.array([0.0, 1.0, 4.0, 7.0, 0.0])
+        hi = np.array([1.0, 2.0, 5.0, 8.0, 1.0])
+        x0 = np.array([0.5, 1.5707963, 4.0, 7.25, 0.5])
+        sign = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+
+        def fn(calls):
+            def f(x, k):
+                calls.append((x.tobytes(), k.tobytes()))
+                value = np.where(k == 0, x - 0.5, np.where(k == 4, x + 10.0, sign[k] * np.cos(x)))
+                slope = np.where(k == 0, 1.0, np.where(k == 4, 1.0, -sign[k] * np.sin(x)))
+                return value, np.where((k == 3) & (x == 7.25), np.nan, slope)
+
+            return f
+
+        calls, ref_calls = [], []
+        roots = _bracketed_newton(fn(calls), lo, hi, x0, 1.0)
+        want = reference.bracketed_newton(fn(ref_calls), lo, hi, x0, 1.0)
+        assert roots.tobytes() == want.tobytes()
+        assert calls == ref_calls
+        assert roots[0] == 0.5 and 0.0 <= roots[4] <= 1e-14
+        assert len({len(k) for _, k in calls}) >= 3  # the brackets stop at different iterations
+
+
+class TestGridMinima:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_padded_reference(self, seed):
+        # ties, NaNs and both ends, against the copy that pads mod with +inf
+        rng = np.random.default_rng(seed)
+        mod = rng.integers(0, 4, 60).astype(float)
+        mod[rng.integers(0, 60, 5)] = np.nan
+        mod[0], mod[-1] = rng.choice([0.0, 1.0, np.nan], 2)
+        low = mod <= 2.0 if seed % 2 else rng.random(60) < 0.7
+        got, want = _grid_minima(mod, low), reference.grid_minima(mod, low)
+        for a, b in zip(got, want):
+            assert a.tolist() == b.tolist()
+
+    def test_two_points_and_no_candidate(self):
+        for mod in ([1.0, 1.0], [0.0, 1.0], [np.nan, 0.0]):
+            mod = np.array(mod)
+            low = np.ones(2, dtype=bool)
+            assert [a.tolist() for a in _grid_minima(mod, low)] == [a.tolist() for a in reference.grid_minima(mod, low)]
+        assert all(a.size == 0 for a in _grid_minima(np.array([1.0, 2.0]), np.zeros(2, dtype=bool)))
 
 
 class TestSample:
