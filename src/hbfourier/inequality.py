@@ -45,6 +45,7 @@ from .transforms import (
     _bracketed_newton,
     _grid_minima,
     _grid_moments,
+    _leibniz_bounds,
     _mirrored_rows,
     _newton_residual,
     _omega_rows,
@@ -245,10 +246,7 @@ def _accepted(cfg: OmegaConfig, x, at, rows, e_tol):
     """Where |E| <= e_tol and |margin| <= MARGIN_TOL scale are certified at x, from the
     rows W, W', W'' that Newton evaluated at the nearby points `at`.
 
-    W = x^n W0 with |W0^(j)| <= sigma^j V (Bernstein), so between `at` and x
-    |W^(j)| <= b_j: sigma^j V for n = 0; r sigma^j V + j sigma^(j-1) V for
-    n = 1, r = |at| + |x - at|, by Leibniz's rule; sigma^(j+1) V / (j + 1)
-    for n = -1, where W0(0) = F(0) = 0 gives W = int_0^1 W0'(u x) du.
+    Between `at` and x, |W^(j)| <= b_j, `_leibniz_bounds` at r = |at| + |x - at|.
     `_newton_residual` bounds |E(x)| with |E''| <= b_2.  The margin, lhs and
     rhs (`_margin_pieces`) are quadratic in W and W', with slopes at most
     8 sigma^2 b0 b1 + 4 sigma (b1^2 + b0 b2) + 2 b1 b2,
@@ -261,13 +259,7 @@ def _accepted(cfg: OmegaConfig, x, at, rows, e_tol):
     m, n, sig = cfg.measure, cfg.n, cfg.measure.sigma
     d = x - at
     step = np.abs(d)
-    if n == 0:
-        b0, b1, b2 = m.bound(0), m.bound(1), m.bound(2)
-    elif n == 1:
-        r = np.abs(at) + step
-        b0, b1, b2 = r * m.bound(0), r * m.bound(1) + m.bound(0), r * m.bound(2) + 2.0 * m.bound(1)
-    else:
-        b0, b1, b2 = m.bound(1), m.bound(2) / 2.0, m.bound(3) / 3.0
+    b0, b1, b2 = _leibniz_bounds(m, n, np.abs(at) + step)
     w, wp, _ = rows
     margin, rhs = _margin_terms(sig, w, wp)
     margin_slope = 8.0 * sig * sig * b0 * b1 + 4.0 * sig * (b1 * b1 + b0 * b2) + 2.0 * b1 * b2

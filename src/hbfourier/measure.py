@@ -92,12 +92,6 @@ class PiecewiseLinearDensity:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-        # the dataclass hash of the same fields, computed once: the evaluator's
-        # caches look a density up on every call
-        object.__setattr__(self, "_hash", hash((nodes, left, right)))
-
-    def __hash__(self):
-        return self._hash
 
     @classmethod
     def interpolant(cls, nodes: Sequence[float], values: Sequence[float]) -> "PiecewiseLinearDensity":

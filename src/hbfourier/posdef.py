@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import MASS_TOL, PiecewiseLinearDensity, StieltjesMeasure
-from .transforms import _H_TABLES, _TABLES, _derived, _lay_out, _one_side, _piece_moments, _polynomial_pieces
+from .transforms import _derived, _lay_out, _one_side, _piece_moments, _polynomial_pieces
 from .transforms import eval_Delta, eval_F
 from .zeros import HypothesisViolation, _in_borderline_range, s_nonneg_on_grid
 
@@ -54,14 +54,8 @@ class PosDefProfile:
     sigma: float
     pieces: tuple
 
-    def __post_init__(self):  # the dataclass hash, computed once: the profile keys its tables
-        object.__setattr__(self, "_hash", hash((self.sigma, self.pieces)))
-
-    def __hash__(self):
-        return self._hash
-
     def _tables(self):
-        return _derived(_TABLES, self, lambda: _lay_out(_polynomial_pieces(*zip(*self.pieces))))
+        return _derived(self, "pieces", lambda: _lay_out(_polynomial_pieces(*zip(*self.pieces))))
 
     def f(self, t):
         t = np.abs(np.asarray(t, dtype=float))
@@ -314,7 +308,7 @@ def check_h_hat_identity(g: PiecewiseLinearDensity, x_samples) -> Autocorrelatio
     sigma = g.nodes[-1]
     x = np.asarray(x_samples, dtype=float)
     # h-hat(x) = 2 Re int_0^sigma h(t) e^{ixt} dt, as h is real
-    tables = _derived(_H_TABLES, g, lambda: _lay_out(_h_pieces(g)))
+    tables = _derived(g, "h", lambda: _lay_out(_h_pieces(g)))
     hhat = _piece_moments(np.zeros((1, x.size), complex), tables, 1j * x.reshape(-1), np.zeros(x.size))[0]
     hhat = 2.0 * hhat.real.reshape(x.shape)
     measure = StieltjesMeasure(sigma, (), g if g.support() is not None else None)

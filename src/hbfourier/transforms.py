@@ -52,8 +52,9 @@ call per iteration.
 
 All functions are pure; measures are immutable, so grid sweeps may share them
 across workers.  What the evaluator derives from an object (a density's or a
-profile's tables, a measure's reflection and origin series) is kept in weak
-maps keyed by that object, and lives exactly as long as it.
+profile's tables, a measure's reflection and origin series) is kept on that
+object, in its own `__dict__` as `functools.cached_property` keeps a value,
+and lives exactly as long as it.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ import bisect
 import cmath
 import functools
 import math
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -246,24 +246,15 @@ def _shifted_polynomials(start, poly, order: int) -> list:
     return out
 
 
-# What the evaluator derives from an immutable object, keyed by that object:
-# each entry lives exactly as long as its key, and no value references its key,
-# or the entry would keep the key alive and never die.
-_TABLES = weakref.WeakKeyDictionary()  # density, or posdef's profile -> the `_lay_out` tables of its pieces
-_H_TABLES = weakref.WeakKeyDictionary()  # density g -> the tables of the pieces of posdef's autocorrelation h
-_MIRRORS = weakref.WeakKeyDictionary()  # density -> {sigma: its reflection about sigma / 2}
-_REFLECTED = weakref.WeakKeyDictionary()  # measure -> the measure reflected about sigma / 2
-_ORIGIN = weakref.WeakKeyDictionary()  # measure -> its `_origin_series`
-_EQUISPACED = weakref.WeakKeyDictionary()  # measure -> {order: its `_equispaced_tables`}
-
-
-def _derived(derived, key, build):
-    """derived[key], built by build() on the first call; threads that race to
-    build one entry each build the same value, and the first stored is kept."""
+def _derived(owner, key, build):
+    """The entry `key` of what is derived from the immutable `owner`, built by build()
+    on the first call and kept in the owner's `_derived` dict, in its own `__dict__`,
+    so that it lives exactly as long as the owner; threads that race to build one
+    entry each build the same value, and the first stored is kept."""
     try:
-        return derived[key]
+        return owner.__dict__["_derived"][key]
     except KeyError:
-        return derived.setdefault(key, build())
+        return vars(owner).setdefault("_derived", {}).setdefault(key, build())
 
 
 def _density_tables(density: PiecewiseLinearDensity) -> _PieceTables:
@@ -273,7 +264,7 @@ def _density_tables(density: PiecewiseLinearDensity) -> _PieceTables:
         nodes, left, right = (np.array(v) for v in (density.nodes, density.left, density.right))
         return nodes[:-1], nodes[1:], right, np.stack([left, (right - left) / np.diff(nodes)], axis=1)
 
-    return _derived(_TABLES, density, lambda: _lay_out(pieces()))
+    return _derived(density, "pieces", lambda: _lay_out(pieces()))
 
 
 def _cluster_level(pieces: tuple, count: int) -> tuple:
@@ -456,10 +447,11 @@ def _grid_moments(measure: StieltjesMeasure, z, order: int):
 
 #: the most nodes in a block of `_equispaced_moments`
 _EQUI_BLOCK = 128
-#: its narrow pieces, rho = |x| w < 2, are summed in tiers of rho <= _TIER_RHO[l], each by
-#: the series terms its largest rho needs (`_series_length`), at most _NARROW_TERMS
-_TIER_RHO = 2.0 * 16.0 ** -np.arange(9.0)
-_NARROW_TERMS = _series_length(2.0)
+#: a block's narrow pieces keep rho = |x| w < _NARROW_RHO, and are summed in tiers of rho <= _TIER_RHO[l],
+#: each by the series terms its largest rho needs (`_series_length`), at most _NARROW_TERMS
+_NARROW_RHO = 2.0
+_TIER_RHO = _NARROW_RHO * 16.0 ** -np.arange(9.0)
+_NARROW_TERMS = _series_length(_NARROW_RHO)
 
 
 class _EquispacedTables(NamedTuple):
@@ -515,10 +507,10 @@ def _equispaced_moments(measure: StieltjesMeasure, step: float, shift: float, fi
     so every sum over atoms or piece ends is a matrix product of the block's
     phases with the phases e^{i r step t} that all blocks share, and no other
     exponential is taken.  A piece of width w is wide on a block whose least
-    |x| has |x| w > 1, and integrates by parts (`_equispaced_tables`); a narrow
+    |x| has |x| w > _SERIES_CUT, and integrates by parts (`_equispaced_tables`); a narrow
     piece takes its series, whose terms fall as rho^j / j! with rho = |x| w,
     grouped in the tiers of `_TIER_RHO`.  A block where pieces are narrow ends
-    before rho reaches 2 on any of them (`_equispaced_head`).  A narrow piece
+    before rho reaches _NARROW_RHO on any of them (`_equispaced_head`).  A narrow piece
     never takes the by-parts form, whose end terms, of size |p| / |x|, would
     cancel to the integral's |p| w.  Every power of x is scaled by the block's
     largest |x|, so none overflows.  A node's value depends on its block,
@@ -526,7 +518,7 @@ def _equispaced_moments(measure: StieltjesMeasure, step: float, shift: float, fi
     """
     x = step * np.arange(first, first + count) + shift
     neg = int(np.searchsorted(x, 0.0))
-    tables = _derived(_derived(_EQUISPACED, measure, dict), order, lambda: _equispaced_tables(measure, order))
+    tables = _derived(measure, ("equispaced", order), lambda: _equispaced_tables(measure, order))
     widths = tables.width.tolist()
     # the blocks from the origin outward, on x < 0, then on x >= 0, grouped by their cuts
     nodes, lengths, most, groups = [], [], [], {}
@@ -559,9 +551,9 @@ def _equispaced_head(inner: float, step: float, size: int, widths: list):
     the nodes |x| = inner + k step, k < size, up to the first node at which every piece of
     the sorted `widths` is wide (see `_equispaced_moments`).
 
-    The pieces with a w <= 1 are narrow on a block from |x| = a, and its largest |x|
-    stays below 2 / w for the widest of them, so that rho = |x| w < 2 on every narrow
-    piece; it holds at most _EQUI_BLOCK nodes.  cuts[0] is the number of narrow
+    The pieces with a w <= _SERIES_CUT are narrow on a block from |x| = a, and its largest
+    |x| stays below _NARROW_RHO / w for the widest of them, so that rho = |x| w < _NARROW_RHO
+    on every narrow piece; it holds at most _EQUI_BLOCK nodes.  cuts[0] is the number of narrow
     pieces, cuts[l] that of the pieces in tiers l and above (rho <= _TIER_RHO[l]).
     A lone node at 0 takes the scale 1 / w of the widest piece for its rho; its terms
     past the first vanish.
@@ -569,10 +561,10 @@ def _equispaced_head(inner: float, step: float, size: int, widths: list):
     head, k = [], 0
     while k < size:
         a = inner + k * step
-        narrow = bisect.bisect_right(widths, 1.0 / a) if a > 0.0 else len(widths)
+        narrow = bisect.bisect_right(widths, _SERIES_CUT / a) if a > 0.0 else len(widths)
         if not narrow:
             break
-        length = max(1, min(_EQUI_BLOCK, size - k, math.ceil((2.0 / widths[narrow - 1] - a) / step)))
+        length = max(1, min(_EQUI_BLOCK, size - k, math.ceil((_NARROW_RHO / widths[narrow - 1] - a) / step)))
         last = a + (length - 1) * step
         scale = last if last > 0.0 else 1.0 / widths[-1]
         head.append((k, length, last, (narrow, *(bisect.bisect_right(widths, rho / scale, 0, narrow) for rho in _TIER_RHO[1:]))))
@@ -636,11 +628,10 @@ def _reflected(measure: StieltjesMeasure) -> StieltjesMeasure:
         atoms = StieltjesMeasure(measure.sigma, measure.atoms).reflected().atoms
         density = measure.density
         if density is not None:
-            mirrors = _derived(_MIRRORS, density, dict)
-            density = _derived(mirrors, measure.sigma, lambda: measure.density.reflected(measure.sigma))
+            density = _derived(density, ("mirror", measure.sigma), lambda: measure.density.reflected(measure.sigma))
         return StieltjesMeasure(measure.sigma, atoms, density)
 
-    return _derived(_REFLECTED, measure, build)
+    return _derived(measure, "reflected", build)
 
 
 def _fold(value, scale):
@@ -908,7 +899,7 @@ def _omega_rows(measure: StieltjesMeasure, x, T, E=0.0, n: int = 0, k: int = 0, 
         return e
     if not measure.vanishes_at_zero:
         raise ValueError("n = -1 near x = 0 requires F(0) = 0")
-    a = _derived(_ORIGIN, measure, lambda: _origin_series(measure))
+    a = _derived(measure, "origin", lambda: _origin_series(measure))
     xs, factor = np.where(near, x, 0.0), phase * np.exp(-E)
     for j in range(len(d)):
         w = 0.0
@@ -1069,6 +1060,19 @@ def _bracketed_newton(fn, lo, hi, x0, unit):
         moving = ~(converged | (hi - lo <= tol))
         k, xk, lo, hi = k[moving], xk[moving], lo[moving], hi[moving]
     return x
+
+
+def _leibniz_bounds(measure: StieltjesMeasure, n: int, r):
+    """(b0, b1, b2), bounds of |w^(j)| for w = x^n W0 on |x| <= r, from Bernstein's
+    |W0^(j)| <= sigma^j V: sigma^j V for n = 0; r sigma^j V + j sigma^(j-1) V for
+    n = 1, by Leibniz's rule; sigma^(j+1) V / (j + 1) for n = -1, where W0(0) = 0
+    gives w = int_0^1 W0'(u x) du.  r may be an array."""
+    b = measure.bound
+    if n == 0:
+        return b(0), b(1), b(2)
+    if n == 1:
+        return r * b(0), r * b(1) + b(0), r * b(2) + 2.0 * b(1)
+    return b(1), b(2) / 2.0, b(3) / 3.0
 
 
 def _newton_residual(f, fp, d, m2, scale):

@@ -28,6 +28,7 @@ from .transforms import (
     _bracketed_newton,
     _grid_minima,
     _grid_moments,
+    _leibniz_bounds,
     _mirrored_rows,
     _newton_residual,
     _omega_rows,
@@ -265,19 +266,19 @@ def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -
     The acceptance is certified from the last Newton step d, with no
     evaluation at the zero: `_newton_residual` bounds the mantissa there by
     |w + d w'| + M |d|^2 / 2 plus a rounding allowance, times e^{2 sigma |d|}
-    for the change of the scale E along the step.  M e^E bounds |w''|: for
-    F, sigma^2 V; for zF = z F'' + 2 F', (|z| + 2 |d|) sigma^2 V + 2 sigma V
-    by Leibniz's rule; for F / z = int_0^1 F'(u z) du, sigma^3 V / 3.  The
-    allowance is _ROUNDING times the scale of w: V, (|z| + |d|) V, sigma V.
+    for the change of the scale E along the step.  M e^E bounds |w''|: b2 of
+    `_leibniz_bounds` at r = |z| + 2 |d| (sigma^2 V for F, (|z| + 2 |d|)
+    sigma^2 V + 2 sigma V for zF, sigma^3 V / 3 for F/z).  The allowance is
+    _ROUNDING times the scale of w, b0 at r = |z| + |d|: V, (|z| + |d|) V, sigma V.
     """
     if target not in ("F", "zF", "F/z"):
         raise ValueError("locate_zero supports the F-family targets only")
+    n = _TARGETS[target][1]
     result = count_zeros(measure, rect, target)
     if result.count != 1:
         raise ValueError(f"rectangle holds {result.count} zeros; need exactly 1")
     sig = measure.sigma
     unit = 1.0 / sig
-    V = measure.bound()
     accept = _target_scale(measure, target)
 
     def newton_from(z0: complex, box: Rectangle):
@@ -292,13 +293,8 @@ def locate_zero(measure: StieltjesMeasure, rect: Rectangle, target: str = "F") -
             if not box.contains(z_new, pad=unit):
                 return None
             if abs(step) < _NEWTON_XTOL * (unit + abs(z_new)):
-                d = abs(z_new - z)
-                if target == "F":
-                    m2, scale = sig * sig * V, V
-                elif target == "zF":
-                    m2, scale = (abs(z_new) + 2.0 * d) * sig * sig * V + 2.0 * sig * V, (abs(z_new) + d) * V
-                else:
-                    m2, scale = sig**3 * V / 3.0, sig * V
+                d, r = abs(z_new - z), abs(z_new)
+                scale, m2 = _leibniz_bounds(measure, n, r + d)[0], _leibniz_bounds(measure, n, r + 2.0 * d)[2]
                 return z_new, _newton_residual(f, fp, z_new - z, m2, scale) * math.exp(2.0 * sig * d)
             z = z_new
         return None

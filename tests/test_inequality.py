@@ -184,6 +184,16 @@ class TestCheckInequality:
         assert len(rep.equality_points) == len(odd)
         assert np.max(np.abs(np.array(rep.equality_points) - odd)) <= 1e-12
 
+    def test_equality_points_of_z_times_f(self):
+        # g = 1 on [0, 1] with n = 1, tau = -pi / 2: E = x Im F = 1 - cos x touches 0
+        # at the nonzero multiples of 2 pi, accepted from the Leibniz bounds of x W0
+        m = StieltjesMeasure(1.0, (), PiecewiseLinearDensity.step([0.0, 1.0], [1.0]))
+        cfg = OmegaConfig(m, 1, -math.pi / 2.0)
+        rep = check_inequality(cfg, default_grid(cfg, -20.0, 20.0))
+        want = 2.0 * math.pi * np.array([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])
+        assert rep.hypothesis_ok and len(rep.equality_points) == len(want)
+        assert np.all(np.abs(np.array(rep.equality_points) - want) <= transforms._NEWTON_XTOL * np.abs(want))
+
     @pytest.mark.parametrize("end", ["first", "last"])
     def test_equality_point_in_an_end_cell(self, fejer2, end):
         # cut to start at pi - 0.00265, the grid's first point is the least |E|

@@ -368,8 +368,8 @@ class TestCachedAggregates:
         assert "_hash" not in repr(a)
 
     def test_lookups_do_not_rehash_the_nodes(self):
-        # the evaluator's lru caches look a density up on every call; after
-        # construction its hash must not touch the nodes or values again
+        # the evaluator keeps what it derives on the density itself, so no call
+        # hashes the density, its nodes or its values
         hashed = []
 
         class Counted(tuple):
@@ -378,12 +378,10 @@ class TestCachedAggregates:
                 return super().__hash__()
 
         dens = PiecewiseLinearDensity.interpolant(np.linspace(0.0, 1.0, 65), np.linspace(1.0, 0.0, 65))
-        first = hash(dens)
         for name in ("nodes", "left", "right"):
             object.__setattr__(dens, name, Counted(getattr(dens, name)))
         m = StieltjesMeasure(1.0, (), dens)
         for _ in range(2):
-            assert hash(dens) == first
             eval_F(m, np.array([0.5, 30.0, 200.0]))
             eval_E(m, 0.0, 0, 3.0)
         assert hashed == []

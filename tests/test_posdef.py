@@ -24,7 +24,6 @@ from hbfourier.posdef import (
     monotone_density_S,
     recover_pd_profile,
 )
-from hbfourier.posdef import _H_TABLES
 from hbfourier.transforms import _segment_moments, real_transforms
 
 
@@ -357,7 +356,7 @@ class TestAgainstMpmath:
         nodes = np.sort(rng.uniform(0.0, 3.0, panels + 1))
         g = PiecewiseLinearDensity(tuple(nodes), tuple(rng.uniform(-2, 2, panels)), tuple(rng.uniform(-2, 2, panels)))
         check_h_hat_identity(g, [1.0])
-        xs = _oracle_points(_H_TABLES[g].limits)
+        xs = _oracle_points(vars(g)["_derived"]["h"].limits)
         report = check_h_hat_identity(g, xs)
         moments = _mp_moments([(t0, t1, (v0, (v1 - v0) / (t1 - t0))) for t0, t1, v0, v1 in g.panels], 1)
         measure = StieltjesMeasure(g.nodes[-1], (), g)

@@ -25,14 +25,9 @@ from hbfourier.transforms import (
     _CLUSTER_RHO,
     _CLUSTER_TERMS,
     _EQUI_BLOCK,
-    _EQUISPACED,
     _MAX_ORDER,
-    _MIRRORS,
-    _ORIGIN,
-    _REFLECTED,
     _SERIES_CUT,
     _SERIES_RECIPROCALS,
-    _TABLES,
     _bracketed_newton,
     _grid_minima,
     _cluster_level,
@@ -639,7 +634,6 @@ class TestLeaf:
         # do, builds no level finer than 64 cells, nor the panel path's table,
         # the last; a farther point builds its own level and no other
         m = from_monomial_density(2.5, 1.5)
-        _TABLES.clear()
         levels = _density_tables(m.density).levels
         assert len(levels) == 12 and not any(levels)
         real_transforms(m, np.linspace(-60.0, 60.0, 301), order=2)
@@ -655,7 +649,6 @@ class TestLeaf:
         # thread switches forced often; every point keeps its lone bits
         m = from_monomial_density(2.0, 1.5)
         points = np.geomspace(1.0, 3000.0, 40) * np.exp(-0.3j)
-        _TABLES.clear()
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -663,7 +656,7 @@ class TestLeaf:
                 got = list(pool.map(lambda z: _grid_moments(m, z, 1)[0], np.tile(points, 4), timeout=120))
         finally:
             sys.setswitchinterval(switch)
-        _TABLES.clear()
+        del vars(m.density)["_derived"]
         for z, T in zip(np.tile(points, 4), got):
             assert np.array_equal(bits(T), bits(_grid_moments(m, z, 1)[0]))
 
@@ -967,33 +960,35 @@ class TestTableCache:
             density = PiecewiseLinearDensity.interpolant(nodes, rng.uniform(0.5, 2.0, p + 1))
             m = StieltjesMeasure(1.0, ((1.0, -0.5),), density)
             ms += [m, m.reflected()]
-        _TABLES.clear()
-        first = {}
+        first = []
         for m in ms:
             limits = _density_tables(m.density).limits
             _grid_moments(m, np.concatenate([limits, 2.0 * limits[-1:]]) * np.exp(-0.4j), 1)
-            first[m.density] = _density_tables(m.density)
-        assert len(_TABLES) == len(first) == 40
-        assert all(_density_tables(d) is tables for d, tables in first.items())
+            first.append((m.density, _density_tables(m.density)))
+        assert len({id(d) for d, _ in first}) == 40
+        assert all(list(vars(d)["_derived"]) == ["pieces"] for d, _ in first)
+        assert all(_density_tables(d) is tables for d, tables in first)
 
     def test_derived_data_dies_with_its_measure(self):
-        # C and a far complex point use every map: the reflection, its density
+        # C and a far complex point derive every entry: the reflection, its density
         # and origin series, and the tables of both densities out to the panel
-        # path; once the measure and its density are dropped, nothing stays
-        for derived in (_TABLES, _MIRRORS, _REFLECTED, _ORIGIN, _EQUISPACED):
-            derived.clear()
+        # path; once the measure and its density are dropped, all of it dies
         density = PiecewiseLinearDensity.interpolant([0.0, 0.4, 1.3], [1.0, 2.5, 0.5])
         m = StieltjesMeasure(1.3, ((1.3, -density.mass()),), density)
         eval_CS(m, np.linspace(-5.0, 5.0, 11))
         eval_E(m, -math.pi / 2, -1, 0.0)
         eval_F(m, 900.0 - 300.0j)
         _equispaced_moments(m, 0.5, 0.1, -10, 21)
-        assert all(len(derived) for derived in (_TABLES, _MIRRORS, _REFLECTED, _ORIGIN, _EQUISPACED))
-        refs = weakref.ref(m), weakref.ref(density)
-        del m, density
+        reflected = vars(m)["_derived"]["reflected"]
+        mirror = reflected.density
+        assert set(vars(m)["_derived"]) == {"reflected", ("equispaced", 0)}
+        assert set(vars(density)["_derived"]) == {"pieces", ("mirror", 1.3)}
+        assert vars(density)["_derived"][("mirror", 1.3)] is mirror
+        assert set(vars(reflected)["_derived"]) == {"origin"} and set(vars(mirror)["_derived"]) == {"pieces"}
+        refs = [weakref.ref(owner) for owner in (m, density, mirror, reflected)]
+        del m, density, mirror, reflected
         gc.collect()
-        assert [ref() for ref in refs] == [None, None]
-        assert [len(derived) for derived in (_TABLES, _MIRRORS, _REFLECTED, _ORIGIN, _EQUISPACED)] == [0] * 5
+        assert [ref() for ref in refs] == [None] * 4
 
     def test_a_fresh_measure_over_a_held_density_finds_its_tables(self, monkeypatch):
         # monotone_density_S builds a new measure on every call; it reads S
@@ -1018,12 +1013,35 @@ class TestTableCache:
         seen = []
         for _ in range(2):
             monotone_density_S(g, np.linspace(0.5, 30.0, 60))
-            mirror = _MIRRORS[g][1.7]
-            seen.append((mirror, _TABLES[mirror]))
+            mirror = vars(g)["_derived"][("mirror", 1.7)]
+            seen.append((mirror, vars(mirror)["_derived"]["pieces"]))
         assert all(first is second for first, second in zip(*seen))
         # one layout, of the reflection's panels, whose tables hold the very pieces laid out
         assert len(laid_out) == 1 and laid_out[0] is seen[0][1].pieces and reflections == [g]
-        assert laid_out[0][0].tolist() == list(seen[0][0].nodes[:-1]) and g not in _TABLES
+        assert laid_out[0][0].tolist() == list(seen[0][0].nodes[:-1]) and "pieces" not in vars(g)["_derived"]
+
+    def test_a_held_density_serves_every_measure_and_an_equal_one_builds_its_own(self, monkeypatch):
+        # what is derived lives on the density object: new measures over one held
+        # density find its tables and its reflection, while an equal density built
+        # apart lays out and reflects its own, to the same bits
+        laid_out, reflections = [], []
+        lay_out, reflect = transforms._lay_out, PiecewiseLinearDensity.reflected
+        monkeypatch.setattr(transforms, "_lay_out", lambda pieces: laid_out.append(pieces) or lay_out(pieces))
+        monkeypatch.setattr(PiecewiseLinearDensity, "reflected", lambda d, sigma: reflections.append(d) or reflect(d, sigma))
+        nodes, values = [0.0, 0.5, 1.0], [1.0, 2.0, 0.5]
+        held = PiecewiseLinearDensity.interpolant(nodes, values)
+        apart = PiecewiseLinearDensity.interpolant(nodes, values)
+        assert held == apart and held is not apart
+        x = np.array([0.5, 3.0, 40.0])
+        got = []
+        for density in (held, held, held, apart):
+            m = StieltjesMeasure(1.0, (), density)
+            got.append(np.array([eval_F(m, x), *eval_CS(m, x)]))
+        assert _density_tables(held) is not _density_tables(apart)
+        # one layout of each density's panels and of each reflection's
+        assert len(laid_out) == 4 and [id(d) for d in reflections] == [id(held), id(apart)]
+        assert all(np.array_equal(bits(v), bits(got[0])) for v in got)
+
 
 def _one_side_readers():
     """(module, reader) for every reader of one side of `real_transforms`."""
