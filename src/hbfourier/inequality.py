@@ -74,9 +74,9 @@ class HypothesisKind(enum.Enum):
 class OmegaConfig:
     """Selects omega(z) = z^n F(z) and the phase tau.
 
-    The constructor refuses (n, tau) pairs outside the four admissible
-    families and records which family is claimed.  The grid hypothesis itself
-    (E >= 0) is checked later by `check_inequality`, never proved.
+    The constructor refuses a tau that is not finite and (n, tau) pairs outside
+    the four admissible families, and records which family is claimed.  The grid
+    hypothesis itself (E >= 0) is checked later by `check_inequality`, never proved.
     """
 
     measure: StieltjesMeasure
@@ -88,6 +88,8 @@ class OmegaConfig:
         if self.n not in (-1, 0, 1):
             raise ValueError("n must be -1, 0, or 1")
         tau = float(self.tau)
+        if not math.isfinite(tau):
+            raise ValueError("tau must be finite")
         if self.n == 0:
             kind = HypothesisKind.COSINE_NONNEG if tau == 0.0 else HypothesisKind.ROTATED_NONNEG
         elif not math.isclose(tau, -math.pi / 2, rel_tol=0.0, abs_tol=1e-12):
@@ -305,15 +307,13 @@ def _refine_equality_points(cfg: OmegaConfig, grid, e_vals, ep_vals, e_abs, e_sc
     f_hi = np.where(crossing, e_hi, ep_vals[above])
     with np.errstate(divide="ignore", invalid="ignore"):
         secant = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-    at, rows = np.empty(i.size), np.empty((3, i.size), dtype=complex)
     m, reflected = cfg.measure, _reflected(cfg.measure)
 
-    def target(x, k):  # (E, E') across a sign change, else (E', E''), oriented to rise
-        w = np.array(_mirrored_rows(m, cfg.tau, cfg.n, x, _grid_moments(reflected, x, 2)[0]))  # W, W', W''
-        at[k], rows[:, k] = x, w
-        return sign[k] * np.where(crossing[k], w[:2].real, w[1:].real)
+    def target(x, k):  # (E, E') across a sign change, else (E', E''), oriented to rise; and W, W', W''
+        w = np.array(_mirrored_rows(m, cfg.tau, cfg.n, x, _grid_moments(reflected, x, 2)[0]))
+        return (*(sign[k] * np.where(crossing[k], w[:2].real, w[1:].real)), w)
 
-    x = _bracketed_newton(target, lo, hi, np.where((secant > lo) & (secant < hi), secant, grid[i]), 1.0 / sig)
+    x, at, rows = _bracketed_newton(target, lo, hi, np.where((secant > lo) & (secant < hi), secant, grid[i]), 1.0 / sig)
     points = []
     for x_star in x[_accepted(cfg, x, at, rows, e_tol)].tolist():
         if points and abs(points[-1] - x_star) < 1e-9 * max(1.0 / sig, abs(x_star)):

@@ -406,13 +406,15 @@ class MonotonicityReport:
 
 
 def alternating_sign_table(f, x_grid, step: float, max_order: int) -> MonotonicityReport:
-    """Check (-1)^n Delta_step^n f(x) >= -tol for n <= max_order (forward differences) at x > 0; NaN fails."""
+    """Check (-1)^n Delta_step^n f(x) >= -tol for 1 <= n <= max_order (forward differences) at x > 0; NaN fails."""
     x_grid = np.asarray(x_grid, dtype=float)
     if not 0.0 < step < math.inf or not np.all((x_grid > 0.0) & (x_grid < math.inf)):  # NaN fails too
         raise ValueError("step and x_grid must be positive and finite")
-    if max_order > 10:
-        raise ValueError("orders beyond 10 drown in cancellation at double precision")
-    failures, margins = [], [math.inf]
+    if not x_grid.size:
+        raise ValueError("x_grid must not be empty")
+    if not 1 <= max_order <= 10:
+        raise ValueError("max_order must be 1 to 10: orders beyond 10 drown in cancellation at double precision")
+    failures, margins = [], []
     for x in x_grid:
         d = np.asarray(f(x + step * np.arange(max_order + 1)), dtype=float)
         scale = float(np.max(np.abs(d)))

@@ -94,8 +94,8 @@ class SampledFunction:
     joint: Callable | None = None
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:  # NaN fails too
+            raise ValueError("sigma must be positive and finite")
         probes = _PROBES / self.sigma
         h = 6e-6 / self.sigma
         f, fp = self.values(np.concatenate([probes, probes + h, probes - h]))
@@ -183,8 +183,8 @@ class SeriesEvaluation:
 
 def interp_lhs(f: SampledFunction, sigma: float, alpha: float, x: float) -> float:
     """sigma f(x) cos(sigma x + alpha) - f'(x) sin(sigma x + alpha)."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:  # NaN fails too
+        raise ValueError("sigma must be positive and finite")
     phase = sigma * x + alpha
     fx, fpx = (float(np.asarray(v)[0]) for v in f.values(np.array([x])))
     return sigma * fx * math.cos(phase) - fpx * math.sin(phase)
@@ -206,8 +206,8 @@ def _node_samples(f: SampledFunction, sigma: float, alpha: float, n_terms: int):
     and f's envelope past them): the samples `_series_at` sums, the same for every x."""
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:  # NaN fails too
+        raise ValueError("sigma must be positive and finite")
     k = np.arange(-n_terms, n_terms + 1)
     if f.on_nodes is not None:
         values = f.on_nodes(math.pi / sigma, -alpha / sigma, -n_terms, 2 * n_terms + 1)

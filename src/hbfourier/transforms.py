@@ -47,8 +47,8 @@ for F / z near the origin, the Taylor series from the measure's moments.
 Located points (real zeros, the imaginary lower zero, equality points of the
 inequality) are roots of functions built from these moments.
 `_bracketed_newton` finds them with Newton steps on the analytic derivatives,
-safeguarded by bisection, moving all brackets of a search with one evaluator
-call per iteration.
+safeguarded by bisection, one evaluator call per iteration for all brackets of
+a search, and returns each bracket's last evaluation, which certifies its root.
 
 All functions are pure; measures are immutable, so grid sweeps may share them
 across workers.  What the evaluator derives from an object (a density's or a
@@ -1020,11 +1020,10 @@ def _grid_minima(mod, low):
 def _bracketed_newton(fn, lo, hi, x0, unit):
     """Roots of fn in the brackets [lo, hi], one per bracket, from the starts x0.
 
-    fn(x, k) returns (f, f') at the points x of the brackets with indices k,
-    oriented so that f rises through the root: f(lo) <= 0 <= f(hi).  Every
-    bracket still moving is evaluated in one call per iteration; the moving
-    brackets' points and ends are carried as compacted arrays, and a bracket
-    that stops leaves its point in the result.  A Newton
+    fn(x, k) returns (f, f', rows) at the points x of the brackets with indices
+    k, f oriented to rise through the root, f(lo) <= 0 <= f(hi), and rows an
+    array over x in its last axis.  Every bracket still moving is evaluated in
+    one call per iteration, carried as compacted arrays.  A Newton
     step that leaves its bracket, or is not finite, becomes a bisection step.
     Where f does not change sign, the iteration runs into the end that
     bisection would reach: lo where f > 0, hi where f < 0, which is the
@@ -1032,19 +1031,22 @@ def _bracketed_newton(fn, lo, hi, x0, unit):
     bracket stops at f = 0, or once the step or the bracket width falls below
     _NEWTON_XTOL * max(unit, |x|), so that near 0 the tolerance is a length
     of the caller's problem: every caller passes 1 / sigma, the unit in which
-    the transforms of type sigma vary.  The last call for a bracket is at a
-    point within that tolerance of its result, or as far as the last step
-    where _NEWTON_MAXITER iterations end the search.  Returns the points as
-    an array.
+    the transforms of type sigma vary.  Returns (x, at, rows): the roots, each
+    bracket's last evaluated point, within that tolerance of its root or a
+    last step short of it after _NEWTON_MAXITER iterations, and that call's
+    rows (None without a bracket), from which each caller certifies its roots.
     """
     x = np.array(x0, dtype=float).reshape(-1)
     lo = np.array(np.broadcast_to(lo, x.shape), dtype=float)
     hi = np.array(np.broadcast_to(hi, x.shape), dtype=float)
     k, xk = np.arange(x.size), x.copy()
+    at, rows = x.copy(), None
     for _ in range(_NEWTON_MAXITER):
         if not k.size:
             break
-        f, fp = fn(xk, k)
+        f, fp, r = fn(xk, k)
+        rows = np.empty(r.shape[:-1] + x.shape, r.dtype) if rows is None else rows
+        at[k], rows[..., k] = xk, r
         lo = np.where(f < 0.0, xk, lo)
         hi = np.where(f > 0.0, xk, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -1059,7 +1061,7 @@ def _bracketed_newton(fn, lo, hi, x0, unit):
         x[k] = xk
         moving = ~(converged | (hi - lo <= tol))
         k, xk, lo, hi = k[moving], xk[moving], lo[moving], hi[moving]
-    return x
+    return x, at, rows
 
 
 def _leibniz_bounds(measure: StieltjesMeasure, n: int, r):

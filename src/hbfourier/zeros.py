@@ -340,7 +340,7 @@ def _real_interval(a, b):
 
 
 def _real_minima(measure: StieltjesMeasure, target: str, a: float, b: float):
-    """(grid, w on the grid, candidates) of the real-axis scan of w = F^(k), a `_TARGETS` entry.
+    """(grid, w on the grid, (x, at, rows)) of the real-axis scan of w = F^(k), a `_TARGETS` entry.
 
     The grid spans [a, b] in steps of at most pi / (40 sigma).  Two kinds of
     brackets can hold a zero of w: sign changes of Re w, and local minima of
@@ -357,10 +357,10 @@ def _real_minima(measure: StieltjesMeasure, target: str, a: float, b: float):
     for the root of Re(conj(w) w'), where |w| is least, from the grid point.
     The slope would not do for a sign change: a cell that also holds the
     maximum of |w| between a close pair gives it the same sign at both ends.
-    The candidates are the solutions, unsorted and untested; without a
-    bracket they are empty, at no evaluator call.  Raises ValueError unless
-    a < b are finite, and before allocating a grid of more than
-    _MAX_SCAN_POINTS points.
+    The candidates x are its roots, unsorted and untested, with its (at, rows),
+    rows holding w, w', w'' at `at`; without a bracket x is empty, at no
+    evaluator call.  Raises ValueError unless a < b are finite, and before
+    allocating a grid of more than _MAX_SCAN_POINTS points.
     """
     a, b = _real_interval(a, b)
     k, _ = _TARGETS[target]
@@ -386,10 +386,10 @@ def _real_minima(measure: StieltjesMeasure, target: str, a: float, b: float):
     orient = np.concatenate([np.sign(real[roots + 1]), np.zeros(minima.size)])
 
     def solve(x, j):
-        rows = _target(measure, target, x, 2)[0]
+        rows = np.array(_target(measure, target, x, 2)[0])
         slope, slope_p = _modulus_slope(*rows)
         s = orient[j]
-        return np.where(s != 0, s * rows[0].real, slope), np.where(s != 0, s * rows[1].real, slope_p)
+        return np.where(s != 0, s * rows[0].real, slope), np.where(s != 0, s * rows[1].real, slope_p), rows
 
     return grid, w, _bracketed_newton(solve, lo, hi, np.concatenate([secant, grid[minima]]), 1.0 / sig)
 
@@ -397,13 +397,15 @@ def _real_minima(measure: StieltjesMeasure, target: str, a: float, b: float):
 def find_real_zeros(measure: StieltjesMeasure, interval):
     """Real zeros of F on a bounded interval, as (location, multiplicity) pairs.
 
-    The candidates of `_real_minima` are accepted where |F| <= ZERO_TOL V;
-    without a candidate there is no further evaluator call.
-    Where two brackets located the same zero, within 1e-6 max(1 / sigma, |x|),
-    the candidate of least |F| stands for it: a minimum's solution is
+    A candidate x of `_real_minima` is accepted, with no evaluation at it,
+    where `_newton_residual` bounds |F(x)| by ZERO_TOL V from its bracket's
+    last Newton evaluation at `at`, with |F''| <= sigma^2 V between.  Where
+    two brackets located the same zero, within 1e-6 max(1 / sigma, |x|), the
+    candidate of least bound stands for it: a minimum's solution is
     conditioned by |F'|, a sign change's by |Re F'| only.  Multiplicity 1 is
-    certified by |F'| away from 0; a double zero is admitted at the origin
-    only, sigma |x| <= `_ORIGIN_RADIUS`, and anything deeper raises DiagnosticFailure.
+    certified by |F'(at)| - sigma^2 V |x - at| away from 0; a double zero by
+    |F''(at)| - sigma^3 V |x - at|, at the origin only, sigma |x| <=
+    `_ORIGIN_RADIUS`; anything deeper raises DiagnosticFailure.
     Raises ValueError for an interval that is not finite with a < b, even
     for the zero measure, or whose scan would exceed the grid budget.
     """
@@ -412,31 +414,28 @@ def find_real_zeros(measure: StieltjesMeasure, interval):
     if m.is_zero:
         return []
     sig = m.sigma
-    x = _real_minima(m, "F", a, b)[2]
+    x, at, rows = _real_minima(m, "F", a, b)[2]
     if not x.size:
         return []
-    f, fp = _target(m, "F", x, 1)[0]
-    keep = np.abs(f) <= ZERO_TOL * m.bound()
-    x, f_abs, fp_abs = x[keep], np.abs(f[keep]), np.abs(fp[keep])
-    picked = []
-    for j in np.argsort(x, kind="stable"):
+    (f, fp, fpp), d, V = rows, x - at, m.bound()
+    bound = _newton_residual(f, fp, d, m.bound(2), V)
+    picked, keep = [], np.flatnonzero(bound <= ZERO_TOL * V)
+    for j in keep[np.argsort(x[keep], kind="stable")]:
         if picked and abs(x[picked[-1]] - x[j]) < 1e-6 * max(1.0 / sig, abs(x[j])):
-            if f_abs[j] < f_abs[picked[-1]]:
+            if bound[j] < bound[picked[-1]]:
                 picked[-1] = j
             continue
         picked.append(j)
 
     out = []
-    fp_tol = 1e-8 * m.bound(1)
     for j in picked:
         x0 = float(x[j])
-        if fp_abs[j] > fp_tol:
+        if abs(fp[j]) - m.bound(2) * abs(d[j]) > 1e-8 * m.bound(1):
             mult = 1
         else:
             if sig * abs(x0) > _ORIGIN_RADIUS:
                 raise DiagnosticFailure(f"real zero at {x0:.6g} is not simple")
-            fpp = abs(_target(m, "F''", 0.0, 0)[0][0])
-            if fpp <= 1e-8 * m.bound(2):
+            if not abs(fpp[j]) - m.bound(3) * abs(d[j]) > 1e-8 * m.bound(2):
                 raise DiagnosticFailure("zero at the origin is deeper than multiplicity 2")
             mult = 2
         out.append((x0, mult))
@@ -544,23 +543,19 @@ def _imaginary_zero(measure: StieltjesMeasure) -> float:
     else:
         raise DiagnosticFailure("failed to bracket the imaginary zero")
 
-    last = []  # (y, g, g') of the latest evaluation
-
     def slope(y, _):
         f, fp = _target(measure, "F", 1j * y, 1)[0]
         g_y, gp_y = f.real, measure.sigma * f.real - fp.imag
-        last[:] = [float(y[0]), float(g_y[0]), float(gp_y[0])]
-        return g_y, gp_y
+        return g_y, gp_y, np.array([g_y, gp_y])
 
     y0 = y_lo + (y_hi - y_lo) * g_lo / (g_lo - g_hi)  # secant start
-    y_star = float(_bracketed_newton(slope, y_lo, y_hi, y0, unit)[0])
-    y, g_y, gp_y = last
+    (y_star,), (y,), ((g_y,), (gp_y,)) = _bracketed_newton(slope, y_lo, y_hi, y0, unit)
     V = measure.bound()
     # g'' = int (sigma - t)^2 e^{y (sigma - t)} d mu, at most sigma^2 V for y <= 0;
     # a NaN bound fails the comparison and raises
     if not _newton_residual(g_y, gp_y, y_star - y, measure.bound(2), V) <= ZERO_TOL * V:
         raise DiagnosticFailure("Newton iteration did not drive |F(iy)| e^{sigma y} to zero")
-    return y_star
+    return float(y_star)
 
 
 def delta_xi(measure: StieltjesMeasure, xi: float, x):
@@ -671,12 +666,13 @@ def check_derivative_hb(
 
     The lower half-plane is checked by winding count over the axis-avoiding
     rectangle.  The real-axis check reports the least |F^(k)| over the
-    interval's scan grid and the candidates of `_real_minima`: the refined
-    minimum of every minimum bracket and the root of Re F^(k) of every
-    sign change, elsewhere a grid value, which the scan's floor keeps above
-    the threshold ZERO_TOL sigma^k V.  Raises ValueError for a real interval
-    that is not finite with a < b, even for the zero measure, or whose scan
-    would exceed the grid budget.
+    interval's scan grid and the last Newton evaluation of each candidate of
+    `_real_minima`, within Newton's tolerance of the refined minimum of a
+    minimum bracket or the root of Re F^(k) of a sign change, elsewhere a
+    grid value, which the scan's floor keeps above the threshold ZERO_TOL
+    sigma^k V.  Raises ValueError for a real interval that is not finite
+    with a < b, even for the zero measure, or whose scan would exceed the
+    grid budget.
     """
     if order not in (1, 2):
         raise ValueError("derivative order must be 1 or 2")
@@ -688,10 +684,10 @@ def check_derivative_hb(
     if measure.is_zero:
         return DerivativeZeroReport(True, 0, 0.0, 0.0, 0.0, VERDICT_IDENTICALLY_ZERO)
     target = "F'" if order == 1 else "F''"
-    xs, w, x = _real_minima(measure, target, a, b)
     result = count_zeros(measure, rect, target)
-    if x.size:  # the refined minima join the grid's; no evaluator call without one
-        xs, w = np.concatenate([xs, x]), np.concatenate([w, _target(measure, target, x, 0)[0][0]])
+    xs, w, (x, at, rows) = _real_minima(measure, target, a, b)
+    if x.size:  # the candidates' last Newton evaluations join the grid's
+        xs, w = np.concatenate([xs, at]), np.concatenate([w, rows[0]])
     vals = np.abs(w)
     j = int(np.argmin(vals))
     best, best_x = float(vals[j]), float(xs[j])

@@ -37,7 +37,7 @@ def bracketed_newton(fn, lo, hi, x0, unit):
         if not k.size:
             break
         xk = x[k]
-        f, fp = fn(xk, k)
+        f, fp = fn(xk, k)[:2]
         lo[k] = np.where(f < 0.0, xk, lo[k])
         hi[k] = np.where(f > 0.0, xk, hi[k])
         with np.errstate(divide="ignore", invalid="ignore"):

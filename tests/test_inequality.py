@@ -69,6 +69,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             OmegaConfig(fejer2, 2, 0.0)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("n", [0, -1, 1])
+    def test_rejects_a_tau_that_is_not_finite(self, balanced_atoms, ramp_density, n, tau):
+        # NaN != 0, so with n = 0 a NaN tau would be taken for ROTATED_NONNEG
+        with pytest.raises(ValueError, match="tau must be finite"):
+            OmegaConfig(ramp_density if n == 1 else balanced_atoms, n, tau)
+
     def test_decay_family_rejects_atoms(self, fejer2):
         with pytest.raises(ValueError, match="never decay"):
             OmegaConfig(fejer2, 1, -math.pi / 2)
@@ -193,6 +200,17 @@ class TestCheckInequality:
         want = 2.0 * math.pi * np.array([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])
         assert rep.hypothesis_ok and len(rep.equality_points) == len(want)
         assert np.all(np.abs(np.array(rep.equality_points) - want) <= transforms._NEWTON_XTOL * np.abs(want))
+
+    def test_two_brackets_reaching_one_point_report_it_once(self, fejer2, monkeypatch):
+        # pi lies midway between two grid points, each a minimum of |E| whose
+        # bracket holds pi; both searches end there, and the point counts once
+        roots, newton = [], inequality._bracketed_newton
+        monkeypatch.setattr(inequality, "_bracketed_newton", lambda *args: roots.append(newton(*args)) or roots[-1])
+        grid = math.pi + (np.arange(-200, 200) + 0.5) * 0.01
+        points = check_inequality(OmegaConfig(fejer2, 0, 0.0), grid).equality_points
+        tol = transforms._NEWTON_XTOL * math.pi
+        assert len(roots) == 1 and np.sum(np.abs(roots[0][0] - math.pi) <= tol) == 2
+        assert len(points) == 1 and abs(points[0] - math.pi) <= tol
 
     @pytest.mark.parametrize("end", ["first", "last"])
     def test_equality_point_in_an_end_cell(self, fejer2, end):
@@ -619,7 +637,13 @@ def _refined(cfg, grid, monkeypatch):
     """(report, Newton roots) of check_inequality, and (points, Newton roots) of the reference."""
     roots, ref_roots = [], []
     newton = inequality._bracketed_newton
-    monkeypatch.setattr(inequality, "_bracketed_newton", lambda *args: roots.append(newton(*args)) or roots[-1])
+
+    def record(*args):
+        found = newton(*args)
+        roots.append(found[0])
+        return found
+
+    monkeypatch.setattr(inequality, "_bracketed_newton", record)
     rep = check_inequality(cfg, grid)
     e_vals = inequality._margin_pieces(cfg, rep.grid)[3]
     points = reference.refine_equality_points(cfg, rep.grid, e_vals, inequality.E_TOL * cfg.measure.bound(-cfg.n), ref_roots)

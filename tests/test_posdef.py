@@ -548,6 +548,21 @@ class TestCompleteMonotonicity:
             with pytest.raises(ValueError):
                 alternating_sign_table(lambda x: np.exp(-np.asarray(x)), grid, step, 3)
 
+    @pytest.mark.parametrize("max_order", [0, -3])
+    def test_refuses_an_order_below_one(self, max_order):
+        # order 0 would check nothing and report ok with an infinite margin;
+        # -3 would end in numpy's zero-size array error
+        with pytest.raises(ValueError, match="max_order must be 1 to 10"):
+            alternating_sign_table(lambda x: 1.0 / np.asarray(x), [1.0], 0.05, max_order)
+        with pytest.raises(ValueError, match="max_order must be 1 to 10"):
+            cm_finite_difference_check(1.0, 0.5, [1.0], 0.05, max_order)
+
+    def test_refuses_an_empty_grid(self):
+        with pytest.raises(ValueError, match="must not be empty"):
+            alternating_sign_table(lambda x: 1.0 / np.asarray(x), [], 0.05, 3)
+        with pytest.raises(ValueError, match="must not be empty"):
+            cm_finite_difference_check(1.0, 0.5, np.array([]), 0.05, 3)
+
     def test_a_nan_difference_fails(self):
         report = alternating_sign_table(lambda x: np.where(np.asarray(x) > 1.1, math.nan, 1.0), [1.0], 0.1, 3)
         assert not report.ok and math.isnan(report.worst_margin)

@@ -69,6 +69,11 @@ class TestSampledFunction:
         with pytest.raises(ValueError):
             constant_function(sigma=0.0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_rejects_a_sigma_that_is_not_finite(self, sigma):
+        with pytest.raises(ValueError, match="positive and finite"):
+            constant_function(sigma=sigma)
+
     def test_probes_take_one_evaluation(self):
         # the probes and both neighbours in one call, which a batch does not change
         sizes = []
@@ -115,6 +120,16 @@ class TestRhs:
         f = constant_function()
         with pytest.raises(ValueError):
             interp_rhs(f, 1.0, 0.0, 0.0, 0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_both_sides_refuse_a_sigma_that_is_not_positive_and_finite(self, sigma):
+        # NaN fails `sigma <= 0` and would give a NaN value and tail bound; inf
+        # would end in a math domain error
+        f = constant_function()
+        with pytest.raises(ValueError, match="positive and finite"):
+            interp_lhs(f, sigma, 0.2, 0.3)
+        with pytest.raises(ValueError, match="positive and finite"):
+            interp_rhs(f, sigma, 0.2, 0.3, 10)
 
     def test_node_coincidence_uses_removable_value(self):
         sigma, alpha = 1.3, 0.4

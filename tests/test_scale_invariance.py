@@ -150,8 +150,8 @@ class TestLengthUnit:
         # sin(sigma x) has its root pi / sigma in [2, 4] / sigma; sigma = 2^40
         # makes every iterate an exact scaling of those for sigma = 1
         def roots(sigma):
-            fn = lambda x, _: (-np.sin(sigma * x), -sigma * np.cos(sigma * x))
-            return _bracketed_newton(fn, 2.0 / sigma, 4.0 / sigma, 2.0 / sigma, 1.0 / sigma)
+            fn = lambda x, _: (-np.sin(sigma * x), -sigma * np.cos(sigma * x), x)
+            return _bracketed_newton(fn, 2.0 / sigma, 4.0 / sigma, 2.0 / sigma, 1.0 / sigma)[0]
 
         assert roots(2.0**40)[0] * 2.0**40 == roots(1.0)[0] == pytest.approx(math.pi, rel=1e-15)
 

@@ -1086,17 +1086,36 @@ class TestBracketedNewton:
 
         def fn(x, k):
             moving.append(len(k))
-            return sign[k] * np.cos(x), -sign[k] * np.sin(x)
+            return sign[k] * np.cos(x), -sign[k] * np.sin(x), x
 
-        roots = _bracketed_newton(fn, [1.0, 4.0, 7.0], [2.0, 5.0, 8.0], [1.0, 5.0, 7.5], 1.0)
+        roots = _bracketed_newton(fn, [1.0, 4.0, 7.0], [2.0, 5.0, 8.0], [1.0, 5.0, 7.5], 1.0)[0]
         assert np.allclose(roots, [0.5 * math.pi, 1.5 * math.pi, 2.5 * math.pi], rtol=1e-15, atol=0.0)
         assert moving[0] == 3 and len(moving) < 10
+
+    def test_returns_each_brackets_last_evaluation(self):
+        # rows (x, k + 10 x) name the call they come from; the brackets stop at
+        # different iterations, and each keeps the point and rows of its last call
+        sign, calls = np.array([-1.0, 1.0, -1.0]), []
+
+        def fn(x, k):
+            calls.append((x.copy(), k.copy()))
+            return sign[k] * np.cos(x), -sign[k] * np.sin(x), np.array([x, k + 10.0 * x])
+
+        x, at, rows = _bracketed_newton(fn, [1.0, 4.0, 7.0], [2.0, 5.0, 8.0], [1.0, 5.0, 7.5], 1.0)
+        assert len({len(k) for _, k in calls}) >= 2
+        for j in range(3):
+            last = [xs[ks == j][0] for xs, ks in calls if j in ks][-1]
+            assert at[j] == last and rows[:, j].tolist() == [last, j + 10.0 * last]
+            assert abs(x[j] - at[j]) <= transforms._NEWTON_XTOL * max(1.0, abs(x[j]))
+        calls.clear()
+        x, at, rows = _bracketed_newton(fn, [], [], [], 1.0)
+        assert x.size == at.size == 0 and rows is None and not calls
 
     def test_no_sign_change_runs_into_the_end_bisection_reaches(self):
         # f > 0 throughout ends at lo, f < 0 throughout at hi: the minimum of
         # the function whose slope f is
         shift = np.array([10.0, -10.0])
-        x = _bracketed_newton(lambda x, k: (x + shift[k], np.ones_like(x)), 0.0, 1.0, [0.5, 0.5], 1.0)
+        x = _bracketed_newton(lambda x, k: (x + shift[k], np.ones_like(x), x), 0.0, 1.0, [0.5, 0.5], 1.0)[0]
         assert x == pytest.approx([0.0, 1.0], abs=1e-13)
 
     def test_matches_the_reference_loop_bit_for_bit(self):
@@ -1116,12 +1135,12 @@ class TestBracketedNewton:
                 calls.append((x.tobytes(), k.tobytes()))
                 value = np.where(k == 0, x - 0.5, np.where(k == 4, x + 10.0, sign[k] * np.cos(x)))
                 slope = np.where(k == 0, 1.0, np.where(k == 4, 1.0, -sign[k] * np.sin(x)))
-                return value, np.where((k == 3) & (x == 7.25), np.nan, slope)
+                return value, np.where((k == 3) & (x == 7.25), np.nan, slope), x
 
             return f
 
         calls, ref_calls = [], []
-        roots = _bracketed_newton(fn(calls), lo, hi, x0, 1.0)
+        roots = _bracketed_newton(fn(calls), lo, hi, x0, 1.0)[0]
         want = reference.bracketed_newton(fn(ref_calls), lo, hi, x0, 1.0)
         assert roots.tobytes() == want.tobytes()
         assert calls == ref_calls

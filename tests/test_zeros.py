@@ -5,7 +5,7 @@ import pytest
 
 import hbfourier.zeros as zeros_module
 from hbfourier.measure import HYPOTHESIS_TOL, PiecewiseLinearDensity, StieltjesMeasure, from_fejer, from_pd_profile
-from hbfourier.transforms import _reflected, eval_Delta, eval_F
+from hbfourier.transforms import _ROUNDING, _reflected, eval_Delta, eval_F
 from hbfourier.zeros import (
     DEFAULT_LOWER_RECT,
     ZERO_TOL,
@@ -348,6 +348,60 @@ class TestCertifiedAcceptance:
         g = zeros_module._target(m, "F", complex(0.0, y), 0)[0][0].real
         assert abs(g) <= events[-1][0] <= ZERO_TOL * m.bound()
 
+    @staticmethod
+    def record_newton(monkeypatch, events):
+        """The returns of `_bracketed_newton`, each followed in events by "newton"."""
+        newton, found = zeros_module._bracketed_newton, []
+
+        def wrapped(*args):
+            found.append(newton(*args))
+            events.append("newton")
+            return found[-1]
+
+        monkeypatch.setattr(zeros_module, "_bracketed_newton", wrapped)
+        return found
+
+    #: (measure, interval) of real-axis scans with candidates: Fejer-2's simple zeros at
+    #: +-pi and +-3 pi, a close pair 0.7 grid steps apart, the double zero of (1 - e^{iz/2})^2
+    #: at 0, and F = (w - 1)(w - 2), w = e^{iz}, whose F'' has a candidate near 0
+    REAL = {
+        "fejer2": lambda: (from_fejer(2, 1.0, 1.0), (-13.0, 13.0)),
+        "close pair": lambda: (_close_pair(0.7)[0], (-4.8 * CLOSE_STEP, 11.2 * CLOSE_STEP)),
+        "origin": lambda: (StieltjesMeasure(1.0, ((0.0, 1.0), (0.5, -2.0), (1.0, 1.0))), (-3.0, 3.0)),
+        "atoms": lambda: (StieltjesMeasure(2.0, ((0.0, 2.0), (1.0, -3.0), (2.0, 1.0))), (-3.0, 3.0)),
+    }
+
+    @pytest.mark.parametrize("case, multiplicities", [("fejer2", [1, 1, 1, 1]), ("close pair", [1, 1]), ("origin", [2])])
+    def test_find_real_zeros(self, case, multiplicities, monkeypatch):
+        m, interval = self.REAL[case]()
+        events = self.record(monkeypatch)
+        found = self.record_newton(monkeypatch, events)
+        zeros_found = find_real_zeros(m, interval)
+        monkeypatch.undo()
+        assert [mult for _, mult in zeros_found] == multiplicities
+        # the scan's Newton pass makes the last evaluator call; only the certificate follows
+        assert len(found) == 1 and events.index("newton") == len(events) - 2 and isinstance(events[-1], tuple)
+        x, value = found[0][0], events[-1][0]
+        for x0, _ in zeros_found:
+            fresh = np.abs(zeros_module._target(m, "F", np.array([x0]), 0)[0][0])
+            covering = value[x == x0]
+            assert covering.size and np.all(fresh <= covering) and np.all(covering <= ZERO_TOL * m.bound())
+
+    @pytest.mark.parametrize("case, order", [("close pair", 1), ("origin", 1), ("atoms", 2)])
+    def test_check_derivative_hb(self, case, order, monkeypatch):
+        m, interval = self.REAL[case]()
+        events = self.record(monkeypatch)
+        found = self.record_newton(monkeypatch, events)
+        report = check_derivative_hb(m, order, real_interval=interval)
+        monkeypatch.undo()
+        assert len(found) == 1 and events[-1] == "newton"  # no evaluator call after the last Newton pass
+        _, at, rows = found[0]
+        # the least |F^(k)| is a candidate's last Newton evaluation, and a fresh one agrees
+        j = np.flatnonzero(at == report.real_argmin)
+        assert j.size and report.real_min == np.min(np.abs(rows[0][j]))
+        fresh = np.abs(zeros_module._target(m, "F'" if order == 1 else "F''", np.array([report.real_argmin]), 0)[0][0])
+        assert abs(fresh[0] - report.real_min) <= _ROUNDING * m.bound(order)
+
     @pytest.mark.parametrize("bound", [2.0 * ZERO_TOL, math.nan])
     def test_imaginary_zero_refuses_a_bound_over_the_threshold(self, bound, monkeypatch):
         # V = 1.5 here, so 2 ZERO_TOL exceeds the threshold ZERO_TOL V; NaN fails every comparison
@@ -395,6 +449,15 @@ class TestRealZeros:
         m = StieltjesMeasure(1.0, ((0.0, 1.0), (0.5, -2.0), (1.0, 1.0)))
         zeros_found = find_real_zeros(m, (-3.0, 3.0))
         assert any(abs(x) <= 1e-8 and mult == 2 for x, mult in zeros_found)
+
+    @pytest.mark.parametrize("p, message", [(3, "real zero at 2.15683e-08 is not simple"), (4, "deeper than multiplicity 2")])
+    def test_origin_zero_deeper_than_two_is_refused(self, p, message):
+        # F = (1 - e^{iz})^p, atoms C(p, k) (-1)^k at t = k, has a zero of order p at 0.
+        # For p = 3 Newton stops 2.2e-8 from 0, sigma |x| past _ORIGIN_RADIUS; for p = 4
+        # it stops at 0, where F'' vanishes too
+        m = StieltjesMeasure(float(p), tuple((float(k), math.comb(p, k) * (-1.0) ** k) for k in range(p + 1)))
+        with pytest.raises(DiagnosticFailure, match=message):
+            find_real_zeros(m, (-1.0, 1.0))
 
     def test_close_pair_sharing_one_grid_minimum(self):
         # F(z) = 2 e^{iz/2} (cos(z/2) - cos t) has simple zeros at +-2t, here
@@ -564,7 +627,7 @@ class TestImaginaryZero:
 
         def slope(y, _):
             f, fp = zeros_module._target(m, "F", 1j * y, 1)[0]
-            return f.real, m.sigma * f.real - fp.imag
+            return f.real, m.sigma * f.real - fp.imag, f
 
         newton = zeros_module._bracketed_newton
         brackets = []
@@ -573,7 +636,7 @@ class TestImaginaryZero:
         )
         y_star = zeros_module._imaginary_zero(m)
         assert brackets == [(y_lo, y_hi, y0, 1.0)]
-        assert y_star == float(newton(slope, y_lo, y_hi, y0, 1.0)[0])
+        assert y_star == float(newton(slope, y_lo, y_hi, y0, 1.0)[0][0])
 
     def test_first_four_probes_share_one_call(self, monkeypatch):
         # the benchmark's triangles bracket y* = -1.59 between -1 and -2
